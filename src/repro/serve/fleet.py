@@ -3,11 +3,11 @@
 The :class:`FleetSimulator` closes the loop between the demand side
 (:mod:`repro.serve.request`), the policy side (:mod:`repro.serve.scheduler`)
 and the frame-level device models: it replays a request stream against a
-fleet of registered devices, asking the shared
-:class:`~repro.sim.sweep.SweepEngine` for every per-request service time.
-Because service estimates go through the engine's report cache, a stream of
-thousands of requests over a handful of scenarios performs a handful of
-frame simulations -- and those simulations are *bit-exact* the ones the
+fleet of registered devices.  Service times come from the shared
+:class:`~repro.sim.sweep.SweepEngine`, looked up once per (scenario, shed
+level, device) into a per-run service table, so a stream of thousands of
+requests over a handful of scenarios performs a handful of engine lookups
+and frame simulations -- and those simulations are *bit-exact* the ones the
 paper's figures use, so serving results and figure results never drift
 apart.  When the engine carries a persistent result store
 (:mod:`repro.perf.store`; the CLI attaches one by default), those frame
@@ -39,6 +39,8 @@ import dataclasses
 import enum
 import heapq
 import itertools
+import math
+import operator
 from bisect import bisect_left
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -54,6 +56,7 @@ from repro.serve.report import (
 from repro.serve.scheduler import (
     Dispatch,
     FIFOScheduler,
+    RequestQueue,
     Scheduler,
     ServiceEstimate,
     Worker,
@@ -61,7 +64,12 @@ from repro.serve.scheduler import (
 from repro.sim.sweep import SweepEngine, get_default_engine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.serve.control import DegradationLadder
     from repro.serve.request import Request, Scenario
+
+#: Sort key of every simulation path: ``(arrival, request_id)`` order.
+_ARRIVAL_ORDER = operator.attrgetter("arrival_s", "request_id")
+_ARRIVAL = operator.attrgetter("arrival_s")
 
 
 class _EventKind(enum.IntEnum):
@@ -111,11 +119,6 @@ class _ControlState:
         # Shed level stamped at ingress, keyed by request object identity
         # (the queued object flows through to dispatch unchanged).
         self.shed_levels: dict[int, int] = {}
-        # Degraded scenarios resolved once per (scenario, level); the id()
-        # probe mirrors the fast path's row cache, with a by-value fallback
-        # for distinct-but-equal scenario objects.
-        self._degraded_by_id: dict[tuple[int, int], "Scenario"] = {}
-        self._degraded_by_value: dict[tuple[object, int], "Scenario"] = {}
         # Time-weighted active-worker accounting (autoscaler runs only).
         self._integral_origin: float | None = None
         self._last_change_s = 0.0
@@ -143,20 +146,6 @@ class _ControlState:
             if level:
                 self.shed_levels[id(request)] = level
         return True
-
-    def degraded(self, scenario: "Scenario", level: int) -> "Scenario":
-        """The (cached) scenario actually served at ``level``."""
-        key = (id(scenario), level)
-        cached = self._degraded_by_id.get(key)
-        if cached is None:
-            value_key = (scenario, level)
-            cached = self._degraded_by_value.get(value_key)
-            if cached is None:
-                assert self.shedder is not None
-                cached = self.shedder.ladder.apply(scenario, level)
-                self._degraded_by_value[value_key] = cached
-            self._degraded_by_id[key] = cached
-        return cached
 
     # -- autoscaling -----------------------------------------------------------
 
@@ -237,6 +226,69 @@ class _ControlState:
         return self._active_integral / span
 
 
+class _ServiceTable:
+    """One run's frame-model estimates, one row per (scenario, shed level).
+
+    A row holds one :class:`ServiceEstimate` per worker index for the
+    scenario as served at that shed level, resolved once per distinct
+    device name, so a run makes at most scenarios x devices x (ladder depth
+    + 1) engine lookups however many requests it serves.  Lookups probe
+    ``id(scenario)`` first (streams share scenario instances) and fall back
+    to equality for distinct-but-equal scenario objects; the id table keeps
+    a reference to each scenario, so an id cannot be reused mid-run.
+    """
+
+    def __init__(
+        self,
+        estimate: Callable[["Scenario", Worker], ServiceEstimate],
+        workers: Sequence[Worker],
+        ladder: "DegradationLadder | None" = None,
+    ) -> None:
+        self._estimate = estimate
+        self._workers = workers
+        self._ladder = ladder
+        self._by_id: dict[
+            tuple[int, int], tuple["Scenario", tuple[ServiceEstimate, ...]]
+        ] = {}
+        self._by_value: dict[tuple["Scenario", int], tuple[ServiceEstimate, ...]] = {}
+
+    def row(self, scenario: "Scenario", level: int = 0) -> tuple[ServiceEstimate, ...]:
+        """Per-worker estimates of ``scenario`` served at shed ``level``."""
+        entry = self._by_id.get((id(scenario), level))
+        if entry is not None:
+            return entry[1]
+        row = self._by_value.get((scenario, level))
+        if row is None:
+            served = scenario
+            if level:
+                assert self._ladder is not None
+                served = self._ladder.apply(scenario, level)
+            by_device: dict[str, ServiceEstimate] = {}
+            for worker in self._workers:
+                if worker.name not in by_device:
+                    by_device[worker.name] = self._estimate(served, worker)
+            row = tuple(by_device[worker.name] for worker in self._workers)
+            self._by_value[(scenario, level)] = row
+        self._by_id[(id(scenario), level)] = (scenario, row)
+        return row
+
+    def single(
+        self, scenario: "Scenario", level: int = 0
+    ) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """Batch-1 ``(service_s, energy_j)`` per worker: a fast-path row."""
+        row = self.row(scenario, level)
+        return (
+            tuple(
+                w.device.service_time_s(e.latency_s, 1)
+                for w, e in zip(self._workers, row)
+            ),
+            tuple(
+                w.device.service_energy_j(e.energy_j, 1)
+                for w, e in zip(self._workers, row)
+            ),
+        )
+
+
 class FleetSimulator:
     """Replay a request stream against a fleet of simulated devices.
 
@@ -294,6 +346,30 @@ class FleetSimulator:
         )
         return ServiceEstimate(latency_s=report.latency_s, energy_j=report.energy_j)
 
+    def _arrival_order(self, requests: Sequence["Request"]) -> list["Request"]:
+        """``requests`` in ``(arrival, request_id)`` order, default SLA stamped.
+
+        The ingress of every simulation path: a non-finite arrival time has
+        no place in the schedule (the event loop would never drain it), so
+        it is rejected here.
+        """
+        if not all(map(math.isfinite, map(_ARRIVAL, requests))):
+            bad = next(r for r in requests if not math.isfinite(r.arrival_s))
+            raise ValueError(
+                f"request {bad.request_id}: arrival_s must be finite, "
+                f"got {bad.arrival_s!r}"
+            )
+        ordered = sorted(requests, key=_ARRIVAL_ORDER)
+        if self.default_sla_s is not None:
+            sla = self.default_sla_s
+            ordered = [
+                r
+                if r.deadline_s is not None
+                else dataclasses.replace(r, deadline_s=r.arrival_s + sla)
+                for r in ordered
+            ]
+        return ordered
+
     # -- the event loop --------------------------------------------------------
 
     def run(self, requests: Sequence["Request"]) -> ServingReport:
@@ -326,28 +402,36 @@ class FleetSimulator:
             if self.control is not None and self.control.active
             else None
         )
+        ordered = self._arrival_order(requests)
+        table = _ServiceTable(
+            self._estimate_scenario,
+            workers,
+            state.shedder.ladder
+            if state is not None and state.shedder is not None
+            else None,
+        )
+
+        def estimate(request: "Request", worker: Worker) -> ServiceEstimate:
+            """Scheduler-facing estimate, read from the run's service table."""
+            return table.row(request.scenario)[worker.index]
+
         seq = itertools.count()
         # Heap entries are (time, kind, seq, payload): at equal timestamps
         # arrivals order before completions before wakes and control ticks,
         # then by push order.
         events: list[tuple[float, int, int, object]] = []
         pending_arrivals = 0
-        ordered = sorted(requests, key=lambda r: (r.arrival_s, r.request_id))
         arrival_span = (
             ordered[-1].arrival_s - ordered[0].arrival_s if ordered else 0.0
         )
         for request in ordered:
-            if request.deadline_s is None and self.default_sla_s is not None:
-                request = dataclasses.replace(
-                    request, deadline_s=request.arrival_s + self.default_sla_s
-                )
             heapq.heappush(
                 events,
                 (request.arrival_s, int(_EventKind.ARRIVAL), next(seq), request),
             )
             pending_arrivals += 1
 
-        queue: list["Request"] = []
+        queue = RequestQueue()
         completed: list[CompletedRequest] = []
         rejected: list[RejectedRequest] = []
         scheduled_wakes: set[float] = set()
@@ -410,10 +494,10 @@ class FleetSimulator:
                 and (state is None or state.active[w.index])
             ]
             dispatches, wake = self.scheduler.assign(
-                now, queue, idle, self.estimate, draining=pending_arrivals == 0
+                now, queue, idle, estimate, draining=pending_arrivals == 0
             )
             for dispatch in dispatches:
-                finish, records = self._serve(now, dispatch, state)
+                finish, records = self._serve(now, dispatch, table, state)
                 heapq.heappush(
                     events, (finish, int(_EventKind.COMPLETE), next(seq), records)
                 )
@@ -438,7 +522,11 @@ class FleetSimulator:
         )
 
     def _serve(
-        self, now: float, dispatch: Dispatch, state: _ControlState | None = None
+        self,
+        now: float,
+        dispatch: Dispatch,
+        table: _ServiceTable,
+        state: _ControlState | None = None,
     ) -> tuple[float, tuple[CompletedRequest, ...]]:
         """Occupy the dispatch's worker and build its completion records.
 
@@ -455,7 +543,6 @@ class FleetSimulator:
             )
         level = 0
         quality = 1.0
-        scenario = dispatch.requests[0].scenario
         if state is not None and state.shedder is not None:
             # A batch renders once, so degrading it would degrade every
             # member; a single pinned (degradable=False) request therefore
@@ -467,8 +554,7 @@ class FleetSimulator:
                 )
             if level:
                 quality = state.shedder.ladder.quality_of(level)
-                scenario = state.degraded(scenario, level)
-        per_frame = self._estimate_scenario(scenario, worker)
+        per_frame = table.row(dispatch.requests[0].scenario, level)[worker.index]
         batch = len(dispatch.requests)
         service_s = worker.device.service_time_s(per_frame.latency_s, batch)
         energy_j = worker.device.service_energy_j(per_frame.energy_j, batch)
@@ -522,28 +608,19 @@ class FleetSimulator:
             Worker(index=i, name=name, device=device)
             for i, (name, device) in enumerate(self._fleet)
         ]
-        ordered = sorted(requests, key=lambda r: (r.arrival_s, r.request_id))
-        if self.default_sla_s is not None:
-            sla = self.default_sla_s
-            ordered = [
-                r
-                if r.deadline_s is not None
-                else dataclasses.replace(r, deadline_s=r.arrival_s + sla)
-                for r in ordered
-            ]
+        ordered = self._arrival_order(requests)
         n = len(ordered)
         k = len(workers)
         labels = [w.label for w in workers]
         arrival_span = (
             ordered[-1].arrival_s - ordered[0].arrival_s if ordered else 0.0
         )
-        # (service_s, energy_j) per worker, resolved once per scenario.
-        # Streams share scenario instances, so the id() probe almost always
-        # hits; the by-value fallback keeps distinct-but-equal scenario
-        # objects on the same cached frame simulation (requests keep their
-        # scenarios alive for the whole run, so ids stay valid).
-        rows_by_id: dict[int, tuple[tuple[float, ...], tuple[float, ...]]] = {}
-        rows_by_value: dict[object, tuple[tuple[float, ...], tuple[float, ...]]] = {}
+        # Batch-1 (service_s, energy_j) per worker, read from the run's
+        # service table once per scenario object.  Streams share scenario
+        # instances, so the inline id() probe almost always hits (requests
+        # keep their scenarios alive for the whole run, so ids stay valid).
+        table = _ServiceTable(self._estimate_scenario, workers)
+        rows: dict[int, tuple[tuple[float, ...], tuple[float, ...]]] = {}
 
         free = [w.busy_until_s for w in workers]
         busy = [0.0] * k
@@ -561,25 +638,9 @@ class FleetSimulator:
 
         for request in ordered:
             scenario = request.scenario
-            row = rows_by_id.get(id(scenario))
+            row = rows.get(id(scenario))
             if row is None:
-                row = rows_by_value.get(scenario)
-                if row is None:
-                    estimates = [
-                        self._estimate_scenario(scenario, w) for w in workers
-                    ]
-                    row = (
-                        tuple(
-                            w.device.service_time_s(e.latency_s, 1)
-                            for w, e in zip(workers, estimates)
-                        ),
-                        tuple(
-                            w.device.service_energy_j(e.energy_j, 1)
-                            for w, e in zip(workers, estimates)
-                        ),
-                    )
-                    rows_by_value[scenario] = row
-                rows_by_id[id(scenario)] = row
+                row = rows[id(scenario)] = table.single(scenario)
             service_row, energy_row = row
             arrival = request.arrival_s
             chosen = -1
@@ -684,26 +745,14 @@ class FleetSimulator:
             Worker(index=i, name=name, device=device)
             for i, (name, device) in enumerate(self._fleet)
         ]
-        ordered = sorted(requests, key=lambda r: (r.arrival_s, r.request_id))
-        if self.default_sla_s is not None:
-            sla = self.default_sla_s
-            ordered = [
-                r
-                if r.deadline_s is not None
-                else dataclasses.replace(r, deadline_s=r.arrival_s + sla)
-                for r in ordered
-            ]
+        ordered = self._arrival_order(requests)
         k = len(workers)
         labels = [w.label for w in workers]
         arrival_span = (
             ordered[-1].arrival_s - ordered[0].arrival_s if ordered else 0.0
         )
-        rows_by_key: dict[
-            tuple[int, int], tuple[tuple[float, ...], tuple[float, ...]]
-        ] = {}
-        rows_by_value: dict[
-            tuple[object, int], tuple[tuple[float, ...], tuple[float, ...]]
-        ] = {}
+        table = _ServiceTable(self._estimate_scenario, workers, ladder)
+        rows: dict[tuple[int, int], tuple[tuple[float, ...], tuple[float, ...]]] = {}
 
         free = [w.busy_until_s for w in workers]
         busy = [0.0] * k
@@ -742,29 +791,9 @@ class FleetSimulator:
             )
             scenario = request.scenario
             key = (id(scenario), level)
-            row = rows_by_key.get(key)
+            row = rows.get(key)
             if row is None:
-                value_key = (scenario, level)
-                row = rows_by_value.get(value_key)
-                if row is None:
-                    serve_scenario = (
-                        ladder.apply(scenario, level) if level else scenario
-                    )
-                    estimates = [
-                        self._estimate_scenario(serve_scenario, w) for w in workers
-                    ]
-                    row = (
-                        tuple(
-                            w.device.service_time_s(e.latency_s, 1)
-                            for w, e in zip(workers, estimates)
-                        ),
-                        tuple(
-                            w.device.service_energy_j(e.energy_j, 1)
-                            for w, e in zip(workers, estimates)
-                        ),
-                    )
-                    rows_by_value[value_key] = row
-                rows_by_key[key] = row
+                row = rows[key] = table.single(scenario, level)
             service_row, energy_row = row
             chosen = -1
             for j in range(k):

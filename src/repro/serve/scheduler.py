@@ -19,17 +19,37 @@ which idle devices.  Three policies are provided:
   Batching devices amortize per-frame setup via
   :meth:`repro.core.device.Device.service_time_s`.
 
-Schedulers mutate the queue they are handed (removing the requests they
-dispatch) and may return a wake-up time so the event loop revisits a held
-batch even if nothing else happens.
+Schedulers are handed the simulator's :class:`RequestQueue` -- the queued
+requests grouped by scenario, each group oldest first -- remove the requests
+they dispatch through it, and may return a wake-up time so the event loop
+revisits a held batch even if nothing else happens.  A custom scheduler
+uses only the queue's contract:
+
+* ``len(queue)`` and ``iter(queue)`` -- every queued request, in push
+  order;
+* ``queue.popleft()`` -- remove and return the oldest queued request
+  (``list.pop(0)`` of a single FIFO queue);
+* ``queue.groups()`` -- the non-empty scenario groups, the group whose
+  head is oldest first; a group is a read-only deque of ``(push seq,
+  request)`` pairs, oldest first;
+* ``queue.take(group, n)`` -- remove and return the ``n`` oldest requests
+  of ``group`` as a tuple.
+
+Costs depend on the number of scenario groups S, not on the queue's
+depth: ``append``, ``len`` and ``take`` are O(1) per request, ``popleft``
+is O(S) and ``groups()`` O(S log S); only ``iter`` walks the whole queue.
+A policy that looks only at group heads therefore stays linear however
+deep the backlog grows.
 """
 
 from __future__ import annotations
 
 import abc
-from collections import Counter
+import heapq
+import itertools
+from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, ClassVar
+from typing import TYPE_CHECKING, Callable, ClassVar, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.device import Device
@@ -89,12 +109,87 @@ class Dispatch:
         return self.requests[0].scenario
 
 
+#: One scenario group of a :class:`RequestQueue`: ``(push seq, request)``
+#: pairs, oldest first.
+Group = deque[tuple[int, "Request"]]
+
+
+class RequestQueue:
+    """The simulator's FIFO queue, stored as one deque per scenario.
+
+    Requests are grouped by scenario *value*: the group lookup probes
+    ``id(scenario)`` first (streams share scenario instances, so this almost
+    always hits) and falls back to equality, so distinct-but-equal scenario
+    objects share one group.  The id table keeps a reference to every
+    scenario it maps, so an id can never be reused by another object while
+    the queue lives.  Each entry carries its push sequence number, which
+    orders requests across groups: the queue behaves exactly like one
+    push-ordered list from which schedulers remove requests.
+    """
+
+    def __init__(self) -> None:
+        self._groups: list[Group] = []
+        self._by_id: dict[int, tuple["Scenario", Group]] = {}
+        self._by_value: dict["Scenario", Group] = {}
+        self._pushes = itertools.count()
+        self._len = 0
+
+    def append(self, request: "Request") -> None:
+        """Queue ``request`` behind everything already queued."""
+        scenario = request.scenario
+        entry = self._by_id.get(id(scenario))
+        if entry is None:
+            group = self._by_value.get(scenario)
+            if group is None:
+                group = self._by_value[scenario] = deque()
+                self._groups.append(group)
+            self._by_id[id(scenario)] = (scenario, group)
+        else:
+            group = entry[1]
+        group.append((next(self._pushes), request))
+        self._len += 1
+
+    def __len__(self) -> int:
+        """Number of queued requests."""
+        return self._len
+
+    def __iter__(self) -> Iterator["Request"]:
+        """Every queued request, in push order."""
+        for _, request in heapq.merge(*self._groups):
+            yield request
+
+    def popleft(self) -> "Request":
+        """Remove and return the oldest queued request."""
+        oldest: Group | None = None
+        for group in self._groups:
+            if group and (oldest is None or group[0][0] < oldest[0][0]):
+                oldest = group
+        if oldest is None:
+            raise IndexError("popleft from an empty RequestQueue")
+        self._len -= 1
+        return oldest.popleft()[1]
+
+    def groups(self) -> list[Group]:
+        """The non-empty scenario groups, the one with the oldest head first."""
+        return sorted(
+            (group for group in self._groups if group), key=lambda g: g[0][0]
+        )
+
+    def take(self, group: Group, n: int) -> tuple["Request", ...]:
+        """Remove and return the ``n`` oldest requests of ``group``."""
+        if not 0 < n <= len(group):
+            raise ValueError(f"cannot take {n} of a {len(group)}-request group")
+        self._len -= n
+        return tuple(group.popleft()[1] for _ in range(n))
+
+
 class Scheduler(abc.ABC):
     """Policy interface: turn (queue, idle workers) into dispatches.
 
-    ``assign`` removes dispatched requests from ``queue`` in place and may
-    return a wake-up time (absolute seconds) at which it wants to be called
-    again even if no arrival / completion happens before then.
+    ``assign`` removes dispatched requests from ``queue`` (a
+    :class:`RequestQueue`; see the module docstring for its contract) and
+    may return a wake-up time (absolute seconds) at which it wants to be
+    called again even if no arrival / completion happens before then.
     """
 
     #: Policy name stamped into the serving report.
@@ -104,7 +199,7 @@ class Scheduler(abc.ABC):
     def assign(
         self,
         now: float,
-        queue: list["Request"],
+        queue: RequestQueue,
         idle: list[Worker],
         estimate: EstimateFn,
         draining: bool,
@@ -123,7 +218,7 @@ class FIFOScheduler(Scheduler):
         for worker in idle:
             if not queue:
                 break
-            dispatches.append(Dispatch(worker, (queue.pop(0),)))
+            dispatches.append(Dispatch(worker, (queue.popleft(),)))
         return dispatches, None
 
 
@@ -144,7 +239,7 @@ class SparsityAwareScheduler(Scheduler):
         free = list(idle)
         dispatches = []
         while queue and free:
-            request = queue.pop(0)
+            request = queue.popleft()
             best = min(
                 free, key=lambda w: (estimate(request, w).latency_s, w.index)
             )
@@ -172,28 +267,30 @@ class BatchDeadlineScheduler(Scheduler):
         """Validate batching bounds."""
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if self.max_wait_s < 0.0:
-            raise ValueError("max_wait_s must be >= 0")
+        if not self.max_wait_s >= 0.0:  # also rejects NaN
+            raise ValueError(f"max_wait_s must be >= 0, got {self.max_wait_s!r}")
 
     def assign(self, now, queue, idle, estimate, draining):
         """Dispatch ready scenario groups; hold (with a wake-up) the rest.
 
-        Readiness comparisons are written as ``now >= arrival + bound``
-        (never ``now - arrival >= bound``) so they are float-consistent
-        with the wake-up times this method returns: a wake scheduled at
-        ``arrival + bound`` is guaranteed to find its batch ready.
+        Groups are visited oldest head first and batches are taken off each
+        group's head, so a call costs O(groups x max_batch) however deep the
+        queue is.  Readiness comparisons are written as ``now >= arrival +
+        bound`` (never ``now - arrival >= bound``) so they are
+        float-consistent with the wake-up times this method returns: a wake
+        scheduled at ``arrival + bound`` is guaranteed to find its batch
+        ready.
         """
+        if not idle:
+            return [], None
         free = list(idle)
         dispatches: list[Dispatch] = []
         wake: float | None = None
-        dispatched: Counter[int] = Counter()
-        groups: dict["Scenario", list["Request"]] = {}
-        for request in queue:
-            groups.setdefault(request.scenario, []).append(request)
-        for group in groups.values():
-            index = 0
-            while free and index < len(group):
-                batch = group[index : index + self.max_batch]
+        for group in queue.groups():
+            while free and group:
+                batch = [
+                    request for _, request in itertools.islice(group, self.max_batch)
+                ]
                 oldest = batch[0]
                 worker = min(
                     free, key=lambda w: (estimate(oldest, w).latency_s, w.index)
@@ -227,18 +324,5 @@ class BatchDeadlineScheduler(Scheduler):
                     wake = hold_until if wake is None else min(wake, hold_until)
                     break  # the rest of this group is younger still
                 free.remove(worker)
-                dispatched.update(id(request) for request in batch)
-                dispatches.append(Dispatch(worker, tuple(batch)))
-                index += len(batch)
-        if dispatched:
-            # Remove exactly the dispatched occurrences (a multiset, so a
-            # request object appearing twice in the queue loses only the
-            # occurrences that were actually served).
-            remaining = []
-            for request in queue:
-                if dispatched.get(id(request), 0) > 0:
-                    dispatched[id(request)] -= 1
-                else:
-                    remaining.append(request)
-            queue[:] = remaining
+                dispatches.append(Dispatch(worker, queue.take(group, len(batch))))
         return dispatches, wake

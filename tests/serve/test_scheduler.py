@@ -8,6 +8,7 @@ from repro.serve.scheduler import (
     BatchDeadlineScheduler,
     Dispatch,
     FIFOScheduler,
+    RequestQueue,
     ServiceEstimate,
     SparsityAwareScheduler,
     Worker,
@@ -39,8 +40,8 @@ def make_workers(*names):
 
 
 def make_queue(*specs):
-    """Build requests from (arrival, scenario[, deadline]) tuples."""
-    queue = []
+    """Queue requests built from (arrival, scenario[, deadline]) tuples."""
+    queue = RequestQueue()
     for i, spec in enumerate(specs):
         arrival, scenario = spec[0], spec[1]
         deadline = spec[2] if len(spec) > 2 else None
@@ -92,7 +93,7 @@ class TestSparsityAware:
         )
         routed = {d.requests[0].scenario: d.worker.index for d in dispatches}
         assert routed == {FAST: 0, SLOW: 1}
-        assert queue == []
+        assert list(queue) == []
 
     def test_contention_preserves_fifo_priority(self):
         workers = make_workers("flexnerfer")
@@ -154,7 +155,7 @@ class TestBatchDeadline:
         dispatches, _ = scheduler.assign(
             0.0, queue, list(workers), fake_estimate, draining=True
         )
-        assert len(dispatches) == 2 and queue == []
+        assert len(dispatches) == 2 and list(queue) == []
 
     def test_groups_never_mix_scenarios(self):
         workers = make_workers("flexnerfer")
@@ -171,6 +172,17 @@ class TestBatchDeadline:
             BatchDeadlineScheduler(max_batch=0)
         with pytest.raises(ValueError):
             BatchDeadlineScheduler(max_wait_s=-1.0)
+        with pytest.raises(ValueError, match="max_wait_s"):
+            BatchDeadlineScheduler(max_wait_s=float("nan"))
+
+    def test_no_idle_workers_holds_everything_without_a_wake(self):
+        queue = make_queue((0.0, FAST), (0.0, SLOW))
+        scheduler = BatchDeadlineScheduler(max_batch=1, max_wait_s=0.0)
+        dispatches, wake = scheduler.assign(
+            1.0, queue, [], fake_estimate, draining=True
+        )
+        assert (dispatches, wake) == ([], None)
+        assert [r.request_id for r in queue] == [0, 1]
 
 
 class TestDeviceServingHooks:
@@ -200,13 +212,15 @@ def test_batch_deadline_serves_duplicate_queue_occurrences():
     """A request object appearing twice in the queue is served twice, not dropped."""
     workers = make_workers("flexnerfer", "neurex")
     request = Request(0, 0.0, FAST)
-    queue = [request, request]
+    queue = RequestQueue()
+    queue.append(request)
+    queue.append(request)
     scheduler = BatchDeadlineScheduler(max_batch=1, max_wait_s=0.0)
     dispatches, _ = scheduler.assign(
         0.0, queue, list(workers), fake_estimate, draining=True
     )
     assert sum(len(d.requests) for d in dispatches) == 2
-    assert queue == []
+    assert len(queue) == 0 and list(queue) == []
 
 
 def test_batch_deadline_honours_the_tightest_deadline_in_the_batch():
@@ -227,3 +241,49 @@ def test_batch_deadline_honours_the_tightest_deadline_in_the_batch():
         wake, queue, list(workers), fake_estimate, draining=False
     )
     assert len(dispatches) == 1 and len(dispatches[0].requests) == 2
+
+
+class TestRequestQueue:
+    def test_popleft_is_push_order_across_groups(self):
+        queue = make_queue((0.0, FAST), (0.0, SLOW), (0.0, SLOW), (0.0, FAST))
+        assert [queue.popleft().request_id for _ in range(4)] == [0, 1, 2, 3]
+        assert len(queue) == 0
+        with pytest.raises(IndexError):
+            queue.popleft()
+
+    def test_groups_by_value_oldest_head_first(self):
+        twin = Scenario("instant-ngp", width=200, height=200)
+        assert twin == FAST and twin is not FAST
+        queue = make_queue((0.0, SLOW), (0.0, FAST), (0.0, twin), (0.0, SLOW))
+        groups = queue.groups()
+        assert [[r.request_id for _, r in g] for g in groups] == [[0, 3], [1, 2]]
+        queue.take(groups[0], 1)
+        # The FAST group's head (push 1) is now older than SLOW's (push 3).
+        heads = [g[0][1].request_id for g in queue.groups()]
+        assert heads == [1, 3]
+
+    def test_len_and_iteration_agree_after_take(self):
+        queue = make_queue(*[(0.0, FAST if i % 3 else SLOW) for i in range(9)])
+        fast = next(g for g in queue.groups() if g[0][1].scenario == FAST)
+        taken = queue.take(fast, 4)
+        assert [r.request_id for r in taken] == [1, 2, 4, 5]
+        assert len(queue) == 5
+        assert [r.request_id for r in queue] == [0, 3, 6, 7, 8]
+        assert queue.popleft().request_id == 0
+        assert len(queue) == len(list(queue)) == 4
+        with pytest.raises(ValueError):
+            queue.take(fast, 3)
+
+    def test_duplicate_occurrences_are_queued_and_taken_separately(self):
+        request = Request(7, 0.0, FAST)
+        other = Request(8, 0.0, FAST)
+        queue = RequestQueue()
+        for item in (request, other, request):
+            queue.append(item)
+        assert len(queue) == 3
+        (group,) = queue.groups()
+        assert queue.take(group, 1) == (request,)
+        assert list(queue) == [other, request]
+        assert queue.popleft() is other
+        assert queue.popleft() is request
+        assert not queue
