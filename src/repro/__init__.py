@@ -31,7 +31,7 @@ from repro.core.device import DEVICE_REGISTRY, Device, get_device
 from repro.sim.sweep import SweepEngine, SweepSpec, get_default_engine
 from repro.sparse.formats import Precision, SparsityFormat
 
-__version__ = "1.6.0"
+__version__ = "1.7.0"
 
 __all__ = [
     "FlexNeRFer",

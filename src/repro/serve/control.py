@@ -650,7 +650,7 @@ class ControlConfig:
 
     @property
     def fast_path_compatible(self) -> bool:
-        """Whether FIFO fleets under this config may take the batched fast path."""
+        """Whether FIFO fleets under this config keep the closed-form fast path."""
         return self.autoscaler is None
 
     @property

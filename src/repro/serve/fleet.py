@@ -20,7 +20,7 @@ serves degraded-but-cheaper scenarios when the queue an arrival observes is
 deep, and an autoscaler grows / shrinks the active worker subset on a fixed
 control tick (scale-out pays a provisioning delay; scale-in drains).
 Admission and shedding are decided at ingress from integer queue depths, so
-FIFO fleets keep the batched fast path *and* its bit-identical guarantee;
+FIFO fleets keep the closed-form fast path *and* its bit-identical guarantee;
 autoscaling's feedback loop runs on the event loop only.
 
 The event loop is deterministic: events are ordered by ``(time, kind,
@@ -53,6 +53,7 @@ from repro.serve.report import (
     ServingReport,
     percentile,
 )
+from repro.serve.request import require_positive
 from repro.serve.scheduler import (
     Dispatch,
     FIFOScheduler,
@@ -70,6 +71,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Sort key of every simulation path: ``(arrival, request_id)`` order.
 _ARRIVAL_ORDER = operator.attrgetter("arrival_s", "request_id")
 _ARRIVAL = operator.attrgetter("arrival_s")
+_REQUEST_ID = operator.attrgetter("request_id")
 
 
 class _EventKind(enum.IntEnum):
@@ -314,6 +316,8 @@ class FleetSimulator:
         """Resolve the fleet's devices and bind scheduler, engine and control."""
         if not devices:
             raise ValueError("a fleet needs at least one device")
+        if default_sla_s is not None:
+            require_positive("default_sla_s", default_sla_s)
         self.engine = engine or get_default_engine()
         self.scheduler = scheduler or FIFOScheduler()
         self.default_sla_s = default_sla_s
@@ -350,8 +354,9 @@ class FleetSimulator:
         """``requests`` in ``(arrival, request_id)`` order, default SLA stamped.
 
         The ingress of every simulation path: a non-finite arrival time has
-        no place in the schedule (the event loop would never drain it), so
-        it is rejected here.
+        no place in the schedule (the event loop would never drain it), and
+        a repeated request id would be served twice, so both are rejected
+        here.
         """
         if not all(map(math.isfinite, map(_ARRIVAL, requests))):
             bad = next(r for r in requests if not math.isfinite(r.arrival_s))
@@ -359,6 +364,14 @@ class FleetSimulator:
                 f"request {bad.request_id}: arrival_s must be finite, "
                 f"got {bad.arrival_s!r}"
             )
+        if len(set(map(_REQUEST_ID, requests))) != len(requests):
+            seen: set[int] = set()
+            for request in requests:
+                if request.request_id in seen:
+                    raise ValueError(
+                        f"request {request.request_id}: duplicate request_id"
+                    )
+                seen.add(request.request_id)
         ordered = sorted(requests, key=_ARRIVAL_ORDER)
         if self.default_sla_s is not None:
             sla = self.default_sla_s
@@ -378,9 +391,9 @@ class FleetSimulator:
         Worker state is per-run: calling ``run`` again on the same simulator
         starts from an idle fleet (only the engine's caches persist).
 
-        Plain FIFO fleets take the batched fast path
-        (:meth:`_run_fifo_batched`), which produces a bit-identical report
-        at an order of magnitude higher request throughput; every other
+        Plain FIFO fleets take the closed-form fast path
+        (:meth:`_run_fifo`), which produces a bit-identical report at an
+        order of magnitude higher request throughput; every other
         scheduler -- and any config with an autoscaler, whose tick feedback
         has no closed form -- runs the discrete-event loop.  Admission and
         shedding alone keep the fast path.
@@ -388,7 +401,7 @@ class FleetSimulator:
         if type(self.scheduler) is FIFOScheduler and (
             self.control is None or self.control.fast_path_compatible
         ):
-            return self._run_fifo_batched(requests)
+            return self._run_fifo(requests)
         return self._run_event_loop(requests)
 
     def _run_event_loop(self, requests: Sequence["Request"]) -> ServingReport:
@@ -581,53 +594,73 @@ class FleetSimulator:
 
     # -- the FIFO fast path ----------------------------------------------------
 
-    def _run_fifo_batched(self, requests: Sequence["Request"]) -> ServingReport:
-        """Batched replay of a plain-FIFO fleet, bit-identical to the loop.
+    def _run_fifo(self, requests: Sequence["Request"]) -> ServingReport:
+        """Closed-form replay of a plain-FIFO fleet, bit-identical to the loop.
 
         FIFO with single-request dispatch admits a closed-form schedule:
         processing requests in ``(arrival, request_id)`` order, each either
-        starts immediately on the lowest-indexed worker already free at its
-        arrival, or waits for the earliest-freeing worker (lowest index on
-        ties) -- exactly what the event loop's drain-then-assign cycle
-        produces.  That turns the heap, the scheduler round-trips and the
-        per-event bookkeeping into one linear pass with per-scenario
-        service times resolved once per (scenario, worker) pair, which is
-        where the >=10x request throughput comes from.  Per-worker float
-        accumulation runs in the same dispatch order as the event loop, so
-        the resulting :class:`ServingReport` -- including the ``completed``
-        log -- is bit-identical (pinned by ``tests/serve/test_fleet.py``).
+        starts at its arrival on the lowest-indexed worker already free, or
+        waits for the earliest-freeing worker (lowest index on ties) --
+        exactly what the event loop's drain-then-assign cycle produces.
+        Two heaps find that worker in O(log k): a busy heap of ``(free
+        time, index)`` and an idle heap of indices.  Arrivals never go
+        back in time, so before each request every busy entry free by its
+        arrival moves to the idle heap; the request takes the lowest idle
+        index if there is one, else the busy heap's minimum.  Per-worker
+        float accumulation runs in the same dispatch order as the event
+        loop, so the resulting :class:`ServingReport` -- including the
+        ``completed`` log -- is bit-identical (pinned by
+        ``tests/serve/test_fleet.py`` and the differential suites).
 
-        Admission and shedding configs take :meth:`_run_fifo_controlled`,
-        which extends the same closed form (the queue depth a request
-        observes at ingress is a pure function of already-computed start
-        times); the control-free hot loop below is untouched.
+        Admission and shedding are decided at ingress from the queue depth
+        the arrival observes.  In FIFO order that depth is the number of
+        requests admitted so far minus those started strictly before the
+        arrival; start times are non-decreasing, so one
+        :func:`bisect_left` over the start list recovers the event loop's
+        ``len(queue)`` bit for bit.  Without admission or shedding that
+        depth is never computed.
         """
-        if self.control is not None and self.control.active:
-            return self._run_fifo_controlled(requests)
+        control = self.control
+        active = control is not None and control.active
+        session = (
+            control.admission.session()
+            if active and control.admission is not None
+            else None
+        )
+        shedder = control.shedder if active else None
+        ladder = shedder.ladder if shedder is not None else None
+        gated = session is not None or shedder is not None
         workers = [
             Worker(index=i, name=name, device=device)
             for i, (name, device) in enumerate(self._fleet)
         ]
         ordered = self._arrival_order(requests)
-        n = len(ordered)
         k = len(workers)
         labels = [w.label for w in workers]
         arrival_span = (
             ordered[-1].arrival_s - ordered[0].arrival_s if ordered else 0.0
         )
-        # Batch-1 (service_s, energy_j) per worker, read from the run's
-        # service table once per scenario object.  Streams share scenario
-        # instances, so the inline id() probe almost always hits (requests
-        # keep their scenarios alive for the whole run, so ids stay valid).
-        table = _ServiceTable(self._estimate_scenario, workers)
-        rows: dict[int, tuple[tuple[float, ...], tuple[float, ...]]] = {}
+        # Batch-1 (service_s, energy_j) per worker, one dict per shed level
+        # keyed by scenario id.  Streams share scenario instances, so the
+        # inline id() probe almost always hits (requests keep their
+        # scenarios alive for the whole run, so ids stay valid).
+        table = _ServiceTable(self._estimate_scenario, workers, ladder)
+        levels = range(ladder.depth + 1 if ladder is not None else 1)
+        rows: list[dict[int, tuple[tuple[float, ...], tuple[float, ...]]]] = [
+            {} for _ in levels
+        ]
+        quality_of = [1.0] + [ladder.quality_of(level) for level in levels[1:]]
 
         free = [w.busy_until_s for w in workers]
+        busy_heap = [(f, j) for j, f in enumerate(free)]
+        heapq.heapify(busy_heap)
+        idle_heap: list[int] = []
+        push, pop = heapq.heappush, heapq.heappop
         busy = [0.0] * k
         worker_energy = [0.0] * k
         served = [0] * k
-        batches = [0] * k
         completed: list[CompletedRequest] = []
+        rejected: list[RejectedRequest] = []
         ids: list[int] = []
         arrivals: list[float] = []
         starts: list[float] = []
@@ -635,39 +668,50 @@ class FleetSimulator:
         energies: list[float] = []
         deadlines: list[float | None] = []
         new_completion = CompletedRequest.__new__
+        level = 0
 
         for request in ordered:
-            scenario = request.scenario
-            row = rows.get(id(scenario))
-            if row is None:
-                row = rows[id(scenario)] = table.single(scenario)
-            service_row, energy_row = row
             arrival = request.arrival_s
-            chosen = -1
-            for j in range(k):
-                if free[j] <= arrival:
-                    chosen = j
-                    start = arrival
-                    break
-            if chosen < 0:
-                chosen = 0
-                start = free[0]
-                for j in range(1, k):
-                    if free[j] < start:
-                        start = free[j]
-                        chosen = j
-            service_s = service_row[chosen]
-            energy_j = energy_row[chosen]
+            if gated:
+                # Queue depth this arrival observes: previously admitted
+                # requests whose service has not started strictly before it.
+                depth = len(starts) - bisect_left(starts, arrival)
+                if session is not None and not session.admit(arrival, depth):
+                    rejected.append(
+                        RejectedRequest(
+                            request=request, time_s=arrival, reason=session.reason
+                        )
+                    )
+                    continue
+                level = (
+                    shedder.level(depth, k)
+                    if shedder is not None and request.degradable
+                    else 0
+                )
+            scenario = request.scenario
+            level_rows = rows[level]
+            row = level_rows.get(id(scenario))
+            if row is None:
+                row = level_rows[id(scenario)] = table.single(scenario, level)
+            while busy_heap and busy_heap[0][0] <= arrival:
+                push(idle_heap, pop(busy_heap)[1])
+            if idle_heap:
+                chosen = pop(idle_heap)
+                start = arrival
+            else:
+                start, chosen = pop(busy_heap)
+            service_s = row[0][chosen]
+            energy_j = row[1][chosen]
             finish = start + service_s
+            push(busy_heap, (finish, chosen))
             free[chosen] = finish
             busy[chosen] += service_s
             worker_energy[chosen] += energy_j
             served[chosen] += 1
-            batches[chosen] += 1
             # CompletedRequest construction dominates the pass at dataclass
             # __init__ speed; __new__ plus direct __dict__ stores builds the
-            # same frozen instances ~3x faster (shed_level / quality fall
-            # back to the dataclass defaults on this control-free path).
+            # same frozen instances ~3x faster.  shed_level / quality are
+            # stored only off their defaults (level 0 is quality 1.0).
             record = new_completion(CompletedRequest)
             fields = record.__dict__
             fields["request"] = request
@@ -676,6 +720,9 @@ class FleetSimulator:
             fields["finish_s"] = finish
             fields["batch_size"] = 1
             fields["energy_j"] = energy_j
+            if level:
+                fields["shed_level"] = level
+                fields["quality"] = quality_of[level]
             completed.append(record)
             ids.append(request.request_id)
             arrivals.append(arrival)
@@ -689,8 +736,9 @@ class FleetSimulator:
             worker.busy_s = busy[j]
             worker.energy_j = worker_energy[j]
             worker.requests_served = served[j]
-            worker.batches_served = batches[j]
+            worker.batches_served = served[j]
 
+        n = len(completed)
         arrival_col = np.asarray(arrivals, dtype=np.float64)
         start_col = np.asarray(starts, dtype=np.float64)
         finish_col = np.asarray(finishes, dtype=np.float64)
@@ -707,161 +755,10 @@ class FleetSimulator:
             positions = order.tolist()
             completed = [completed[i] for i in positions]
             deadlines = [deadlines[i] for i in positions]
-        return ServingReport.from_arrays(
-            scheduler=self.scheduler.name,
-            fleet=tuple(w.name for w in workers),
-            workers=workers,
-            completed=tuple(completed),
-            num_requests=len(requests),
-            arrivals=arrival_col,
-            starts=start_col,
-            finishes=finish_col,
-            deadlines=deadlines,
-            batch_sizes=[1] * n,
-            energies=energy_col,
-            arrival_span_s=arrival_span,
-        )
-
-    def _run_fifo_controlled(self, requests: Sequence["Request"]) -> ServingReport:
-        """The FIFO fast path with admission control and quality shedding.
-
-        Extends the closed form of :meth:`_run_fifo_batched`: both controls
-        are decided at ingress from the queue depth the arrival observes,
-        and in FIFO order that depth is exactly ``admitted so far minus
-        starts before this arrival`` -- start times are non-decreasing in
-        ``(arrival, request_id)`` order, so one :func:`bisect_left` over
-        the running start list recovers the event loop's ``len(queue)``
-        bit for bit (the differential fuzz suite pins this).  Service rows
-        are resolved once per (scenario, shed level, worker).
-        """
-        control = self.control
-        assert control is not None
-        session = (
-            control.admission.session() if control.admission is not None else None
-        )
-        shedder = control.shedder
-        ladder = shedder.ladder if shedder is not None else None
-        workers = [
-            Worker(index=i, name=name, device=device)
-            for i, (name, device) in enumerate(self._fleet)
-        ]
-        ordered = self._arrival_order(requests)
-        k = len(workers)
-        labels = [w.label for w in workers]
-        arrival_span = (
-            ordered[-1].arrival_s - ordered[0].arrival_s if ordered else 0.0
-        )
-        table = _ServiceTable(self._estimate_scenario, workers, ladder)
-        rows: dict[tuple[int, int], tuple[tuple[float, ...], tuple[float, ...]]] = {}
-
-        free = [w.busy_until_s for w in workers]
-        busy = [0.0] * k
-        worker_energy = [0.0] * k
-        served = [0] * k
-        batches = [0] * k
-        completed: list[CompletedRequest] = []
-        rejected: list[RejectedRequest] = []
-        ids: list[int] = []
-        arrivals: list[float] = []
-        starts: list[float] = []
-        finishes: list[float] = []
-        energies: list[float] = []
-        deadlines: list[float | None] = []
-        qualities: list[float] = []
-        shed_levels: list[int] = []
-        admitted = 0
-        new_completion = CompletedRequest.__new__
-
-        for request in ordered:
-            arrival = request.arrival_s
-            # Queue depth this arrival observes: previously admitted
-            # requests whose service has not started strictly before it.
-            depth = admitted - bisect_left(starts, arrival)
-            if session is not None and not session.admit(arrival, depth):
-                rejected.append(
-                    RejectedRequest(
-                        request=request, time_s=arrival, reason=session.reason
-                    )
-                )
-                continue
-            level = (
-                shedder.level(depth, k)
-                if shedder is not None and request.degradable
-                else 0
-            )
-            scenario = request.scenario
-            key = (id(scenario), level)
-            row = rows.get(key)
-            if row is None:
-                row = rows[key] = table.single(scenario, level)
-            service_row, energy_row = row
-            chosen = -1
-            for j in range(k):
-                if free[j] <= arrival:
-                    chosen = j
-                    start = arrival
-                    break
-            if chosen < 0:
-                chosen = 0
-                start = free[0]
-                for j in range(1, k):
-                    if free[j] < start:
-                        start = free[j]
-                        chosen = j
-            service_s = service_row[chosen]
-            energy_j = energy_row[chosen]
-            finish = start + service_s
-            free[chosen] = finish
-            busy[chosen] += service_s
-            worker_energy[chosen] += energy_j
-            served[chosen] += 1
-            batches[chosen] += 1
-            quality = ladder.quality_of(level) if ladder is not None else 1.0
-            record = new_completion(CompletedRequest)
-            fields = record.__dict__
-            fields["request"] = request
-            fields["worker"] = labels[chosen]
-            fields["start_s"] = start
-            fields["finish_s"] = finish
-            fields["batch_size"] = 1
-            fields["energy_j"] = energy_j
-            fields["shed_level"] = level
-            fields["quality"] = quality
-            completed.append(record)
-            admitted += 1
-            ids.append(request.request_id)
-            arrivals.append(arrival)
-            starts.append(start)
-            finishes.append(finish)
-            energies.append(energy_j)
-            deadlines.append(request.deadline_s)
-            qualities.append(quality)
-            shed_levels.append(level)
-
-        for j, worker in enumerate(workers):
-            worker.busy_until_s = free[j]
-            worker.busy_s = busy[j]
-            worker.energy_j = worker_energy[j]
-            worker.requests_served = served[j]
-            worker.batches_served = batches[j]
-
-        n = len(completed)
-        arrival_col = np.asarray(arrivals, dtype=np.float64)
-        start_col = np.asarray(starts, dtype=np.float64)
-        finish_col = np.asarray(finishes, dtype=np.float64)
-        energy_col = np.asarray(energies, dtype=np.float64)
-        id_col = np.asarray(ids, dtype=np.int64)
-        if n and np.any(id_col[1:] < id_col[:-1]):
-            order = np.argsort(id_col, kind="stable")
-            arrival_col = arrival_col[order]
-            start_col = start_col[order]
-            finish_col = finish_col[order]
-            energy_col = energy_col[order]
-            positions = order.tolist()
-            completed = [completed[i] for i in positions]
-            deadlines = [deadlines[i] for i in positions]
-            qualities = [qualities[i] for i in positions]
-            shed_levels = [shed_levels[i] for i in positions]
+        qualities = shed_levels = None
+        if ladder is not None:
+            qualities = [r.quality for r in completed]
+            shed_levels = [r.shed_level for r in completed]
         return ServingReport.from_arrays(
             scheduler=self.scheduler.name,
             fleet=tuple(w.name for w in workers),

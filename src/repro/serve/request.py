@@ -27,11 +27,26 @@ from __future__ import annotations
 import abc
 import math
 import random
+from bisect import bisect
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 from repro.nerf.models import FrameConfig
 from repro.sparse.formats import Precision
+
+
+def require_positive(name: str, value: float) -> float:
+    """Return ``value`` if it is a finite number above zero.
+
+    The one guard every generation input goes through: a plain ``value <=
+    0`` test lets NaN through (every comparison with NaN is false), and a
+    NaN rate or an infinite horizon makes a stream's ``generate`` loop
+    forever.  Raises a one-line :class:`ValueError` naming ``name``.
+    """
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -80,26 +95,49 @@ class Scenario:
 
 @dataclass(frozen=True)
 class ScenarioMix:
-    """A weighted distribution over scenarios, sampled once per request."""
+    """A weighted distribution over scenarios, sampled once per request.
+
+    The cumulative weights and their total are computed once, at
+    construction, into plain attributes (not dataclass fields, so
+    equality, hashing, ``repr`` and every digest see only ``scenarios``
+    and ``weights``).
+    """
 
     scenarios: tuple[Scenario, ...]
     weights: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        """Validate that weights (if given) match the scenarios and are positive."""
+        """Validate the weights (if given) and precompute the sampler's table."""
         if not self.scenarios:
             raise ValueError("a scenario mix needs at least one scenario")
+        cumulative = None
+        total = float(len(self.scenarios))
         if self.weights is not None:
             if len(self.weights) != len(self.scenarios):
                 raise ValueError(
                     f"{len(self.weights)} weights for {len(self.scenarios)} scenarios"
                 )
-            if min(self.weights) <= 0.0:
-                raise ValueError("scenario weights must be positive")
+            for weight in self.weights:
+                require_positive("scenario weights", weight)
+            cumulative = list(accumulate(self.weights))
+            total = require_positive("total scenario weight", cumulative[-1]) + 0.0
+        object.__setattr__(self, "_cumulative", cumulative)
+        object.__setattr__(self, "_total", total)
 
     def sample(self, rng: random.Random) -> Scenario:
-        """Draw one scenario according to the mix weights."""
-        return rng.choices(self.scenarios, weights=self.weights)[0]
+        """Draw one scenario according to the mix weights.
+
+        The same arithmetic and the same single ``rng.random()`` call as
+        ``rng.choices(self.scenarios, weights=self.weights)[0]``, so a
+        seeded stream draws the same scenarios, minus the per-call
+        rebuild of the cumulative weights.
+        """
+        cumulative = self._cumulative
+        if cumulative is None:
+            return self.scenarios[math.floor(rng.random() * self._total)]
+        return self.scenarios[
+            bisect(cumulative, rng.random() * self._total, 0, len(cumulative) - 1)
+        ]
 
 
 @dataclass(frozen=True)
@@ -138,8 +176,8 @@ class RequestStream(abc.ABC):
 
     def __init__(self, mix: ScenarioMix, sla_s: float | None = None) -> None:
         """Remember the scenario mix and the per-request SLA budget."""
-        if sla_s is not None and sla_s <= 0.0:
-            raise ValueError("sla_s must be positive")
+        if sla_s is not None:
+            require_positive("sla_s", sla_s)
         self.mix = mix
         self.sla_s = sla_s
 
@@ -174,9 +212,9 @@ class RequestStream(abc.ABC):
     def generate(self, seed: int = 0) -> tuple[Request, ...]:
         """Materialize the stream: one immutable request list per seed."""
         rng = random.Random(seed)
+        build = self.build_request
         return tuple(
-            self.build_request(i, arrival, rng)
-            for i, arrival in enumerate(self.arrivals(rng))
+            build(i, arrival, rng) for i, arrival in enumerate(self.arrivals(rng))
         )
 
 
@@ -191,18 +229,19 @@ class PoissonStream(RequestStream):
         sla_s: float | None = None,
     ) -> None:
         """Configure a constant-rate memoryless arrival process."""
-        if rate_rps <= 0.0 or duration_s <= 0.0:
-            raise ValueError("rate_rps and duration_s must be positive")
+        require_positive("rate_rps", rate_rps)
+        require_positive("duration_s", duration_s)
         super().__init__(mix, sla_s)
         self.rate_rps = rate_rps
         self.duration_s = duration_s
 
     def arrivals(self, rng: random.Random) -> Iterator[float]:
         """Exponential inter-arrival gaps at ``rate_rps`` until ``duration_s``."""
+        expovariate, rate, duration = rng.expovariate, self.rate_rps, self.duration_s
         t = 0.0
         while True:
-            t += rng.expovariate(self.rate_rps)
-            if t >= self.duration_s:
+            t += expovariate(rate)
+            if t >= duration:
                 return
             yield t
 
@@ -226,10 +265,12 @@ class DiurnalStream(RequestStream):
         sla_s: float | None = None,
     ) -> None:
         """Configure the modulation envelope and its duration."""
-        if base_rps <= 0.0 or peak_rps < base_rps:
+        require_positive("base_rps", base_rps)
+        require_positive("peak_rps", peak_rps)
+        if peak_rps < base_rps:
             raise ValueError("need 0 < base_rps <= peak_rps")
-        if period_s <= 0.0 or duration_s <= 0.0:
-            raise ValueError("period_s and duration_s must be positive")
+        require_positive("period_s", period_s)
+        require_positive("duration_s", duration_s)
         super().__init__(mix, sla_s)
         self.base_rps = base_rps
         self.peak_rps = peak_rps

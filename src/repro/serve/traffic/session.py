@@ -22,7 +22,13 @@ from __future__ import annotations
 import random
 from typing import Iterator
 
-from repro.serve.request import Request, RequestStream, Scenario, ScenarioMix
+from repro.serve.request import (
+    Request,
+    RequestStream,
+    Scenario,
+    ScenarioMix,
+    require_positive,
+)
 
 #: Orbit camera elevation (degrees) and radius shared by all session poses.
 ORBIT_ELEVATION_DEG = 30.0
@@ -53,8 +59,7 @@ class SessionStream(RequestStream):
         """Configure the session count, frame cadence and deadline budget."""
         if num_sessions < 1 or frames_per_session < 1:
             raise ValueError("num_sessions and frames_per_session must be >= 1")
-        if fps <= 0.0:
-            raise ValueError("fps must be positive")
+        require_positive("fps", fps)
         if start_spread_s < 0.0:
             raise ValueError("start_spread_s must be non-negative")
         period = 1.0 / fps

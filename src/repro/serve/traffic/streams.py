@@ -27,7 +27,13 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from repro.serve.request import Request, RequestStream, Scenario, ScenarioMix
+from repro.serve.request import (
+    Request,
+    RequestStream,
+    Scenario,
+    ScenarioMix,
+    require_positive,
+)
 
 
 def _poisson_count(rng: random.Random, mean: float) -> int:
@@ -71,8 +77,9 @@ class FlashCrowdStream(RequestStream):
         sla_s: float | None = None,
     ) -> None:
         """Configure the baseline rate, the crowd rate and the burst windows."""
-        if base_rps <= 0.0 or duration_s <= 0.0:
-            raise ValueError("base_rps and duration_s must be positive")
+        require_positive("base_rps", base_rps)
+        require_positive("duration_s", duration_s)
+        require_positive("burst_rps", burst_rps)
         if burst_rps < base_rps:
             raise ValueError("need burst_rps >= base_rps")
         if num_bursts < 1:
@@ -135,12 +142,11 @@ class MarkedBurstStream(RequestStream):
         sla_s: float | None = None,
     ) -> None:
         """Configure the immigrant rate and the self-excitation kernel."""
-        if immigrant_rps <= 0.0 or duration_s <= 0.0:
-            raise ValueError("immigrant_rps and duration_s must be positive")
+        require_positive("immigrant_rps", immigrant_rps)
+        require_positive("duration_s", duration_s)
         if not 0.0 <= offspring_mean < 1.0:
             raise ValueError("offspring_mean must be in [0, 1) (subcritical)")
-        if decay_s <= 0.0:
-            raise ValueError("decay_s must be positive")
+        require_positive("decay_s", decay_s)
         super().__init__(mix, sla_s)
         self.immigrant_rps = immigrant_rps
         self.duration_s = duration_s
@@ -187,10 +193,9 @@ class TenantSpec:
         """Validate the tenant name, rate and SLA."""
         if not self.name:
             raise ValueError("tenant name must be non-empty")
-        if self.rate_rps <= 0.0:
-            raise ValueError(f"tenant {self.name!r}: rate_rps must be positive")
-        if self.sla_s is not None and self.sla_s <= 0.0:
-            raise ValueError(f"tenant {self.name!r}: sla_s must be positive")
+        require_positive(f"tenant {self.name!r}: rate_rps", self.rate_rps)
+        if self.sla_s is not None:
+            require_positive(f"tenant {self.name!r}: sla_s", self.sla_s)
 
 
 def _combined_mix(tenants: Sequence[TenantSpec]) -> ScenarioMix:
@@ -233,8 +238,7 @@ class MultiTenantStream(RequestStream):
         names = [t.name for t in tenants]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate tenant names: {names}")
-        if duration_s <= 0.0:
-            raise ValueError("duration_s must be positive")
+        require_positive("duration_s", duration_s)
         super().__init__(_combined_mix(tenants), sla_s=None)
         self.tenants = tenants
         self.duration_s = duration_s

@@ -1,7 +1,7 @@
-"""The batched FIFO fast path is bit-identical to the event loop.
+"""The closed-form FIFO fast path is bit-identical to the event loop.
 
 ``FleetSimulator.run`` routes plain-FIFO fleets through
-``_run_fifo_batched``; every other scheduler keeps the discrete-event
+``_run_fifo``; every other scheduler keeps the discrete-event
 loop.  These tests pin the equivalence contract: for every fleet shape,
 load level and SLA configuration, the fast path's ``ServingReport`` --
 including the per-completion log and per-worker stats -- equals the event
@@ -102,7 +102,7 @@ class TestFastPathEquivalence:
         def bomb(requests):  # pragma: no cover - must not run
             raise AssertionError("non-FIFO fleet took the FIFO fast path")
 
-        monkeypatch.setattr(simulator, "_run_fifo_batched", bomb)
+        monkeypatch.setattr(simulator, "_run_fifo", bomb)
         simulator.run(stream.generate(seed=0))
 
     def test_fifo_subclass_uses_event_loop(self, monkeypatch):
@@ -119,5 +119,5 @@ class TestFastPathEquivalence:
         def bomb(requests):  # pragma: no cover - must not run
             raise AssertionError("FIFO subclass took the FIFO fast path")
 
-        monkeypatch.setattr(simulator, "_run_fifo_batched", bomb)
+        monkeypatch.setattr(simulator, "_run_fifo", bomb)
         simulator.run(stream.generate(seed=0))

@@ -1,0 +1,189 @@
+"""Generation and simulator inputs fail loudly with one-line errors.
+
+Every rate, duration, period and SLA budget of the request streams -- and
+the simulator's ``default_sla_s`` -- goes through one shared guard,
+:func:`repro.serve.request.require_positive`.  A plain ``x <= 0`` test lets
+NaN through: ``PoissonStream(rate_rps=nan)`` or ``duration_s=inf`` used to
+make ``generate()`` loop forever, and ``default_sla_s=nan`` silently
+reported 0 % attainment.  Each case below therefore runs under an alarm
+that turns a hang into a failure.
+
+Simulator ingress also rejects a repeated request id, with the same error
+on the event loop and the FIFO fast path: served twice, a duplicate would
+break the offered = completed + rejected id partition.
+"""
+
+import dataclasses
+import math
+
+import pytest
+
+from repro.serve.control import (
+    ControlConfig,
+    DegradationLadder,
+    DegradationStep,
+    QueueCapAdmission,
+    QueueDepthShedder,
+)
+from repro.serve.fleet import FleetSimulator
+from repro.serve.request import (
+    DiurnalStream,
+    PoissonStream,
+    Scenario,
+    ScenarioMix,
+    require_positive,
+)
+from repro.serve.scheduler import BatchDeadlineScheduler, FIFOScheduler
+from repro.serve.traffic import (
+    FlashCrowdStream,
+    MarkedBurstStream,
+    MultiTenantStream,
+    SessionStream,
+    TenantSpec,
+)
+from repro.sim.sweep import SweepEngine
+from tests._timeouts import fails_within
+
+MIX = ScenarioMix(
+    scenarios=(
+        Scenario("instant-ngp", scene="lego", width=64, height=64),
+        Scenario("tensorf", scene="lego", width=64, height=64),
+    ),
+    weights=(2.0, 1.0),
+)
+
+NAN, INF = math.nan, math.inf
+BAD_VALUES = (NAN, INF, -INF, 0.0, -1.0)
+
+#: A value every input below accepts.
+GOOD = 25.0
+
+#: (label, stream built around one input value): each must raise ValueError
+#: on a bad value and generate normally on ``GOOD``.
+STREAM_CASES = (
+    ("poisson.rate_rps", lambda v: PoissonStream(v, 1.0, MIX)),
+    ("poisson.duration_s", lambda v: PoissonStream(10.0, v, MIX)),
+    ("poisson.sla_s", lambda v: PoissonStream(10.0, 1.0, MIX, sla_s=v)),
+    ("diurnal.base_rps", lambda v: DiurnalStream(v, 40.0, 5.0, 1.0, MIX)),
+    ("diurnal.peak_rps", lambda v: DiurnalStream(5.0, v, 5.0, 1.0, MIX)),
+    ("diurnal.period_s", lambda v: DiurnalStream(5.0, 40.0, v, 1.0, MIX)),
+    ("diurnal.duration_s", lambda v: DiurnalStream(5.0, 40.0, 5.0, v, MIX)),
+    ("diurnal.sla_s", lambda v: DiurnalStream(5.0, 40.0, 5.0, 1.0, MIX, sla_s=v)),
+    ("flash-crowd.base_rps", lambda v: FlashCrowdStream(v, 40.0, 1.0, MIX)),
+    ("flash-crowd.burst_rps", lambda v: FlashCrowdStream(5.0, v, 1.0, MIX)),
+    ("flash-crowd.duration_s", lambda v: FlashCrowdStream(5.0, 40.0, v, MIX)),
+    ("marked-burst.immigrant_rps", lambda v: MarkedBurstStream(v, 1.0, MIX)),
+    ("marked-burst.duration_s", lambda v: MarkedBurstStream(5.0, v, MIX)),
+    ("marked-burst.decay_s", lambda v: MarkedBurstStream(5.0, 1.0, MIX, decay_s=v)),
+    ("tenant.rate_rps", lambda v: MultiTenantStream((TenantSpec("a", v, MIX),), 1.0)),
+    (
+        "tenant.sla_s",
+        lambda v: MultiTenantStream((TenantSpec("a", 5.0, MIX, sla_s=v),), 1.0),
+    ),
+    (
+        "multi-tenant.duration_s",
+        lambda v: MultiTenantStream((TenantSpec("a", 5.0, MIX),), duration_s=v),
+    ),
+    ("session.fps", lambda v: SessionStream(MIX, 2, 3, fps=v)),
+    ("session.sla_s", lambda v: SessionStream(MIX, 2, 3, sla_s=v)),
+    (
+        "mix.weights",
+        lambda v: PoissonStream(10.0, 1.0, ScenarioMix(MIX.scenarios, (1.0, v))),
+    ),
+)
+
+
+@pytest.mark.parametrize("value", BAD_VALUES, ids=repr)
+@pytest.mark.parametrize(
+    "build", [case[1] for case in STREAM_CASES], ids=[case[0] for case in STREAM_CASES]
+)
+def test_bad_generation_inputs_raise_one_line_errors(build, value):
+    with fails_within(10.0):
+        with pytest.raises(ValueError) as error:
+            # Were the constructor to accept the value, generating would
+            # hang (NaN rate, infinite horizon) or yield nonsense.
+            build(value).generate(seed=0)
+    assert "\n" not in str(error.value)
+
+
+@pytest.mark.parametrize(
+    "build", [case[1] for case in STREAM_CASES], ids=[case[0] for case in STREAM_CASES]
+)
+def test_each_case_is_valid_apart_from_the_bad_value(build):
+    with fails_within(10.0):
+        requests = build(GOOD).generate(seed=0)
+    assert requests
+    assert all(math.isfinite(r.arrival_s) for r in requests)
+
+
+def test_weight_total_overflow_is_rejected():
+    with pytest.raises(ValueError, match="total scenario weight"):
+        ScenarioMix(MIX.scenarios, (1e308, 1e308))
+
+
+class TestRequirePositive:
+    def test_returns_valid_values(self):
+        assert require_positive("x", 0.5) == 0.5
+        assert require_positive("x", 3) == 3
+
+    @pytest.mark.parametrize("value", BAD_VALUES, ids=repr)
+    def test_names_the_input_and_value(self, value):
+        with pytest.raises(ValueError) as error:
+            require_positive("rate_rps", value)
+        assert str(error.value) == (
+            f"rate_rps must be positive and finite, got {value!r}"
+        )
+
+
+@pytest.mark.parametrize("value", BAD_VALUES, ids=repr)
+def test_default_sla_must_be_positive_and_finite(value):
+    with pytest.raises(ValueError, match="default_sla_s must be positive"):
+        FleetSimulator(("flexnerfer",), engine=SweepEngine(), default_sla_s=value)
+
+
+LADDER = DegradationLadder(
+    steps=(DegradationStep("half-res", resolution_scale=0.5),), qualities=(0.7,)
+)
+
+
+@pytest.mark.parametrize(
+    "scheduler,control",
+    [
+        (BatchDeadlineScheduler(), None),  # event loop
+        (FIFOScheduler(), None),  # fast path
+        (
+            FIFOScheduler(),
+            ControlConfig(
+                admission=QueueCapAdmission(max_queue=4),
+                shedder=QueueDepthShedder(LADDER),
+            ),
+        ),  # fast path with admission + shedding
+    ],
+    ids=["event-loop", "fifo", "fifo+cap+shed"],
+)
+def test_duplicate_request_ids_are_rejected_at_ingress(scheduler, control):
+    requests = list(PoissonStream(40.0, 1.0, MIX, sla_s=0.2).generate(seed=3))
+    twin = dataclasses.replace(requests[7], arrival_s=requests[-1].arrival_s)
+    requests.append(twin)
+    simulator = FleetSimulator(
+        ("flexnerfer", "neurex"),
+        scheduler=scheduler,
+        engine=SweepEngine(),
+        control=control,
+    )
+    with fails_within(20.0):
+        with pytest.raises(ValueError) as error:
+            simulator.run(requests)
+    assert str(error.value) == f"request {twin.request_id}: duplicate request_id"
+
+
+def test_event_loop_and_fast_path_share_the_duplicate_error():
+    requests = list(PoissonStream(40.0, 1.0, MIX, sla_s=0.2).generate(seed=3))
+    requests.insert(0, requests[-1])
+    simulator = FleetSimulator(("flexnerfer",), engine=SweepEngine())
+    messages = []
+    for path in (simulator.run, simulator._run_event_loop):
+        with pytest.raises(ValueError) as error:
+            path(requests)
+        messages.append(str(error.value))
+    assert messages[0] == messages[1]

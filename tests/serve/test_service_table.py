@@ -12,9 +12,7 @@ NaN arrival, so those tests run under an alarm that turns a hang into a
 failure.
 """
 
-import contextlib
 import dataclasses
-import signal
 
 import pytest
 
@@ -34,6 +32,7 @@ from repro.serve.scheduler import (
     SparsityAwareScheduler,
 )
 from repro.sim.sweep import SweepEngine
+from tests._timeouts import fails_within
 
 MIX = ScenarioMix(
     scenarios=(
@@ -121,32 +120,13 @@ def test_engine_lookups_are_bounded_by_the_service_table(
         if fast:
             monkeypatch.setattr(simulator, "_run_event_loop", bomb)
         else:
-            monkeypatch.setattr(simulator, "_run_fifo_batched", bomb)
+            monkeypatch.setattr(simulator, "_run_fifo", bomb)
         stream = PoissonStream(1500.0, duration_s, MIX, sla_s=0.2)
         report = simulator.run(stream.generate(seed=5))
         assert report.completed_requests > 100
         assert 0 < engine.lookups <= bound, (duration_s, engine.lookups, bound)
         if levels > 1 and duration_s > 1.0:
             assert report.shed_requests > 0
-
-
-@contextlib.contextmanager
-def fails_within(seconds):
-    """Turn a hang of the block into a ``TimeoutError`` after ``seconds``."""
-    if not hasattr(signal, "setitimer"):  # pragma: no cover - non-POSIX
-        yield
-        return
-
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def poisoned(arrival_s):
