@@ -1207,13 +1207,6 @@ def _result_store():
     return get_default_engine().store
 
 
-def _experiment_key(exp: Experiment, overrides: dict[str, Any]):
-    """Content address of one experiment invocation (the result-tier key)."""
-    from repro.perf.distributed import experiment_result_key
-
-    return experiment_result_key(exp, overrides)
-
-
 def _cached_result(exp: Experiment, payload: dict[str, Any]) -> ExperimentResult:
     """Rebuild a byte-identical :class:`ExperimentResult` from a store payload.
 
@@ -1248,18 +1241,20 @@ def run_many(
     parameter change, version bump or store-schema bump invalidates the
     entry.
     """
+    from repro.perf.distributed import experiment_result_key
+
     overrides = overrides or {}
     store = _result_store()
 
     def one(exp: Experiment) -> ExperimentResult:
         try:
             key = (
-                _experiment_key(exp, overrides.get(exp.id, {}))
+                experiment_result_key(exp, overrides.get(exp.id, {}))
                 if store is not None
                 else None
             )
             if key is not None:
-                payload = store.get_result(key)
+                payload = store.get(key)
                 if payload is not None:
                     try:
                         return _cached_result(exp, payload)
@@ -1267,7 +1262,7 @@ def run_many(
                         pass  # malformed payload: fall through and re-run
             result = exp.run(**overrides.get(exp.id, {}))
             if key is not None:
-                store.put_result(
+                store.put(
                     key,
                     {"result": result.to_dict(), "table": result.to_table()},
                 )

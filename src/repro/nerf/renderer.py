@@ -205,7 +205,7 @@ class InstantNGPRenderer:
         self.scene = scene
         if store is not None:
             key = self.asset_key(scene)
-            payload = store.get_asset(key)
+            payload = store.get(key)
             tables = payload.get("tables") if payload else None
             if isinstance(tables, list) and len(tables) == self.config.num_levels:
                 self.grid.tables = [
@@ -241,7 +241,7 @@ class InstantNGPRenderer:
             counts = np.maximum(counts, 1.0)
             self.grid.tables[level] = table / counts[:, None]
         if store is not None:
-            store.put_asset(
+            store.put(
                 key, {"tables": [table.tolist() for table in self.grid.tables]}
             )
 

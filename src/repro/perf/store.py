@@ -1,9 +1,9 @@
-"""Content-addressed on-disk store of frame-simulation results.
+"""Content-addressed on-disk store of simulation results and assets.
 
 The :class:`~repro.sim.sweep.SweepEngine`'s in-memory report cache dies
 with the interpreter; this module gives it a persistent backing tier.  A
-:class:`StoreKey` identifies one simulation by *content*, not by time or
-code path:
+:class:`StoreKey` identifies one frame simulation by *content*, not by time
+or code path:
 
 * the **device fingerprint** (:meth:`repro.core.device.Device.fingerprint`)
   hashes every model parameter the device's estimates depend on, so editing
@@ -20,24 +20,31 @@ code path:
   simulation model changes in a way fingerprints cannot see, and every old
   entry silently becomes a miss.
 
-Entries are single JSON files written atomically (temp file +
-``os.replace``), so concurrent ``--jobs`` writers never corrupt the store:
-the worst case under a write race is one simulation performed twice, with
-bit-identical content winning either way.  Corrupt or truncated files are
-treated as misses and cleaned up lazily.
+Three more entry kinds share the directory and the machinery: whole
+**experiment results** (:class:`ExperimentResultKey`, keyed on the
+experiment's parameter fingerprint plus the simulation environment digest,
+so a warm ``repro run all`` is byte-identical to the cold run without
+re-running any experiment), evaluated **capacity-plan points**
+(:class:`PlanPointKey`) and fitted hash-grid **assets**
+(:class:`GridAssetKey`).
 
-A second tier rides on the same directory: whole **experiment results**
-(:class:`ExperimentResultKey`), keyed by the experiment's parameter
-fingerprint (which already hashes the repo version) plus a digest over
-*every* registered device's fingerprint -- so editing any device model
-invalidates every cached table, not just the frame reports it produced.
-The CLI uses it to make a warm ``repro run all`` byte-identical to the
-cold run while skipping the experiments' own compute (functional NeRF
-renders included), which dwarfs the cycle-level simulation time.
+Every kind follows one key protocol (:class:`ContentKey`): a ``kind`` plus
+dataclass fields, hashed in declaration order into the digest that names
+the file.  Every kind is read and written by the one
+:meth:`ResultStore.get` / :meth:`ResultStore.put` pair, as one document
+shape ``{schema_version, created_s, key, payload}`` whose payload is a JSON
+mapping the caller encodes and decodes (frame reports via
+:func:`report_to_dict` / :func:`report_from_dict`).  Entries are single
+JSON files written atomically (temp file + ``os.replace``), so concurrent
+``--jobs`` writers never corrupt the store: the worst case under a write
+race is one simulation performed twice, with bit-identical content winning
+either way.  Corrupt or truncated files are treated as misses and cleaned
+up lazily.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import sys
@@ -45,7 +52,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, ClassVar, Iterator, Sequence
 
 from repro.core.device import canonical_digest
 from repro.nerf.workload import OpCategory
@@ -58,7 +65,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Generation of the store's serialization format *and* of the simulation
 #: semantics fingerprints cannot observe.  Bump on either kind of change;
 #: entries from other generations are never read (see ``docs/performance.md``).
-STORE_SCHEMA_VERSION = 1
+STORE_SCHEMA_VERSION = 2
 
 #: Environment variable overriding the default store location.
 STORE_DIR_ENV = "REPRO_STORE_DIR"
@@ -145,14 +152,35 @@ def workload_digest(workload: "Workload") -> str:
     )
 
 
+class ContentKey:
+    """The one key protocol every store entry kind follows.
+
+    A key is a frozen dataclass with a class-level ``kind`` (the directory
+    its entries live under inside a schema partition) whose last field is
+    ``schema_version``.  Its digest hashes every field in declaration
+    order, and :meth:`ResultStore.put` records the same fields as the
+    stored document's ``"key"`` block.
+    """
+
+    kind: ClassVar[str]
+    schema_version: int
+    __dataclass_fields__: ClassVar[dict[str, dataclasses.Field[Any]]]
+
+    @property
+    def digest(self) -> str:
+        """The key's SHA-1 content address (the stored file's basename)."""
+        return canonical_digest(dataclasses.astuple(self))
+
+
 @dataclass(frozen=True)
-class StoreKey:
-    """Content address of one frame simulation.
+class StoreKey(ContentKey):
+    """Content address of one frame simulation (the frame tier).
 
     ``precision`` is the *effective* precision's name (None when the device
     computes at its implicit native mode), ``pruning_ratio`` the *effective*
     ratio -- i.e. the knobs after capability-flag collapse, mirroring the
-    sweep engine's in-memory cache key.
+    sweep engine's in-memory cache key.  The payload is
+    :func:`report_to_dict` of the simulated report.
     """
 
     device_fingerprint: str
@@ -161,26 +189,12 @@ class StoreKey:
     pruning_ratio: float
     schema_version: int = STORE_SCHEMA_VERSION
 
-    #: Directory the entry kind lives under inside a schema partition.
     kind = "frame"
-
-    @property
-    def digest(self) -> str:
-        """The key's SHA-1 content address (the stored file's basename)."""
-        return canonical_digest(
-            (
-                self.device_fingerprint,
-                self.workload_digest,
-                self.precision,
-                self.pruning_ratio,
-                self.schema_version,
-            )
-        )
 
 
 @dataclass(frozen=True)
-class ExperimentResultKey:
-    """Content address of one whole experiment result.
+class ExperimentResultKey(ContentKey):
+    """Content address of one whole experiment result (the result tier).
 
     ``params_fingerprint`` is the Experiment API's config fingerprint
     (experiment id + typed parameter values + repo version);
@@ -188,7 +202,9 @@ class ExperimentResultKey:
     (:func:`device_registry_digest`), so *any* device-model edit
     invalidates every cached result.  Simulation-code edits no fingerprint
     can see are covered by the shared :data:`STORE_SCHEMA_VERSION` bump
-    rule, exactly as for frame entries.
+    rule, exactly as for frame entries.  The payload is the serialized
+    :class:`~repro.experiments.api.ExperimentResult` plus its rendered
+    table (see ``repro.experiments.cli``).
     """
 
     experiment_id: str
@@ -198,21 +214,9 @@ class ExperimentResultKey:
 
     kind = "result"
 
-    @property
-    def digest(self) -> str:
-        """The key's SHA-1 content address (the stored file's basename)."""
-        return canonical_digest(
-            (
-                self.experiment_id,
-                self.params_fingerprint,
-                self.environment_digest,
-                self.schema_version,
-            )
-        )
-
 
 @dataclass(frozen=True)
-class PlanPointKey:
+class PlanPointKey(ContentKey):
     """Content address of one evaluated capacity-plan point (the plan tier).
 
     ``space_digest`` hashes everything a plan evaluation's outcome depends
@@ -231,20 +235,9 @@ class PlanPointKey:
 
     kind = "plan"
 
-    @property
-    def digest(self) -> str:
-        """The key's SHA-1 content address (the stored file's basename)."""
-        return canonical_digest(
-            (
-                self.space_digest,
-                self.point_digest,
-                self.schema_version,
-            )
-        )
-
 
 @dataclass(frozen=True)
-class GridAssetKey:
+class GridAssetKey(ContentKey):
     """Content address of one fitted hash-grid table set (the asset tier).
 
     Fitting a hash grid to a procedural scene is deterministic: the tables
@@ -253,7 +246,8 @@ class GridAssetKey:
     configuration, so they can be reused across runs, experiments and
     renderers.  Fitting-algorithm changes fingerprints cannot see are
     covered by the shared :data:`STORE_SCHEMA_VERSION` bump rule, exactly
-    as for the frame and result tiers.
+    as for the frame and result tiers.  The payload is ``{"tables": [...]}``,
+    nested float lists that reload the exact IEEE-754 doubles.
     """
 
     scene_fingerprint: str
@@ -261,17 +255,6 @@ class GridAssetKey:
     schema_version: int = STORE_SCHEMA_VERSION
 
     kind = "asset"
-
-    @property
-    def digest(self) -> str:
-        """The key's SHA-1 content address (the stored file's basename)."""
-        return canonical_digest(
-            (
-                self.scene_fingerprint,
-                self.grid_fingerprint,
-                self.schema_version,
-            )
-        )
 
 
 #: Memoised registry digests, keyed on the registry's identity so runtime
@@ -437,9 +420,9 @@ class StoreStats:
 
 
 class ResultStore:
-    """A directory of content-addressed frame simulations.
+    """A directory of content-addressed store entries of every kind.
 
-    Layout: ``root/v<schema>/<digest[:2]>/<digest>.json``; the two-level
+    Layout: ``root/v<schema>/<kind>/<digest[:2]>/<digest>.json``; the two-level
     fan-out keeps directories small at fleet-sweep entry counts.  All
     operations tolerate concurrent readers and writers (atomic replace,
     corrupt-as-miss), making the store safe under ``repro run --jobs`` and
@@ -473,7 +456,7 @@ class ResultStore:
         version = self.schema_version if schema_version is None else schema_version
         return self.root / f"v{version}"
 
-    def path_for(self, key: "StoreKey | ExperimentResultKey | GridAssetKey | PlanPointKey") -> Path:
+    def path_for(self, key: ContentKey) -> Path:
         """On-disk location of ``key``'s entry."""
         digest = key.digest
         return (
@@ -494,40 +477,47 @@ class ResultStore:
 
     # -- read / write ----------------------------------------------------------
 
-    def _read_document(
-        self, key: "StoreKey | ExperimentResultKey | GridAssetKey | PlanPointKey"
-    ) -> dict[str, Any] | None:
-        """The raw JSON document stored under ``key``, or None on any problem."""
+    def get(self, key: ContentKey) -> dict[str, Any] | None:
+        """The payload stored under ``key``, or None (missing, stale or unreadable).
+
+        A truncated / corrupt / foreign file is a miss and is unlinked, so
+        the slot heals on the next :meth:`put`.
+        """
         path = self.path_for(key)
         try:
-            data = json.loads(path.read_text())
-            if data.get("schema_version") != key.schema_version:
-                return None
-            return data
+            document = json.loads(path.read_text())
         except FileNotFoundError:
             return None
         except (OSError, ValueError):
-            # Truncated / corrupt / foreign file: treat as a miss and drop it
-            # so the slot heals on the next put.
             try:
                 path.unlink(missing_ok=True)
             except OSError:  # pragma: no cover - unwritable store
                 pass
             return None
+        if (
+            not isinstance(document, dict)
+            or document.get("schema_version") != key.schema_version
+        ):
+            return None
+        payload = document.get("payload")
+        return payload if isinstance(payload, dict) else None
 
-    def _write_document(
-        self,
-        key: "StoreKey | ExperimentResultKey | GridAssetKey | PlanPointKey",
-        document: dict[str, Any],
-    ) -> Path:
-        """Atomically persist one entry; readers never see partial files.
+    def put(self, key: ContentKey, payload: dict[str, Any]) -> Path:
+        """Atomically persist ``payload`` under ``key``; returns the entry path.
 
-        An unwritable store (read-only CI cache, bogus ``$REPRO_STORE_DIR``)
-        degrades to cold simulation instead of crashing the run: the first
-        failure prints one warning to stderr, subsequent ones are silent,
-        and the entry simply is not persisted.
+        Readers never see partial files.  An unwritable store (read-only CI
+        cache, bogus ``$REPRO_STORE_DIR``) degrades to cold simulation
+        instead of crashing the run: the first failure prints one warning
+        to stderr, subsequent ones are silent, and the entry simply is not
+        persisted.
         """
         path = self.path_for(key)
+        document = {
+            "schema_version": key.schema_version,
+            "created_s": time.time(),
+            "key": dataclasses.asdict(key),
+            "payload": payload,
+        }
         try:
             self._atomic_write(path, document)
         except OSError as exc:
@@ -540,6 +530,10 @@ class ResultStore:
                 )
         return path
 
+    # perfbench/tracing.py wraps these per-tier names and fails if one is missing.
+    get_asset = get_result = get_plan = get
+    put_asset = put_result = put_plan = put
+
     @staticmethod
     def _atomic_write(path: Path, document: dict[str, Any]) -> None:
         """Write one JSON document via unique temp file + ``os.replace``."""
@@ -549,119 +543,6 @@ class ResultStore:
         tmp = path.with_suffix(f".tmp-{os.getpid()}-{os.urandom(4).hex()}")
         tmp.write_text(json.dumps(document))
         os.replace(tmp, path)
-
-    def get(self, key: StoreKey) -> "FrameReport | None":
-        """The stored report for ``key``, or None (missing or unreadable)."""
-        data = self._read_document(key)
-        if data is None:
-            return None
-        try:
-            return report_from_dict(data["report"])
-        except (KeyError, TypeError, ValueError):
-            return None
-
-    def put(self, key: StoreKey, report: "FrameReport") -> Path:
-        """Persist ``report`` under ``key`` atomically; returns the path."""
-        return self._write_document(
-            key,
-            {
-                "schema_version": key.schema_version,
-                "created_s": time.time(),
-                "key": {
-                    "device_fingerprint": key.device_fingerprint,
-                    "workload_digest": key.workload_digest,
-                    "precision": key.precision,
-                    "pruning_ratio": key.pruning_ratio,
-                },
-                "report": report_to_dict(report),
-            },
-        )
-
-    def get_asset(self, key: GridAssetKey) -> dict[str, Any] | None:
-        """The cached asset payload for ``key``, or None.
-
-        The payload is whatever :meth:`put_asset` stored -- for fitted hash
-        grids, a ``{"tables": [...]}`` mapping whose nested float lists
-        round-trip IEEE-754 doubles exactly (JSON emits floats via
-        ``repr``), so a reloaded grid renders bit-identically.
-        """
-        data = self._read_document(key)
-        if data is None:
-            return None
-        payload = data.get("payload")
-        return payload if isinstance(payload, dict) else None
-
-    def put_asset(self, key: GridAssetKey, payload: dict[str, Any]) -> Path:
-        """Persist one asset payload under ``key`` atomically."""
-        return self._write_document(
-            key,
-            {
-                "schema_version": key.schema_version,
-                "created_s": time.time(),
-                "key": {
-                    "scene_fingerprint": key.scene_fingerprint,
-                    "grid_fingerprint": key.grid_fingerprint,
-                },
-                "payload": payload,
-            },
-        )
-
-    def get_result(self, key: ExperimentResultKey) -> dict[str, Any] | None:
-        """The cached experiment-result payload for ``key``, or None.
-
-        The payload is whatever :meth:`put_result` stored -- by convention
-        the serialized :class:`~repro.experiments.api.ExperimentResult`
-        mapping plus its rendered table (see ``repro.experiments.cli``).
-        """
-        data = self._read_document(key)
-        if data is None:
-            return None
-        payload = data.get("payload")
-        return payload if isinstance(payload, dict) else None
-
-    def put_result(self, key: ExperimentResultKey, payload: dict[str, Any]) -> Path:
-        """Persist one experiment-result payload under ``key`` atomically."""
-        return self._write_document(
-            key,
-            {
-                "schema_version": key.schema_version,
-                "created_s": time.time(),
-                "key": {
-                    "experiment_id": key.experiment_id,
-                    "params_fingerprint": key.params_fingerprint,
-                    "environment_digest": key.environment_digest,
-                },
-                "payload": payload,
-            },
-        )
-
-    def get_plan(self, key: PlanPointKey) -> dict[str, Any] | None:
-        """The cached plan-point payload for ``key``, or None.
-
-        The payload is whatever :meth:`put_plan` stored -- by convention the
-        serialized ``repro.plan.evaluate.EvaluatedPoint`` mapping (candidate
-        fleet plus its scored serving metrics).
-        """
-        data = self._read_document(key)
-        if data is None:
-            return None
-        payload = data.get("payload")
-        return payload if isinstance(payload, dict) else None
-
-    def put_plan(self, key: PlanPointKey, payload: dict[str, Any]) -> Path:
-        """Persist one evaluated plan point under ``key`` atomically."""
-        return self._write_document(
-            key,
-            {
-                "schema_version": key.schema_version,
-                "created_s": time.time(),
-                "key": {
-                    "space_digest": key.space_digest,
-                    "point_digest": key.point_digest,
-                },
-                "payload": payload,
-            },
-        )
 
     # -- pack export / merge ---------------------------------------------------
 

@@ -294,25 +294,25 @@ def evaluate_space(
         store = engine.store
     points = space.enumerate_points()
     digest = space_digest(space)
+    keyed = [(point, PlanPointKey(digest, point.digest)) for point in points]
     owned = [
-        point
-        for point in points
-        if shard is None
-        or shard.contains(PlanPointKey(digest, point.digest))
+        (point, key) for point, key in keyed if shard is None or shard.contains(key)
     ]
     # One realized arrival process per traffic shape in use; candidates
     # sharing a shape replay the identical requests.
     requests_by_shape = {
         shape: space.traffic.requests(shape)
-        for shape in sorted({point.traffic for point in owned})
+        for shape in sorted({point.traffic for point, _ in owned})
     }
     fresh = 0
     cached = 0
 
-    def evaluate_one(point: PlanPoint) -> tuple[EvaluatedPoint, bool]:
-        key = PlanPointKey(space_digest=digest, point_digest=point.digest)
+    def evaluate_one(
+        item: tuple[PlanPoint, PlanPointKey]
+    ) -> tuple[EvaluatedPoint, bool]:
+        point, key = item
         if store is not None:
-            payload = store.get_plan(key)
+            payload = store.get(key)
             if payload is not None:
                 try:
                     return EvaluatedPoint.from_payload(payload), True
@@ -322,14 +322,14 @@ def evaluate_space(
             space, point, requests_by_shape[point.traffic], engine=engine
         )
         if store is not None:
-            store.put_plan(key, evaluated.to_payload())
+            store.put(key, evaluated.to_payload())
         return evaluated, False
 
     if jobs > 1 and len(owned) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(evaluate_one, owned))
     else:
-        outcomes = [evaluate_one(point) for point in owned]
+        outcomes = [evaluate_one(item) for item in owned]
     for _, was_cached in outcomes:
         if was_cached:
             cached += 1

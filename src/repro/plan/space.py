@@ -20,7 +20,13 @@ from pathlib import Path
 
 from repro.core.device import DEVICE_REGISTRY, canonical_digest
 from repro.perf.store import PlanPointKey, environment_digest
-from repro.serve.request import PoissonStream, Request, Scenario, ScenarioMix
+from repro.serve.request import (
+    PoissonStream,
+    Request,
+    Scenario,
+    ScenarioMix,
+    require_positive,
+)
 from repro.sparse.formats import Precision
 
 #: Scheduler policies a plan space may reference, in the registry order the
@@ -99,10 +105,9 @@ class TrafficSpec:
 
     def __post_init__(self) -> None:
         """Validate rate, duration and SLA budget."""
-        if self.rate_rps <= 0.0 or self.duration_s <= 0.0:
-            raise ValueError("traffic rate_rps and duration_s must be positive")
-        if self.sla_ms <= 0.0:
-            raise ValueError("traffic sla_ms must be positive")
+        require_positive("traffic rate_rps", self.rate_rps)
+        require_positive("traffic duration_s", self.duration_s)
+        require_positive("traffic sla_ms", self.sla_ms)
 
     @property
     def sla_s(self) -> float:

@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.serve.request import Scenario
+from repro.serve.request import Scenario, require_positive
 from repro.sparse.formats import Precision
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -165,8 +165,7 @@ class LatencyTargetAutoscaler(AutoscalePolicy):
     def __post_init__(self) -> None:
         """Validate the latency target and hysteresis band."""
         super().__post_init__()
-        if self.target_p95_s <= 0.0:
-            raise ValueError("target_p95_s must be positive")
+        require_positive("target_p95_s", self.target_p95_s)
         if not 0.0 < self.low_fraction < 1.0:
             raise ValueError("low_fraction must be in (0, 1)")
 
@@ -257,10 +256,12 @@ class TokenBucketAdmission(AdmissionPolicy):
 
     def __post_init__(self) -> None:
         """Validate rate and burst."""
-        if self.rate_rps <= 0.0:
-            raise ValueError("rate_rps must be positive")
-        if self.burst < 1.0:
-            raise ValueError("burst must be >= 1 (room for one request)")
+        require_positive("rate_rps", self.rate_rps)
+        if not (math.isfinite(self.burst) and self.burst >= 1.0):
+            raise ValueError(
+                f"burst must be finite and >= 1 (room for one request), "
+                f"got {self.burst!r}"
+            )
 
     def session(self) -> AdmissionSession:
         """A full bucket, refilling from the first arrival onward."""
@@ -641,10 +642,12 @@ class ControlConfig:
 
     def __post_init__(self) -> None:
         """Validate the tick cadence and provisioning model."""
-        if self.tick_s <= 0.0:
-            raise ValueError("tick_s must be positive")
-        if self.provision_delay_s < 0.0:
-            raise ValueError("provision_delay_s must be >= 0")
+        require_positive("tick_s", self.tick_s)
+        delay = self.provision_delay_s
+        if not (math.isfinite(delay) and delay >= 0.0):
+            raise ValueError(
+                f"provision_delay_s must be finite and >= 0, got {delay!r}"
+            )
         if self.initial_workers is not None and self.initial_workers < 1:
             raise ValueError("initial_workers must be >= 1")
 

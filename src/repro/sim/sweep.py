@@ -39,13 +39,19 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Sequence
 
 from repro.nerf.models import FrameConfig, get_model
+from repro.perf.store import (
+    ResultStore,
+    StoreKey,
+    report_from_dict,
+    report_to_dict,
+    workload_digest,
+)
 from repro.sparse.formats import Precision
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.accelerator import FrameReport
     from repro.core.device import Device
     from repro.nerf.workload import Workload
-    from repro.perf.store import ResultStore, StoreKey
 
 WorkloadKey = tuple[str, FrameConfig]
 ReportKey = tuple[str, Hashable, Precision | None, float]
@@ -174,6 +180,17 @@ def _render_task(
     )
 
 
+def _load_report(store: ResultStore, key: StoreKey) -> "FrameReport | None":
+    """The report stored under ``key``, or None; an undecodable payload is a miss."""
+    payload = store.get(key)
+    if payload is None:
+        return None
+    try:
+        return report_from_dict(payload)
+    except (KeyError, TypeError, ValueError):
+        return None
+
+
 class SweepEngine:
     """Runs :class:`SweepSpec` sweeps with memoisation and optional parallelism."""
 
@@ -263,9 +280,11 @@ class SweepEngine:
                 self.stats.report_hits += 1
                 return cached
             self.stats.report_misses += 1
-            store_key = self._store_key(key, workload)
+            store_key = (
+                self._content_key(key, workload) if self.store is not None else None
+            )
             if store_key is not None:
-                stored = self.store.get(store_key)
+                stored = _load_report(self.store, store_key)
                 if stored is not None:
                     self.stats.store_hits += 1
                     self._reports[key] = stored
@@ -279,27 +298,17 @@ class SweepEngine:
             )
             self._reports[key] = report
             if store_key is not None:
-                self.store.put(store_key, report)
+                self.store.put(store_key, report_to_dict(report))
             return report
-
-    def _store_key(self, key: ReportKey, workload: "Workload") -> "StoreKey | None":
-        """The persistent-store address of one report-cache key (lock held)."""
-        if self.store is None:
-            return None
-        return self._content_key(key, workload)
 
     def _content_key(self, key: ReportKey, workload: "Workload") -> "StoreKey":
         """Build the content address of one report-cache key (lock held)."""
-        from repro.perf.store import StoreKey
-
         device_name, workload_fp, precision, pruning = key
         if device_name not in self._device_fingerprints:
             self._device_fingerprints[device_name] = self.device(
                 device_name
             ).fingerprint()
         if workload_fp not in self._workload_digests:
-            from repro.perf.store import workload_digest
-
             self._workload_digests[workload_fp] = workload_digest(workload)
         return StoreKey(
             device_fingerprint=self._device_fingerprints[device_name],
@@ -435,10 +444,11 @@ class SweepEngine:
             # that performed no render.
             for key in list(pending):
                 with self._lock:
-                    store_key = self._store_key(key, pending[key][1])
-                    if store_key is None:  # store detached mid-sweep
+                    if self.store is None:  # store detached mid-sweep
                         break
-                    stored = self.store.get(store_key)
+                    stored = _load_report(
+                        self.store, self._content_key(key, pending[key][1])
+                    )
                     if stored is not None:
                         self._reports[key] = stored
                         self.stats.store_hits += 1
@@ -468,7 +478,8 @@ class SweepEngine:
                     self.stats.report_hits -= 1  # the run() pass re-counts these as hits
                     if self.store is not None:
                         self.store.put(
-                            self._store_key(key, pending[key][1]), report
+                            self._content_key(key, pending[key][1]),
+                            report_to_dict(report),
                         )
 
     def clear(self) -> None:

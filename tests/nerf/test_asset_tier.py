@@ -41,9 +41,9 @@ class TestGridAssetKey:
 
     def test_round_trip(self, store):
         key = GridAssetKey(scene_fingerprint="s", grid_fingerprint="g")
-        assert store.get_asset(key) is None
-        store.put_asset(key, {"tables": [[1.0, 2.0]]})
-        assert store.get_asset(key) == {"tables": [[1.0, 2.0]]}
+        assert store.get(key) is None
+        store.put(key, {"tables": [[1.0, 2.0]]})
+        assert store.get(key) == {"tables": [[1.0, 2.0]]}
 
 
 class TestWarmFit:
@@ -51,7 +51,7 @@ class TestWarmFit:
         scene = get_scene("mic")
         renderer = InstantNGPRenderer(CONFIG)
         renderer.fit_to_scene(scene, store=store)
-        payload = store.get_asset(renderer.asset_key(scene))
+        payload = store.get(renderer.asset_key(scene))
         assert payload is not None
         assert len(payload["tables"]) == CONFIG.num_levels
 
@@ -87,12 +87,12 @@ class TestWarmFit:
             max_resolution=16,
         )
         other = InstantNGPRenderer(other_config)
-        assert store.get_asset(other.asset_key(scene)) is None
+        assert store.get(other.asset_key(scene)) is None
 
     def test_different_scene_misses(self, store):
         InstantNGPRenderer(CONFIG).fit_to_scene(get_scene("mic"), store=store)
         probe = InstantNGPRenderer(CONFIG)
-        assert store.get_asset(probe.asset_key(get_scene("lego"))) is None
+        assert store.get(probe.asset_key(get_scene("lego"))) is None
 
     def test_storeless_fit_still_works(self):
         renderer = InstantNGPRenderer(CONFIG)

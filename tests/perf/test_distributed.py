@@ -29,6 +29,7 @@ from repro.perf.distributed import (
 from repro.perf.store import (
     PACK_SCHEMA,
     PACK_SCHEMA_VERSION,
+    STORE_SCHEMA_VERSION,
     MergeStats,
     PackConflictError,
     ResultStore,
@@ -247,7 +248,7 @@ class TestConflictDetection:
             p for p in sorted(root.rglob("*.json")) if "/frame/" in str(p)
         )
         document = json.loads(path.read_text())
-        document["report"]["latency_s"] += 1.0
+        document["payload"]["latency_s"] += 1.0
         path.write_text(json.dumps(document))
         return str(path.relative_to(store.root / f"v{store.schema_version}"))
 
@@ -308,19 +309,20 @@ class TestPackValidation:
 
     def test_traversal_and_malformed_entries_are_skipped(self, tmp_path):
         pack = tmp_path / "evil.json"
+        current = {"schema_version": STORE_SCHEMA_VERSION}
         pack.write_text(
             json.dumps(
                 {
                     "schema": PACK_SCHEMA,
                     "pack_schema_version": PACK_SCHEMA_VERSION,
-                    "store_schema_version": 1,
+                    "store_schema_version": STORE_SCHEMA_VERSION,
                     "entries": [
-                        {"path": "../../escape.json", "document": {"schema_version": 1}},
-                        {"path": "/abs.json", "document": {"schema_version": 1}},
-                        {"path": "..\\..\\win.json", "document": {"schema_version": 1}},
-                        {"path": "C:/drive.json", "document": {"schema_version": 1}},
-                        {"path": "frame/../../up.json", "document": {"schema_version": 1}},
-                        {"path": ".", "document": {"schema_version": 1}},
+                        {"path": "../../escape.json", "document": current},
+                        {"path": "/abs.json", "document": current},
+                        {"path": "..\\..\\win.json", "document": current},
+                        {"path": "C:/drive.json", "document": current},
+                        {"path": "frame/../../up.json", "document": current},
+                        {"path": ".", "document": current},
                         {"path": "frame/ok.json", "document": {"schema_version": 99}},
                         {"path": "frame/ok2.json", "document": "not-a-dict"},
                         "not-an-entry",
@@ -542,7 +544,7 @@ class TestShardAssembleCLI:
             p for p in sorted(target_root.rglob("*.json")) if "/frame/" in str(p)
         )
         document = json.loads(path.read_text())
-        document["report"]["latency_s"] += 1.0
+        document["payload"]["latency_s"] += 1.0
         path.write_text(json.dumps(document))
         code, _, err = run_cli(
             capsys,

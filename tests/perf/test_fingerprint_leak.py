@@ -17,7 +17,13 @@ import pytest
 
 from repro.analysis import run_lint
 from repro.nerf.models import FrameConfig, get_model
-from repro.perf.store import ResultStore, StoreKey, workload_digest
+from repro.perf.store import (
+    ResultStore,
+    StoreKey,
+    report_from_dict,
+    report_to_dict,
+    workload_digest,
+)
 
 FIXTURE_SOURCE = '''\
 """A deliberately cache-unsafe device adapter (STORE001 demo fixture)."""
@@ -110,10 +116,11 @@ class TestStore001EndToEnd:
         assert honest.fingerprint() == doubled.fingerprint()
 
         cold = honest.render_frame(WORKLOAD)
-        store.put(_key(honest), cold)
+        store.put(_key(honest), report_to_dict(cold))
 
-        stale = store.get(_key(doubled))
-        assert stale is not None  # warm path replays the gain=1.0 result
+        payload = store.get(_key(doubled))
+        assert payload is not None  # warm path replays the gain=1.0 result
+        stale = report_from_dict(payload)
         assert stale.latency_s == cold.latency_s
         fresh = doubled.render_frame(WORKLOAD)
         assert fresh.latency_s == pytest.approx(2.0 * cold.latency_s)
@@ -125,5 +132,5 @@ class TestStore001EndToEnd:
         one = m.FixedDevice(gain=1.0)
         two = m.FixedDevice(gain=2.0)
         assert one.fingerprint() != two.fingerprint()
-        store.put(_key(one), one.render_frame(WORKLOAD))
+        store.put(_key(one), report_to_dict(one.render_frame(WORKLOAD)))
         assert store.get(_key(two)) is None  # miss -> honest cold re-run

@@ -6,6 +6,7 @@ vs. the cold path (down to per-op trace records), concurrent writers never
 corrupt the store, and eviction / clearing behave as documented.
 """
 
+import dataclasses
 import json
 import os
 import threading
@@ -19,6 +20,8 @@ from repro.nerf.models import FrameConfig, get_model
 from repro.perf.store import (
     STORE_SCHEMA_VERSION,
     ExperimentResultKey,
+    GridAssetKey,
+    PlanPointKey,
     ResultStore,
     StoreKey,
     device_registry_digest,
@@ -38,6 +41,15 @@ def small_workload(model="instant-ngp", config=SMALL):
 
 def render_small(device_name="flexnerfer"):
     return get_device(device_name).render_frame(small_workload())
+
+
+def put_report(store, key, report):
+    return store.put(key, report_to_dict(report))
+
+
+def get_report(store, key):
+    payload = store.get(key)
+    return None if payload is None else report_from_dict(payload)
 
 
 def make_key(salt="a"):
@@ -138,9 +150,9 @@ class TestStoreBasics:
         store = ResultStore(tmp_path)
         report = render_small()
         key = make_key()
-        path = store.put(key, report)
+        path = put_report(store, key, report)
         assert path.exists()
-        loaded = store.get(key)
+        loaded = get_report(store, key)
         assert loaded is not None
         assert loaded.latency_s == report.latency_s
         assert loaded.energy_j == report.energy_j
@@ -155,16 +167,16 @@ class TestStoreBasics:
             key.pruning_ratio,
             schema_version=STORE_SCHEMA_VERSION + 1,
         )
-        store.put(old, render_small())
+        put_report(store, old, render_small())
         assert store.get(key) is None
         assert store.stats().stale_entries == 1
 
     def test_unwritable_store_degrades_to_cold(self, capsys):
         store = ResultStore("/dev/null/not-a-dir")
         report = render_small()
-        store.put(make_key(), report)  # must not raise
+        put_report(store, make_key(), report)  # must not raise
         assert "not writable" in capsys.readouterr().err
-        store.put(make_key("b"), report)  # warning printed only once
+        put_report(store, make_key("b"), report)  # warning printed only once
         assert capsys.readouterr().err == ""
         assert store.get(make_key()) is None
         assert store.stats().entries == 0
@@ -184,17 +196,17 @@ class TestStoreBasics:
     def test_corrupt_entry_is_a_miss_and_healed(self, tmp_path):
         store = ResultStore(tmp_path)
         key = make_key()
-        path = store.put(key, render_small())
+        path = put_report(store, key, render_small())
         path.write_text("{ truncated")
         assert store.get(key) is None
         assert not path.exists()  # dropped so the next put heals the slot
-        store.put(key, render_small())
-        assert store.get(key) is not None
+        put_report(store, key, render_small())
+        assert get_report(store, key) is not None
 
     def test_stats_clear_and_evict(self, tmp_path):
         store = ResultStore(tmp_path)
         report = render_small()
-        paths = [store.put(make_key(str(i)), report) for i in range(5)]
+        paths = [put_report(store, make_key(str(i)), report) for i in range(5)]
         # Distinct mtimes so eviction order is deterministic.
         for age, path in enumerate(reversed(paths)):
             stamp = os.path.getmtime(path) - 100 * age
@@ -215,7 +227,7 @@ class TestStoreBasics:
 
     def test_evict_rejects_negative_bounds(self, tmp_path):
         store = ResultStore(tmp_path)
-        store.put(make_key(), render_small())
+        put_report(store, make_key(), render_small())
         with pytest.raises(ValueError, match=">= 0"):
             store.evict(max_entries=-1)
         with pytest.raises(ValueError, match=">= 0"):
@@ -224,9 +236,9 @@ class TestStoreBasics:
 
     def test_evict_drops_stale_schemas(self, tmp_path):
         store = ResultStore(tmp_path)
-        store.put(make_key(), render_small())
+        put_report(store, make_key(), render_small())
         old = StoreKey("fp", "wl", None, 0.0, schema_version=STORE_SCHEMA_VERSION + 1)
-        store.put(old, render_small())
+        put_report(store, old, render_small())
         assert store.evict() == 1
         assert store.stats().entries == 1
         assert store.stats().stale_entries == 0
@@ -261,18 +273,18 @@ class TestExperimentResultTier:
     def test_payload_round_trip(self, tmp_path):
         store = ResultStore(tmp_path)
         key = self.make_result_key()
-        assert store.get_result(key) is None
+        assert store.get(key) is None
         payload = {"result": {"rows": [{"x": 1.25}]}, "table": "x\n1.25"}
-        store.put_result(key, payload)
-        assert store.get_result(key) == payload
+        store.put(key, payload)
+        assert store.get(key) == payload
 
     def test_frame_and_result_entries_coexist(self, tmp_path):
         store = ResultStore(tmp_path)
-        store.put(make_key(), render_small())
-        store.put_result(self.make_result_key(), {"table": "t", "result": {}})
+        put_report(store, make_key(), render_small())
+        store.put(self.make_result_key(), {"table": "t", "result": {}})
         assert store.stats().entries == 2
-        assert store.get(make_key()) is not None
-        assert store.get_result(self.make_result_key()) is not None
+        assert get_report(store, make_key()) is not None
+        assert store.get(self.make_result_key()) is not None
 
     def test_registry_digest_is_stable_and_tracks_registration(self):
         from repro.core.device import DEVICE_REGISTRY, register_device
@@ -302,6 +314,88 @@ class TestExperimentResultTier:
         assert environment_digest() == env_before
 
 
+#: One key per entry kind, each with a payload shaped like its real one.
+KIND_CASES = (
+    (make_key(), {"device": "d", "latency_s": 0.1}),
+    (ExperimentResultKey("fig99", "params", "env"), {"table": "t", "result": {}}),
+    (PlanPointKey("space", "point"), {"point": {}, "metrics": {"p95": 0.5}}),
+    (GridAssetKey("scene", "grid"), {"tables": [[1.0, 2.5e-17]]}),
+)
+
+
+#: Digests the hand-written per-kind formulas produced; the shared key
+#: protocol must keep every existing address stable.
+DIGEST_PINS = (
+    (
+        StoreKey("fp", "wl", "INT8", 0.5, schema_version=1),
+        "aae8b0e29d52c171edd8b38cddf1bc32a98816db",
+    ),
+    (
+        StoreKey("fp", "wl", None, 0.0, schema_version=1),
+        "a19f165c341c46b85e61d70ee02457ce7f53eec5",
+    ),
+    (
+        ExperimentResultKey("fig01", "pf", "env", schema_version=1),
+        "03b2fa7b378841beeedf1d553d07772b5112369b",
+    ),
+    (
+        PlanPointKey("sd", "pd", schema_version=1),
+        "d9a44fdd208105c1a9b226f1f6605bcdbc9ab078",
+    ),
+    (
+        GridAssetKey("sc", "gr", schema_version=1),
+        "2ef34fd69a7b4fd6784acdc767d752b5d1435f3a",
+    ),
+)
+
+
+class TestKeyProtocol:
+    @pytest.mark.parametrize(
+        "key,expected",
+        DIGEST_PINS,
+        ids=["frame", "frame-native", "result", "plan", "asset"],
+    )
+    def test_digest_formula_is_pinned(self, key, expected):
+        assert key.digest == expected
+
+    @pytest.mark.parametrize(
+        "key,payload", KIND_CASES, ids=[key.kind for key, _ in KIND_CASES]
+    )
+    def test_miss_put_get_round_trip(self, tmp_path, key, payload):
+        store = ResultStore(tmp_path)
+        assert store.get(key) is None
+        path = store.put(key, payload)
+        assert path == store.path_for(key)
+        assert path.parent.parent.name == key.kind
+        assert store.get(key) == payload
+        document = json.loads(path.read_text())
+        assert set(document) == {"schema_version", "created_s", "key", "payload"}
+        assert document["key"] == dataclasses.asdict(key)
+
+    @pytest.mark.parametrize(
+        "key,payload", KIND_CASES, ids=[key.kind for key, _ in KIND_CASES]
+    )
+    def test_corrupt_entry_is_a_miss_and_unlinked(self, tmp_path, key, payload):
+        store = ResultStore(tmp_path)
+        path = store.put(key, payload)
+        path.write_text("{ truncated")
+        assert store.get(key) is None
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "key,payload", KIND_CASES, ids=[key.kind for key, _ in KIND_CASES]
+    )
+    def test_schema_mismatch_is_a_miss(self, tmp_path, key, payload):
+        store = ResultStore(tmp_path)
+        path = store.put(key, payload)
+        document = json.loads(path.read_text())
+        document["schema_version"] = STORE_SCHEMA_VERSION + 1
+        path.write_text(json.dumps(document))
+        assert store.get(key) is None
+        successor = dataclasses.replace(key, schema_version=STORE_SCHEMA_VERSION + 1)
+        assert store.get(successor) is None
+
+
 SPEC = SweepSpec(
     devices=("flexnerfer", "neurex"),
     models=("instant-ngp",),
@@ -328,6 +422,20 @@ class TestEngineIntegration:
             assert a.report.latency_s == b.report.latency_s
             assert a.report.energy_j == b.report.energy_j
             assert a.report.trace.records == b.report.trace.records
+
+    def test_undecodable_frame_payload_is_a_miss(self, tmp_path):
+        store = ResultStore(tmp_path)
+        SweepEngine(store=store).run(SPEC)
+        frames = tmp_path / f"v{STORE_SCHEMA_VERSION}" / "frame"
+        for path in frames.rglob("*.json"):
+            document = json.loads(path.read_text())
+            document["payload"] = {"latency_s": "not a report"}
+            path.write_text(json.dumps(document))
+        engine = SweepEngine(store=store)
+        rows = engine.run(SPEC)  # must not raise
+        assert engine.stats.store_hits == 0
+        assert engine.stats.render_calls == engine.stats.store_misses > 0
+        assert len(rows) == len(SweepEngine().run(SPEC))
 
     def test_no_store_engine_is_unaffected(self):
         engine = SweepEngine()
@@ -388,8 +496,8 @@ class TestConcurrency:
             try:
                 for i in range(25):
                     key = keys[(seed + i) % len(keys)]
-                    store.put(key, report)
-                    loaded = store.get(key)
+                    put_report(store, key, report)
+                    loaded = get_report(store, key)
                     # A concurrent get may race a replace but never sees a
                     # partial file: it is either a miss or a full report.
                     if loaded is not None:
@@ -403,7 +511,7 @@ class TestConcurrency:
         stats = store.stats()
         assert stats.entries == len(keys)
         for key in keys:
-            assert store.get(key).latency_s == report.latency_s
+            assert get_report(store, key).latency_s == report.latency_s
 
     def test_concurrent_engines_share_one_store(self, tmp_path):
         store = ResultStore(tmp_path)

@@ -1,12 +1,15 @@
-"""Generation and simulator inputs fail loudly with one-line errors.
+"""Generation, control and planner inputs fail loudly with one-line errors.
 
-Every rate, duration, period and SLA budget of the request streams -- and
-the simulator's ``default_sla_s`` -- goes through one shared guard,
-:func:`repro.serve.request.require_positive`.  A plain ``x <= 0`` test lets
-NaN through: ``PoissonStream(rate_rps=nan)`` or ``duration_s=inf`` used to
-make ``generate()`` loop forever, and ``default_sla_s=nan`` silently
-reported 0 % attainment.  Each case below therefore runs under an alarm
-that turns a hang into a failure.
+Every rate, duration, period and SLA budget of the request streams, the
+simulator's ``default_sla_s``, the control plane's tick and latency target,
+the token bucket's rate and the planner's traffic envelope go through one
+shared guard, :func:`repro.serve.request.require_positive`.  A plain
+``x <= 0`` test lets NaN through: ``PoissonStream(rate_rps=nan)`` or
+``duration_s=inf`` used to make ``generate()`` loop forever,
+``default_sla_s=nan`` silently reported 0 % attainment, an autoscaled run
+with ``tick_s=nan`` never finished and ``TokenBucketAdmission(rate_rps=nan)``
+admitted every request.  Each case below therefore runs under an alarm that
+turns a hang into a failure.
 
 Simulator ingress also rejects a repeated request id, with the same error
 on the event loop and the FIFO fast path: served twice, a duplicate would
@@ -18,12 +21,16 @@ import math
 
 import pytest
 
+from repro.plan.space import TrafficSpec
 from repro.serve.control import (
     ControlConfig,
     DegradationLadder,
     DegradationStep,
+    LatencyTargetAutoscaler,
     QueueCapAdmission,
+    QueueDepthAutoscaler,
     QueueDepthShedder,
+    TokenBucketAdmission,
 )
 from repro.serve.fleet import FleetSimulator
 from repro.serve.request import (
@@ -114,6 +121,55 @@ def test_each_case_is_valid_apart_from_the_bad_value(build):
         requests = build(GOOD).generate(seed=0)
     assert requests
     assert all(math.isfinite(r.arrival_s) for r in requests)
+
+
+def run_autoscaled(tick_s):
+    """One autoscaled run; a NaN tick that got through would never finish it."""
+    requests = PoissonStream(10.0, 1.0, MIX, sla_s=0.2).generate(seed=0)
+    control = ControlConfig(autoscaler=QueueDepthAutoscaler(), tick_s=tick_s)
+    return FleetSimulator(
+        ("flexnerfer",), engine=SweepEngine(), control=control
+    ).run(requests)
+
+
+#: (label, control-plane or planner input exercised with one value): each
+#: must raise ValueError on a non-finite value and accept ``GOOD``.
+CONTROL_CASES = (
+    ("control.tick_s", run_autoscaled),
+    ("control.provision_delay_s", lambda v: ControlConfig(provision_delay_s=v)),
+    ("latency-target.p95_s", lambda v: LatencyTargetAutoscaler(target_p95_s=v)),
+    ("token-bucket.rate_rps", lambda v: TokenBucketAdmission(rate_rps=v)),
+    ("token-bucket.burst", lambda v: TokenBucketAdmission(rate_rps=5.0, burst=v)),
+    ("traffic.rate_rps", lambda v: TrafficSpec(MIX, v, 1.0, 100.0)),
+    ("traffic.duration_s", lambda v: TrafficSpec(MIX, 5.0, v, 100.0)),
+    ("traffic.sla_ms", lambda v: TrafficSpec(MIX, 5.0, 1.0, v)),
+)
+
+#: The values a plain ``x <= 0`` / ``x < lower`` guard let through.
+NON_FINITE = (NAN, INF)
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=repr)
+@pytest.mark.parametrize(
+    "build",
+    [case[1] for case in CONTROL_CASES],
+    ids=[case[0] for case in CONTROL_CASES],
+)
+def test_non_finite_control_inputs_raise_one_line_errors(build, value):
+    with fails_within(10.0):
+        with pytest.raises(ValueError) as error:
+            build(value)
+    assert "\n" not in str(error.value)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [case[1] for case in CONTROL_CASES],
+    ids=[case[0] for case in CONTROL_CASES],
+)
+def test_each_control_case_is_valid_apart_from_the_bad_value(build):
+    with fails_within(10.0):
+        assert build(GOOD) is not None
 
 
 def test_weight_total_overflow_is_rejected():
