@@ -8,8 +8,13 @@ Usage::
 Each argument is a markdown file or a directory to scan recursively for
 ``*.md``.  Inline links and images (``[text](target)`` / ``![alt](target)``)
 whose targets are not URLs or pure in-page anchors are resolved relative to
-the containing file and must exist on disk.  Exits 1 listing every broken
-link; no third-party dependencies.
+the containing file and must exist on disk.  Inline-code repository paths
+(`` `src/...` ``, `` `tests/...` ``, `` `docs/...` ``, `` `scripts/...` ``,
+`` `perfbench/...` ``, `` `examples/...` ``, `` `benchmarks/...` ``) are
+resolved from the repository root and must exist too; a pytest node id's
+``::`` suffix is dropped, and paths containing ``*``, ``<`` or ``{``
+(globs and placeholders) are skipped.  Exits 1 listing every broken link;
+no third-party dependencies.
 """
 
 from __future__ import annotations
@@ -23,6 +28,14 @@ LINK_RE = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 
 #: Targets that are not local files.
 EXTERNAL_PREFIXES = ("http://", "https://", "mailto:", "ftp://")
+
+#: Inline-code path under one of the repository's top-level directories.
+CODE_PATH_RE = re.compile(
+    r"`((?:src|tests|docs|scripts|perfbench|examples|benchmarks)/[^`\s]*)`"
+)
+
+#: Inline-code paths are written relative to the repository root.
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def iter_markdown_files(arguments: list[str]) -> list[Path]:
@@ -41,7 +54,7 @@ def iter_markdown_files(arguments: list[str]) -> list[Path]:
 
 
 def broken_links(markdown_file: Path) -> list[str]:
-    """Relative link targets of ``markdown_file`` that do not exist."""
+    """Relative link targets and inline-code paths that do not exist."""
     problems = []
     text = markdown_file.read_text()
     # Ignore fenced code blocks: CLI examples legitimately contain ``[...]``.
@@ -56,6 +69,12 @@ def broken_links(markdown_file: Path) -> list[str]:
         resolved = (markdown_file.parent / file_part).resolve()
         if not resolved.exists():
             problems.append(f"{markdown_file}: broken link -> {target}")
+    for match in CODE_PATH_RE.finditer(text):
+        path = match.group(1).split("::", 1)[0]
+        if any(char in path for char in "*<{"):
+            continue
+        if not (REPO_ROOT / path).exists():
+            problems.append(f"{markdown_file}: missing path -> {path}")
     return problems
 
 
@@ -70,9 +89,12 @@ def main(argv: list[str]) -> int:
     for problem in problems:
         print(problem, file=sys.stderr)
     if problems:
-        print(f"{len(problems)} broken link(s)", file=sys.stderr)
+        print(f"{len(problems)} broken link(s) or path(s)", file=sys.stderr)
         return 1
-    print(f"checked {len(files)} markdown file(s): all relative links resolve")
+    print(
+        f"checked {len(files)} markdown file(s): all relative links and "
+        f"code paths resolve"
+    )
     return 0
 
 

@@ -67,13 +67,15 @@ one-line message -- never a traceback.
 (:mod:`repro.perf.store`) by default, so re-runs with an unchanged
 simulation model skip cycle-level simulation entirely; ``--no-store``
 bypasses it.  The command surface below is described declaratively by
-:data:`COMMANDS`, which both this usage text and the generated
-``docs/experiments.md`` catalog render, so ``repro docs --check`` guards
-the documented CLI against drift.
+:data:`COMMANDS`: it drives argument parsing and renders both this usage
+text and the generated ``docs/experiments.md`` catalog, so a flag that is
+not documented cannot be parsed and ``repro docs --check`` guards the
+documented CLI against drift.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -93,13 +95,13 @@ from repro.experiments.registry import (
     get_experiment,
 )
 
-RUN_FORMATS = ("table", "json", "csv")
-LIST_FORMATS = ("table", "json")
-
-
 @dataclass(frozen=True)
 class CommandOption:
-    """One documented option of a CLI command (usage + generated catalog)."""
+    """One documented option of a CLI command (parser, usage and catalog).
+
+    ``value`` is also the option's parse rule: an empty value is a boolean
+    flag, ``a|b|c`` a closed choice, and N words take N values.
+    """
 
     flag: str
     value: str
@@ -115,10 +117,11 @@ class CommandOption:
 class CommandSpec:
     """One ``repro`` subcommand: name, operands, summary and options.
 
-    The usage screen and the CLI section of the generated experiment
-    catalog are both rendered from these specs, so the documented command
-    surface cannot drift from the implemented one without failing
-    ``repro docs --check``.
+    The argument parser reads these specs, and the usage screen and the CLI
+    section of the generated experiment catalog are rendered from them, so
+    the documented command surface cannot drift from the implemented one.
+    An option listed as ``--<param>`` collects every other flag as a
+    per-experiment parameter.
     """
 
     name: str
@@ -264,6 +267,91 @@ class CLIError(Exception):
     """A user-facing CLI error: printed as one line, exits with status 2."""
 
 
+#: Parsed options, keyed by flag: True, a value, or a tuple of values.
+Options = dict[str, Any]
+#: ``--<param> value`` tokens left for the selected experiments to resolve.
+Params = list[tuple[str, str]]
+
+
+def _parse(spec: CommandSpec, args: list[str]) -> tuple[list[str], Options, Params]:
+    """Split ``args`` into operands, options and parameter tokens by ``spec``.
+
+    Each option's kind comes from its documented value (see
+    :class:`CommandOption`); values are given as ``--flag value`` or
+    ``--flag=value``.  Flags missing from the spec are parameter tokens when
+    it documents ``--<param>`` and a one-line error otherwise.
+    """
+    syntax = {option.flag: option.value.split() for option in spec.options}
+    takes_params = syntax.pop("--<param>", None) is not None
+    operands: list[str] = []
+    options: Options = {}
+    params: Params = []
+    i = 0
+    while i < len(args):
+        token = args[i]
+        i += 1
+        if not token.startswith("--"):
+            if not spec.operands:
+                raise CLIError(f"unexpected argument '{token}'")
+            operands.append(token)
+            continue
+        flag, inline, value = token.partition("=")
+        if flag not in syntax and not takes_params:
+            raise CLIError(f"unknown option '{flag}'; valid: {', '.join(syntax)}")
+        words = syntax.get(flag, ["VALUE"])
+        if not words:
+            if inline:
+                raise CLIError(f"{flag} takes no value")
+            options[flag] = True
+            continue
+        need = len(words) - bool(inline)
+        taken = args[i : i + need]
+        i += need
+        if len(taken) < need or any(word.startswith("--") for word in taken):
+            raise CLIError(f"missing value for {flag} (expected {' '.join(words)})")
+        values = ([value] if inline else []) + taken
+        choices = words[0].split("|")
+        if len(choices) > 1 and values[0] not in choices:
+            raise CLIError(
+                f"invalid {flag[2:]} '{values[0]}'; valid: {', '.join(choices)}"
+            )
+        if flag not in syntax:
+            params.append((flag, values[0]))
+        else:
+            options[flag] = values[0] if len(values) == 1 else tuple(values)
+    return operands, options, params
+
+
+def _number(
+    options: Options,
+    flag: str,
+    kind: type = int,
+    low: float | None = None,
+    high: float | None = None,
+    strict: bool = False,
+) -> Any:
+    """``options[flag]`` as a finite ``kind`` in bounds, or None when absent.
+
+    ``low`` is inclusive unless ``strict``; ``high`` is inclusive.
+    """
+    text = options.get(flag)
+    if text is None:
+        return None
+    try:
+        value = kind(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        expected = "an int" if kind is int else "a finite number"
+        raise CLIError(f"{flag}: expected {expected}, got '{text}'")
+    too_low = low is not None and (value <= low if strict else value < low)
+    if too_low or (high is not None and value > high):
+        if high is not None:
+            raise CLIError(f"{flag} must be in [{low}, {high}], got {text}")
+        raise CLIError(f"{flag} must be {'>' if strict else '>='} {low}, got {text}")
+    return value
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point of the ``repro`` console script and ``python -m``."""
     args = list(sys.argv[1:] if argv is None else argv)
@@ -272,35 +360,20 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(_usage())
             return 0
         command, rest = args[0], args[1:]
-        if command == "list":
-            return _cmd_list(rest)
-        if command == "run":
-            return _cmd_run(rest)
-        if command == "shard":
-            return _cmd_shard(rest)
-        if command == "assemble":
-            return _cmd_assemble(rest)
-        if command == "plan":
-            return _cmd_plan(rest)
-        if command == "trace":
-            return _cmd_trace(rest)
-        if command == "docs":
-            return _cmd_docs(rest)
-        if command == "lint":
-            return _cmd_lint(rest)
-        if command == "bench":
-            return _cmd_bench(rest)
-        if command == "cache":
-            return _cmd_cache(rest)
-        # Historical invocation styles keep working: ``repro fig19``,
-        # ``repro all`` behave like ``repro run ...``.
-        if command == "all" or command.lower() in EXPERIMENTS:
-            return _cmd_run(args)
-        known = ", ".join(f"'{spec.name}'" for spec in COMMANDS)
-        raise CLIError(
-            f"unknown command '{command}' (expected one of {known}); "
-            f"run 'repro --help' for usage"
-        )
+        if command not in _HANDLERS and (
+            command == "all" or command.lower() in EXPERIMENTS
+        ):
+            # Historical invocation styles keep working: ``repro fig19``,
+            # ``repro all`` behave like ``repro run ...``.
+            command, rest = "run", args
+        if command not in _HANDLERS:
+            known = ", ".join(f"'{spec.name}'" for spec in COMMANDS)
+            raise CLIError(
+                f"unknown command '{command}' (expected one of {known}); "
+                f"run 'repro --help' for usage"
+            )
+        spec = next(spec for spec in COMMANDS if spec.name == command)
+        return _HANDLERS[command](*_parse(spec, rest))
     except CLIError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -309,27 +382,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 # -- repro list ---------------------------------------------------------------
 
 
-def _parse_options(args: list[str], flags: tuple[str, ...]) -> dict[str, str]:
-    """Parse a flat ``--flag value`` option list against ``flags``."""
-    options: dict[str, str] = {}
-    i = 0
-    while i < len(args):
-        token = args[i]
-        if not token.startswith("--"):
-            raise CLIError(f"unexpected argument '{token}'")
-        flag, value, consumed = _flag_value(args, i)
-        if flag not in flags:
-            raise CLIError(f"unknown option '{flag}'; valid: {', '.join(flags)}")
-        options[flag] = value
-        i += consumed
-    return options
-
-
-def _cmd_list(args: list[str]) -> int:
-    options = _parse_options(args, flags=("--tags", "--format"))
-    fmt = options.get("--format", "table")
-    if fmt not in LIST_FORMATS:
-        raise CLIError(f"invalid list format '{fmt}'; valid: {', '.join(LIST_FORMATS)}")
+def _cmd_list(_operands: list[str], options: Options, _params: Params) -> int:
     experiments = list(EXPERIMENTS.values())
     if "--tags" in options:
         wanted = {t for t in options["--tags"].split(",") if t}
@@ -340,7 +393,7 @@ def _cmd_list(args: list[str]) -> int:
                 f"valid: {', '.join(all_tags())}"
             )
         experiments = [e for e in experiments if wanted & set(e.tags)]
-    if fmt == "json":
+    if options.get("--format") == "json":
         import json
 
         print(json.dumps([_describe(e) for e in experiments], indent=2))
@@ -373,16 +426,13 @@ def _describe(exp: Experiment) -> dict[str, Any]:
 # -- repro docs ---------------------------------------------------------------
 
 
-def _cmd_docs(args: list[str]) -> int:
+def _cmd_docs(_operands: list[str], options: Options, _params: Params) -> int:
     """Regenerate (or, with ``--check``, verify) the experiment catalog."""
     from repro.experiments.catalog import catalog_markdown, default_catalog_path
 
-    check = "--check" in args
-    args = [a for a in args if a != "--check"]
-    options = _parse_options(args, flags=("--out",))
     path = Path(options["--out"]) if "--out" in options else default_catalog_path()
     generated = catalog_markdown()
-    if check:
+    if "--check" in options:
         current = path.read_text() if path.exists() else None
         if current != generated:
             command = (
@@ -404,7 +454,7 @@ def _cmd_docs(args: list[str]) -> int:
 # -- repro lint ---------------------------------------------------------------
 
 
-def _cmd_lint(args: list[str]) -> int:
+def _cmd_lint(_operands: list[str], options: Options, _params: Params) -> int:
     """Run the determinism / cache-safety static-analysis pass.
 
     Exits 0 on a clean pass, 1 when non-baselined findings remain, 2 on
@@ -420,16 +470,7 @@ def _cmd_lint(args: list[str]) -> int:
         update_baseline,
     )
 
-    update = "--update-baseline" in args
-    args = [a for a in args if a != "--update-baseline"]
-    options = _parse_options(
-        args, flags=("--format", "--rules", "--root", "--baseline")
-    )
-    fmt = options.get("--format", "table")
-    if fmt not in LIST_FORMATS:
-        raise CLIError(
-            f"invalid lint format '{fmt}'; valid: {', '.join(LIST_FORMATS)}"
-        )
+    update = "--update-baseline" in options
     rule_ids = None
     if "--rules" in options:
         rule_ids = [r for r in options["--rules"].split(",") if r]
@@ -460,7 +501,8 @@ def _cmd_lint(args: list[str]) -> int:
         )
         report = run_lint(root, rule_ids=rule_ids, baseline=load_baseline(baseline_path))
         print(f"wrote {baseline_path} ({len(report.baselined)} entries matched)")
-    print(render_json(report) if fmt == "json" else render_table(report))
+    json_out = options.get("--format") == "json"
+    print(render_json(report) if json_out else render_table(report))
     return 0 if report.clean else 1
 
 
@@ -481,29 +523,12 @@ def _read_json_file(path: Path, what: str) -> Any:
         raise CLIError(f"{path} is not valid JSON: {exc}") from None
 
 
-def _extract_compare(args: list[str]) -> tuple[list[str], tuple[str, str] | None]:
-    """Split the two-path ``--compare A B`` option out of a bench arg list."""
-    if "--compare" not in args:
-        return args, None
-    at = args.index("--compare")
-    values = args[at + 1 : at + 3]
-    if len(values) < 2 or any(v.startswith("--") for v in values):
-        raise CLIError("--compare needs two BENCH file paths")
-    return args[:at] + args[at + 3 :], (values[0], values[1])
-
-
-def _cmd_bench(args: list[str]) -> int:
+def _cmd_bench(_operands: list[str], options: Options, _params: Params) -> int:
     """Measure, schema-check (``--validate``), diff (``--compare``) or
     scoreboard (``--trend``) BENCH documents."""
     from repro.perf.bench import run_bench, validate_bench, write_bench
 
-    quick = "--quick" in args
-    args = [a for a in args if a != "--quick"]
-    trend = "--trend" in args
-    args = [a for a in args if a != "--trend"]
-    args, compare_paths = _extract_compare(args)
-    options = _parse_options(args, flags=("--out", "--validate", "--dir"))
-    if trend:
+    if "--trend" in options:
         from repro.perf.bench import (
             default_bench_dir,
             load_bench_documents,
@@ -519,11 +544,11 @@ def _cmd_bench(args: list[str]) -> int:
         documents = [doc for _, doc in load_bench_documents(directory)]
         print(render_trend(trend_report(documents)))
         return 0 if documents else 1
-    if compare_paths is not None:
+    if "--compare" in options:
         from repro.perf.bench import compare_bench, render_compare
 
         baseline, current = (
-            _read_json_file(Path(p), "BENCH file") for p in compare_paths
+            _read_json_file(Path(p), "BENCH file") for p in options["--compare"]
         )
         try:
             comparison = compare_bench(baseline, current)
@@ -541,7 +566,7 @@ def _cmd_bench(args: list[str]) -> int:
             return 1
         print(f"{path} conforms to bench schema v{document['schema_version']}")
         return 0
-    document = run_bench(quick=quick)
+    document = run_bench(quick="--quick" in options)
     problems = validate_bench(document)
     if problems:  # pragma: no cover - emitter/schema drift is a bug
         raise CLIError(f"emitted document fails its own schema: {problems[0]}")
@@ -566,7 +591,7 @@ def _cmd_bench(args: list[str]) -> int:
 # -- repro cache --------------------------------------------------------------
 
 
-def _cmd_cache(args: list[str]) -> int:
+def _cmd_cache(operands: list[str], options: Options, _params: Params) -> int:
     """Inspect or prune the persistent result store."""
     from repro.perf.store import ResultStore
 
@@ -577,27 +602,29 @@ def _cmd_cache(args: list[str]) -> int:
         "clear": ("--dir",),
         "evict": ("--dir", "--max-entries", "--max-age-days"),
     }
-    if not args or args[0].startswith("--"):
-        raise CLIError(f"cache needs an action: {' | '.join(action_flags)}")
-    action, rest = args[0], args[1:]
+    if len(operands) != 1:
+        raise CLIError(f"cache needs one action: {' | '.join(action_flags)}")
+    action = operands[0]
     if action not in action_flags:
         raise CLIError(
             f"unknown cache action '{action}'; valid: {', '.join(action_flags)}"
         )
-    options = _parse_options(rest, flags=action_flags[action])
+    for flag in options:
+        if flag not in action_flags[action]:
+            raise CLIError(
+                f"unknown option '{flag}' for 'cache {action}'; "
+                f"valid: {', '.join(action_flags[action])}"
+            )
+    max_entries = _number(options, "--max-entries", low=0)
+    max_age_days = _number(options, "--max-age-days", float, low=0)
     store = (
         ResultStore(Path(options["--dir"]))
         if "--dir" in options
         else ResultStore.default()
     )
-    fmt = options.get("--format", "table")
-    if fmt not in LIST_FORMATS:
-        raise CLIError(
-            f"invalid cache format '{fmt}'; valid: {', '.join(LIST_FORMATS)}"
-        )
     if action == "stats":
         stats = store.stats()
-        if fmt == "json":
+        if options.get("--format") == "json":
             import json
 
             print(json.dumps(stats.to_dict(), indent=2))
@@ -612,27 +639,11 @@ def _cmd_cache(args: list[str]) -> int:
         removed = store.clear()
         print(f"removed {removed} entries from {store.root}")
         return 0
-    max_entries = None
-    if "--max-entries" in options:
-        try:
-            max_entries = int(options["--max-entries"])
-        except ValueError:
-            raise CLIError(
-                f"--max-entries: invalid int '{options['--max-entries']}'"
-            ) from None
-        if max_entries < 0:
-            raise CLIError("--max-entries must be >= 0")
-    max_age_s = None
-    if "--max-age-days" in options:
-        try:
-            max_age_s = float(options["--max-age-days"]) * 86400.0
-        except ValueError:
-            raise CLIError(
-                f"--max-age-days: invalid number '{options['--max-age-days']}'"
-            ) from None
-        if max_age_s < 0:
-            raise CLIError("--max-age-days must be >= 0")
-    removed = store.evict(max_entries=max_entries, max_age_s=max_age_s)
+    max_age_s = None if max_age_days is None else max_age_days * 86400.0
+    try:
+        removed = store.evict(max_entries=max_entries, max_age_s=max_age_s)
+    except ValueError as exc:  # finite days can overflow to infinite seconds
+        raise CLIError(f"--max-age-days: {exc}") from None
     print(f"evicted {removed} entries from {store.root}")
     return 0
 
@@ -666,28 +677,18 @@ def _configure_store(no_store: bool) -> None:
         _attach_store(None)
 
 
-def _cmd_run(args: list[str]) -> int:
-    no_store = "--no-store" in args
-    args = [a for a in args if a != "--no-store"]
-    selectors, options, param_tokens = _split_args(
-        args, ("--format", "--out", "--jobs"), collect_params=True
-    )
+def _cmd_run(selectors: list[str], options: Options, params: Params) -> int:
     if not selectors:
         raise CLIError("no experiments selected; pass ids, tag:TAG or 'all'")
-
     fmt = options.get("--format", "table")
-    if fmt not in RUN_FORMATS:
-        raise CLIError(f"invalid format '{fmt}'; valid: {', '.join(RUN_FORMATS)}")
-    jobs = _parse_jobs(options.get("--jobs", "1"))
-    out_dir = Path(options["--out"]) if "--out" in options else None
-    _configure_store(no_store)
-
+    jobs = _number(options, "--jobs", low=1) or 1
     experiments = _select(selectors)
-    overrides = _resolve_param_flags(param_tokens, experiments)
+    overrides = _resolve_param_flags(params, experiments)
+    _configure_store("--no-store" in options)
     results = run_many(experiments, overrides, jobs=jobs)
 
-    if out_dir is not None:
-        _write_artifacts(results, fmt, out_dir)
+    if "--out" in options:
+        _write_artifacts(results, fmt, Path(options["--out"]))
     else:
         _print_results(results, fmt, sys.stdout)
     return 0
@@ -696,39 +697,23 @@ def _cmd_run(args: list[str]) -> int:
 # -- repro shard / repro assemble ---------------------------------------------
 
 
-def _parse_int_option(options: dict[str, str], flag: str) -> int:
-    """The required integer value of ``flag``, as a one-line error otherwise."""
-    if flag not in options:
-        raise CLIError(f"missing required option {flag}")
-    try:
-        return int(options[flag])
-    except ValueError:
-        raise CLIError(f"{flag}: invalid int '{options[flag]}'") from None
-
-
-def _cmd_shard(args: list[str]) -> int:
+def _cmd_shard(selectors: list[str], options: Options, params: Params) -> int:
     """Run one deterministic shard of an experiment selection into the store."""
     from repro.perf.distributed import Shard, shard_experiments
 
-    selectors, options, param_tokens = _split_args(
-        args,
-        ("--index", "--count", "--store", "--pack", "--jobs"),
-        collect_params=True,
-    )
     if not selectors:
         raise CLIError("no experiments selected; pass ids, tag:TAG or 'all'")
+    for flag in ("--index", "--count"):
+        if flag not in options:
+            raise CLIError(f"missing required option {flag}")
     try:
-        shard = Shard(
-            _parse_int_option(options, "--index"),
-            _parse_int_option(options, "--count"),
-        )
+        shard = Shard(_number(options, "--index"), _number(options, "--count"))
     except ValueError as exc:
         raise CLIError(str(exc)) from None
-    jobs = _parse_jobs(options.get("--jobs", "1"))
-    store = _attach_store(options.get("--store"))
-
+    jobs = _number(options, "--jobs", low=1) or 1
     experiments = _select(selectors)
-    overrides = _resolve_param_flags(param_tokens, experiments)
+    overrides = _resolve_param_flags(params, experiments)
+    store = _attach_store(options.get("--store"))
     mine = shard_experiments(experiments, shard, overrides)
     print(
         f"shard {shard.index}/{shard.count}: {len(mine)} of "
@@ -743,29 +728,25 @@ def _cmd_shard(args: list[str]) -> int:
     return 0
 
 
-def _cmd_assemble(args: list[str]) -> int:
+def _cmd_assemble(packs: list[str], options: Options, params: Params) -> int:
     """Merge shard packs into one store and replay the results store-warm."""
     from repro.perf.distributed import assemble_packs, normalize_result_json
     from repro.perf.store import PackConflictError
 
-    no_run = "--no-run" in args
-    args = [a for a in args if a != "--no-run"]
-    packs, options, param_tokens = _split_args(
-        args,
-        ("--store", "--run", "--format", "--out", "--check"),
-        collect_params=True,
-    )
     if not packs:
         raise CLIError(
             "no shard packs given; pass pack files written by 'repro shard --pack'"
         )
-    if no_run and param_tokens:
+    no_run = "--no-run" in options
+    if no_run and params:
         raise CLIError(
             "--<param> flags apply to the replay; drop --no-run to use them"
         )
     fmt = options.get("--format", "json")
-    if fmt not in RUN_FORMATS:
-        raise CLIError(f"invalid format '{fmt}'; valid: {', '.join(RUN_FORMATS)}")
+    experiments = _select([s for s in options.get("--run", "all").split(",") if s])
+    # The result-tier keys hash parameter values, so the replay must carry
+    # the same overrides the shard runs were given.
+    overrides = _resolve_param_flags(params, experiments)
 
     store = _attach_store(options.get("--store"))
     try:
@@ -778,12 +759,6 @@ def _cmd_assemble(args: list[str]) -> int:
     )
     if no_run:
         return 0
-
-    selectors = [s for s in options.get("--run", "all").split(",") if s]
-    experiments = _select(selectors)
-    # The result-tier keys hash parameter values, so the replay must carry
-    # the same overrides the shard runs were given.
-    overrides = _resolve_param_flags(param_tokens, experiments)
     results = run_many(experiments, overrides)
     if "--out" in options:
         _write_artifacts(results, fmt, Path(options["--out"]))
@@ -831,14 +806,6 @@ def _parse_shard_option(text: str):
         return Shard(index, count)
     except ValueError as exc:
         raise CLIError(f"--shard: {exc}") from None
-
-
-def _parse_float_option(options: dict[str, str], flag: str) -> float:
-    """The float value of ``flag`` (present in ``options``), or a CLI error."""
-    try:
-        return float(options[flag])
-    except ValueError:
-        raise CLIError(f"{flag}: invalid number '{options[flag]}'") from None
 
 
 def _plan_point_dict(evaluated) -> dict[str, Any]:
@@ -920,7 +887,7 @@ def _render_plan(document: dict[str, Any], fmt: str) -> str:
     return summary + "\n" + _plan_table(document)
 
 
-def _cmd_plan(args: list[str]) -> int:
+def _cmd_plan(operands: list[str], options: Options, _params: Params) -> int:
     """Search a fleet plan space: evaluate, reduce to the Pareto frontier."""
     import time
 
@@ -935,46 +902,23 @@ def _cmd_plan(args: list[str]) -> int:
         space_digest,
     )
 
-    no_store = "--no-store" in args
-    args = [a for a in args if a != "--no-store"]
-    positionals, options, _ = _split_args(
-        args,
-        (
-            "--shard",
-            "--pack",
-            "--format",
-            "--out",
-            "--check",
-            "--store",
-            "--jobs",
-            "--sla-ms",
-            "--min-attainment",
-        ),
-    )
-    if len(positionals) != 1:
+    if len(operands) != 1:
         raise CLIError(
             "pass exactly one plan spec (a built-in name or a JSON spec file)"
         )
     fmt = options.get("--format", "table")
-    if fmt not in RUN_FORMATS:
-        raise CLIError(f"invalid format '{fmt}'; valid: {', '.join(RUN_FORMATS)}")
     shard = _parse_shard_option(options["--shard"]) if "--shard" in options else None
-    jobs = _parse_jobs(options.get("--jobs", "1"))
-    sla_ms = _parse_float_option(options, "--sla-ms") if "--sla-ms" in options else None
-    min_attainment = (
-        _parse_float_option(options, "--min-attainment")
-        if "--min-attainment" in options
-        else None
-    )
-    if min_attainment is not None and not 0.0 <= min_attainment <= 1.0:
-        raise CLIError(f"--min-attainment must be in [0, 1], got {min_attainment}")
+    jobs = _number(options, "--jobs", low=1) or 1
+    sla_ms = _number(options, "--sla-ms", float, low=0, strict=True)
+    min_attainment = _number(options, "--min-attainment", float, low=0, high=1)
+    no_store = "--no-store" in options
     if no_store and "--store" in options:
         raise CLIError("--no-store and --store are mutually exclusive")
     if no_store and "--pack" in options:
         raise CLIError("--pack exports the store; drop --no-store to use it")
 
     try:
-        space = load_space(positionals[0])
+        space = load_space(operands[0])
     except ValueError as exc:
         raise CLIError(str(exc)) from exc
 
@@ -1058,24 +1002,21 @@ def _cmd_plan(args: list[str]) -> int:
     return 0
 
 
-def _cmd_trace(args: list[str]) -> int:
+def _cmd_trace(operands: list[str], options: Options, _params: Params) -> int:
     """Validate a serving-log trace; summarize or re-emit it."""
     from repro.serve.traffic import TraceFormatError, load_trace, trace_to_jsonl
 
-    summarize = "--summarize" in args
-    to_json = "--to-json" in args
-    args = [a for a in args if a not in ("--summarize", "--to-json")]
-    positionals, _, _ = _split_args(args, ())
-    if len(positionals) != 1:
+    summarize, to_json = "--summarize" in options, "--to-json" in options
+    if len(operands) != 1:
         raise CLIError("pass exactly one trace file (.csv or .jsonl)")
     if summarize and to_json:
         raise CLIError("--summarize and --to-json are mutually exclusive")
     try:
-        trace = load_trace(positionals[0])
+        trace = load_trace(operands[0])
     except TraceFormatError as exc:
         raise CLIError(str(exc)) from None
     except OSError as exc:
-        raise CLIError(f"{positionals[0]}: {exc.strerror or exc}") from None
+        raise CLIError(f"{operands[0]}: {exc.strerror or exc}") from None
     if to_json:
         sys.stdout.write(trace_to_jsonl(trace.requests))
         return 0
@@ -1102,60 +1043,6 @@ def _cmd_trace(args: list[str]) -> int:
     return 0
 
 
-def _flag_value(args: list[str], i: int) -> tuple[str, str, int]:
-    token = args[i]
-    if "=" in token:
-        flag, value = token.split("=", 1)
-        return flag, value, 1
-    if i + 1 >= len(args) or args[i + 1].startswith("--"):
-        raise CLIError(f"missing value for {token}")
-    return token, args[i + 1], 2
-
-
-def _split_args(
-    args: list[str],
-    known_flags: tuple[str, ...],
-    collect_params: bool = False,
-) -> tuple[list[str], dict[str, str], list[tuple[str, str]]]:
-    """Split raw args into positionals, known options and param flags.
-
-    Flags outside ``known_flags`` are collected as per-experiment parameter
-    tokens when ``collect_params`` is set and rejected with a one-line
-    error otherwise.
-    """
-    positionals: list[str] = []
-    options: dict[str, str] = {}
-    param_tokens: list[tuple[str, str]] = []
-    i = 0
-    while i < len(args):
-        token = args[i]
-        if token.startswith("--"):
-            flag, value, consumed = _flag_value(args, i)
-            if flag in known_flags:
-                options[flag] = value
-            elif collect_params:
-                param_tokens.append((flag, value))
-            else:
-                raise CLIError(
-                    f"unknown option '{flag}'; valid: {', '.join(known_flags)}"
-                )
-            i += consumed
-        else:
-            positionals.append(token)
-            i += 1
-    return positionals, options, param_tokens
-
-
-def _parse_jobs(text: str) -> int:
-    try:
-        jobs = int(text)
-    except ValueError:
-        raise CLIError(f"--jobs: invalid int '{text}'") from None
-    if jobs < 1:
-        raise CLIError("--jobs must be >= 1")
-    return jobs
-
-
 def _select(selectors: list[str]) -> list[Experiment]:
     """Resolve ids / ``tag:`` groups / ``all`` into a deduped run list."""
     chosen: dict[str, Experiment] = {}
@@ -1180,7 +1067,7 @@ def _select(selectors: list[str]) -> list[Experiment]:
 
 
 def _resolve_param_flags(
-    param_tokens: list[tuple[str, str]], experiments: list[Experiment]
+    params: Params, experiments: list[Experiment]
 ) -> dict[str, dict[str, Any]]:
     """Map ``--flag value`` pairs onto each selected experiment's params."""
     by_flag: dict[str, list[tuple[Experiment, Any]]] = {}
@@ -1188,7 +1075,7 @@ def _resolve_param_flags(
         for param in exp.params:
             by_flag.setdefault(param.flag, []).append((exp, param))
     overrides: dict[str, dict[str, Any]] = {exp.id: {} for exp in experiments}
-    for flag, text in param_tokens:
+    for flag, text in params:
         if flag not in by_flag:
             valid = ", ".join(sorted(by_flag)) or "(none for this selection)"
             raise CLIError(f"unknown parameter '{flag}'; valid: {valid}")
@@ -1323,6 +1210,21 @@ def _write_artifacts(
         text = _render(result, fmt)
         path.write_text(text if text.endswith("\n") else text + "\n")
         print(f"wrote {path}")
+
+
+#: ``repro <command>`` -> handler of its parsed operands, options and params.
+_HANDLERS = {
+    "list": _cmd_list,
+    "run": _cmd_run,
+    "shard": _cmd_shard,
+    "assemble": _cmd_assemble,
+    "plan": _cmd_plan,
+    "trace": _cmd_trace,
+    "docs": _cmd_docs,
+    "lint": _cmd_lint,
+    "bench": _cmd_bench,
+    "cache": _cmd_cache,
+}
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__.py

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import sys
 import threading
@@ -756,14 +757,15 @@ class ResultStore:
 
         ``max_entries`` keeps at most that many newest current-schema
         entries; ``max_age_s`` drops entries older than the horizon.  Either
-        bound may be None; negative bounds are rejected (a negative slice
-        would silently doom the whole store).  Stale-schema generations are
-        always evicted.  Returns the number of files removed.
+        bound may be None; negative or non-finite bounds are rejected (a
+        negative slice would silently doom the whole store, a NaN age would
+        silently drop the bound).  Stale-schema generations are always
+        evicted.  Returns the number of files removed.
         """
-        if max_entries is not None and max_entries < 0:
-            raise ValueError(f"max_entries must be >= 0, got {max_entries}")
-        if max_age_s is not None and max_age_s < 0:
-            raise ValueError(f"max_age_s must be >= 0, got {max_age_s}")
+        if max_entries is not None and not 0 <= max_entries < math.inf:
+            raise ValueError(f"max_entries must be finite and >= 0, got {max_entries}")
+        if max_age_s is not None and not 0 <= max_age_s < math.inf:
+            raise ValueError(f"max_age_s must be finite and >= 0, got {max_age_s}")
         removed = 0
         for path in self._entry_files(schema_only=False):
             if not self._is_current_schema(path):

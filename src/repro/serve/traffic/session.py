@@ -19,6 +19,7 @@ Certified by ``tests/serve/stream_conformance.py`` like every stream.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Iterator
 
@@ -60,8 +61,10 @@ class SessionStream(RequestStream):
         if num_sessions < 1 or frames_per_session < 1:
             raise ValueError("num_sessions and frames_per_session must be >= 1")
         require_positive("fps", fps)
-        if start_spread_s < 0.0:
-            raise ValueError("start_spread_s must be non-negative")
+        if not 0.0 <= start_spread_s < math.inf:
+            raise ValueError(
+                f"start_spread_s must be finite and >= 0, got {start_spread_s}"
+            )
         period = 1.0 / fps
         if not 0.0 <= jitter_s < period:
             raise ValueError(

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.experiments import EXPERIMENTS
-from repro.experiments.cli import main
+from repro.experiments.cli import COMMANDS, _parse, main
 
 
 def run_cli(capsys, *argv):
@@ -279,12 +279,28 @@ class TestCache:
         assert code == 2
         assert ">= 0" in err
 
+    @pytest.mark.parametrize("days", ["nan", "inf", "1e306"])
+    def test_evict_non_finite_age_exits_2(self, capsys, monkeypatch, tmp_path, days):
+        # 1e306 days is finite but overflows to an infinite age in seconds.
+        from repro.perf.store import ResultStore
+
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))
+        run_cli(capsys, "run", "fig04")
+        store = ResultStore(tmp_path)
+        entries = store.stats().entries
+        assert entries > 0
+        code, out, err = run_cli(capsys, "cache", "evict", "--max-age-days", days)
+        assert code == 2
+        assert err.count("\n") == 1 and "--max-age-days" in err
+        assert out == ""
+        assert store.stats().entries == entries  # nothing was evicted
+
     def test_stats_bad_format_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "cache", "stats", "--dir", str(tmp_path), "--format", "josn"
         )
         assert code == 2
-        assert "invalid cache format" in err
+        assert "invalid format 'josn'" in err
 
     def test_clear_rejects_eviction_bounds(self, capsys, tmp_path):
         # `clear --max-age-days 30` must not silently wipe everything.
@@ -361,3 +377,92 @@ class TestDocs:
         code, out, _ = run_cli(capsys, "docs", "--check")
         assert code == 0 and "up to date" in out
         assert not (tmp_path / "docs").exists()
+
+
+#: Arguments that make each command valid apart from the flag under test.
+VALID_ARGS = {
+    "list": (),
+    "run": ("fig06",),
+    "shard": ("fig06", "--index", "0", "--count", "1"),
+    "assemble": ("shard.json",),
+    "plan": ("tiny",),
+    "trace": ("trace.csv",),
+    "docs": (),
+    "lint": (),
+    "bench": (),
+    "cache": ("stats",),
+}
+
+DOCUMENTED = [
+    pytest.param(spec, option, id=f"{spec.name}{option.flag}")
+    for spec in COMMANDS
+    for option in spec.options
+    if option.flag != "--<param>"
+]
+
+
+def sample_words(option):
+    """A representative value: the first choice, else one word per placeholder."""
+    return [word.split("|")[0] for word in option.value.split()]
+
+
+class TestSpecIsTheParser:
+    """COMMANDS documents the CLI and is also what parses it."""
+
+    @pytest.mark.parametrize("spec,option", DOCUMENTED)
+    def test_documented_option_is_accepted_in_both_forms(self, spec, option):
+        words = sample_words(option)
+        if not words:
+            assert _parse(spec, [option.flag]) == ([], {option.flag: True}, [])
+            return
+        expected = words[0] if len(words) == 1 else tuple(words)
+        for args in (
+            [option.flag, *words],
+            [f"{option.flag}={words[0]}", *words[1:]],
+        ):
+            assert _parse(spec, args) == ([], {option.flag: expected}, [])
+
+    @pytest.mark.parametrize("spec", COMMANDS, ids=lambda spec: spec.name)
+    def test_undocumented_flag_is_rejected(self, capsys, spec):
+        takes_params = any(option.flag == "--<param>" for option in spec.options)
+        code, _, err = run_cli(
+            capsys, spec.name, *VALID_ARGS[spec.name], "--frobnicate", "1"
+        )
+        assert code == 2 and err.count("\n") == 1
+        kind = "parameter" if takes_params else "option"
+        assert f"unknown {kind} '--frobnicate'" in err
+
+    @pytest.mark.parametrize(
+        "spec,option", [p for p in DOCUMENTED if p.values[1].value]
+    )
+    def test_missing_value_exits_2(self, capsys, spec, option):
+        code, _, err = run_cli(capsys, spec.name, *VALID_ARGS[spec.name], option.flag)
+        assert code == 2 and err.count("\n") == 1
+        assert f"missing value for {option.flag}" in err
+
+    @pytest.mark.parametrize(
+        "spec,option", [p for p in DOCUMENTED if "|" in p.values[1].value]
+    )
+    def test_value_outside_the_choices_exits_2(self, capsys, spec, option):
+        code, _, err = run_cli(
+            capsys, spec.name, *VALID_ARGS[spec.name], option.flag, "bogus"
+        )
+        assert code == 2 and err.count("\n") == 1
+        assert f"invalid {option.flag[2:]} 'bogus'" in err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("--compare", "a.json"),
+            ("--compare=a.json",),
+            ("--compare", "a.json", "--quick"),
+        ],
+    )
+    def test_compare_needs_two_paths(self, capsys, args):
+        code, _, err = run_cli(capsys, "bench", *args)
+        assert code == 2 and err.count("\n") == 1
+        assert "missing value for --compare" in err
+
+    def test_boolean_flag_takes_no_value(self, capsys):
+        code, _, err = run_cli(capsys, "run", "fig06", "--no-store=yes")
+        assert code == 2 and "--no-store takes no value" in err

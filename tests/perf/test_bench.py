@@ -307,7 +307,7 @@ class TestCompareBench:
 
     def test_cli_compare_needs_two_paths(self, tmp_path, capsys):
         assert cli.main(["bench", "--compare", str(tmp_path / "a.json")]) == 2
-        assert "two BENCH file paths" in capsys.readouterr().err
+        assert "missing value for --compare" in capsys.readouterr().err
 
     def test_cli_compare_mismatch_exits_2(self, quick_document, tmp_path, capsys):
         a = tmp_path / "a.json"

@@ -62,6 +62,18 @@ class TestErrorPaths:
         self.assert_one_liner(code, err, "infeasible constraint")
         assert "p99 <= 0.001 ms" in err
 
+    @pytest.mark.parametrize("sla_ms", ["nan", "inf", "0", "-1"])
+    def test_bad_sla_is_rejected_before_evaluation(self, capsys, monkeypatch, sla_ms):
+        def evaluate_space(*args, **kwargs):
+            raise AssertionError("the space was evaluated")
+
+        monkeypatch.setattr("repro.plan.evaluate_space", evaluate_space)
+        code, out, err = run_cli(
+            capsys, "plan", "tiny", "--no-store", "--sla-ms", sla_ms
+        )
+        self.assert_one_liner(code, err, "--sla-ms")
+        assert out == ""
+
     def test_missing_spec_operand(self, capsys):
         code, _, err = run_cli(capsys, "plan")
         self.assert_one_liner(code, err, "exactly one plan spec")

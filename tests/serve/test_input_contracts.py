@@ -132,8 +132,8 @@ def run_autoscaled(tick_s):
     ).run(requests)
 
 
-#: (label, control-plane or planner input exercised with one value): each
-#: must raise ValueError on a non-finite value and accept ``GOOD``.
+#: (label, control-plane, planner or stream input exercised with one value):
+#: each must raise ValueError on a non-finite value and accept ``GOOD``.
 CONTROL_CASES = (
     ("control.tick_s", run_autoscaled),
     ("control.provision_delay_s", lambda v: ControlConfig(provision_delay_s=v)),
@@ -143,6 +143,12 @@ CONTROL_CASES = (
     ("traffic.rate_rps", lambda v: TrafficSpec(MIX, v, 1.0, 100.0)),
     ("traffic.duration_s", lambda v: TrafficSpec(MIX, 5.0, v, 100.0)),
     ("traffic.sla_ms", lambda v: TrafficSpec(MIX, 5.0, 1.0, v)),
+    # 0 is a valid spread (all sessions start together), so only the
+    # non-finite values apply: NaN used to start every session at 0.0.
+    (
+        "session.start_spread_s",
+        lambda v: SessionStream(MIX, 2, 3, start_spread_s=v).generate(seed=0),
+    ),
 )
 
 #: The values a plain ``x <= 0`` / ``x < lower`` guard let through.
