@@ -27,10 +27,6 @@ class Camera:
         if self.focal <= 0:
             raise ValueError("focal length must be positive")
 
-    @property
-    def num_pixels(self) -> int:
-        return self.width * self.height
-
 
 def generate_rays(camera: Camera) -> tuple[np.ndarray, np.ndarray]:
     """Generate one ray per pixel.

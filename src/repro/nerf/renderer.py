@@ -15,6 +15,7 @@ each stage, which backs the Fig. 13(a) experiment.
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -54,6 +55,11 @@ def render_reference(
     return image.reshape(camera.height, camera.width, 3)
 
 
+def _encode_table(table: np.ndarray) -> str:
+    """Base64 of a table's raw little-endian float64 bytes (an asset payload entry)."""
+    return base64.b64encode(np.ascontiguousarray(table, dtype="<f8").tobytes()).decode("ascii")
+
+
 @dataclass(frozen=True)
 class RenderPlan:
     """The precision-independent half of an Instant-NGP render.
@@ -81,10 +87,6 @@ class RenderStats:
     num_rays: int = 0
     num_samples: int = 0
     skipped_samples: int = 0
-
-    @property
-    def skip_fraction(self) -> float:
-        return self.skipped_samples / self.num_samples if self.num_samples else 0.0
 
 
 class VanillaNeRFRenderer:
@@ -197,53 +199,66 @@ class InstantNGPRenderer:
     ) -> None:
         """Populate the hash tables from the scene's density / colour fields.
 
-        With a ``store``, fitted tables are read from / written to the
-        store's asset tier (keyed on scene fingerprint + grid config): a
-        warm fit is a JSON load, not a field sweep, and reloads the exact
-        IEEE-754 doubles the cold fit produced.
+        Fields come from one separable lattice query per level
+        (:meth:`SyntheticScene.lattice_fields`).  With a ``store``, fitted
+        tables are read from / written to the store's asset tier (keyed on
+        scene fingerprint + grid config) as base64 of their raw
+        little-endian float64 bytes: a warm fit is a decode, not a field
+        sweep, and reloads the exact IEEE-754 doubles the cold fit produced.
         """
         self.scene = scene
         if store is not None:
             key = self.asset_key(scene)
-            payload = store.get(key)
-            tables = payload.get("tables") if payload else None
-            if isinstance(tables, list) and len(tables) == self.config.num_levels:
-                self.grid.tables = [
-                    np.asarray(table, dtype=np.float64) for table in tables
-                ]
+            tables = self._decode_tables(store.get(key))
+            if tables is not None:
+                self.grid.tables = tables
                 return
         low, high = scene.bounds
         for level in range(self.config.num_levels):
             resolution = self.config.resolution(level)
             table_size = self.grid.tables[level].shape[0]
             axis = np.linspace(0.0, 1.0, resolution + 1)
-            gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
-            vertices01 = np.stack([gx, gy, gz], axis=-1).reshape(-1, 3)
-            vertices_world = low + vertices01 * (high - low)
-            # One fused field pass per level instead of separate density and
-            # colour sweeps over the same vertices.
-            raw_density, color, _ = scene.fields(vertices_world)
-            density = raw_density / 30.0
-            features = np.concatenate([density[:, None], color], axis=-1)
-            corner_ids = np.stack(
+            raw_density, color = scene.lattice_fields(low + axis * (high - low))
+            features = np.concatenate([(raw_density / 30.0)[:, None], color], axis=-1)
+            # Truncating ``axis * resolution`` can land a vertex on its
+            # neighbour's id; kept as is because goldens depend on it.
+            ids = np.clip(axis * resolution, 0, resolution).astype(np.int64)
+            corner_ids = np.stack(np.meshgrid(ids, ids, ids, indexing="ij"), axis=-1)
+            indices = self.grid._indices(corner_ids.reshape(-1, 3), level)
+            # bincount sums in input order, which the golden tables depend on.
+            table = np.stack(
                 [
-                    np.clip((vertices01[:, 0] * resolution), 0, resolution).astype(np.int64),
-                    np.clip((vertices01[:, 1] * resolution), 0, resolution).astype(np.int64),
-                    np.clip((vertices01[:, 2] * resolution), 0, resolution).astype(np.int64),
+                    np.bincount(indices, weights=column, minlength=table_size)
+                    for column in features.T
                 ],
                 axis=-1,
             )
-            indices = self.grid._indices(corner_ids, level)
-            table = np.zeros((table_size, self.config.features_per_level))
-            counts = np.zeros(table_size)
-            np.add.at(table, indices, features)
-            np.add.at(counts, indices, 1.0)
-            counts = np.maximum(counts, 1.0)
+            counts = np.maximum(np.bincount(indices, minlength=table_size), 1)
             self.grid.tables[level] = table / counts[:, None]
         if store is not None:
-            store.put(
-                key, {"tables": [table.tolist() for table in self.grid.tables]}
-            )
+            store.put(key, {"tables": [_encode_table(table) for table in self.grid.tables]})
+
+    def _decode_tables(self, payload: dict | None) -> list[np.ndarray] | None:
+        """The tables of a stored asset payload, or None if it does not fit this grid.
+
+        A wrong level count, a non-string or non-base64 entry, or a byte
+        length other than the level's table shape is a miss, so the caller
+        refits and overwrites the entry.
+        """
+        entries = payload.get("tables") if payload else None
+        if not isinstance(entries, list) or len(entries) != self.config.num_levels:
+            return None
+        tables = []
+        for level, entry in enumerate(entries):
+            shape = (self.grid._level_table_size(level), self.config.features_per_level)
+            try:
+                raw = base64.b64decode(entry, validate=True)
+            except (TypeError, ValueError):
+                return None
+            if len(raw) != shape[0] * shape[1] * 8:
+                return None
+            tables.append(np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64))
+        return tables
 
     # -- decoding ------------------------------------------------------------
 

@@ -24,6 +24,7 @@ from repro.core.device import canonical_digest
 #: kernel: caps the per-chunk (rows, P) GEMM output at ~16 MB of float64 so
 #: large query batches never materialize a full (N, P) distance matrix at
 #: once (and never the (N, P, 3) broadcast cube the reference path builds).
+#: The lattice scan caps its (rows, len(axis), P) blocks by the same budget.
 _CHUNK_BUDGET = 1 << 21
 
 
@@ -125,6 +126,41 @@ class SyntheticScene:
         density = density.reshape(lead)
         colors = self._colors[nearest].reshape(lead + (3,))
         return density, colors, density > 0.0
+
+    def lattice_fields(self, axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(density, color)`` at the vertices of the cubic lattice ``axis``³.
+
+        Vertex ``(i, j, k)`` sits at ``(axis[i], axis[j], axis[k])`` for an
+        ascending ``axis``; the ``len(axis)**3`` results are flat in
+        ``meshgrid(..., indexing="ij")`` order.  The lattice is separable,
+        so squared distances are sums of per-axis ``(m, P)`` offset tables
+        instead of a GEMM per vertex.  Nearest-centre colour scans every
+        primitive in chunks of ``(x, y)`` rows; ties go to the lowest
+        index, as ``argmin`` does.  Density is exactly zero beyond a
+        sphere's radius, so each primitive is evaluated only on the index
+        box around it (one vertex wider on each side, which covers any
+        rounding in the box bounds).
+        """
+        axis = np.asarray(axis, dtype=np.float64)
+        m = axis.shape[0]
+        dx2, dy2, dz2 = ((axis[:, None] - self._centers[:, d]) ** 2 for d in range(3))
+
+        nearest = np.empty((m * m, m), dtype=np.intp)
+        chunk = max(1, _CHUNK_BUDGET // max(1, m * self.num_primitives))
+        for lo in range(0, m * m, chunk):
+            rows = np.arange(lo, min(lo + chunk, m * m))
+            dxy = dx2[rows // m] + dy2[rows % m]  # (rows, P)
+            nearest[lo : lo + chunk] = np.argmin(dxy[:, None, :] + dz2, axis=-1)
+
+        starts = np.maximum(np.searchsorted(axis, self._centers - self._radii[:, None]) - 1, 0)
+        stops = np.searchsorted(axis, self._centers + self._radii[:, None], side="right") + 1
+        inside = np.zeros((m, m, m))
+        for p, radius in enumerate(self._radii):
+            (x0, y0, z0), (x1, y1, z1) = starts[p], stops[p]
+            dists = np.sqrt((dx2[x0:x1, p, None, None] + dy2[y0:y1, p, None]) + dz2[z0:z1, p])
+            box = inside[x0:x1, y0:y1, z0:z1]
+            np.maximum(box, np.clip((radius - dists) / (0.1 * radius), 0.0, 1.0), out=box)
+        return 30.0 * inside.reshape(-1), self._colors[nearest.reshape(-1)]
 
     def density(self, points: np.ndarray) -> np.ndarray:
         """Volume density at ``points`` of shape (..., 3)."""

@@ -66,7 +66,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Generation of the store's serialization format *and* of the simulation
 #: semantics fingerprints cannot observe.  Bump on either kind of change;
 #: entries from other generations are never read (see ``docs/performance.md``).
-STORE_SCHEMA_VERSION = 2
+STORE_SCHEMA_VERSION = 3
 
 #: Environment variable overriding the default store location.
 STORE_DIR_ENV = "REPRO_STORE_DIR"
@@ -248,7 +248,8 @@ class GridAssetKey(ContentKey):
     renderers.  Fitting-algorithm changes fingerprints cannot see are
     covered by the shared :data:`STORE_SCHEMA_VERSION` bump rule, exactly
     as for the frame and result tiers.  The payload is ``{"tables": [...]}``,
-    nested float lists that reload the exact IEEE-754 doubles.
+    one entry per level: base64 of the table's raw little-endian float64
+    bytes, which reloads the exact IEEE-754 doubles.
     """
 
     scene_fingerprint: str

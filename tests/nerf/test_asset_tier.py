@@ -2,14 +2,19 @@
 
 ``InstantNGPRenderer.fit_to_scene(scene, store=...)`` writes the fitted
 tables into a content-addressed asset entry keyed on (scene fingerprint,
-grid-config fingerprint, store schema).  A warm fit must be a pure JSON
-load: bit-identical tables, and *zero* queries of the scene fields.
+grid-config fingerprint, store schema), one base64 string of raw float64
+bytes per level.  A warm fit must be a pure decode: bit-identical tables,
+and *zero* queries of the scene fields.  A payload that does not fit the
+grid is a miss: the fit runs again and overwrites it.
 """
+
+import base64
 
 import numpy as np
 import pytest
 
 from repro.nerf.hashgrid import HashGridConfig
+from repro.nerf.rays import Camera
 from repro.nerf.renderer import InstantNGPRenderer
 from repro.nerf.scenes import get_scene
 from repro.perf.store import GridAssetKey, ResultStore
@@ -54,6 +59,8 @@ class TestWarmFit:
         payload = store.get(renderer.asset_key(scene))
         assert payload is not None
         assert len(payload["tables"]) == CONFIG.num_levels
+        for entry, table in zip(payload["tables"], renderer.grid.tables):
+            assert base64.b64decode(entry) == table.astype("<f8").tobytes()
 
     def test_warm_fit_is_bit_identical(self, store):
         scene = get_scene("mic")
@@ -71,7 +78,8 @@ class TestWarmFit:
         def bomb(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError("warm fit queried the scene fields")
 
-        monkeypatch.setattr(type(scene), "fields", bomb)
+        for name in ("lattice_fields", "fields", "density", "color"):
+            monkeypatch.setattr(type(scene), name, bomb)
         warm = InstantNGPRenderer(CONFIG)
         warm.fit_to_scene(scene, store=store)
         assert warm.scene is scene
@@ -98,3 +106,40 @@ class TestWarmFit:
         renderer = InstantNGPRenderer(CONFIG)
         renderer.fit_to_scene(get_scene("mic"))
         assert any(np.any(table) for table in renderer.grid.tables)
+
+
+def _valid_entry(level, extra_rows=0):
+    rows = InstantNGPRenderer(CONFIG).grid._level_table_size(level) + extra_rows
+    return base64.b64encode(np.zeros((rows, CONFIG.features_per_level)).tobytes()).decode()
+
+
+MALFORMED = {
+    "too-few-levels": [_valid_entry(level) for level in range(CONFIG.num_levels - 1)],
+    "too-many-levels": [_valid_entry(0)] * (CONFIG.num_levels + 1),
+    "float-lists": [[1.0, 2.0]] * CONFIG.num_levels,
+    "non-string": [_valid_entry(0), 7, None, {"b": 1}],
+    "invalid-base64": ["not base64!"] + [_valid_entry(level) for level in range(1, CONFIG.num_levels)],
+    "short-bytes": [base64.b64encode(b"\0" * 16).decode()] * CONFIG.num_levels,
+    "long-bytes": [_valid_entry(level, extra_rows=1) for level in range(CONFIG.num_levels)],
+}
+
+
+class TestMalformedAsset:
+    """A stored payload that does not fit the grid is a miss, then refitted."""
+
+    @pytest.mark.parametrize("tables", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_refits_and_overwrites(self, store, tables):
+        scene = get_scene("mic")
+        reference = InstantNGPRenderer(CONFIG)
+        reference.fit_to_scene(scene)
+        key = reference.asset_key(scene)
+        store.put(key, {"tables": tables})
+
+        warm = InstantNGPRenderer(CONFIG)
+        warm.fit_to_scene(scene, store=store)
+        for got, want in zip(warm.grid.tables, reference.grid.tables, strict=True):
+            np.testing.assert_array_equal(got, want)
+        warm.render(Camera(width=8, height=8, focal=9.6), num_samples=8)
+
+        again = InstantNGPRenderer(CONFIG)
+        assert again._decode_tables(store.get(key)) is not None
