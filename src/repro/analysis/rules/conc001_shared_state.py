@@ -122,10 +122,11 @@ def _own_nodes(statement: ast.stmt) -> Iterator[ast.AST]:
 class SharedStateRule(ModuleRule):
     """Flag unlocked mutation of module/class-level state on parallel paths.
 
-    The sweep engine fans experiments over threads (``repro run --jobs``)
-    and cache misses over a process pool; any module-level or class-level
-    mutable container mutated on those paths without a lock is a data race
-    -- lost updates at best, corrupted caches at worst.  The engine's own
+    The ``--jobs`` option of ``repro run``, ``repro shard`` and ``repro
+    plan`` runs experiments and plan points on a thread pool against one
+    shared sweep engine; any module-level or class-level mutable container
+    mutated on those paths without a lock is a data race -- lost updates
+    at best, corrupted caches at worst.  The engine's own
     caches mutate under ``self._lock``; mutations lexically inside a
     ``with <...lock...>:`` block, and instance state assigned per object,
     are recognised as safe.
@@ -134,12 +135,12 @@ class SharedStateRule(ModuleRule):
     id = "CONC001"
     title = "unlocked shared-state mutation on a parallel code path"
     rationale = (
-        "repro run --jobs and the process-pool prefill run this code "
+        "the --jobs thread pools of repro run, shard and plan run this code "
         "concurrently; mutating module- or class-level containers without "
         "a lock races, silently corrupting caches and statistics.  Guard "
         "the mutation with a lock, as the engine's caches do."
     )
-    #: The subsystems that execute under threads / process pools.
+    #: The subsystems that execute on the ``--jobs`` thread pools.
     scope: ClassVar[tuple[str, ...]] = ("repro.sim", "repro.serve", "repro.perf")
 
     def _statement_mutations(
@@ -246,7 +247,7 @@ class SharedStateRule(ModuleRule):
                         yield self.finding(
                             module,
                             racy,
-                            f"{description} on a --jobs/process-pool code "
+                            f"{description} on a --jobs thread-pool code "
                             f"path; guard it with a lock, as the engine's "
                             f"caches do",
                         )

@@ -52,10 +52,6 @@ class FrameReport:
     def frame_time_ms(self) -> float:
         return self.latency_s * 1e3
 
-    @property
-    def energy_per_frame_mj(self) -> float:
-        return self.energy_j * 1e3
-
 
 #: Fraction of peak GEMM throughput available to miscellaneous vector work
 #: (ray sampling, volume rendering) executed on the array's vector datapath.

@@ -33,10 +33,6 @@ class ReductionResult:
     add_operations: int
     bypass_operations: int
 
-    @property
-    def node_operations(self) -> int:
-        return self.add_operations + self.bypass_operations
-
 
 class MACUnitReductionTree:
     """Shifter-optimised shift-add tree inside one MAC unit."""

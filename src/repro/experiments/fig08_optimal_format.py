@@ -23,16 +23,6 @@ class OptimalFormatRow:
     sparsity_percent: tuple[float, ...]
     optimal_format: tuple[SparsityFormat, ...]
 
-    def format_at(self, sparsity_percent: float) -> SparsityFormat:
-        """Optimal format at one of the swept sparsity points."""
-        try:
-            index = self.sparsity_percent.index(sparsity_percent)
-        except ValueError as exc:
-            raise ValueError(
-                f"sparsity {sparsity_percent}% was not part of the sweep"
-            ) from exc
-        return self.optimal_format[index]
-
     def transition_points(self) -> list[tuple[float, SparsityFormat]]:
         """Sparsity ratios at which the optimal format changes."""
         points = []

@@ -52,11 +52,6 @@ class Fig17Result:
         """Area share of the format encoder/decoder (paper: ~3.2 %)."""
         return self.flexnerfer.area_fraction("gemm_unit/format_codec")
 
-    @property
-    def format_codec_power_fraction(self) -> float:
-        """Power share of the format encoder/decoder (paper: ~3.4 %)."""
-        return self.flexnerfer.power_fraction("gemm_unit/format_codec")
-
 
 def _render(result: Fig17Result) -> str:
     """Nested block-level listing per accelerator plus the headline overheads."""

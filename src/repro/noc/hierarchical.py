@@ -34,10 +34,6 @@ class RouteResult:
     feedback_forwards: int = 0
     levels: int = 0
 
-    @property
-    def total_hops(self) -> int:
-        return self.switch_traversals + self.feedback_forwards
-
 
 class HMNoC:
     """Eyeriss v2-style hierarchical mesh NoC (2x2 switches, no feedback)."""
@@ -77,9 +73,6 @@ class HMNoC:
         for level in self.switches:
             for switch in level:
                 switch.activations = 0
-
-    def _leaf_depth(self) -> int:
-        return self.levels
 
     def route(self, assignment: Sequence[Hashable]) -> RouteResult:
         """Distribute ``assignment[i]`` to leaf ``i`` and account for the cost.

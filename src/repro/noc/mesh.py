@@ -29,10 +29,6 @@ class Mesh1D:
             raise ValueError("mesh needs at least one node")
         self.num_nodes = num_nodes
 
-    @property
-    def num_links(self) -> int:
-        return self.num_nodes  # injection link + (num_nodes - 1) hop links
-
     def route(self, assignment: Sequence[Hashable]) -> MeshDelivery:
         """Deliver ``assignment[i]`` to node ``i`` by store-and-forward hops."""
         if len(assignment) > self.num_nodes:

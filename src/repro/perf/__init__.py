@@ -12,8 +12,8 @@ Two concerns live here, both documented in ``docs/performance.md``:
   vs. warm sweep timing, per-experiment wall time, fleet-simulator
   throughput and hot-path microbenchmarks, emitted as a schema-versioned
   ``BENCH_<rev>.json`` trajectory point.
-* :mod:`repro.perf.distributed` -- deterministic sharding of sweeps and
-  experiment sets by store cache key, plus pack-and-merge assembly: the
+* :mod:`repro.perf.distributed` -- deterministic sharding of experiment
+  sets and plan spaces by store cache key, plus pack-and-merge assembly: the
   machinery behind ``repro shard`` / ``repro assemble`` and the CI shard
   matrix (``docs/distributed.md``).
 """
@@ -42,7 +42,6 @@ from repro.perf.distributed import (
     assemble_packs,
     shard_experiments,
     shard_index,
-    shard_of,
 )
 
 __all__ = [
@@ -65,5 +64,4 @@ __all__ = [
     "assemble_packs",
     "shard_experiments",
     "shard_index",
-    "shard_of",
 ]

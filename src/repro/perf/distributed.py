@@ -1,4 +1,4 @@
-"""Deterministic store-backed sharding of sweeps and experiment sets.
+"""Deterministic store-backed sharding of experiment sets and plan spaces.
 
 The persistent :class:`~repro.perf.store.ResultStore` is safe for
 concurrent writers (atomic replace, content addressing), which makes one
@@ -6,18 +6,18 @@ more scaling step possible: fanning a single evaluation out across
 *machines*.  This module supplies the three pieces of that step, all built
 on the store's content addresses:
 
-* **Sharding** -- :func:`shard_of` / :func:`shard_index` partition cache
-  keys (frame :class:`~repro.perf.store.StoreKey` or whole-experiment
-  :class:`~repro.perf.store.ExperimentResultKey` digests) into ``count``
+* **Sharding** -- :func:`shard_index` / :meth:`Shard.contains` partition
+  cache keys (whole-experiment
+  :class:`~repro.perf.store.ExperimentResultKey` or plan-point
+  :class:`~repro.perf.store.PlanPointKey` digests) into ``count``
   disjoint, collectively complete shards.  The assignment hashes the
   *content address*, so it is identical across runs, machines and
   platforms for the same simulated content -- no coordinator, no shared
   state, no ordering assumptions.
 * **Shard selection** -- :func:`shard_experiments` picks the subset of an
   experiment list owned by one :class:`Shard`, and
-  :meth:`repro.sim.sweep.SweepEngine.run` accepts a ``shard`` argument
-  that enumerates only the sweep points whose frame store key lands in
-  the shard.
+  :func:`repro.plan.evaluate.evaluate_space` accepts a ``shard`` that
+  evaluates only the plan points whose content address it owns.
 * **Assembly** -- shard runs export their stores as portable pack files
   (:meth:`~repro.perf.store.ResultStore.export_pack`);
   :func:`assemble_packs` merges them into one store
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.api import Experiment
@@ -72,23 +72,12 @@ def shard_index(key: Any, count: int) -> int:
     return int(_key_digest(key)[:_SHARD_DIGEST_DIGITS], 16) % count
 
 
-def shard_of(key: Any, index: int, count: int) -> bool:
-    """Whether ``key`` belongs to shard ``index`` of ``count``.
-
-    Exactly one index in ``[0, count)`` returns True for any key, which is
-    what makes shards disjoint and collectively complete.
-    """
-    if not 0 <= index < count:
-        raise ValueError(f"shard index must be in [0, {count}), got {index}")
-    return shard_index(key, count) == index
-
-
 @dataclass(frozen=True)
 class Shard:
     """One member of an ``index``-of-``count`` partition of cache keys.
 
-    Iterable as ``(index, count)`` so APIs accepting a plain tuple (e.g.
-    ``SweepEngine.run(spec, shard=...)``) take a :class:`Shard` directly.
+    Exactly one index in ``[0, count)`` contains any key, which is what
+    makes shards disjoint and collectively complete.
     """
 
     index: int
@@ -101,10 +90,6 @@ class Shard:
             raise ValueError(
                 f"shard index must be in [0, {self.count}), got {self.index}"
             )
-
-    def __iter__(self) -> Iterator[int]:
-        yield self.index
-        yield self.count
 
     def contains(self, key: Any) -> bool:
         """Whether this shard owns ``key`` (a store key or digest string)."""

@@ -9,12 +9,12 @@ It is a third layer on top of the existing two:
    frame's latency / energy;
 2. *sweep layer*: :class:`~repro.sim.sweep.SweepEngine` caches frame
    simulations across devices x models x knobs;
-3. *serving layer* (this package): :class:`RequestStream` generators produce
-   seeded arrival processes over a :class:`ScenarioMix`, a
-   :class:`Scheduler` policy assigns queued requests to fleet devices, and
-   the :class:`FleetSimulator` event loop turns cached frame reports into
-   :class:`ServingReport` metrics (p50/p95/p99 latency, goodput,
-   energy/request, per-device utilization).
+3. *serving layer* (this package): :class:`~repro.serve.request.RequestStream`
+   generators produce seeded arrival processes over a :class:`ScenarioMix`,
+   a :class:`Scheduler` policy assigns queued requests to fleet devices,
+   and the :class:`FleetSimulator` event loop turns cached frame reports
+   into :class:`~repro.serve.report.ServingReport` metrics (p50/p95/p99
+   latency, goodput, energy/request, per-device utilization).
 
 Overload control (:mod:`repro.serve.control`) layers on top: admission
 policies reject excess arrivals, a :class:`DegradationLadder` lets the
@@ -23,118 +23,44 @@ grow / shrink the active device pool -- see ``docs/serving-control.md``.
 
 Everything is deterministic under a fixed seed; see ``docs/architecture.md``
 for the end-to-end data flow.
+
+The package re-exports only the names the README, docs, examples and
+benchmark workloads import from it; everything else is imported from its
+submodule.  Importing the package also loads :mod:`repro.serve.traffic`, so
+every stream subclass of the scenario library is defined.
 """
 
+import repro.serve.traffic  # noqa: F401 - defines the scenario-library streams
 from repro.serve.control import (
-    AdmissionPolicy,
-    AdmissionSession,
-    AutoscalePolicy,
     ControlConfig,
     DegradationLadder,
-    DegradationStep,
-    FleetSnapshot,
-    LadderPricing,
-    LatencyTargetAutoscaler,
-    PricedStep,
     QueueCapAdmission,
     QueueDepthAutoscaler,
     QueueDepthShedder,
-    SheddingPolicy,
-    TokenBucketAdmission,
     price_ladder,
-    quality_from_psnr,
 )
 from repro.serve.fleet import FleetSimulator
-from repro.serve.report import (
-    CompletedRequest,
-    RejectedRequest,
-    ServingReport,
-    SessionStats,
-    TenantStats,
-    WorkerStats,
-    percentile,
-    sorted_percentile,
-)
-from repro.serve.request import (
-    DiurnalStream,
-    PoissonStream,
-    Request,
-    RequestStream,
-    Scenario,
-    ScenarioMix,
-    TraceStream,
-)
+from repro.serve.request import PoissonStream, Scenario, ScenarioMix
 from repro.serve.scheduler import (
     BatchDeadlineScheduler,
-    Dispatch,
     FIFOScheduler,
     Scheduler,
-    ServiceEstimate,
     SparsityAwareScheduler,
-    Worker,
-)
-from repro.serve.traffic import (
-    FlashCrowdStream,
-    ImportedTrace,
-    ImportedTraceStream,
-    MarkedBurstStream,
-    MultiTenantStream,
-    SessionStream,
-    TenantSpec,
-    TraceFormatError,
-    dump_trace,
-    load_trace,
 )
 
 __all__ = [
-    "AdmissionPolicy",
-    "AdmissionSession",
-    "AutoscalePolicy",
     "BatchDeadlineScheduler",
-    "CompletedRequest",
     "ControlConfig",
     "DegradationLadder",
-    "DegradationStep",
-    "DiurnalStream",
-    "Dispatch",
     "FIFOScheduler",
-    "FlashCrowdStream",
     "FleetSimulator",
-    "FleetSnapshot",
-    "ImportedTrace",
-    "ImportedTraceStream",
-    "LadderPricing",
-    "LatencyTargetAutoscaler",
-    "MarkedBurstStream",
-    "MultiTenantStream",
     "PoissonStream",
-    "PricedStep",
     "QueueCapAdmission",
     "QueueDepthAutoscaler",
     "QueueDepthShedder",
-    "RejectedRequest",
-    "Request",
-    "RequestStream",
     "Scenario",
     "ScenarioMix",
     "Scheduler",
-    "ServiceEstimate",
-    "ServingReport",
-    "SessionStats",
-    "SessionStream",
-    "SheddingPolicy",
     "SparsityAwareScheduler",
-    "TenantSpec",
-    "TenantStats",
-    "TokenBucketAdmission",
-    "TraceFormatError",
-    "TraceStream",
-    "Worker",
-    "WorkerStats",
-    "dump_trace",
-    "load_trace",
-    "percentile",
     "price_ladder",
-    "quality_from_psnr",
-    "sorted_percentile",
 ]

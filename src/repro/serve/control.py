@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.serve.request import Scenario, require_positive
+from repro.serve.request import Scenario, require_count, require_positive
 from repro.sparse.formats import Precision
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -95,12 +95,10 @@ class AutoscalePolicy(abc.ABC):
 
     def __post_init__(self) -> None:
         """Validate the worker bounds and window size."""
-        if self.min_workers < 1:
-            raise ValueError("min_workers must be >= 1")
-        if self.max_workers is not None and self.max_workers < self.min_workers:
-            raise ValueError("max_workers must be >= min_workers")
-        if self.latency_window < 1:
-            raise ValueError("latency_window must be >= 1")
+        require_count("min_workers", self.min_workers, 1)
+        if self.max_workers is not None:
+            require_count("max_workers", self.max_workers, self.min_workers)
+        require_count("latency_window", self.latency_window, 1)
 
     @abc.abstractmethod
     def desired_workers(self, snapshot: FleetSnapshot) -> int:
@@ -131,10 +129,8 @@ class QueueDepthAutoscaler(AutoscalePolicy):
     def __post_init__(self) -> None:
         """Validate the depth thresholds."""
         super().__post_init__()
-        if self.scale_out_depth < 1:
-            raise ValueError("scale_out_depth must be >= 1")
-        if self.scale_in_depth < 0:
-            raise ValueError("scale_in_depth must be >= 0")
+        require_count("scale_out_depth", self.scale_out_depth, 1)
+        require_count("scale_in_depth", self.scale_in_depth, 0)
 
     def desired_workers(self, snapshot: FleetSnapshot) -> int:
         """One-step hysteresis on the per-worker backlog."""
@@ -295,8 +291,7 @@ class QueueCapAdmission(AdmissionPolicy):
 
     def __post_init__(self) -> None:
         """Validate the cap."""
-        if self.max_queue < 1:
-            raise ValueError("max_queue must be >= 1")
+        require_count("max_queue", self.max_queue, 1)
 
     def session(self) -> AdmissionSession:
         """A session enforcing the (stateless) cap."""
@@ -443,8 +438,7 @@ class QueueDepthShedder(SheddingPolicy):
 
     def __post_init__(self) -> None:
         """Validate the per-level depth quantum."""
-        if self.depth_per_step < 1:
-            raise ValueError("depth_per_step must be >= 1")
+        require_count("depth_per_step", self.depth_per_step, 1)
 
     def level(self, queue_depth: int, active_workers: int) -> int:
         """Integer backlog-per-worker divided down into a ladder level."""
@@ -648,8 +642,8 @@ class ControlConfig:
             raise ValueError(
                 f"provision_delay_s must be finite and >= 0, got {delay!r}"
             )
-        if self.initial_workers is not None and self.initial_workers < 1:
-            raise ValueError("initial_workers must be >= 1")
+        if self.initial_workers is not None:
+            require_count("initial_workers", self.initial_workers, 1)
 
     @property
     def fast_path_compatible(self) -> bool:

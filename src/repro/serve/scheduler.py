@@ -51,6 +51,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, ClassVar, Iterator
 
+from repro.serve.request import require_count
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.device import Device
     from repro.serve.request import Request, Scenario
@@ -265,8 +267,7 @@ class BatchDeadlineScheduler(Scheduler):
 
     def __post_init__(self) -> None:
         """Validate batching bounds."""
-        if self.max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
+        require_count("max_batch", self.max_batch, 1)
         if not self.max_wait_s >= 0.0:  # also rejects NaN
             raise ValueError(f"max_wait_s must be >= 0, got {self.max_wait_s!r}")
 

@@ -28,6 +28,7 @@ from repro.serve.request import (
     RequestStream,
     Scenario,
     ScenarioMix,
+    require_count,
     require_positive,
 )
 
@@ -58,8 +59,8 @@ class SessionStream(RequestStream):
         degradable: bool = True,
     ) -> None:
         """Configure the session count, frame cadence and deadline budget."""
-        if num_sessions < 1 or frames_per_session < 1:
-            raise ValueError("num_sessions and frames_per_session must be >= 1")
+        require_count("num_sessions", num_sessions, 1)
+        require_count("frames_per_session", frames_per_session, 1)
         require_positive("fps", fps)
         if not 0.0 <= start_spread_s < math.inf:
             raise ValueError(

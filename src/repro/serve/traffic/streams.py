@@ -32,6 +32,7 @@ from repro.serve.request import (
     RequestStream,
     Scenario,
     ScenarioMix,
+    require_count,
     require_positive,
 )
 
@@ -82,8 +83,7 @@ class FlashCrowdStream(RequestStream):
         require_positive("burst_rps", burst_rps)
         if burst_rps < base_rps:
             raise ValueError("need burst_rps >= base_rps")
-        if num_bursts < 1:
-            raise ValueError("num_bursts must be at least 1")
+        require_count("num_bursts", num_bursts, 1)
         if burst_s is None:
             burst_s = duration_s / 10.0
         if not 0.0 < burst_s <= duration_s:

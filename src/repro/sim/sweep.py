@@ -1,4 +1,4 @@
-"""Cached, optionally parallel sweep harness over devices x workloads.
+"""Cached sweep harness over devices x workloads.
 
 Every frame-simulating experiment in the evaluation is some cartesian sweep:
 devices x NeRF models x precision modes x pruning ratios x batch sizes (and
@@ -15,8 +15,7 @@ memoisation:
   NeuRex for five pruning ratios performs one simulation and returns five
   rows -- the flat bars of Fig. 19 for free.
 
-Sweeps can optionally fan out over a process pool (``max_workers``); unique
-cache keys are simulated exactly once either way.  Experiments share one
+Unique cache keys are simulated exactly once.  Experiments share one
 process-wide engine via :func:`get_default_engine`, so e.g. Fig. 1 and
 Fig. 3 reuse each other's GPU frame reports.
 
@@ -34,7 +33,6 @@ from __future__ import annotations
 import itertools
 import math
 import threading
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Sequence
 
@@ -166,20 +164,6 @@ class SweepCacheStats:
         return self.report_misses - self.store_hits
 
 
-def _render_task(
-    device_name: str,
-    workload: "Workload",
-    precision: Precision | None,
-    pruning_ratio: float,
-) -> "FrameReport":
-    """Simulate one frame in a worker process (devices are built per call)."""
-    from repro.core.device import get_device
-
-    return get_device(device_name).render_frame(
-        workload, precision=precision, pruning_ratio=pruning_ratio
-    )
-
-
 def _load_report(store: ResultStore, key: StoreKey) -> "FrameReport | None":
     """The report stored under ``key``, or None; an undecodable payload is a miss."""
     payload = store.get(key)
@@ -192,15 +176,9 @@ def _load_report(store: ResultStore, key: StoreKey) -> "FrameReport | None":
 
 
 class SweepEngine:
-    """Runs :class:`SweepSpec` sweeps with memoisation and optional parallelism."""
+    """Runs :class:`SweepSpec` sweeps with memoisation."""
 
-    def __init__(
-        self,
-        max_workers: int | None = None,
-        store: "ResultStore | None" = None,
-    ) -> None:
-        #: Process-pool width for cache-miss simulation; ``None`` -> serial.
-        self.max_workers = max_workers
+    def __init__(self, store: "ResultStore | None" = None) -> None:
         #: Optional persistent tier consulted on in-memory misses.
         self.store = store
         self.stats = SweepCacheStats()
@@ -317,29 +295,12 @@ class SweepEngine:
             pruning_ratio=pruning,
         )
 
-    def frame_store_key(
-        self,
-        device_name: str,
-        workload: "Workload",
-        precision: Precision | None = None,
-        pruning_ratio: float = 0.0,
-    ) -> "StoreKey":
-        """Content address of one simulation, independent of any attached store.
-
-        This is the digest distributed sharding partitions on
-        (:mod:`repro.perf.distributed`): it hashes the device fingerprint,
-        the workload digest and the *effective* knobs, so every machine
-        computes the same address for the same simulated content.
-        """
-        key = self.report_key(device_name, workload, precision, pruning_ratio)
-        with self._lock:
-            return self._content_key(key, workload)
-
     # -- sweep execution ------------------------------------------------------
 
-    def _combos(self, spec: SweepSpec):
-        """The spec's cartesian sweep points, in declaration order."""
-        return itertools.product(
+    def run(self, spec: SweepSpec) -> list[SweepResult]:
+        """Execute the sweep and return one :class:`SweepResult` per point."""
+        rows: list[SweepResult] = []
+        points = itertools.product(
             spec.devices,
             spec.models,
             spec.scenes,
@@ -347,42 +308,7 @@ class SweepEngine:
             spec.precisions,
             spec.pruning_ratios,
         )
-
-    def _in_shard(
-        self,
-        shard: tuple[int, int],
-        device_name: str,
-        workload: "Workload",
-        precision: Precision | None,
-        pruning: float,
-    ) -> bool:
-        """Whether one sweep point's store content address lands in ``shard``."""
-        from repro.perf.distributed import shard_of
-
-        index, count = shard
-        key = self.frame_store_key(device_name, workload, precision, pruning)
-        return shard_of(key, index, count)
-
-    def run(
-        self, spec: SweepSpec, shard: tuple[int, int] | None = None
-    ) -> list[SweepResult]:
-        """Execute the sweep and return one :class:`SweepResult` per point.
-
-        ``shard`` (an ``(index, count)`` pair or a
-        :class:`repro.perf.distributed.Shard`) restricts enumeration to the
-        sweep points whose persistent-store content address lands in that
-        shard: points that collapse to one cached simulation share one
-        address, so the shards of a spec are disjoint and collectively
-        reproduce the unsharded row list exactly.
-        """
-        if shard is not None:
-            index, count = shard  # accepts Shard or a plain tuple
-            if not 0 <= index < count:
-                raise ValueError(f"shard index must be in [0, {count}), got {index}")
-        if self.max_workers and self.max_workers > 1:
-            self._prefill_parallel(spec, shard)
-        rows: list[SweepResult] = []
-        for device_name, model, scene, batch, precision, pruning in self._combos(spec):
+        for device_name, model, scene, batch, precision, pruning in points:
             device = self.device(device_name)
             # The requested point identifies the row; a device that ignores
             # batching is still simulated at the base config's batch size.
@@ -393,10 +319,6 @@ class SweepEngine:
                 else spec.resolve_config(scene, None)
             )
             workload = self.workload(model, sim_config)
-            if shard is not None and not self._in_shard(
-                shard, device_name, workload, precision, pruning
-            ):
-                continue
             report = self.frame_report(
                 device_name,
                 workload=workload,
@@ -417,70 +339,6 @@ class SweepEngine:
                 )
             )
         return rows
-
-    def _prefill_parallel(
-        self, spec: SweepSpec, shard: tuple[int, int] | None = None
-    ) -> None:
-        """Simulate the sweep's unique cache misses across a process pool."""
-        pending: dict[ReportKey, tuple[str, "Workload"]] = {}
-        for device_name, model, scene, batch, precision, pruning in self._combos(spec):
-            device = self.device(device_name)
-            config = spec.resolve_config(
-                scene, batch if device.supports_batching else None
-            )
-            workload = self.workload(model, config)
-            if shard is not None and not self._in_shard(
-                shard, device_name, workload, precision, pruning
-            ):
-                continue
-            key = self.report_key(device_name, workload, precision, pruning)
-            with self._lock:
-                if key not in self._reports and key not in pending:
-                    pending[key] = (device_name.lower(), workload)
-        if self.store is not None:
-            # Satisfy what the persistent tier already holds before paying
-            # for any worker process.  The stats mirror the serial path: a
-            # store hit is an in-memory miss (re-counted as a hit by run())
-            # that performed no render.
-            for key in list(pending):
-                with self._lock:
-                    if self.store is None:  # store detached mid-sweep
-                        break
-                    stored = _load_report(
-                        self.store, self._content_key(key, pending[key][1])
-                    )
-                    if stored is not None:
-                        self._reports[key] = stored
-                        self.stats.store_hits += 1
-                        self.stats.report_misses += 1
-                        self.stats.report_hits -= 1
-                        del pending[key]
-                    else:
-                        self.stats.store_misses += 1
-        if not pending:
-            return
-        with ProcessPoolExecutor(max_workers=self.max_workers) as pool:
-            futures = {
-                key: pool.submit(_render_task, device_name, workload, key[2], key[3])
-                for key, (device_name, workload) in pending.items()
-            }
-            for key, future in futures.items():
-                try:
-                    report = future.result()
-                except Exception:
-                    # A worker may not be able to rebuild the device (e.g. a
-                    # runtime-registered factory under the spawn start
-                    # method); the run() pass simulates such keys serially.
-                    continue
-                with self._lock:
-                    self._reports[key] = report
-                    self.stats.report_misses += 1
-                    self.stats.report_hits -= 1  # the run() pass re-counts these as hits
-                    if self.store is not None:
-                        self.store.put(
-                            self._content_key(key, pending[key][1]),
-                            report_to_dict(report),
-                        )
 
     def clear(self) -> None:
         """Drop every cached workload and report (devices are kept)."""

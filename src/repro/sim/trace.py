@@ -41,10 +41,6 @@ class ExecutionTrace:
     def total_energy_j(self) -> float:
         return sum(record.energy_j for record in self.records)
 
-    @property
-    def total_dram_bytes(self) -> float:
-        return sum(record.dram_bytes for record in self.records)
-
     def time_by_category(self) -> dict[OpCategory, float]:
         out = {category: 0.0 for category in OpCategory}
         for record in self.records:

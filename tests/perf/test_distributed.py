@@ -3,7 +3,7 @@
 Pins the distribution layer's promises: shard assignment is a pure,
 pinned function of a key's content digest (identical across runs and
 platforms), shards are disjoint and collectively complete at both the
-sweep-point and the experiment granularity, store packs round-trip
+experiment granularity, store packs round-trip
 bit-exactly with loud conflict detection, and ``repro shard`` x N followed
 by ``repro assemble`` reproduces a serial cold ``repro run`` byte-for-byte
 (modulo the provenance wall-clock field, which records the producing
@@ -11,6 +11,7 @@ run's measurement).
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +25,6 @@ from repro.perf.distributed import (
     normalize_result_json,
     shard_experiments,
     shard_index,
-    shard_of,
 )
 from repro.perf.store import (
     PACK_SCHEMA,
@@ -33,6 +33,7 @@ from repro.perf.store import (
     MergeStats,
     PackConflictError,
     ResultStore,
+    StoreKey,
 )
 from repro.sim.sweep import SweepEngine, SweepSpec
 from repro.sparse.formats import Precision
@@ -71,6 +72,14 @@ def populate_store(root) -> ResultStore:
     return store
 
 
+def frame_entries(root) -> list[tuple[Path, StoreKey]]:
+    """Every frame entry under a store root, with the key it records."""
+    return [
+        (path, StoreKey(**json.loads(path.read_text())["key"]))
+        for path in sorted(Path(root).rglob("frame/*/*.json"))
+    ]
+
+
 class TestShardAssignment:
     def test_pinned_assignments(self):
         # int(digest[:16], 16) % count -- pinned so the partition function
@@ -81,28 +90,35 @@ class TestShardAssignment:
             0x123456789ABCDEF0 % 7
         )
 
-    def test_accepts_keys_and_digests(self):
-        engine = SweepEngine()
-        workload = engine.workload("instant-ngp", SMALL_SPEC.base_config)
-        key = engine.frame_store_key("flexnerfer", workload)
+    def test_accepts_keys_and_digests(self, tmp_path):
+        engine = SweepEngine(store=ResultStore(tmp_path))
+        engine.frame_report(
+            "flexnerfer", "instant-ngp", config=SMALL_SPEC.base_config
+        )
+        [(path, key)] = frame_entries(tmp_path)
+        assert path.stem == key.digest
         assert shard_index(key, 5) == shard_index(key.digest, 5)
 
-    def test_deterministic_across_engines(self):
-        digests = []
-        for _ in range(2):
-            engine = SweepEngine()
-            workload = engine.workload("instant-ngp", SMALL_SPEC.base_config)
-            digests.append(
-                engine.frame_store_key(
-                    "flexnerfer", workload, precision=Precision.INT8
-                ).digest
+    def test_deterministic_across_engines(self, tmp_path):
+        # Two independent engines address the same simulated content at
+        # the same store path, so every machine agrees on shard ownership.
+        entries = []
+        for name in ("a", "b"):
+            root = tmp_path / name
+            SweepEngine(store=ResultStore(root)).frame_report(
+                "flexnerfer",
+                "instant-ngp",
+                config=SMALL_SPEC.base_config,
+                precision=Precision.INT8,
             )
-        assert digests[0] == digests[1]
+            [(path, _)] = frame_entries(root)
+            entries.append(path.relative_to(root))
+        assert entries[0] == entries[1]
 
     def test_exactly_one_shard_owns_each_key(self):
         for salt in range(20):
             digest = f"{salt:040x}"
-            owners = [i for i in range(4) if shard_of(digest, i, 4)]
+            owners = [i for i in range(4) if Shard(i, 4).contains(digest)]
             assert len(owners) == 1
             assert owners[0] == shard_index(digest, 4)
 
@@ -110,63 +126,15 @@ class TestShardAssignment:
         with pytest.raises(ValueError):
             shard_index("ab" * 20, 0)
         with pytest.raises(ValueError):
-            shard_of("ab" * 20, 4, 4)
+            Shard(4, 4)
         with pytest.raises(ValueError):
             Shard(-1, 4)
         with pytest.raises(ValueError):
             Shard(0, 0)
         with pytest.raises(TypeError):
             shard_index(object(), 4)
-
-    def test_shard_unpacks_as_tuple(self):
-        index, count = Shard(2, 5)
-        assert (index, count) == (2, 5)
-
-
-class TestSweepSharding:
-    def row_key(self, row):
-        return (
-            row.device,
-            row.model,
-            row.precision,
-            row.pruning_ratio,
-            row.batch_size,
-            row.scene,
-        )
-
-    def test_shards_are_disjoint_and_complete_and_bit_exact(self):
-        full = {
-            self.row_key(r): (r.latency_s, r.energy_j)
-            for r in SweepEngine().run(SMALL_SPEC)
-        }
-        union: dict = {}
-        total = 0
-        for i in range(3):
-            rows = SweepEngine().run(SMALL_SPEC, shard=Shard(i, 3))
-            total += len(rows)
-            union.update(
-                {self.row_key(r): (r.latency_s, r.energy_j) for r in rows}
-            )
-        assert total == len(full)  # disjoint: no point simulated twice
-        assert union == full  # complete and bit-exact
-
-    def test_single_shard_is_the_full_sweep(self):
-        assert len(SweepEngine().run(SMALL_SPEC, shard=(0, 1))) == len(
-            SweepEngine().run(SMALL_SPEC)
-        )
-
-    def test_shard_assignment_is_stable_across_runs(self):
-        first = [
-            self.row_key(r) for r in SweepEngine().run(SMALL_SPEC, shard=(1, 3))
-        ]
-        second = [
-            self.row_key(r) for r in SweepEngine().run(SMALL_SPEC, shard=(1, 3))
-        ]
-        assert first == second
-
-    def test_bad_shard_rejected(self):
-        with pytest.raises(ValueError):
-            SweepEngine().run(SMALL_SPEC, shard=(3, 3))
+        with pytest.raises(TypeError):
+            Shard(0, 4).contains(object())
 
 
 class TestExperimentSharding:

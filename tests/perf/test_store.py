@@ -476,14 +476,6 @@ class TestEngineIntegration:
         assert warm.p95_latency_s == cold.p95_latency_s
         assert warm.energy_per_request_j == cold.energy_per_request_j
 
-    def test_parallel_prefill_uses_store(self, tmp_path):
-        store = ResultStore(tmp_path)
-        SweepEngine(store=store).run(SPEC)
-        pool_engine = SweepEngine(max_workers=2, store=store)
-        rows = pool_engine.run(SPEC)
-        assert pool_engine.stats.render_calls == 0
-        assert len(rows) == len(SweepEngine().run(SPEC))
-
 
 class TestConcurrency:
     def test_concurrent_writers_do_not_corrupt(self, tmp_path):

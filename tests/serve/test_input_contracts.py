@@ -11,6 +11,12 @@ with ``tick_s=nan`` never finished and ``TokenBucketAdmission(rate_rps=nan)``
 admitted every request.  Each case below therefore runs under an alarm that
 turns a hang into a failure.
 
+Every integer count knob (worker bounds, queue caps, batch sizes, session
+and burst counts) goes through the sibling guard
+:func:`repro.serve.request.require_count`: a plain ``x < 1`` test let NaN,
+infinity and 2.5 through, and ``QueueDepthAutoscaler(min_workers=nan)``
+hung an autoscaled run.
+
 Simulator ingress also rejects a repeated request id, with the same error
 on the event loop and the FIFO fast path: served twice, a duplicate would
 break the offered = completed + rejected id partition.
@@ -19,6 +25,7 @@ break the offered = completed + rejected id partition.
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from repro.plan.space import TrafficSpec
@@ -38,6 +45,7 @@ from repro.serve.request import (
     PoissonStream,
     Scenario,
     ScenarioMix,
+    require_count,
     require_positive,
 )
 from repro.serve.scheduler import BatchDeadlineScheduler, FIFOScheduler
@@ -194,6 +202,100 @@ class TestRequirePositive:
             require_positive("rate_rps", value)
         assert str(error.value) == (
             f"rate_rps must be positive and finite, got {value!r}"
+        )
+
+
+def run_autoscaled_with(min_workers):
+    """One autoscaled run; a NaN worker floor that got through hung it."""
+    requests = PoissonStream(10.0, 1.0, MIX, sla_s=0.2).generate(seed=0)
+    autoscaler = QueueDepthAutoscaler(min_workers=min_workers)
+    return FleetSimulator(
+        ("flexnerfer",),
+        engine=SweepEngine(),
+        control=ControlConfig(autoscaler=autoscaler),
+    ).run(requests)
+
+
+#: (label, input exercised with one value, lowest valid value): each must
+#: raise ValueError on a non-integer or too-small count and accept ``low``.
+COUNT_CASES = (
+    ("autoscaler.min_workers", run_autoscaled_with, 1),
+    ("autoscaler.max_workers", lambda v: QueueDepthAutoscaler(max_workers=v), 1),
+    (
+        "autoscaler.latency_window",
+        lambda v: LatencyTargetAutoscaler(latency_window=v),
+        1,
+    ),
+    (
+        "queue-depth.scale_out_depth",
+        lambda v: QueueDepthAutoscaler(scale_out_depth=v),
+        1,
+    ),
+    ("queue-depth.scale_in_depth", lambda v: QueueDepthAutoscaler(scale_in_depth=v), 0),
+    ("queue-cap.max_queue", lambda v: QueueCapAdmission(max_queue=v), 1),
+    (
+        "shedder.depth_per_step",
+        lambda v: QueueDepthShedder(LADDER, depth_per_step=v),
+        1,
+    ),
+    ("control.initial_workers", lambda v: ControlConfig(initial_workers=v), 1),
+    ("batch-deadline.max_batch", lambda v: BatchDeadlineScheduler(max_batch=v), 1),
+    ("session.num_sessions", lambda v: SessionStream(MIX, v, 3).generate(seed=0), 1),
+    (
+        "session.frames_per_session",
+        lambda v: SessionStream(MIX, 2, v).generate(seed=0),
+        1,
+    ),
+    (
+        "flash-crowd.num_bursts",
+        lambda v: FlashCrowdStream(5.0, 40.0, 1.0, MIX, num_bursts=v).generate(seed=0),
+        1,
+    ),
+)
+
+#: Values a plain ``x < low`` guard let through (plus ``bool``, an ``int``
+#: subclass no count means); ``"below"`` stands for ``low - 1``.
+BAD_COUNTS = (NAN, INF, 2.5, True, "below")
+
+
+@pytest.mark.parametrize("value", BAD_COUNTS, ids=repr)
+@pytest.mark.parametrize(
+    "build,low",
+    [case[1:] for case in COUNT_CASES],
+    ids=[case[0] for case in COUNT_CASES],
+)
+def test_bad_count_inputs_raise_one_line_errors(build, low, value):
+    if value == "below":
+        value = low - 1
+    with fails_within(10.0):
+        with pytest.raises(ValueError) as error:
+            build(value)
+    assert "\n" not in str(error.value)
+
+
+@pytest.mark.parametrize(
+    "build,low",
+    [case[1:] for case in COUNT_CASES],
+    ids=[case[0] for case in COUNT_CASES],
+)
+def test_each_count_case_accepts_its_lowest_valid_value(build, low):
+    with fails_within(10.0):
+        assert build(low) is not None
+
+
+class TestRequireCount:
+    def test_returns_valid_values_as_int(self):
+        assert require_count("x", 0, 0) == 0
+        assert require_count("x", 3, 1) == 3
+        count = require_count("x", np.int64(4), 1)
+        assert count == 4 and type(count) is int
+
+    @pytest.mark.parametrize("value", (NAN, INF, 2.5, True, 0, -1, "3", None), ids=repr)
+    def test_names_the_input_and_value(self, value):
+        with pytest.raises(ValueError) as error:
+            require_count("max_queue", value, 1)
+        assert str(error.value) == (
+            f"max_queue must be >= 1 and an integer, got {value!r}"
         )
 
 
