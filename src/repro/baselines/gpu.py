@@ -19,9 +19,10 @@ from repro.hw.dram import (
     LPDDR4_NANO,
     LPDDR4_XAVIER,
 )
-from repro.core.accelerator import FrameReport
-from repro.nerf.workload import EncodingOp, GEMMOp, MiscOp, OpCategory, Workload
-from repro.sim.trace import ExecutionTrace, OpRecord
+from repro.core.device import Device
+from repro.nerf.workload import EncodingOp, GEMMOp, MiscOp, Op, OpCategory
+from repro.sim.trace import OpRecord
+from repro.sparse.formats import Precision
 
 
 @dataclass(frozen=True)
@@ -82,8 +83,17 @@ XAVIER_NX = GPUSpec(
 )
 
 
-class GPUModel:
-    """Roofline execution model for one GPU."""
+class GPUModel(Device):
+    """Roofline execution model for one GPU.  FP32 only; unsupported knobs raise."""
+
+    supports_precision = False
+    supports_pruning = False
+    supports_batching = True
+    native_precision = None
+    # CUDA kernels overlap poorly across frames; batching mostly saves
+    # per-launch overheads, a small fraction of a NeRF frame.
+    batch_marginal_latency = 0.9
+    batch_marginal_energy = 0.95
 
     #: Best-case fraction of peak FLOPs achieved on large, regular GEMMs.
     #: NeRF inference kernels are small and launch-bound, so even the widest
@@ -107,6 +117,19 @@ class GPUModel:
 
     def __init__(self, spec: GPUSpec = RTX_2080_TI) -> None:
         self.spec = spec
+        self.name = spec.name
+
+    def _fingerprint_state(self) -> dict:
+        """The GPU spec sheet (peak FLOPS, power, memory interface)."""
+        return {"spec": self.spec}
+
+    def area_mm2(self) -> float:
+        """Die area from the GPU's spec sheet."""
+        return self.spec.area_mm2
+
+    def power_w(self, precision: Precision | None = None) -> float:
+        """Typical board power from the GPU's spec sheet."""
+        return self.spec.typical_power_w
 
     def _effective_power_w(self, efficiency: float) -> float:
         """Board power under a workload achieving ``efficiency`` of peak.
@@ -120,8 +143,6 @@ class GPUModel:
             efficiency / self.MAX_GEMM_EFFICIENCY, 1.0
         )
 
-    # -- per-op timing ----------------------------------------------------------
-
     def gemm_efficiency(self, op: GEMMOp) -> float:
         """GEMM-size-dependent fraction of peak FLOPs achieved."""
         n_factor = min(1.0, op.n / self.SATURATION_DIM) ** 0.5
@@ -129,64 +150,46 @@ class GPUModel:
         efficiency = self.MAX_GEMM_EFFICIENCY * n_factor * k_factor
         return max(self.MIN_GEMM_EFFICIENCY, efficiency)
 
-    def _gemm_time(self, op: GEMMOp) -> tuple[float, float]:
-        """(time, dram_bytes) for one GEMM.  GPUs gain nothing from sparsity."""
-        compute_time = op.flops / (self.spec.peak_flops * self.gemm_efficiency(op))
-        dram_bytes = (
-            (op.m * op.k + op.k * op.n + op.m * op.n)
-            * self.BYTES_PER_ELEMENT
-            * op.count
-        )
-        memory_time = self.spec.dram.transfer_time_s(dram_bytes)
-        return max(compute_time, memory_time), dram_bytes
-
-    def _encoding_time(self, op: EncodingOp) -> tuple[float, float]:
-        compute_time = op.flops / (self.spec.peak_flops * self.ENCODING_EFFICIENCY)
-        dram_bytes = op.memory_bytes
-        memory_time = self.spec.dram.transfer_time_s(dram_bytes) / self.GATHER_BANDWIDTH_FRACTION
-        return max(compute_time, memory_time), dram_bytes
-
-    def _misc_time(self, op: MiscOp) -> tuple[float, float]:
-        compute_time = op.flops * op.count / (self.spec.peak_flops * self.MISC_EFFICIENCY)
-        dram_bytes = op.memory_bytes * op.count
-        memory_time = self.spec.dram.transfer_time_s(dram_bytes)
-        return max(compute_time, memory_time), dram_bytes
-
     # -- frame execution ----------------------------------------------------------
 
-    def render_frame(self, workload: Workload) -> FrameReport:
-        """Estimate one frame's latency / energy on this GPU."""
-        trace = ExecutionTrace(device=self.spec.name, model_name=workload.model_name)
-        for op in workload.ops:
-            if isinstance(op, GEMMOp):
-                time_s, dram_bytes = self._gemm_time(op)
-                category = OpCategory.GEMM
-                power = self._effective_power_w(self.gemm_efficiency(op))
-            elif isinstance(op, EncodingOp):
-                time_s, dram_bytes = self._encoding_time(op)
-                category = OpCategory.ENCODING
-                power = self._effective_power_w(self.ENCODING_EFFICIENCY)
-            elif isinstance(op, MiscOp):
-                time_s, dram_bytes = self._misc_time(op)
-                category = OpCategory.OTHER
-                power = self._effective_power_w(self.MISC_EFFICIENCY)
-            else:  # pragma: no cover - defensive
-                raise TypeError(f"unknown op type {type(op)!r}")
-            energy = power * time_s + self.spec.dram.transfer_energy_j(dram_bytes)
-            trace.add(
-                OpRecord(
-                    name=op.name,
-                    category=category,
-                    time_s=time_s,
-                    energy_j=energy,
-                    compute_time_s=time_s,
-                    dram_bytes=dram_bytes,
-                )
+    def _op_record(self, op: Op, precision: Precision | None) -> OpRecord:
+        """Roofline time and board energy of one FP32 kernel.
+
+        The kernel runs at the lesser of its compute- and bandwidth-limited
+        rates; GPUs gain nothing from sparsity.
+        """
+        dram = self.spec.dram
+        if isinstance(op, GEMMOp):
+            efficiency = self.gemm_efficiency(op)
+            compute_time = op.flops / (self.spec.peak_flops * efficiency)
+            dram_bytes = (
+                (op.m * op.k + op.k * op.n + op.m * op.n)
+                * self.BYTES_PER_ELEMENT
+                * op.count
             )
-        return FrameReport(
-            device=self.spec.name,
-            model_name=workload.model_name,
-            latency_s=trace.total_time_s,
-            energy_j=trace.total_energy_j,
-            trace=trace,
+            memory_time = dram.transfer_time_s(dram_bytes)
+            category = OpCategory.GEMM
+        elif isinstance(op, EncodingOp):
+            efficiency = self.ENCODING_EFFICIENCY
+            compute_time = op.flops / (self.spec.peak_flops * efficiency)
+            dram_bytes = op.memory_bytes
+            memory_time = dram.transfer_time_s(dram_bytes) / self.GATHER_BANDWIDTH_FRACTION
+            category = OpCategory.ENCODING
+        elif isinstance(op, MiscOp):
+            efficiency = self.MISC_EFFICIENCY
+            compute_time = op.flops * op.count / (self.spec.peak_flops * efficiency)
+            dram_bytes = op.memory_bytes * op.count
+            memory_time = dram.transfer_time_s(dram_bytes)
+            category = OpCategory.OTHER
+        else:  # pragma: no cover - defensive
+            raise TypeError(f"unknown op type {type(op)!r}")
+        time_s = max(compute_time, memory_time)
+        power = self._effective_power_w(efficiency)
+        return OpRecord(
+            name=op.name,
+            category=category,
+            time_s=time_s,
+            energy_j=power * time_s + dram.transfer_energy_j(dram_bytes),
+            compute_time_s=time_s,
+            dram_bytes=dram_bytes,
         )

@@ -26,13 +26,11 @@ from repro.core.distribution import DistributionNetwork, MappingPlan
 from repro.core.compression import SparsityAwareCompressor, SparsityRatioCalculator
 from repro.core.encoding_unit import HashEncodingEngine, NeRFEncodingUnit, PositionalEncodingEngine
 from repro.core.controller import DMAEngine, RISCVController
-from repro.core.accelerator import FlexNeRFer, FrameReport
+from repro.core.accelerator import FlexNeRFer
 from repro.core.device import (
     DEVICE_REGISTRY,
     Device,
-    FlexNeRFerDevice,
-    GPUDevice,
-    NeuRexDevice,
+    FrameReport,
     NVDLADevice,
     TPUDevice,
     UnsupportedKnobError,
@@ -44,9 +42,6 @@ from repro.core.device import (
 __all__ = [
     "Device",
     "DEVICE_REGISTRY",
-    "FlexNeRFerDevice",
-    "NeuRexDevice",
-    "GPUDevice",
     "NVDLADevice",
     "TPUDevice",
     "UnsupportedKnobError",

@@ -11,46 +11,18 @@ on-chip buffers into one model that can
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.core.config import FlexNeRFerConfig
 from repro.core.controller import DMAEngine, RISCVController
+from repro.core.device import PRECISION_MODES, Device
 from repro.core.encoding_unit import NeRFEncodingUnit
 from repro.core.mac_array import MACArray
 from repro.hw.cost import AreaReport, PowerReport
 from repro.hw.sram import SRAMMacro
-from repro.nerf.workload import (
-    EncodingOp,
-    GEMMOp,
-    MiscOp,
-    OpCategory,
-    Workload,
-)
+from repro.nerf.workload import EncodingOp, GEMMOp, MiscOp, Op, OpCategory, Workload
 from repro.sim.engine import GEMMCycleModel
 from repro.sim.memory import MemoryTrafficModel
-from repro.sim.trace import ExecutionTrace, OpRecord
+from repro.sim.trace import OpRecord
 from repro.sparse.formats import Precision
-
-
-@dataclass
-class FrameReport:
-    """Latency / energy summary of rendering one frame."""
-
-    device: str
-    model_name: str
-    latency_s: float
-    energy_j: float
-    trace: ExecutionTrace
-    precision: Precision | None = None
-    extra: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def fps(self) -> float:
-        return 1.0 / self.latency_s if self.latency_s > 0 else float("inf")
-
-    @property
-    def frame_time_ms(self) -> float:
-        return self.latency_s * 1e3
 
 
 #: Fraction of peak GEMM throughput available to miscellaneous vector work
@@ -58,55 +30,75 @@ class FrameReport:
 MISC_THROUGHPUT_FRACTION = 0.25
 
 
-class FlexNeRFer:
-    """Top-level accelerator model."""
+class FlexNeRFer(Device):
+    """Top-level accelerator model: precision-scalable and sparsity-aware."""
 
     name = "FlexNeRFer"
+    supports_precision = True
+    supports_pruning = True
+    supports_batching = True
+    native_precision = Precision.INT16
+    # Weights, format metadata and the hash-encoding tables stay resident
+    # across co-scheduled frames, so extra frames of a batch skip most DRAM
+    # setup traffic.
+    batch_marginal_latency = 0.6
+    batch_marginal_energy = 0.75
 
     def __init__(self, config: FlexNeRFerConfig | None = None) -> None:
         self.config = config or FlexNeRFerConfig()
-        self.mac_array = MACArray(
+        self._mac_array = MACArray(
             rows=self.config.array_rows,
             cols=self.config.array_cols,
             frequency_hz=self.config.frequency_hz,
         )
-        self.encoding_unit = NeRFEncodingUnit(
+        self._encoding_unit = NeRFEncodingUnit(
             frequency_hz=self.config.frequency_hz,
             buffer_bytes=self.config.encoding_buffer_bytes,
         )
-        self.controller = RISCVController(
+        self._controller = RISCVController(
             frequency_hz=self.config.frequency_hz,
             program_memory_bytes=self.config.program_memory_bytes,
         )
-        self.dma = DMAEngine(dram=self.config.dram, frequency_hz=self.config.frequency_hz)
-        self.buffers = {
+        self._dma = DMAEngine(dram=self.config.dram, frequency_hz=self.config.frequency_hz)
+        self._buffers = {
             "input_buffer": SRAMMacro("input-buffer", self.config.input_buffer_bytes, banks=8),
             "output_buffer": SRAMMacro("output-buffer", self.config.output_buffer_bytes, banks=8),
             "weight_buffer": SRAMMacro("weight-buffer", self.config.weight_buffer_bytes, banks=4),
         }
         self._memory_model = MemoryTrafficModel(
             dram=self.config.dram,
-            weight_buffer=self.buffers["weight_buffer"],
-            activation_buffer=self.buffers["input_buffer"],
+            weight_buffer=self._buffers["weight_buffer"],
+            activation_buffer=self._buffers["input_buffer"],
             compression_enabled=True,
         )
         self._cycle_model = GEMMCycleModel(
-            self.mac_array.array_config(self.config.format_conversion_overhead),
+            self._mac_array.array_config(self.config.format_conversion_overhead),
             memory=self._memory_model,
         )
+        # Chip power is a per-frame constant of each precision mode; costing
+        # it once here keeps it out of the per-op loop.
+        self._chip_power_w = {p: self.power(p).total_w for p in PRECISION_MODES}
+
+    def _fingerprint_state(self) -> dict:
+        """The full accelerator config (array, buffers, DRAM, overheads)."""
+        return {"config": self.config}
+
+    def effective_precision(self, precision: Precision | None) -> Precision | None:
+        """Default the precision knob to the config's precision mode."""
+        return precision or self.config.default_precision
 
     # -- hardware cost ---------------------------------------------------------
 
     def area(self) -> AreaReport:
         """Chip-level area breakdown in mm^2 (paper Fig. 16(a) / Fig. 17(a))."""
         report = AreaReport()
-        for block, value in self.mac_array.area().breakdown.items():
+        for block, value in self._mac_array.area().breakdown.items():
             report.add(f"gemm_unit/{block}", value)
-        report.add("encoding_unit", self.encoding_unit.area_mm2())
-        buffers_mm2 = sum(macro.area_mm2 for macro in self.buffers.values())
+        report.add("encoding_unit", self._encoding_unit.area_mm2())
+        buffers_mm2 = sum(macro.area_mm2 for macro in self._buffers.values())
         report.add("buffers", buffers_mm2)
-        report.add("controller", self.controller.cost().area_um2 / 1e6)
-        report.add("dma", self.dma.cost().area_um2 / 1e6)
+        report.add("controller", self._controller.cost().area_um2 / 1e6)
+        report.add("dma", self._dma.cost().area_um2 / 1e6)
         # System bus, high-speed I/O pads and top-level integration glue.
         report.add("io_and_bus", 2.9)
         return report
@@ -115,16 +107,16 @@ class FlexNeRFer:
         """Chip-level power breakdown in watts (paper Fig. 16(b) / Fig. 17(b))."""
         precision = precision or self.config.default_precision
         report = PowerReport()
-        for block, value in self.mac_array.power(precision).breakdown.items():
+        for block, value in self._mac_array.power(precision).breakdown.items():
             report.add(f"gemm_unit/{block}", value)
-        report.add("encoding_unit", self.encoding_unit.power_w())
+        report.add("encoding_unit", self._encoding_unit.power_w())
         buffer_w = sum(
             macro.power_w(utilisation=0.5, frequency_hz=self.config.frequency_hz)
-            for macro in self.buffers.values()
+            for macro in self._buffers.values()
         )
         report.add("buffers", buffer_w)
-        report.add("controller", self.controller.cost().power_mw / 1e3)
-        report.add("dma", self.dma.cost().power_mw / 1e3)
+        report.add("controller", self._controller.cost().power_mw / 1e3)
+        report.add("dma", self._dma.cost().power_mw / 1e3)
         report.add("io_and_bus", 0.45)
         # LPDDR3 PHY + wider on-chip fetch datapaths at lower precision.
         dram_interface_w = {
@@ -135,45 +127,34 @@ class FlexNeRFer:
         report.add("dram_interface", dram_interface_w[precision])
         return report
 
+    def power_profile(self) -> dict[str, float]:
+        """Power at each supported precision mode (Fig. 16's rows)."""
+        return {p.name: self.power_w(p) for p in PRECISION_MODES}
+
     # -- frame execution ------------------------------------------------------------
 
-    def render_frame(
-        self,
-        workload: Workload,
-        precision: Precision | None = None,
-        pruning_ratio: float = 0.0,
-    ) -> FrameReport:
-        """Estimate latency and energy for one frame of ``workload``.
-
-        The workload's GEMMs are re-expressed at ``precision`` and optionally
-        structurally pruned; encoding ops run on the encoding unit, GEMMs on
-        the MAC array through the flexible NoC, and miscellaneous work on the
-        array's vector datapath.
-        """
+    def _prepare(
+        self, workload: Workload, precision: Precision | None, pruning_ratio: float
+    ) -> tuple[Workload, Precision]:
+        """Re-express the workload's GEMMs at ``precision`` and prune them."""
         precision = precision or self.config.default_precision
         prepared = workload.with_precision(precision)
         if pruning_ratio > 0.0:
             prepared = prepared.pruned(pruning_ratio)
+        return prepared, precision
 
-        chip_power = self.power(precision).total_w
-        trace = ExecutionTrace(device=self.name, model_name=prepared.model_name)
-        for op in prepared.ops:
-            if isinstance(op, GEMMOp):
-                trace.add(self._run_gemm(op, chip_power))
-            elif isinstance(op, EncodingOp):
-                trace.add(self._run_encoding(op, chip_power))
-            elif isinstance(op, MiscOp):
-                trace.add(self._run_misc(op, precision, chip_power))
-            else:  # pragma: no cover - defensive
-                raise TypeError(f"unknown op type {type(op)!r}")
-        return FrameReport(
-            device=self.name,
-            model_name=prepared.model_name,
-            latency_s=trace.total_time_s,
-            energy_j=trace.total_energy_j,
-            trace=trace,
-            precision=precision,
-        )
+    def _op_record(self, op: Op, precision: Precision) -> OpRecord:
+        """Run encodings on the encoding unit, GEMMs on the MAC array through
+        the flexible NoC, and miscellaneous work on the array's vector datapath.
+        """
+        chip_power = self._chip_power_w[precision]
+        if isinstance(op, GEMMOp):
+            return self._run_gemm(op, chip_power)
+        if isinstance(op, EncodingOp):
+            return self._run_encoding(op, chip_power)
+        if isinstance(op, MiscOp):
+            return self._run_misc(op, precision, chip_power)
+        raise TypeError(f"unknown op type {type(op)!r}")
 
     # -- per-op execution --------------------------------------------------------------
 
@@ -198,12 +179,12 @@ class FlexNeRFer:
         )
 
     def _run_encoding(self, op: EncodingOp, chip_power_w: float) -> OpRecord:
-        timing = self.encoding_unit.timing(op)
+        timing = self._encoding_unit.timing(op)
         dram_bytes = op.dram_bytes
         dram_time = self.config.dram.transfer_time_s(dram_bytes)
         time_s = timing.time_s + dram_time
         energy = (
-            self.encoding_unit.power_w() * timing.time_s
+            self._encoding_unit.power_w() * timing.time_s
             + self.config.dram.transfer_energy_j(dram_bytes)
             + 0.15 * chip_power_w * time_s
         )
@@ -219,7 +200,7 @@ class FlexNeRFer:
 
     def _run_misc(self, op: MiscOp, precision: Precision, chip_power_w: float) -> OpRecord:
         vector_throughput = (
-            self.mac_array.peak_tops(precision) * 1e12 * MISC_THROUGHPUT_FRACTION
+            self._mac_array.peak_tops(precision) * 1e12 * MISC_THROUGHPUT_FRACTION
         )
         time_s = op.flops * op.count / vector_throughput
         return OpRecord(

@@ -1,20 +1,21 @@
-"""Unified device protocol and registry for every simulated device.
+"""Unified device protocol, frame loop and registry for every simulated device.
 
 The evaluation compares one accelerator against five baseline device
-families, and historically every experiment module hand-instantiated the
-models it needed and called their (slightly different) ``render_frame``
-signatures.  This module defines the one interface they all share:
+families.  This module defines the one interface they all share:
 
-* :class:`Device` -- abstract base with a uniform
-  ``render_frame(workload, *, precision=None, pruning_ratio=0.0)`` plus
+* :class:`Device` -- the base class of every device model, with a uniform
+  ``render_frame(workload, precision=None, pruning_ratio=0.0)`` plus
   capability flags (``supports_precision`` / ``supports_pruning`` /
   ``supports_batching``) that tell callers -- most importantly the
   :class:`repro.sim.sweep.SweepEngine` -- which knobs actually change the
   device's behaviour;
-* adapter subclasses wrapping :class:`repro.core.accelerator.FlexNeRFer`,
-  :class:`repro.baselines.neurex.NeuRex`, the four GPU specs of
-  :mod:`repro.baselines.gpu`, and frame-level analytical models built on the
-  NVDLA / TPU utilisation models of Fig. 4;
+* the one frame loop, :meth:`Device.render_frame`: a device's
+  :meth:`~Device._prepare` hook applies (or rejects) the knobs, its
+  :meth:`~Device._op_record` costs each op, and the base class builds the
+  :class:`~repro.sim.trace.ExecutionTrace` and :class:`FrameReport`;
+* frame-level models of NVDLA and the TPU, built on the utilisation models
+  of Fig. 4 (FlexNeRFer, NeuRex and the GPUs subclass :class:`Device` in
+  their own modules);
 * :data:`DEVICE_REGISTRY` -- name -> factory mapping, so new devices are one
   registry entry away from every sweep and experiment.
 
@@ -22,25 +23,49 @@ Unsupported knobs are handled per device, as flagged: the GPUs *raise*
 :class:`UnsupportedKnobError` when asked for a precision mode or pruning
 (nothing in their roofline model could honour it), while NeuRex silently
 no-ops (it always computes densely at INT16 -- exactly the flat bars of
-Fig. 19).  Baseline imports happen lazily inside the adapters so that
-``repro.core`` and ``repro.baselines`` stay free of import cycles.
+Fig. 19).  A pruning ratio outside ``[0, 1)`` is rejected on every device.
+Registry factories import their classes lazily so that ``repro.core`` and
+``repro.baselines`` stay free of import cycles.
 """
 
 from __future__ import annotations
 
-import abc
 import dataclasses
 import enum
 import hashlib
 import json
+from dataclasses import dataclass, field
 from typing import Any, TYPE_CHECKING, Callable, ClassVar
 
 from repro.sparse.formats import Precision
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.accelerator import FrameReport
     from repro.hw.cost import AreaReport, PowerReport
-    from repro.nerf.workload import Workload
+    from repro.nerf.workload import Op, Workload
+    from repro.sim.trace import ExecutionTrace, OpRecord
+
+
+@dataclass
+class FrameReport:
+    """Latency / energy summary of rendering one frame."""
+
+    device: str
+    model_name: str
+    latency_s: float
+    energy_j: float
+    trace: "ExecutionTrace"
+    precision: Precision | None = None
+    extra: dict[str, float] = field(default_factory=dict)
+
+    @property
+    def fps(self) -> float:
+        """Frames per second (``inf`` for a zero-latency frame)."""
+        return 1.0 / self.latency_s if self.latency_s > 0 else float("inf")
+
+    @property
+    def frame_time_ms(self) -> float:
+        """Frame latency in milliseconds."""
+        return self.latency_s * 1e3
 
 
 class UnsupportedKnobError(ValueError):
@@ -83,13 +108,21 @@ def canonical_digest(value: Any) -> str:
 PRECISION_MODES = (Precision.INT16, Precision.INT8, Precision.INT4)
 
 
-class Device(abc.ABC):
+def _check_pruning_ratio(pruning_ratio: float) -> None:
+    """Reject a pruning ratio outside ``[0, 1)``, NaN and infinities included."""
+    if not 0.0 <= pruning_ratio < 1.0:
+        raise ValueError(f"pruning ratio must be in [0, 1), got {pruning_ratio}")
+
+
+class Device:
     """Uniform frame-level interface over every simulated device.
 
     Capability flags describe which sweep knobs change the device's
     behaviour; the sweep engine uses them (via :meth:`effective_precision` /
     :meth:`effective_pruning`) to collapse redundant sweep points onto one
-    cached simulation.
+    cached simulation.  Subclasses model a device by overriding
+    :meth:`_op_record` (and :meth:`_prepare` when they honour or ignore
+    knobs); :meth:`render_frame` is the one frame loop they all share.
     """
 
     #: Display name (matches the paper's figures, e.g. ``"RTX 2080 Ti"``).
@@ -103,15 +136,58 @@ class Device(abc.ABC):
     #: The precision the device natively computes at (None -> FP32).
     native_precision: ClassVar[Precision | None] = None
 
-    @abc.abstractmethod
+    # -- the frame loop --------------------------------------------------------
+
     def render_frame(
         self,
         workload: "Workload",
-        *,
         precision: Precision | None = None,
         pruning_ratio: float = 0.0,
-    ) -> "FrameReport":
+    ) -> FrameReport:
         """Estimate latency / energy of rendering one frame of ``workload``."""
+        from repro.sim.trace import ExecutionTrace
+
+        _check_pruning_ratio(pruning_ratio)
+        workload, precision = self._prepare(workload, precision, pruning_ratio)
+        trace = ExecutionTrace(device=self.name, model_name=workload.model_name)
+        for op in workload.ops:
+            trace.add(self._op_record(op, precision))
+        return FrameReport(
+            device=self.name,
+            model_name=workload.model_name,
+            latency_s=trace.total_time_s,
+            energy_j=trace.total_energy_j,
+            trace=trace,
+            precision=precision,
+        )
+
+    def _prepare(
+        self,
+        workload: "Workload",
+        precision: Precision | None,
+        pruning_ratio: float,
+    ) -> tuple["Workload", Precision | None]:
+        """Apply the knobs: the workload to run and the precision it runs at.
+
+        The default suits fixed-function devices: they compute at their
+        native precision and schedule pruned zeros like any other operand,
+        so any other precision and any pruning raise.
+        """
+        if precision is not None and precision is not self.native_precision:
+            native = self.native_precision.name if self.native_precision else "FP32"
+            raise UnsupportedKnobError(
+                f"{self.name} computes at {native} only (requested {precision.name})"
+            )
+        if pruning_ratio != 0.0:
+            raise UnsupportedKnobError(
+                f"{self.name} cannot exploit structured pruning "
+                f"(requested ratio {pruning_ratio})"
+            )
+        return workload, self.native_precision
+
+    def _op_record(self, op: "Op", precision: Precision | None) -> "OpRecord":
+        """Latency / energy of one op of a prepared workload at ``precision``."""
+        raise NotImplementedError(f"{self.name} has no frame model")
 
     # -- capability-aware knob normalisation ----------------------------------
 
@@ -128,6 +204,7 @@ class Device(abc.ABC):
 
     def effective_pruning(self, pruning_ratio: float) -> float:
         """The pruning ratio that actually reaches the device's datapath."""
+        _check_pruning_ratio(pruning_ratio)
         return pruning_ratio if self.supports_pruning else 0.0
 
     # -- content-addressable identity ------------------------------------------
@@ -135,7 +212,7 @@ class Device(abc.ABC):
     def _fingerprint_state(self) -> dict[str, Any]:
         """Model parameters that change this device's simulated behaviour.
 
-        Adapters override this with everything their frame estimates depend
+        Subclasses override this with everything their frame estimates depend
         on (configs, specs, array geometry); the base contribution covers
         the protocol-level knobs.  Values must be JSON-canonicalizable
         (scalars, enums, dataclasses, nested containers).
@@ -197,13 +274,21 @@ class Device(abc.ABC):
 
     # -- hardware cost --------------------------------------------------------
 
+    def area(self) -> "AreaReport":
+        """Per-block area breakdown in mm^2 (Fig. 17(a))."""
+        raise NotImplementedError(f"{self.name} has no area model")
+
+    def power(self, precision: Precision | None = None) -> "PowerReport":
+        """Per-block power breakdown in watts at ``precision`` (Fig. 17(b))."""
+        raise NotImplementedError(f"{self.name} has no power model")
+
     def area_mm2(self) -> float:
         """Chip / board area in mm^2 (spec sheet or modelled)."""
-        raise NotImplementedError(f"{self.name} has no area model")
+        return self.area().total_mm2
 
     def power_w(self, precision: Precision | None = None) -> float:
         """Power draw in watts, optionally at a specific precision mode."""
-        raise NotImplementedError(f"{self.name} has no power model")
+        return self.power(precision).total_w
 
     def power_profile(self) -> dict[str, float]:
         """Labelled power figures for cost tables (Fig. 16)."""
@@ -211,171 +296,6 @@ class Device(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"
-
-
-# -- FlexNeRFer ---------------------------------------------------------------
-
-
-class FlexNeRFerDevice(Device):
-    """The paper's accelerator: precision-scalable and sparsity-aware."""
-
-    supports_precision = True
-    supports_pruning = True
-    supports_batching = True
-    native_precision = Precision.INT16
-    # Weights, format metadata and the hash-encoding tables stay resident
-    # across co-scheduled frames, so extra frames of a batch skip most DRAM
-    # setup traffic.
-    batch_marginal_latency = 0.6
-    batch_marginal_energy = 0.75
-
-    def __init__(self, config=None) -> None:
-        """Wrap a fresh :class:`~repro.core.accelerator.FlexNeRFer` model."""
-        from repro.core.accelerator import FlexNeRFer
-
-        self.impl = FlexNeRFer(config)
-        self.name = self.impl.name
-
-    def effective_precision(self, precision: Precision | None) -> Precision | None:
-        """Default the precision knob to the config's precision mode."""
-        return precision or self.impl.config.default_precision
-
-    def _fingerprint_state(self) -> dict:
-        """The full accelerator config (array, buffers, DRAM, overheads)."""
-        return {"config": self.impl.config}
-
-    def render_frame(self, workload, *, precision=None, pruning_ratio=0.0):
-        """Simulate one frame on the accelerator at the requested knobs."""
-        return self.impl.render_frame(
-            workload, precision=precision, pruning_ratio=pruning_ratio
-        )
-
-    def area_mm2(self) -> float:
-        """Total modelled chip area in mm^2."""
-        return self.impl.area().total_mm2
-
-    def power_w(self, precision: Precision | None = None) -> float:
-        """Total modelled power at ``precision`` (default mode when None)."""
-        return self.impl.power(precision).total_w
-
-    def power_profile(self) -> dict[str, float]:
-        """Power at each supported precision mode (Fig. 16's rows)."""
-        return {p.name: self.power_w(p) for p in PRECISION_MODES}
-
-    def area_report(self) -> "AreaReport":
-        """Full per-block area breakdown."""
-        return self.impl.area()
-
-    def power_report(self, precision: Precision | None = None) -> "PowerReport":
-        """Full per-block power breakdown at ``precision``."""
-        return self.impl.power(precision)
-
-
-# -- NeuRex -------------------------------------------------------------------
-
-
-class NeuRexDevice(Device):
-    """NeuRex (ISCA 2023): dense INT16 only, so both knobs no-op.
-
-    The flags are False but the knobs are *accepted and ignored* rather than
-    raising: sweeping pruning over NeuRex and seeing flat gains is exactly
-    the comparison Fig. 19 makes.
-    """
-
-    supports_precision = False
-    supports_pruning = False
-    supports_batching = True
-    native_precision = Precision.INT16
-    # Dense INT16 pipeline: batching only amortizes weight refetch, not the
-    # (dominant) dense compute, so the marginal frame stays expensive.
-    batch_marginal_latency = 0.8
-    batch_marginal_energy = 0.9
-
-    def __init__(self, config=None) -> None:
-        """Wrap a fresh :class:`~repro.baselines.neurex.NeuRex` model."""
-        from repro.baselines.neurex import NeuRex
-
-        self.impl = NeuRex(config)
-        self.name = self.impl.name
-
-    def _fingerprint_state(self) -> dict:
-        """The NeuRex config (array geometry, encoding engine, DRAM)."""
-        return {"config": self.impl.config}
-
-    def render_frame(self, workload, *, precision=None, pruning_ratio=0.0):
-        """Simulate one frame; unsupported knobs are accepted and ignored."""
-        return self.impl.render_frame(
-            workload, precision=precision, pruning_ratio=pruning_ratio
-        )
-
-    def area_mm2(self) -> float:
-        """Total modelled chip area in mm^2."""
-        return self.impl.area().total_mm2
-
-    def power_w(self, precision: Precision | None = None) -> float:
-        """Total modelled power (NeuRex has a single INT16 operating point)."""
-        return self.impl.power().total_w
-
-    def power_profile(self) -> dict[str, float]:
-        """The single INT16 power figure, labelled for cost tables."""
-        return {Precision.INT16.name: self.power_w()}
-
-    def area_report(self) -> "AreaReport":
-        """Full per-block area breakdown."""
-        return self.impl.area()
-
-    def power_report(self, precision: Precision | None = None) -> "PowerReport":
-        """Full per-block power breakdown (precision is ignored)."""
-        return self.impl.power()
-
-
-# -- GPUs ---------------------------------------------------------------------
-
-
-class GPUDevice(Device):
-    """Roofline GPU adapter.  FP32 only; unsupported knobs raise."""
-
-    supports_precision = False
-    supports_pruning = False
-    supports_batching = True
-    native_precision = None
-    # CUDA kernels overlap poorly across frames; batching mostly saves
-    # per-launch overheads, a small fraction of a NeRF frame.
-    batch_marginal_latency = 0.9
-    batch_marginal_energy = 0.95
-
-    def __init__(self, spec=None) -> None:
-        """Wrap the roofline model of ``spec`` (RTX 2080 Ti by default)."""
-        from repro.baselines.gpu import GPUModel, RTX_2080_TI
-
-        self.impl = GPUModel(spec or RTX_2080_TI)
-        self.spec = self.impl.spec
-        self.name = self.spec.name
-
-    def _fingerprint_state(self) -> dict:
-        """The GPU spec sheet (peak FLOPS, power, memory interface)."""
-        return {"spec": self.spec}
-
-    def render_frame(self, workload, *, precision=None, pruning_ratio=0.0):
-        """Simulate one FP32 frame; precision / pruning requests raise."""
-        if precision is not None:
-            raise UnsupportedKnobError(
-                f"{self.name} computes at FP32 only (requested {precision.name})"
-            )
-        if pruning_ratio != 0.0:
-            raise UnsupportedKnobError(
-                f"{self.name} gains nothing from structured pruning "
-                f"(requested ratio {pruning_ratio})"
-            )
-        return self.impl.render_frame(workload)
-
-    def area_mm2(self) -> float:
-        """Die area from the GPU's spec sheet."""
-        return self.spec.area_mm2
-
-    def power_w(self, precision: Precision | None = None) -> float:
-        """Typical board power from the GPU's spec sheet."""
-        return self.spec.typical_power_w
 
 
 # -- NVDLA / TPU --------------------------------------------------------------
@@ -432,66 +352,42 @@ class _UtilizationFrameDevice(Device):
         """Peak MAC throughput of the dense array."""
         return self.num_macs * self.frequency_hz
 
-    def render_frame(self, workload, *, precision=None, pruning_ratio=0.0):
-        """Estimate one frame from per-op utilisation and DRAM transfer time."""
-        from repro.core.accelerator import FrameReport
+    def _op_record(self, op: "Op", precision: Precision | None) -> "OpRecord":
+        """Cost one op from its utilisation and DRAM transfer time."""
         from repro.nerf.workload import EncodingOp, GEMMOp, MiscOp, OpCategory
-        from repro.sim.trace import ExecutionTrace, OpRecord
+        from repro.sim.trace import OpRecord
 
-        if precision is not None and precision is not self.native_precision:
-            raise UnsupportedKnobError(
-                f"{self.name} computes at {self.native_precision.name} only"
-            )
-        if pruning_ratio != 0.0:
-            raise UnsupportedKnobError(
-                f"{self.name} schedules zeros like any other operand and "
-                f"cannot exploit pruning (requested ratio {pruning_ratio})"
-            )
         fallback = self.peak_macs_per_s * 2.0 * self.FALLBACK_THROUGHPUT_FRACTION
-        trace = ExecutionTrace(device=self.name, model_name=workload.model_name)
-        for op in workload.ops:
-            if isinstance(op, GEMMOp):
-                utilization = self.gemm_utilization(op)
-                compute_time = op.macs / (self.peak_macs_per_s * utilization)
-                dram_bytes = (
-                    (op.m * op.k + op.k * op.n + op.m * op.n) * 1.0 * op.count
-                )
-                category = OpCategory.GEMM
-            elif isinstance(op, EncodingOp):
-                utilization = self.FALLBACK_THROUGHPUT_FRACTION
-                compute_time = op.flops / fallback
-                dram_bytes = op.memory_bytes
-                category = OpCategory.ENCODING
-            elif isinstance(op, MiscOp):
-                utilization = self.FALLBACK_THROUGHPUT_FRACTION
-                compute_time = op.flops * op.count / fallback
-                dram_bytes = op.memory_bytes * op.count
-                category = OpCategory.OTHER
-            else:  # pragma: no cover - defensive
-                raise TypeError(f"unknown op type {type(op)!r}")
-            memory_time = self.dram.transfer_time_s(dram_bytes)
-            time_s = max(compute_time, memory_time)
-            idle = self.IDLE_POWER_FRACTION * self.typical_power_w
-            power = idle + (self.typical_power_w - idle) * min(utilization, 1.0)
-            trace.add(
-                OpRecord(
-                    name=op.name,
-                    category=category,
-                    time_s=time_s,
-                    energy_j=power * time_s + self.dram.transfer_energy_j(dram_bytes),
-                    compute_time_s=compute_time,
-                    dram_time_s=max(0.0, time_s - compute_time),
-                    dram_bytes=dram_bytes,
-                    utilization=utilization,
-                )
-            )
-        return FrameReport(
-            device=self.name,
-            model_name=workload.model_name,
-            latency_s=trace.total_time_s,
-            energy_j=trace.total_energy_j,
-            trace=trace,
-            precision=self.native_precision,
+        if isinstance(op, GEMMOp):
+            utilization = self.gemm_utilization(op)
+            compute_time = op.macs / (self.peak_macs_per_s * utilization)
+            dram_bytes = (op.m * op.k + op.k * op.n + op.m * op.n) * 1.0 * op.count
+            category = OpCategory.GEMM
+        elif isinstance(op, EncodingOp):
+            utilization = self.FALLBACK_THROUGHPUT_FRACTION
+            compute_time = op.flops / fallback
+            dram_bytes = op.memory_bytes
+            category = OpCategory.ENCODING
+        elif isinstance(op, MiscOp):
+            utilization = self.FALLBACK_THROUGHPUT_FRACTION
+            compute_time = op.flops * op.count / fallback
+            dram_bytes = op.memory_bytes * op.count
+            category = OpCategory.OTHER
+        else:  # pragma: no cover - defensive
+            raise TypeError(f"unknown op type {type(op)!r}")
+        memory_time = self.dram.transfer_time_s(dram_bytes)
+        time_s = max(compute_time, memory_time)
+        idle = self.IDLE_POWER_FRACTION * self.typical_power_w
+        power = idle + (self.typical_power_w - idle) * min(utilization, 1.0)
+        return OpRecord(
+            name=op.name,
+            category=category,
+            time_s=time_s,
+            energy_j=power * time_s + self.dram.transfer_energy_j(dram_bytes),
+            compute_time_s=compute_time,
+            dram_time_s=max(0.0, time_s - compute_time),
+            dram_bytes=dram_bytes,
+            utilization=utilization,
         )
 
     def power_w(self, precision: Precision | None = None) -> float:
@@ -562,19 +458,31 @@ class TPUDevice(_UtilizationFrameDevice):
 DeviceFactory = Callable[[], Device]
 
 
+def _flexnerfer() -> Device:
+    from repro.core.accelerator import FlexNeRFer
+
+    return FlexNeRFer()
+
+
+def _neurex() -> Device:
+    from repro.baselines.neurex import NeuRex
+
+    return NeuRex()
+
+
 def _gpu_factory(spec_name: str) -> DeviceFactory:
     def factory() -> Device:
         from repro.baselines import gpu
 
-        return GPUDevice(getattr(gpu, spec_name))
+        return gpu.GPUModel(getattr(gpu, spec_name))
 
     return factory
 
 
 #: Registry key -> factory for every device of the evaluation.
 DEVICE_REGISTRY: dict[str, DeviceFactory] = {
-    "flexnerfer": FlexNeRFerDevice,
-    "neurex": NeuRexDevice,
+    "flexnerfer": _flexnerfer,
+    "neurex": _neurex,
     "rtx-2080-ti": _gpu_factory("RTX_2080_TI"),
     "rtx-4090": _gpu_factory("RTX_4090"),
     "jetson-nano": _gpu_factory("JETSON_NANO"),

@@ -85,10 +85,10 @@ def run(precision: Precision = Precision.INT16) -> Fig17Result:
     """Compute both breakdowns at ``precision`` (the paper reports INT16)."""
     flex = get_device("flexnerfer")
     neurex = get_device("neurex")
-    flex_area = flex.area_report()
-    flex_power = flex.power_report(precision)
-    neurex_area = neurex.area_report()
-    neurex_power = neurex.power_report()
+    flex_area = flex.area()
+    flex_power = flex.power(precision)
+    neurex_area = neurex.area()
+    neurex_power = neurex.power()
     return Fig17Result(
         flexnerfer=AcceleratorBreakdown(
             device="FlexNeRFer",

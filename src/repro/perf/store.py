@@ -60,7 +60,7 @@ from repro.nerf.workload import OpCategory
 from repro.sparse.formats import Precision
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.accelerator import FrameReport
+    from repro.core.device import FrameReport
     from repro.nerf.workload import Workload
 
 #: Generation of the store's serialization format *and* of the simulation
@@ -364,7 +364,7 @@ def report_to_dict(report: "FrameReport") -> dict[str, Any]:
 
 def report_from_dict(data: dict[str, Any]) -> "FrameReport":
     """Rebuild a :class:`FrameReport` from :func:`report_to_dict` output."""
-    from repro.core.accelerator import FrameReport
+    from repro.core.device import FrameReport
     from repro.sim.trace import ExecutionTrace, OpRecord
 
     trace_data = data["trace"]

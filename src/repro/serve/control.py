@@ -45,7 +45,7 @@ from repro.serve.request import Scenario, require_count, require_positive
 from repro.sparse.formats import Precision
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.accelerator import FrameReport
+    from repro.core.device import FrameReport
     from repro.sim.sweep import SweepEngine
 
 #: PSNR (dB) treated as "indistinguishable from full quality": delivered

@@ -47,7 +47,7 @@ from repro.perf.store import (
 from repro.sparse.formats import Precision
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.accelerator import FrameReport
+    from repro.core.device import FrameReport
     from repro.core.device import Device
     from repro.nerf.workload import Workload
 

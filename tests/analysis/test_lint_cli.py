@@ -55,7 +55,10 @@ class TestExitCodes:
 
     def test_shipped_tree_is_clean_with_committed_baseline(self, capsys):
         assert lint() == 0  # exactly what the CI lint job runs
-        assert "clean:" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "clean:" in out
+        # A dead baseline entry would pass silently; fail on it instead.
+        assert "stale baseline entry" not in out
 
 
 class TestFormats:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.accelerator import FrameReport
+from repro.core.device import FrameReport
 from repro.core.device import (
     DEVICE_REGISTRY,
     Device,
@@ -12,6 +12,7 @@ from repro.core.device import (
     register_device,
 )
 from repro.nerf.models import FrameConfig, get_model
+from repro.sim.sweep import SweepEngine
 from repro.sparse.formats import Precision
 
 
@@ -105,6 +106,29 @@ class TestCapabilityFlags:
         for name in ("nvdla", "tpu"):
             with pytest.raises(UnsupportedKnobError):
                 get_device(name).render_frame(small_workload, pruning_ratio=0.5)
+
+
+BAD_PRUNING_RATIOS = (float("nan"), -0.5, 1.0, float("inf"))
+RANGE_ERROR = r"pruning ratio must be in \[0, 1\)"
+
+
+class TestPruningRatioValidation:
+    """Out-of-range ratios fail on every device, before any knob collapse."""
+
+    @pytest.mark.parametrize("ratio", BAD_PRUNING_RATIOS)
+    @pytest.mark.parametrize("name", sorted(EXPECTED_DEVICES))
+    def test_render_frame_rejects(self, name, ratio, small_workload):
+        with pytest.raises(ValueError, match=RANGE_ERROR) as info:
+            get_device(name).render_frame(small_workload, pruning_ratio=ratio)
+        assert not isinstance(info.value, UnsupportedKnobError)
+
+    @pytest.mark.parametrize("ratio", BAD_PRUNING_RATIOS)
+    @pytest.mark.parametrize("name", sorted(EXPECTED_DEVICES))
+    def test_sweep_engine_rejects(self, name, ratio, small_workload):
+        engine = SweepEngine()
+        with pytest.raises(ValueError, match=RANGE_ERROR):
+            engine.frame_report(name, workload=small_workload, pruning_ratio=ratio)
+        assert engine.stats.report_misses == 0
 
 
 class TestDeviceCost:

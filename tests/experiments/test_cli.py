@@ -96,6 +96,13 @@ class TestRunErrors:
         assert err.count("\n") == 1  # one line, not a traceback
         assert err.startswith("error: fig06:")
 
+    def test_out_of_range_pruning_ratio_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "run", "fig19", "--pruning-ratios", "0,-0.5")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: fig19: pruning ratio must be in [0, 1)")
+
     def test_unknown_scene_value_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "run", "fig13", "--scenes", "nope")
         assert code == 2

@@ -31,7 +31,8 @@ FIXTURE_SOURCE = '''\
 import dataclasses
 from typing import Any
 
-from repro.core.device import Device, FlexNeRFerDevice
+from repro.core.accelerator import FlexNeRFer
+from repro.core.device import Device
 
 
 class LeakyDevice(Device):
@@ -41,7 +42,7 @@ class LeakyDevice(Device):
 
     def __init__(self, gain: float = 1.0) -> None:
         self.gain = gain
-        self.inner = FlexNeRFerDevice()
+        self.inner = FlexNeRFer()
 
     def _fingerprint_state(self) -> dict[str, Any]:
         return {"inner": self.inner.fingerprint()}

@@ -14,7 +14,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.core.device import FlexNeRFerDevice, TPUDevice, get_device
+from repro.core.accelerator import FlexNeRFer
+from repro.core.device import TPUDevice, get_device
 from repro.core.config import FlexNeRFerConfig
 from repro.nerf.models import FrameConfig, get_model
 from repro.perf.store import (
@@ -85,9 +86,7 @@ class TestSerialization:
 class TestFingerprints:
     def test_device_fingerprint_is_stable(self):
         assert TPUDevice().fingerprint() == TPUDevice().fingerprint()
-        assert (
-            FlexNeRFerDevice().fingerprint() == FlexNeRFerDevice().fingerprint()
-        )
+        assert FlexNeRFer().fingerprint() == FlexNeRFer().fingerprint()
 
     def test_device_edit_changes_fingerprint(self):
         assert TPUDevice().fingerprint() != TPUDevice(rows=32).fingerprint()
@@ -96,8 +95,8 @@ class TestFingerprints:
             != TPUDevice(typical_power_w=3.0).fingerprint()
         )
         assert (
-            FlexNeRFerDevice().fingerprint()
-            != FlexNeRFerDevice(FlexNeRFerConfig(frequency_hz=1e9)).fingerprint()
+            FlexNeRFer().fingerprint()
+            != FlexNeRFer(FlexNeRFerConfig(frequency_hz=1e9)).fingerprint()
         )
 
     def test_distinct_devices_have_distinct_fingerprints(self):
