@@ -13,12 +13,18 @@ the containing file and must exist on disk.  Inline-code repository paths
 `` `perfbench/...` ``, `` `examples/...` ``, `` `benchmarks/...` ``) are
 resolved from the repository root and must exist too; a pytest node id's
 ``::`` suffix is dropped, and paths containing ``*``, ``<`` or ``{``
-(globs and placeholders) are skipped.  Exits 1 listing every broken link;
+(globs and placeholders) are skipped.  Inline-code dotted names of the
+package (`` `repro.core.device.Device` ``, optionally called, as in
+`` `repro.sim.sweep.get_default_engine()` ``) must name a module under
+``src/`` or something it defines: the sources are parsed, never imported,
+so a doc naming a deleted class fails.  Exits 1 listing every broken link;
 no third-party dependencies.
 """
 
 from __future__ import annotations
 
+import ast
+import functools
 import re
 import sys
 from pathlib import Path
@@ -34,8 +40,14 @@ CODE_PATH_RE = re.compile(
     r"`((?:src|tests|docs|scripts|perfbench|examples|benchmarks)/[^`\s]*)`"
 )
 
+#: Inline-code dotted name under the package, optionally with call arguments.
+DOTTED_NAME_RE = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)(?:\([^`]*\))?`")
+
 #: Inline-code paths are written relative to the repository root.
 REPO_ROOT = Path(__file__).resolve().parents[1]
+
+#: Dotted package names resolve against the sources under ``src/``.
+SOURCE_ROOT = REPO_ROOT / "src"
 
 
 def iter_markdown_files(arguments: list[str]) -> list[Path]:
@@ -53,8 +65,84 @@ def iter_markdown_files(arguments: list[str]) -> list[Path]:
     return sorted(files)
 
 
+def _module_file(parts: tuple[str, ...]) -> Path | None:
+    """Source file of the module ``parts`` names, if there is one."""
+    base = SOURCE_ROOT.joinpath(*parts)
+    for candidate in (base / "__init__.py", base.with_suffix(".py")):
+        if candidate.is_file():
+            return candidate
+    return None
+
+
+@functools.lru_cache(maxsize=None)
+def _module_body(parts: tuple[str, ...]) -> list[ast.stmt] | None:
+    """Top-level statements of module ``parts`` (None if it does not exist)."""
+    path = _module_file(parts)
+    return None if path is None else ast.parse(path.read_text()).body
+
+
+def _bindings(body: list[ast.stmt]) -> dict[str, ast.AST]:
+    """Names a module or class body binds -> the statement binding them.
+
+    Covers definitions, assignments and imports, including those nested in
+    top-level ``if`` / ``try`` blocks.
+    """
+    names: dict[str, ast.AST] = {}
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names[node.name] = node
+        elif isinstance(node, ast.Assign):
+            names.update((t.id, node) for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names[node.target.id] = node
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                names[(alias.asname or alias.name).split(".")[0]] = node
+        elif isinstance(node, (ast.If, ast.Try)):
+            for block in (node.body, node.orelse, getattr(node, "finalbody", [])):
+                names.update(_bindings(block))
+    return names
+
+
+def name_resolves(dotted: str) -> bool:
+    """Whether ``dotted`` names a package module or something it defines.
+
+    The longest prefix that is a module under ``src/`` is parsed; the rest
+    is looked up in its top-level bindings, descending into class bodies
+    (and their base classes) and following ``from repro... import``
+    re-exports.
+    """
+    parts = tuple(dotted.split("."))
+    split = next(
+        (i for i in range(len(parts), 0, -1) if _module_file(parts[:i])), None
+    )
+    if split is None:
+        return False
+    module = ".".join(parts[:split])
+    body = _module_body(parts[:split]) or []
+    for index in range(split, len(parts)):
+        rest = parts[index + 1:]
+        node = _bindings(body).get(parts[index])
+        if node is None:
+            return False
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("repro"):
+            original = next(a.name for a in node.names if (a.asname or a.name) == parts[index])
+            return name_resolves(".".join((node.module, original, *rest)))
+        if not isinstance(node, ast.ClassDef):
+            # Attributes of a function or value are beyond static resolution.
+            return True
+        if rest and rest[0] not in _bindings(node.body):
+            return any(
+                name_resolves(".".join((module, base.id, *rest)))
+                for base in node.bases
+                if isinstance(base, ast.Name)
+            )
+        body = node.body
+    return True
+
+
 def broken_links(markdown_file: Path) -> list[str]:
-    """Relative link targets and inline-code paths that do not exist."""
+    """Relative link targets, inline-code paths and package names that do not exist."""
     problems = []
     text = markdown_file.read_text()
     # Ignore fenced code blocks: CLI examples legitimately contain ``[...]``.
@@ -75,6 +163,9 @@ def broken_links(markdown_file: Path) -> list[str]:
             continue
         if not (REPO_ROOT / path).exists():
             problems.append(f"{markdown_file}: missing path -> {path}")
+    for match in DOTTED_NAME_RE.finditer(text):
+        if not name_resolves(match.group(1)):
+            problems.append(f"{markdown_file}: unknown name -> {match.group(1)}")
     return problems
 
 
@@ -92,8 +183,8 @@ def main(argv: list[str]) -> int:
         print(f"{len(problems)} broken link(s) or path(s)", file=sys.stderr)
         return 1
     print(
-        f"checked {len(files)} markdown file(s): all relative links and "
-        f"code paths resolve"
+        f"checked {len(files)} markdown file(s): all relative links, "
+        f"code paths and package names resolve"
     )
     return 0
 

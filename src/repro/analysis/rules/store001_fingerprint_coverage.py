@@ -8,12 +8,12 @@ from typing import Iterator
 
 from repro.analysis.base import Finding, Project, Rule, SourceModule
 
-#: The root of the adapter hierarchy (its own empty ``_fingerprint_state``
+#: The root of the device class hierarchy (its own empty ``_fingerprint_state``
 #: is the documented default, not a violation).
 _BASE_CLASS = "Device"
 
 #: Instance attributes the protocol-level :meth:`Device.fingerprint` already
-#: covers, so adapters need not re-emit them.
+#: covers, so device classes need not re-emit them.
 _PROTOCOL_ATTRS = frozenset({"name"})
 
 
@@ -104,16 +104,16 @@ def _collect_class(module: SourceModule, node: ast.ClassDef) -> _ClassInfo:
 
 
 class FingerprintCoverageRule(Rule):
-    """Cross-check each ``Device`` adapter's state against its fingerprint.
+    """Cross-check each ``Device`` class's state against its fingerprint.
 
     The persistent result store keys frame simulations on
     :meth:`repro.core.device.Device.fingerprint`, which hashes what
-    ``_fingerprint_state()`` emits.  Any behavioural attribute an adapter's
+    ``_fingerprint_state()`` emits.  Any behavioural attribute a device class's
     ``__init__`` (or dataclass body) sets but its ``_fingerprint_state``
     never references is invisible to the cache key: two differently
     configured instances collide on one store entry and warm runs replay
     *stale* results.  The rule resolves ``_fingerprint_state`` up the
-    class hierarchy (by name, within the linted tree), so adapters relying
+    class hierarchy (by name, within the linted tree), so classes relying
     on an inherited fingerprint are checked against it.
     """
 
@@ -174,7 +174,7 @@ class FingerprintCoverageRule(Rule):
         return refs
 
     def check(self, project: Project) -> Iterator[Finding]:
-        """Flag every adapter attribute its fingerprint cannot see."""
+        """Flag every device class attribute its fingerprint cannot see."""
         classes: dict[str, _ClassInfo] = {}
         for module in project.modules:
             for node in ast.walk(module.tree):
@@ -203,7 +203,7 @@ class FingerprintCoverageRule(Rule):
                 yield self.finding(
                     info.module,
                     node,
-                    f"device adapter '{name}' sets attribute '{attr}' but "
+                    f"device class '{name}' sets attribute '{attr}' but "
                     f"{reason}; the store cannot invalidate entries when "
                     f"it changes",
                 )

@@ -6,8 +6,13 @@
   the state-of-the-art accelerator baseline (Fig. 16 - Fig. 19);
 * :mod:`repro.baselines.arrays` -- the GEMM/GEMV compute-array baselines of
   Table 3: SIGMA, Bit Fusion and bit-scalable SIGMA;
-* :mod:`repro.baselines.nvdla` / :mod:`repro.baselines.tpu` -- MAC-utilisation
-  models of the two commercial accelerators analysed in Fig. 4.
+* :mod:`repro.baselines.nvdla` / :mod:`repro.baselines.tpu` -- the two
+  commercial accelerators of Fig. 4, one class each holding the
+  MAC-utilisation model and the frame model on it
+  (:mod:`repro.baselines.utilization`).
+
+NeuRex, the GPUs, NVDLA and the TPU are one :class:`repro.core.device.Device`
+subclass each, whose only cost hooks are ``area()`` / ``power()``.
 """
 
 from repro.baselines.gpu import GPUModel, RTX_2080_TI, XAVIER_NX, JETSON_NANO, RTX_4090

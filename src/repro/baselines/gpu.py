@@ -20,6 +20,7 @@ from repro.hw.dram import (
     LPDDR4_XAVIER,
 )
 from repro.core.device import Device
+from repro.hw.cost import AreaReport, PowerReport
 from repro.nerf.workload import EncodingOp, GEMMOp, MiscOp, Op, OpCategory
 from repro.sim.trace import OpRecord
 from repro.sparse.formats import Precision
@@ -123,13 +124,13 @@ class GPUModel(Device):
         """The GPU spec sheet (peak FLOPS, power, memory interface)."""
         return {"spec": self.spec}
 
-    def area_mm2(self) -> float:
+    def area(self) -> AreaReport:
         """Die area from the GPU's spec sheet."""
-        return self.spec.area_mm2
+        return AreaReport().add("die", self.spec.area_mm2)
 
-    def power_w(self, precision: Precision | None = None) -> float:
+    def power(self, precision: Precision | None = None) -> PowerReport:
         """Typical board power from the GPU's spec sheet."""
-        return self.spec.typical_power_w
+        return PowerReport().add("board", self.spec.typical_power_w)
 
     def _effective_power_w(self, efficiency: float) -> float:
         """Board power under a workload achieving ``efficiency`` of peak.

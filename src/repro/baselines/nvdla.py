@@ -1,4 +1,4 @@
-"""NVDLA-style MAC-utilisation model (paper Fig. 4).
+"""NVDLA-style channel-parallel engine: MAC utilisation (Fig. 4) and frame model.
 
 NVDLA's convolution engine multiplies a vector of input channels against a
 set of kernels each cycle: its MAC grid is organised as (atomic input
@@ -9,18 +9,42 @@ work that offers no channel parallelism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from repro.baselines.utilization import UtilizationDevice
+from repro.serve.request import require_count
 
 
-@dataclass(frozen=True)
-class NVDLAModel:
-    """Channel-parallel MAC utilisation model."""
+class NVDLAModel(UtilizationDevice):
+    """Channel-parallel engine; full configuration (64x32, 2048 MACs) by default."""
 
-    atomic_input_channels: int = 4
-    atomic_output_kernels: int = 4
+    name = "NVDLA"
+
+    def __init__(
+        self,
+        atomic_input_channels: int = 64,
+        atomic_output_kernels: int = 32,
+        frequency_hz: float = 1.0e9,
+        typical_power_w: float = 2.5,
+    ) -> None:
+        """Validate and record the channel geometry and operating point."""
+        self.atomic_input_channels = require_count(
+            "atomic_input_channels", atomic_input_channels, 1
+        )
+        self.atomic_output_kernels = require_count(
+            "atomic_output_kernels", atomic_output_kernels, 1
+        )
+        super().__init__(frequency_hz, typical_power_w)
+
+    def _fingerprint_state(self) -> dict:
+        """The operating point plus the channel-atomic geometry."""
+        return {
+            **super()._fingerprint_state(),
+            "atomic_input_channels": self.atomic_input_channels,
+            "atomic_output_kernels": self.atomic_output_kernels,
+        }
 
     @property
     def num_macs(self) -> int:
+        """MAC units in the (input channels x output kernels) grid."""
         return self.atomic_input_channels * self.atomic_output_kernels
 
     def conv_utilization(self, input_channels: int, output_channels: int) -> float:

@@ -1,4 +1,4 @@
-"""TPU-style (weight-stationary systolic array) MAC-utilisation model (Fig. 4).
+"""TPU-style weight-stationary systolic array: MAC utilisation (Fig. 4) and frame model.
 
 A weight-stationary systolic array pins the weight tile onto its K x N grid
 and streams activations through it.  Utilisation is limited by how well the
@@ -10,18 +10,34 @@ cannot skip zeros).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from repro.baselines.utilization import UtilizationDevice
+from repro.serve.request import require_count
 
 
-@dataclass(frozen=True)
-class TPUModel:
-    """Weight-stationary systolic-array utilisation model."""
+class TPUModel(UtilizationDevice):
+    """Edge-TPU-style systolic array; a 64x64 grid at 700 MHz by default."""
 
-    rows: int = 4    # reduction (K) dimension of the grid
-    cols: int = 4    # output (N) dimension of the grid
+    name = "TPU"
+
+    def __init__(
+        self,
+        rows: int = 64,
+        cols: int = 64,
+        frequency_hz: float = 700e6,
+        typical_power_w: float = 2.0,
+    ) -> None:
+        """Validate the grid (``rows`` = K, ``cols`` = N) and operating point."""
+        self.rows = require_count("rows", rows, 1)
+        self.cols = require_count("cols", cols, 1)
+        super().__init__(frequency_hz, typical_power_w)
+
+    def _fingerprint_state(self) -> dict:
+        """The operating point plus the systolic grid geometry."""
+        return {**super()._fingerprint_state(), "rows": self.rows, "cols": self.cols}
 
     @property
     def num_macs(self) -> int:
+        """MAC units in the (rows x cols) grid."""
         return self.rows * self.cols
 
     def gemm_utilization(

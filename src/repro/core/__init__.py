@@ -31,8 +31,6 @@ from repro.core.device import (
     DEVICE_REGISTRY,
     Device,
     FrameReport,
-    NVDLADevice,
-    TPUDevice,
     UnsupportedKnobError,
     available_devices,
     get_device,
@@ -42,8 +40,6 @@ from repro.core.device import (
 __all__ = [
     "Device",
     "DEVICE_REGISTRY",
-    "NVDLADevice",
-    "TPUDevice",
     "UnsupportedKnobError",
     "available_devices",
     "get_device",

@@ -13,11 +13,17 @@ families.  This module defines the one interface they all share:
   :meth:`~Device._prepare` hook applies (or rejects) the knobs, its
   :meth:`~Device._op_record` costs each op, and the base class builds the
   :class:`~repro.sim.trace.ExecutionTrace` and :class:`FrameReport`;
-* frame-level models of NVDLA and the TPU, built on the utilisation models
-  of Fig. 4 (FlexNeRFer, NeuRex and the GPUs subclass :class:`Device` in
-  their own modules);
+* the one cost hook: a device overrides :meth:`~Device.area` and
+  :meth:`~Device.power` (per-block reports); the totals
+  (:meth:`~Device.area_mm2`, :meth:`~Device.power_w`) derive from them;
+* device fingerprints (:meth:`Device.fingerprint`, :func:`canonical_digest`)
+  that key the persistent result store;
 * :data:`DEVICE_REGISTRY` -- name -> factory mapping, so new devices are one
   registry entry away from every sweep and experiment.
+
+The device classes themselves live next to their models: FlexNeRFer in
+:mod:`repro.core.accelerator`, every baseline (NeuRex, the GPUs, NVDLA,
+the TPU) in :mod:`repro.baselines`.  This module defines no device.
 
 Unsupported knobs are handled per device, as flagged: the GPUs *raise*
 :class:`UnsupportedKnobError` when asked for a precision mode or pruning
@@ -33,6 +39,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
+import importlib
 import json
 from dataclasses import dataclass, field
 from typing import Any, TYPE_CHECKING, Callable, ClassVar
@@ -283,11 +290,11 @@ class Device:
         raise NotImplementedError(f"{self.name} has no power model")
 
     def area_mm2(self) -> float:
-        """Chip / board area in mm^2 (spec sheet or modelled)."""
+        """Total of :meth:`area` in mm^2."""
         return self.area().total_mm2
 
     def power_w(self, precision: Precision | None = None) -> float:
-        """Power draw in watts, optionally at a specific precision mode."""
+        """Total of :meth:`power` in watts at ``precision``."""
         return self.power(precision).total_w
 
     def power_profile(self) -> dict[str, float]:
@@ -298,197 +305,36 @@ class Device:
         return f"{type(self).__name__}(name={self.name!r})"
 
 
-# -- NVDLA / TPU --------------------------------------------------------------
-
-
-class _UtilizationFrameDevice(Device):
-    """Frame-level analytical model on top of a MAC-utilisation model.
-
-    The paper analyses NVDLA and the TPU only through their MAC utilisation
-    (Fig. 4); to make them first-class sweep citizens we extend that analysis
-    to a full frame: every GEMM runs at ``peak * structural utilisation``
-    (zeros cannot be skipped, so sparsity never helps), and encoding / misc
-    work falls back to a narrow vector datapath, since neither device has a
-    NeRF encoding engine.
-    """
-
-    supports_precision = False
-    supports_pruning = False
-    supports_batching = False
-    native_precision = Precision.INT8
-
-    #: Fraction of peak throughput available to non-GEMM (fallback) work.
-    FALLBACK_THROUGHPUT_FRACTION = 0.02
-    #: Fraction of peak power drawn while stalled on memory.
-    IDLE_POWER_FRACTION = 0.3
-
-    def __init__(self, num_macs: int, frequency_hz: float, typical_power_w: float):
-        """Record the array's peak compute and power operating point."""
-        from repro.hw.dram import LPDDR4_XAVIER
-
-        self.num_macs = num_macs
-        self.frequency_hz = frequency_hz
-        self.typical_power_w = typical_power_w
-        self.dram = LPDDR4_XAVIER
-
-    def _fingerprint_state(self) -> dict:
-        """Array operating point plus the utilisation model's geometry."""
-        return {
-            "impl": self.impl,
-            "num_macs": self.num_macs,
-            "frequency_hz": self.frequency_hz,
-            "typical_power_w": self.typical_power_w,
-            "dram": self.dram,
-            "fallback_fraction": self.FALLBACK_THROUGHPUT_FRACTION,
-            "idle_power_fraction": self.IDLE_POWER_FRACTION,
-        }
-
-    def gemm_utilization(self, op) -> float:
-        """Structural MAC utilisation for one GEMM (zeros still scheduled)."""
-        raise NotImplementedError
-
-    @property
-    def peak_macs_per_s(self) -> float:
-        """Peak MAC throughput of the dense array."""
-        return self.num_macs * self.frequency_hz
-
-    def _op_record(self, op: "Op", precision: Precision | None) -> "OpRecord":
-        """Cost one op from its utilisation and DRAM transfer time."""
-        from repro.nerf.workload import EncodingOp, GEMMOp, MiscOp, OpCategory
-        from repro.sim.trace import OpRecord
-
-        fallback = self.peak_macs_per_s * 2.0 * self.FALLBACK_THROUGHPUT_FRACTION
-        if isinstance(op, GEMMOp):
-            utilization = self.gemm_utilization(op)
-            compute_time = op.macs / (self.peak_macs_per_s * utilization)
-            dram_bytes = (op.m * op.k + op.k * op.n + op.m * op.n) * 1.0 * op.count
-            category = OpCategory.GEMM
-        elif isinstance(op, EncodingOp):
-            utilization = self.FALLBACK_THROUGHPUT_FRACTION
-            compute_time = op.flops / fallback
-            dram_bytes = op.memory_bytes
-            category = OpCategory.ENCODING
-        elif isinstance(op, MiscOp):
-            utilization = self.FALLBACK_THROUGHPUT_FRACTION
-            compute_time = op.flops * op.count / fallback
-            dram_bytes = op.memory_bytes * op.count
-            category = OpCategory.OTHER
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"unknown op type {type(op)!r}")
-        memory_time = self.dram.transfer_time_s(dram_bytes)
-        time_s = max(compute_time, memory_time)
-        idle = self.IDLE_POWER_FRACTION * self.typical_power_w
-        power = idle + (self.typical_power_w - idle) * min(utilization, 1.0)
-        return OpRecord(
-            name=op.name,
-            category=category,
-            time_s=time_s,
-            energy_j=power * time_s + self.dram.transfer_energy_j(dram_bytes),
-            compute_time_s=compute_time,
-            dram_time_s=max(0.0, time_s - compute_time),
-            dram_bytes=dram_bytes,
-            utilization=utilization,
-        )
-
-    def power_w(self, precision: Precision | None = None) -> float:
-        """Typical power of the operating point (precision is fixed)."""
-        return self.typical_power_w
-
-
-class NVDLADevice(_UtilizationFrameDevice):
-    """NVDLA-style channel-parallel engine at full configuration (2048 MACs)."""
-
-    name = "NVDLA"
-
-    def __init__(
-        self,
-        atomic_input_channels: int = 64,
-        atomic_output_kernels: int = 32,
-        frequency_hz: float = 1.0e9,
-        typical_power_w: float = 2.5,
-    ) -> None:
-        """Build the utilisation model for the configured NVDLA geometry."""
-        from repro.baselines.nvdla import NVDLAModel
-
-        self.impl = NVDLAModel(
-            atomic_input_channels=atomic_input_channels,
-            atomic_output_kernels=atomic_output_kernels,
-        )
-        super().__init__(
-            num_macs=self.impl.num_macs,
-            frequency_hz=frequency_hz,
-            typical_power_w=typical_power_w,
-        )
-
-    def gemm_utilization(self, op) -> float:
-        """Channel-parallel structural utilisation of one GEMM."""
-        return self.impl.gemm_utilization(op.m, op.n, op.k)
-
-
-class TPUDevice(_UtilizationFrameDevice):
-    """Edge-TPU-style weight-stationary systolic array (64x64 grid)."""
-
-    name = "TPU"
-
-    def __init__(
-        self,
-        rows: int = 64,
-        cols: int = 64,
-        frequency_hz: float = 700e6,
-        typical_power_w: float = 2.0,
-    ) -> None:
-        """Build the utilisation model for the configured systolic grid."""
-        from repro.baselines.tpu import TPUModel
-
-        self.impl = TPUModel(rows=rows, cols=cols)
-        super().__init__(
-            num_macs=self.impl.num_macs,
-            frequency_hz=frequency_hz,
-            typical_power_w=typical_power_w,
-        )
-
-    def gemm_utilization(self, op) -> float:
-        """Systolic-array structural utilisation of one GEMM."""
-        # density=1.0: the dense schedule determines the cycle count.
-        return self.impl.gemm_utilization(op.m, op.n, op.k, density=1.0)
-
-
 # -- registry -----------------------------------------------------------------
 
 DeviceFactory = Callable[[], Device]
 
 
-def _flexnerfer() -> Device:
-    from repro.core.accelerator import FlexNeRFer
+def _lazy(module: str, class_name: str, spec: str | None = None) -> DeviceFactory:
+    """Factory that imports ``module.class_name`` only when first called.
 
-    return FlexNeRFer()
+    ``spec`` names a constant of the same module that is passed to the
+    constructor (the GPU spec sheets).
+    """
 
-
-def _neurex() -> Device:
-    from repro.baselines.neurex import NeuRex
-
-    return NeuRex()
-
-
-def _gpu_factory(spec_name: str) -> DeviceFactory:
     def factory() -> Device:
-        from repro.baselines import gpu
-
-        return gpu.GPUModel(getattr(gpu, spec_name))
+        namespace = importlib.import_module(module)
+        device_class = getattr(namespace, class_name)
+        return device_class() if spec is None else device_class(getattr(namespace, spec))
 
     return factory
 
 
 #: Registry key -> factory for every device of the evaluation.
 DEVICE_REGISTRY: dict[str, DeviceFactory] = {
-    "flexnerfer": _flexnerfer,
-    "neurex": _neurex,
-    "rtx-2080-ti": _gpu_factory("RTX_2080_TI"),
-    "rtx-4090": _gpu_factory("RTX_4090"),
-    "jetson-nano": _gpu_factory("JETSON_NANO"),
-    "xavier-nx": _gpu_factory("XAVIER_NX"),
-    "nvdla": NVDLADevice,
-    "tpu": TPUDevice,
+    "flexnerfer": _lazy("repro.core.accelerator", "FlexNeRFer"),
+    "neurex": _lazy("repro.baselines.neurex", "NeuRex"),
+    "rtx-2080-ti": _lazy("repro.baselines.gpu", "GPUModel", "RTX_2080_TI"),
+    "rtx-4090": _lazy("repro.baselines.gpu", "GPUModel", "RTX_4090"),
+    "jetson-nano": _lazy("repro.baselines.gpu", "GPUModel", "JETSON_NANO"),
+    "xavier-nx": _lazy("repro.baselines.gpu", "GPUModel", "XAVIER_NX"),
+    "nvdla": _lazy("repro.baselines.nvdla", "NVDLAModel"),
+    "tpu": _lazy("repro.baselines.tpu", "TPUModel"),
 }
 
 

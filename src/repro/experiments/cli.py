@@ -808,85 +808,6 @@ def _parse_shard_option(text: str):
         raise CLIError(f"--shard: {exc}") from None
 
 
-def _plan_point_dict(evaluated) -> dict[str, Any]:
-    """One evaluated plan point as a flat JSON-safe mapping."""
-    payload = evaluated.to_payload()
-    return {**payload["point"], **payload["metrics"]}
-
-
-def _plan_table(document: dict[str, Any]) -> str:
-    """Fixed-width frontier table of a plan document."""
-    header = (
-        f"{'fleet':<24} {'n':>2} {'scheduler':<15} {'control':<12} "
-        f"{'traffic':<12} "
-        f"{'$/Mreq':>10} {'p99 [ms]':>9} {'mJ/req':>8} {'SLO %':>6}"
-    )
-    lines = [header]
-    for row in document["frontier"]:
-        fleet = "+".join(row["fleet"])
-        lines.append(
-            f"{fleet:<24} {len(row['fleet']):>2} {row['scheduler']:<15} "
-            f"{row['control']:<12} {row.get('traffic', 'poisson'):<12} "
-            f"{row['cost_per_request'] * 1e6:>10.4f} "
-            f"{row['p99_latency_s'] * 1e3:>9.2f} "
-            f"{row['energy_per_request_j'] * 1e3:>8.2f} "
-            f"{row['slo_attainment'] * 100:>6.1f}"
-        )
-    if not document["frontier"]:
-        lines.append("(empty frontier: no plan points evaluated)")
-    constraint = document.get("constraint")
-    if constraint is not None:
-        solution = constraint["solution"]
-        fleet = "+".join(solution["fleet"])
-        lines.append(
-            f"cheapest feasible: {fleet} ({solution['scheduler']}, "
-            f"{solution['control']}) at {solution['cost_per_request'] * 1e6:.4f} "
-            f"$/Mreq, p99 {solution['p99_latency_s'] * 1e3:.2f} ms, "
-            f"attainment {solution['slo_attainment'] * 100:.1f}%"
-        )
-    return "\n".join(lines)
-
-
-_PLAN_CSV_FIELDS = (
-    "scheduler",
-    "control",
-    "traffic",
-    "cost_per_request",
-    "p99_latency_s",
-    "energy_per_request_j",
-    "slo_attainment",
-    "goodput_rps",
-    "completed_requests",
-)
-
-
-def _plan_csv(document: dict[str, Any]) -> str:
-    """CSV rendering of a plan document's frontier rows."""
-    lines = ["fleet," + ",".join(_PLAN_CSV_FIELDS)]
-    for row in document["frontier"]:
-        cells = ["+".join(row["fleet"])]
-        cells += [repr(row[field]) if isinstance(row[field], float) else str(row[field])
-                  for field in _PLAN_CSV_FIELDS]
-        lines.append(",".join(cells))
-    return "\n".join(lines)
-
-
-def _render_plan(document: dict[str, Any], fmt: str) -> str:
-    """Render a plan document as table, JSON or CSV text."""
-    if fmt == "json":
-        import json
-
-        return json.dumps(document, indent=2)
-    if fmt == "csv":
-        return _plan_csv(document)
-    summary = (
-        f"plan {document['spec']}: frontier {len(document['frontier'])} of "
-        f"{document['evaluated']} evaluated points "
-        f"({document['enumerated']} enumerated)"
-    )
-    return summary + "\n" + _plan_table(document)
-
-
 def _cmd_plan(operands: list[str], options: Options, _params: Params) -> int:
     """Search a fleet plan space: evaluate, reduce to the Pareto frontier."""
     import time
@@ -901,6 +822,7 @@ def _cmd_plan(operands: list[str], options: Options, _params: Params) -> int:
         pareto_frontier,
         space_digest,
     )
+    from repro.plan.render import plan_point_dict, render_plan
 
     if len(operands) != 1:
         raise CLIError(
@@ -954,7 +876,7 @@ def _cmd_plan(operands: list[str], options: Options, _params: Params) -> int:
         constraint = {
             "sla_ms": sla_ms,
             "min_attainment": min_attainment,
-            "solution": _plan_point_dict(solution),
+            "solution": plan_point_dict(solution),
         }
 
     document: dict[str, Any] = {
@@ -965,7 +887,7 @@ def _cmd_plan(operands: list[str], options: Options, _params: Params) -> int:
         "enumerated": evaluation.enumerated,
         "evaluated": len(evaluation.points),
         "objectives": list(OBJECTIVES),
-        "frontier": [_plan_point_dict(point) for point in frontier],
+        "frontier": [plan_point_dict(point) for point in frontier],
         "constraint": constraint,
         "provenance": {
             "repo_version": _repo_version(),
@@ -978,7 +900,7 @@ def _cmd_plan(operands: list[str], options: Options, _params: Params) -> int:
         f"{evaluation.enumerated} points evaluated "
         f"({evaluation.fresh} fresh, {evaluation.cached} cached)"
     )
-    text = _render_plan(document, fmt)
+    text = render_plan(document, fmt)
     text = text if text.endswith("\n") else text + "\n"
     if "--out" in options:
         path = Path(options["--out"])

@@ -93,8 +93,8 @@ class UtilizationRow:
 )
 def run() -> list[UtilizationRow]:
     """Evaluate every scenario on the NVDLA and TPU utilisation models."""
-    nvdla = NVDLAModel()
-    tpu = TPUModel()
+    nvdla = NVDLAModel(atomic_input_channels=4, atomic_output_kernels=4)
+    tpu = TPUModel(rows=4, cols=4)
     rows = []
     for scenario in SCENARIOS:
         if scenario.kind == "conv":

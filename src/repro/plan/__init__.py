@@ -12,7 +12,9 @@ variant) one level above the accelerator design-space sweeps:
   :mod:`repro.hw.cost` models (cost/request, energy/request, p99, SLO
   attainment), caching every evaluation in the result store's plan tier;
 * :mod:`repro.plan.pareto` -- the Pareto-frontier reducer and the
-  "cheapest feasible point" constraint solver.
+  "cheapest feasible point" constraint solver;
+* :mod:`repro.plan.render` -- the table / CSV / JSON text of a plan
+  document (imported on demand: it uses the experiments' table renderer).
 
 ``repro plan <spec>`` is the CLI surface; because plan points are store
 keys, ``repro plan --shard I/N`` + ``repro assemble`` distribute a large

@@ -54,25 +54,70 @@ class TestTable3Baselines:
             assert all(v > 0 for v in row.peak_efficiency.values())
 
 
+def toy_nvdla():
+    """The paper's 4x4 (16-MAC) NVDLA toy array of Fig. 4."""
+    return NVDLAModel(atomic_input_channels=4, atomic_output_kernels=4)
+
+
+def toy_tpu():
+    """The paper's 4x4 (16-MAC) TPU toy array of Fig. 4."""
+    return TPUModel(rows=4, cols=4)
+
+
 class TestFig4Models:
     def test_early_cnn_layer(self):
-        assert NVDLAModel().conv_utilization(3, 2) == pytest.approx(0.375)
-        assert TPUModel().conv_utilization(3, 2, spatial_positions=36) == pytest.approx(0.375)
+        assert toy_nvdla().conv_utilization(3, 2) == pytest.approx(0.375)
+        assert toy_tpu().conv_utilization(3, 2, spatial_positions=36) == pytest.approx(0.375)
 
     def test_late_cnn_layer(self):
-        assert NVDLAModel().conv_utilization(64, 64) == pytest.approx(1.0)
-        assert TPUModel().conv_utilization(64, 64, spatial_positions=2) == pytest.approx(0.5)
+        assert toy_nvdla().conv_utilization(64, 64) == pytest.approx(1.0)
+        assert toy_tpu().conv_utilization(64, 64, spatial_positions=2) == pytest.approx(0.5)
 
     def test_irregular_dense_gemm(self):
-        assert NVDLAModel().gemm_utilization(4, 5, 4) == pytest.approx(0.0625)
-        assert TPUModel().gemm_utilization(4, 5, 4) == pytest.approx(1.0)
+        assert toy_nvdla().gemm_utilization(4, 5, 4) == pytest.approx(0.0625)
+        assert toy_tpu().gemm_utilization(4, 5, 4) == pytest.approx(1.0)
 
     def test_irregular_sparse_gemm(self):
-        assert TPUModel().gemm_utilization(4, 5, 4, density=0.6875) == pytest.approx(0.6875)
-        assert NVDLAModel().gemm_utilization(4, 5, 4, density=0.6875) == pytest.approx(0.0625)
+        assert toy_tpu().gemm_utilization(4, 5, 4, density=0.6875) == pytest.approx(0.6875)
+        assert toy_nvdla().gemm_utilization(4, 5, 4, density=0.6875) == pytest.approx(0.0625)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            NVDLAModel().conv_utilization(0, 4)
+            toy_nvdla().conv_utilization(0, 4)
         with pytest.raises(ValueError):
-            TPUModel().gemm_utilization(1, 1, 1, density=0.0)
+            toy_tpu().gemm_utilization(1, 1, 1, density=0.0)
+
+
+#: Values no array dimension may take (zero, negative, fractional, bool,
+#: non-finite): each is rejected when the device is built, not at render.
+BAD_COUNTS = (0, -4, 2.5, True, float("nan"), float("inf"), -1.0)
+#: The subset no clock or power figure may take (2.5 and True are positive).
+BAD_POSITIVES = (0, -4, float("nan"), float("inf"), -1.0)
+
+GEOMETRY = {
+    NVDLAModel: ("atomic_input_channels", "atomic_output_kernels"),
+    TPUModel: ("rows", "cols"),
+}
+
+
+def _bad_arguments():
+    for cls, dimensions in GEOMETRY.items():
+        for name in dimensions:
+            for value in BAD_COUNTS:
+                yield cls, name, value
+        for name in ("frequency_hz", "typical_power_w"):
+            for value in BAD_POSITIVES:
+                yield cls, name, value
+
+
+class TestConstructorValidation:
+    @pytest.mark.parametrize(("cls", "name", "value"), list(_bad_arguments()))
+    def test_bad_geometry_or_operating_point_raises_one_line(self, cls, name, value):
+        with pytest.raises(ValueError, match=name) as info:
+            cls(**{name: value})
+        assert "\n" not in str(info.value)
+
+    def test_defaults_are_the_full_configurations(self):
+        nvdla, tpu = NVDLAModel(), TPUModel()
+        assert (nvdla.num_macs, nvdla.frequency_hz, nvdla.typical_power_w) == (2048, 1e9, 2.5)
+        assert (tpu.num_macs, tpu.frequency_hz, tpu.typical_power_w) == (4096, 700e6, 2.0)

@@ -146,3 +146,71 @@ class TestDeviceCost:
     def test_flexnerfer_power_grows_at_lower_precision(self):
         profile = get_device("flexnerfer").power_profile()
         assert profile["INT4"] > profile["INT8"] > profile["INT16"]
+
+
+def _device_subclasses(cls=Device):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _device_subclasses(sub)
+
+
+class TestOneClassPerDevice:
+    """Each device is one class in its own module with one cost hook."""
+
+    def test_device_module_defines_no_device(self):
+        import repro.core.device as module
+
+        defined = [
+            obj
+            for obj in vars(module).values()
+            if isinstance(obj, type)
+            and issubclass(obj, Device)
+            and obj is not Device
+            and obj.__module__ == module.__name__
+        ]
+        assert defined == []
+
+    def test_nvdla_and_tpu_entries_build_the_utilisation_models(self):
+        from repro.baselines import NVDLAModel, TPUModel
+
+        assert type(get_device("nvdla")) is NVDLAModel
+        assert type(get_device("tpu")) is TPUModel
+
+    def test_no_device_overrides_the_cost_totals(self):
+        for name in available_devices():
+            get_device(name)  # import every registered device class
+        overriding = [
+            cls.__qualname__
+            for cls in _device_subclasses()
+            if {"area_mm2", "power_w"} & set(vars(cls))
+        ]
+        assert overriding == []
+
+    def test_single_entry_reports_keep_the_totals(self):
+        # Values recorded before the cost hooks were unified.
+        gpu = get_device("rtx-2080-ti")
+        assert gpu.area().breakdown == {"die": 754.0}
+        assert gpu.power().breakdown == {"board": 250.0}
+        assert gpu.area_mm2() == 754.0 and gpu.power_w() == 250.0
+        for name, watts in (("nvdla", 2.5), ("tpu", 2.0)):
+            device = get_device(name)
+            assert device.power_w() == watts
+            assert device.power_profile() == {"typical": watts}
+            with pytest.raises(NotImplementedError):
+                device.area()
+
+    def test_plan_costs_use_the_power_proxy_for_area_less_devices(self):
+        from repro.plan.evaluate import fleet_area_report, fleet_power_report
+
+        fleet = ("nvdla", "tpu", "rtx-2080-ti")
+        engine = SweepEngine()
+        assert fleet_area_report(fleet, engine).breakdown == {
+            "nvdla#0": 6.25,
+            "tpu#1": 5.0,
+            "rtx-2080-ti#2": 754.0,
+        }
+        assert fleet_power_report(fleet, engine).breakdown == {
+            "nvdla#0": 2.5,
+            "tpu#1": 2.0,
+            "rtx-2080-ti#2": 250.0,
+        }

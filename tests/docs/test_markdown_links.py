@@ -58,3 +58,28 @@ def test_fenced_code_is_not_checked(checker, tmp_path):
 def test_checked_in_docs_pass(checker, capsys):
     readme, docs = REPO_ROOT / "README.md", REPO_ROOT / "docs"
     assert checker.main([str(readme), str(docs)]) == 0
+
+
+def test_package_names_resolve_from_the_sources(checker, tmp_path):
+    page = write(
+        tmp_path,
+        "`repro.core.device.Device` and its `repro.core.device.Device.render_frame`,\n"
+        "`repro.baselines.TPUModel.fingerprint` (re-exported, inherited),\n"
+        "`repro.serve.traffic` and `repro.sim.sweep.get_default_engine()`.\n",
+    )
+    assert checker.broken_links(page) == []
+
+
+def test_deleted_package_name_fails(checker, tmp_path, capsys):
+    page = write(
+        tmp_path,
+        "Built by `repro.core.device.TPUDevice`; see `repro.nerf.nope`\n"
+        "and `repro.core.device.Device.area_report`.\n",
+    )
+    assert checker.broken_links(page) == [
+        f"{page}: unknown name -> repro.core.device.TPUDevice",
+        f"{page}: unknown name -> repro.nerf.nope",
+        f"{page}: unknown name -> repro.core.device.Device.area_report",
+    ]
+    assert checker.main([str(page)]) == 1
+    assert "repro.core.device.TPUDevice" in capsys.readouterr().err

@@ -1,13 +1,13 @@
 """End-to-end proof of the STORE001 hazard and its fix.
 
-The rule's claim is behavioural, not stylistic: a device adapter whose
+The rule's claim is behavioural, not stylistic: a device class whose
 ``__init__`` sets a knob that ``_fingerprint_state()`` never emits will
 (a) trip STORE001 and (b) *actually* replay a stale result from the
 persistent store, because both configurations collide on one cache key.
 This module pins both halves against the same fixture source: the file is
 written to disk once, linted by ``repro.analysis`` AND imported as a live
 module, so the rule and the store demo are guaranteed to judge identical
-code.  A corrected adapter in the same file shows the fix clearing both
+code.  A corrected device class in the same file shows the fix clearing both
 the rule and the stale hit.
 """
 
@@ -26,7 +26,7 @@ from repro.perf.store import (
 )
 
 FIXTURE_SOURCE = '''\
-"""A deliberately cache-unsafe device adapter (STORE001 demo fixture)."""
+"""A deliberately cache-unsafe device class (STORE001 demo fixture)."""
 
 import dataclasses
 from typing import Any
@@ -57,7 +57,7 @@ class LeakyDevice(Device):
 
 
 class FixedDevice(LeakyDevice):
-    """The corrected adapter: ``gain`` feeds the fingerprint."""
+    """The corrected device class: ``gain`` feeds the fingerprint."""
 
     name = "fixed"
 

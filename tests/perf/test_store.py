@@ -15,7 +15,9 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.core.accelerator import FlexNeRFer
-from repro.core.device import TPUDevice, get_device
+from repro.baselines.nvdla import NVDLAModel
+from repro.baselines.tpu import TPUModel
+from repro.core.device import get_device
 from repro.core.config import FlexNeRFerConfig
 from repro.nerf.models import FrameConfig, get_model
 from repro.perf.store import (
@@ -85,14 +87,28 @@ class TestSerialization:
 
 class TestFingerprints:
     def test_device_fingerprint_is_stable(self):
-        assert TPUDevice().fingerprint() == TPUDevice().fingerprint()
+        assert TPUModel().fingerprint() == TPUModel().fingerprint()
+        assert NVDLAModel().fingerprint() == NVDLAModel().fingerprint()
         assert FlexNeRFer().fingerprint() == FlexNeRFer().fingerprint()
 
     def test_device_edit_changes_fingerprint(self):
-        assert TPUDevice().fingerprint() != TPUDevice(rows=32).fingerprint()
+        assert TPUModel().fingerprint() != TPUModel(rows=32).fingerprint()
+        assert TPUModel().fingerprint() != TPUModel(cols=32).fingerprint()
         assert (
-            TPUDevice().fingerprint()
-            != TPUDevice(typical_power_w=3.0).fingerprint()
+            TPUModel().fingerprint()
+            != TPUModel(typical_power_w=3.0).fingerprint()
+        )
+        assert (
+            NVDLAModel().fingerprint()
+            != NVDLAModel(atomic_input_channels=32).fingerprint()
+        )
+        assert (
+            NVDLAModel().fingerprint()
+            != NVDLAModel(atomic_output_kernels=16).fingerprint()
+        )
+        assert (
+            NVDLAModel().fingerprint()
+            != NVDLAModel(frequency_hz=2e9).fingerprint()
         )
         assert (
             FlexNeRFer().fingerprint()
@@ -290,7 +306,7 @@ class TestExperimentResultTier:
 
         assert device_registry_digest() == device_registry_digest()
         before = device_registry_digest()
-        register_device("store-test-tpu", lambda: TPUDevice(rows=8))
+        register_device("store-test-tpu", lambda: TPUModel(rows=8))
         try:
             changed = device_registry_digest()
         finally:
