@@ -35,14 +35,11 @@ every ``--jobs`` setting.
 from __future__ import annotations
 
 import collections
-import dataclasses
 import enum
 import heapq
 import itertools
-import math
-import operator
 from bisect import bisect_left
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -53,7 +50,7 @@ from repro.serve.report import (
     ServingReport,
     percentile,
 )
-from repro.serve.request import require_positive
+from repro.serve.request import RequestBatch, require_positive
 from repro.serve.scheduler import (
     Dispatch,
     FIFOScheduler,
@@ -67,12 +64,6 @@ from repro.sim.sweep import SweepEngine, get_default_engine
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serve.control import DegradationLadder
     from repro.serve.request import Request, Scenario
-
-#: Sort key of every simulation path: ``(arrival, request_id)`` order.
-_ARRIVAL_ORDER = operator.attrgetter("arrival_s", "request_id")
-_ARRIVAL = operator.attrgetter("arrival_s")
-_REQUEST_ID = operator.attrgetter("request_id")
-
 
 class _EventKind(enum.IntEnum):
     """Event ordering at equal timestamps: arrivals, completions, wakes, ticks."""
@@ -350,38 +341,54 @@ class FleetSimulator:
         )
         return ServiceEstimate(latency_s=report.latency_s, energy_j=report.energy_j)
 
-    def _arrival_order(self, requests: Sequence["Request"]) -> list["Request"]:
-        """``requests`` in ``(arrival, request_id)`` order, default SLA stamped.
+    def _ingress(self, requests: Sequence["Request"]) -> RequestBatch:
+        """``requests`` as a batch in ``(arrival, request_id)`` order, SLA stamped.
 
-        The ingress of every simulation path: a non-finite arrival time has
-        no place in the schedule (the event loop would never drain it), and
-        a repeated request id would be served twice, so both are rejected
-        here.
+        The ingress of every simulation path, checked on the columns: a
+        non-finite arrival time has no place in the schedule (the event
+        loop would never drain it), and a repeated request id would be
+        served twice, so both are rejected here.  A batch already in order
+        (every stream's output) is not re-sorted.
         """
-        if not all(map(math.isfinite, map(_ARRIVAL, requests))):
-            bad = next(r for r in requests if not math.isfinite(r.arrival_s))
+        batch = RequestBatch.of(requests)
+        arrivals = np.array(batch.arrival_s, dtype=np.float64)
+        finite = np.isfinite(arrivals)
+        if not finite.all():
+            bad = int(np.argmin(finite))
             raise ValueError(
-                f"request {bad.request_id}: arrival_s must be finite, "
-                f"got {bad.arrival_s!r}"
+                f"request {batch.request_id[bad]}: arrival_s must be finite, "
+                f"got {batch.arrival_s[bad]!r}"
             )
-        if len(set(map(_REQUEST_ID, requests))) != len(requests):
-            seen: set[int] = set()
-            for request in requests:
-                if request.request_id in seen:
-                    raise ValueError(
-                        f"request {request.request_id}: duplicate request_id"
-                    )
-                seen.add(request.request_id)
-        ordered = sorted(requests, key=_ARRIVAL_ORDER)
-        if self.default_sla_s is not None:
-            sla = self.default_sla_s
-            ordered = [
-                r
-                if r.deadline_s is not None
-                else dataclasses.replace(r, deadline_s=r.arrival_s + sla)
-                for r in ordered
-            ]
-        return ordered
+        ids = np.array(batch.request_id, dtype=np.int64)
+        rising = ids[1:] > ids[:-1]
+        if not rising.all():
+            _, first = np.unique(ids, return_index=True)
+            if len(first) != len(ids):
+                repeated = np.ones(len(ids), dtype=bool)
+                repeated[first] = False
+                raise ValueError(
+                    f"request {batch.request_id[int(np.argmax(repeated))]}: "
+                    "duplicate request_id"
+                )
+        later, earlier = arrivals[1:], arrivals[:-1]
+        if not np.all((later > earlier) | ((later == earlier) & rising)):
+            batch = batch.take(np.lexsort((ids, arrivals)).tolist())
+        sla = self.default_sla_s
+        if sla is not None and None in batch.deadline_s:
+            batch = RequestBatch(
+                batch.request_id,
+                batch.arrival_s,
+                batch.scenario,
+                [
+                    arrival + sla if deadline is None else deadline
+                    for arrival, deadline in zip(batch.arrival_s, batch.deadline_s)
+                ],
+                batch.tenant,
+                batch.session,
+                batch.degradable,
+                batch.pose,
+            )
+        return batch
 
     # -- the event loop --------------------------------------------------------
 
@@ -415,7 +422,7 @@ class FleetSimulator:
             if self.control is not None and self.control.active
             else None
         )
-        ordered = self._arrival_order(requests)
+        ordered = self._ingress(requests)
         table = _ServiceTable(
             self._estimate_scenario,
             workers,
@@ -434,9 +441,8 @@ class FleetSimulator:
         # then by push order.
         events: list[tuple[float, int, int, object]] = []
         pending_arrivals = 0
-        arrival_span = (
-            ordered[-1].arrival_s - ordered[0].arrival_s if ordered else 0.0
-        )
+        times = ordered.arrival_s
+        arrival_span = times[-1] - times[0] if times else 0.0
         for request in ordered:
             heapq.heappush(
                 events,
@@ -527,8 +533,8 @@ class FleetSimulator:
             fleet=tuple(w.name for w in workers),
             workers=workers,
             completed=completed,
-            num_requests=len(requests),
-            rejected=tuple(rejected),
+            num_requests=len(ordered),
+            rejected=rejected,
             arrival_span_s=arrival_span,
             peak_active_workers=state.peak_active if autoscaling else None,
             mean_active_workers=state.mean_active(now) if autoscaling else None,
@@ -612,6 +618,12 @@ class FleetSimulator:
         ``completed`` log -- is bit-identical (pinned by
         ``tests/serve/test_fleet.py`` and the differential suites).
 
+        The loop reads the batch's ``arrival_s`` and ``scenario`` columns
+        and records row indices, starts, finishes, energies and shed
+        levels; it builds no object per request.  The report builds its
+        ``completed`` and ``rejected`` logs from those columns only when
+        someone reads them.
+
         Admission and shedding are decided at ingress from the queue depth
         the arrival observes.  In FIFO order that depth is the number of
         requests admitted so far minus those started strictly before the
@@ -634,15 +646,16 @@ class FleetSimulator:
             Worker(index=i, name=name, device=device)
             for i, (name, device) in enumerate(self._fleet)
         ]
-        ordered = self._arrival_order(requests)
+        batch = self._ingress(requests)
+        arrivals = batch.arrival_s
+        scenarios = batch.scenario
+        degradable = batch.degradable  # None: every request may be shed
         k = len(workers)
         labels = [w.label for w in workers]
-        arrival_span = (
-            ordered[-1].arrival_s - ordered[0].arrival_s if ordered else 0.0
-        )
+        arrival_span = arrivals[-1] - arrivals[0] if arrivals else 0.0
         # Batch-1 (service_s, energy_j) per worker, one dict per shed level
         # keyed by scenario id.  Streams share scenario instances, so the
-        # inline id() probe almost always hits (requests keep their
+        # inline id() probe almost always hits (the batch keeps its
         # scenarios alive for the whole run, so ids stay valid).
         table = _ServiceTable(self._estimate_scenario, workers, ladder)
         levels = range(ladder.depth + 1 if ladder is not None else 1)
@@ -659,36 +672,35 @@ class FleetSimulator:
         busy = [0.0] * k
         worker_energy = [0.0] * k
         served = [0] * k
-        completed: list[CompletedRequest] = []
-        rejected: list[RejectedRequest] = []
-        ids: list[int] = []
-        arrivals: list[float] = []
+        # One entry per served request, in dispatch order: its batch row,
+        # worker index, start, finish, energy and (with a ladder) shed level.
+        kept: list[int] = []
+        chosen_of: list[int] = []
         starts: list[float] = []
         finishes: list[float] = []
         energies: list[float] = []
-        deadlines: list[float | None] = []
-        new_completion = CompletedRequest.__new__
+        shed_levels: list[int] = []
+        rejected_rows: list[int] = []
+        reasons: list[str] = []
         level = 0
 
-        for request in ordered:
-            arrival = request.arrival_s
+        for i, arrival in enumerate(arrivals):
             if gated:
                 # Queue depth this arrival observes: previously admitted
                 # requests whose service has not started strictly before it.
                 depth = len(starts) - bisect_left(starts, arrival)
                 if session is not None and not session.admit(arrival, depth):
-                    rejected.append(
-                        RejectedRequest(
-                            request=request, time_s=arrival, reason=session.reason
-                        )
-                    )
+                    rejected_rows.append(i)
+                    reasons.append(session.reason)
                     continue
-                level = (
-                    shedder.level(depth, k)
-                    if shedder is not None and request.degradable
-                    else 0
-                )
-            scenario = request.scenario
+                if shedder is not None:
+                    level = (
+                        shedder.level(depth, k)
+                        if degradable is None or degradable[i]
+                        else 0
+                    )
+                    shed_levels.append(level)
+            scenario = scenarios[i]
             level_rows = rows[level]
             row = level_rows.get(id(scenario))
             if row is None:
@@ -708,28 +720,11 @@ class FleetSimulator:
             busy[chosen] += service_s
             worker_energy[chosen] += energy_j
             served[chosen] += 1
-            # CompletedRequest construction dominates the pass at dataclass
-            # __init__ speed; __new__ plus direct __dict__ stores builds the
-            # same frozen instances ~3x faster.  shed_level / quality are
-            # stored only off their defaults (level 0 is quality 1.0).
-            record = new_completion(CompletedRequest)
-            fields = record.__dict__
-            fields["request"] = request
-            fields["worker"] = labels[chosen]
-            fields["start_s"] = start
-            fields["finish_s"] = finish
-            fields["batch_size"] = 1
-            fields["energy_j"] = energy_j
-            if level:
-                fields["shed_level"] = level
-                fields["quality"] = quality_of[level]
-            completed.append(record)
-            ids.append(request.request_id)
-            arrivals.append(arrival)
+            kept.append(i)
+            chosen_of.append(chosen)
             starts.append(start)
             finishes.append(finish)
             energies.append(energy_j)
-            deadlines.append(request.deadline_s)
 
         for j, worker in enumerate(workers):
             worker.busy_until_s = free[j]
@@ -738,41 +733,65 @@ class FleetSimulator:
             worker.requests_served = served[j]
             worker.batches_served = served[j]
 
-        n = len(completed)
-        arrival_col = np.asarray(arrivals, dtype=np.float64)
-        start_col = np.asarray(starts, dtype=np.float64)
-        finish_col = np.asarray(finishes, dtype=np.float64)
-        energy_col = np.asarray(energies, dtype=np.float64)
-        id_col = np.asarray(ids, dtype=np.int64)
-        if n and np.any(id_col[1:] < id_col[:-1]):
+        n = len(kept)
+        ids = np.array(batch.request_id, dtype=np.int64)[kept]
+        if n and np.any(ids[1:] < ids[:-1]):
             # Trace streams may number requests out of arrival order; the
             # report contract is request-id order.
-            order = np.argsort(id_col, kind="stable")
-            arrival_col = arrival_col[order]
-            start_col = start_col[order]
-            finish_col = finish_col[order]
-            energy_col = energy_col[order]
-            positions = order.tolist()
-            completed = [completed[i] for i in positions]
-            deadlines = [deadlines[i] for i in positions]
-        qualities = shed_levels = None
-        if ladder is not None:
-            qualities = [r.quality for r in completed]
-            shed_levels = [r.shed_level for r in completed]
+            positions = np.argsort(ids, kind="stable").tolist()
+            kept, chosen_of, starts, finishes, energies = (
+                [column[p] for p in positions]
+                for column in (kept, chosen_of, starts, finishes, energies)
+            )
+            if shed_levels:
+                shed_levels = [shed_levels[p] for p in positions]
+        deadline_s = batch.deadline_s
+        qualities = (
+            [quality_of[level] for level in shed_levels]
+            if shedder is not None
+            else None
+        )
+
+        def completed() -> Iterator[CompletedRequest]:
+            """The completion log, built from the columns on first read."""
+            requests = batch.requests()
+            return map(
+                CompletedRequest,
+                [requests[i] for i in kept],
+                [labels[j] for j in chosen_of],
+                starts,
+                finishes,
+                itertools.repeat(1, n),
+                energies,
+                shed_levels or itertools.repeat(0, n),
+                qualities or itertools.repeat(1.0, n),
+            )
+
+        def rejected() -> Iterator[RejectedRequest]:
+            """The rejection log, built from the columns on first read."""
+            requests = batch.requests()
+            return map(
+                RejectedRequest,
+                [requests[i] for i in rejected_rows],
+                [arrivals[i] for i in rejected_rows],
+                reasons,
+            )
+
         return ServingReport.from_arrays(
             scheduler=self.scheduler.name,
             fleet=tuple(w.name for w in workers),
             workers=workers,
-            completed=tuple(completed),
-            num_requests=len(requests),
-            arrivals=arrival_col,
-            starts=start_col,
-            finishes=finish_col,
-            deadlines=deadlines,
+            num_requests=len(batch),
+            arrivals=np.array(arrivals, dtype=np.float64)[kept],
+            starts=np.array(starts, dtype=np.float64),
+            finishes=np.array(finishes, dtype=np.float64),
+            deadlines=[deadline_s[i] for i in kept],
             batch_sizes=[1] * n,
-            energies=energy_col,
+            energies=np.array(energies, dtype=np.float64),
             qualities=qualities,
-            shed_levels=shed_levels,
-            rejected=tuple(rejected),
+            shed_levels=shed_levels if shedder is not None else None,
+            completed=completed,
+            rejected=rejected,
+            rejected_requests=len(rejected_rows),
             arrival_span_s=arrival_span,
         )

@@ -6,7 +6,7 @@ the ROADMAP's north star asks: what latency distribution do *users* see
 (p50/p95/p99 of arrival -> completion), how many requests per second finish
 inside their SLA (goodput), what does each request cost in energy, and how
 busy each device actually was.  Reports are plain frozen dataclasses built
-once from the completed-request log, so they serialize to JSON and compare
+once from per-request columns, so they serialize to JSON and compare
 exactly in tests.
 """
 
@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -164,9 +165,11 @@ class SessionStats:
 class ServingReport:
     """Fleet-level summary of one serving simulation.
 
-    All aggregate fields are derived deterministically from ``completed``
-    via :meth:`from_completions`; ``completed`` itself is kept (excluded
-    from equality) for drill-down analysis.
+    All aggregate fields are derived deterministically from the per-request
+    columns via :meth:`from_arrays`.  The ``completed`` and ``rejected``
+    logs are kept (excluded from equality and ``repr``) for drill-down
+    analysis; each is built on first read and then cached, so a caller
+    that reads only aggregates never pays for the per-request objects.
 
     With a control plane attached (:mod:`repro.serve.control`) the report
     also accounts for the other two request outcomes: ``rejected_requests``
@@ -200,12 +203,22 @@ class ServingReport:
     p05_quality: float = 1.0
     peak_active_workers: int = 0
     mean_active_workers: float = 0.0
-    completed: tuple[CompletedRequest, ...] = field(
-        default=(), compare=False, repr=False
+    _completed_log: Callable[[], Iterable[CompletedRequest]] = field(
+        default=tuple, compare=False, repr=False
     )
-    rejected: tuple[RejectedRequest, ...] = field(
-        default=(), compare=False, repr=False
+    _rejected_log: Callable[[], Iterable[RejectedRequest]] = field(
+        default=tuple, compare=False, repr=False
     )
+
+    @cached_property
+    def completed(self) -> tuple[CompletedRequest, ...]:
+        """The completed-request log in request-id order (built on first read)."""
+        return tuple(self._completed_log())
+
+    @cached_property
+    def rejected(self) -> tuple[RejectedRequest, ...]:
+        """The rejected-request log in request-id order (built on first read)."""
+        return tuple(sorted(self._rejected_log(), key=lambda r: r.request.request_id))
 
     @classmethod
     def from_completions(
@@ -222,11 +235,11 @@ class ServingReport:
     ) -> "ServingReport":
         """Aggregate a completed-request log into the uniform report shape."""
         completed = tuple(sorted(completed, key=lambda c: c.request.request_id))
+        rejected = tuple(rejected)
         return cls.from_arrays(
             scheduler=scheduler,
             fleet=fleet,
             workers=workers,
-            completed=completed,
             num_requests=num_requests,
             arrivals=np.array(
                 [c.request.arrival_s for c in completed], dtype=np.float64
@@ -238,7 +251,9 @@ class ServingReport:
             energies=np.array([c.energy_j for c in completed], dtype=np.float64),
             qualities=[c.quality for c in completed],
             shed_levels=[c.shed_level for c in completed],
-            rejected=rejected,
+            completed=lambda: completed,
+            rejected=lambda: rejected,
+            rejected_requests=len(rejected),
             arrival_span_s=arrival_span_s,
             peak_active_workers=peak_active_workers,
             mean_active_workers=mean_active_workers,
@@ -250,7 +265,6 @@ class ServingReport:
         scheduler: str,
         fleet: Sequence[str],
         workers: Sequence["Worker"],
-        completed: tuple[CompletedRequest, ...],
         num_requests: int,
         arrivals: np.ndarray,
         starts: np.ndarray,
@@ -260,19 +274,22 @@ class ServingReport:
         energies: np.ndarray,
         qualities: Sequence[float] | None = None,
         shed_levels: Sequence[int] | None = None,
-        rejected: Sequence[RejectedRequest] = (),
+        completed: Callable[[], Iterable[CompletedRequest]] = tuple,
+        rejected: Callable[[], Iterable[RejectedRequest]] = tuple,
+        rejected_requests: int = 0,
         arrival_span_s: float | None = None,
         peak_active_workers: int | None = None,
         mean_active_workers: float | None = None,
     ) -> "ServingReport":
-        """Aggregate pre-extracted per-request columns into a report.
+        """Aggregate per-request columns into a report.
 
-        Inputs must already be sorted by request id (``completed`` and the
-        columns in the same order).  Every statistic is computed with the
-        same IEEE-754 operations in the same order as the historical
-        per-object aggregation, so reports are bit-identical whichever
-        entry point built them; the column form just skips per-completion
-        attribute and property calls on the fleet fast path's hot loop.
+        The columns must already be sorted by request id.  Every statistic
+        is computed with the same IEEE-754 operations in the same order as
+        the historical per-object aggregation, so reports are bit-identical
+        whichever entry point built them.  ``completed`` and ``rejected``
+        build the two logs (the completions in column order, the
+        ``rejected_requests`` rejections in any order); the report calls
+        each only when its log is first read.
 
         ``arrival_span_s`` is the arrival span of *all offered* requests
         (the simulator computes it before admission); without it the span
@@ -280,7 +297,7 @@ class ServingReport:
         when requests were rejected -- and is undefined (0) when *every*
         request was, the empty-report edge the control plane exposed.
         """
-        n = len(completed)
+        n = len(arrivals)
         # All rates share one time origin -- the first arrival -- so replayed
         # traces with a nonzero origin report honest numbers: the makespan is
         # first arrival -> last completion, and offered load is measured over
@@ -314,9 +331,6 @@ class ServingReport:
         quality_list = list(qualities)
         ordered_qualities = sorted(quality_list)
         shed = sum(1 for level in shed_levels if level > 0) if shed_levels else 0
-        rejected_log = tuple(
-            sorted(rejected, key=lambda r: r.request.request_id)
-        )
         worker_stats = tuple(
             WorkerStats(
                 worker=w.label,
@@ -346,7 +360,7 @@ class ServingReport:
             mean_batch_size=sum(batch_sizes) / n if n else 0.0,
             energy_per_request_j=sum(energies.tolist()) / n if n else 0.0,
             workers=worker_stats,
-            rejected_requests=len(rejected_log),
+            rejected_requests=rejected_requests,
             shed_requests=shed,
             met_deadline_requests=met,
             mean_quality=sum(quality_list) / n if quality_list else 1.0,
@@ -362,8 +376,8 @@ class ServingReport:
                 if mean_active_workers is not None
                 else float(len(worker_stats))
             ),
-            completed=completed,
-            rejected=rejected_log,
+            _completed_log=completed,
+            _rejected_log=rejected,
         )
 
     @property

@@ -17,21 +17,28 @@ combination.  This module provides the demand side of the serving layer:
   adds flash crowds, self-exciting bursts, multi-tenant merges, interactive
   sessions and imported serving-log traces on the same contract.
 
-Streams are pure generators: ``stream.generate(seed)`` returns an immutable
-tuple of :class:`Request` objects, so the same seed always produces the same
-demand regardless of scheduler, fleet or execution parallelism.
+Streams are pure generators: ``stream.generate(seed)`` returns a
+:class:`RequestBatch`, an immutable sequence of :class:`Request` objects
+stored as one column per field, so the same seed always produces the same
+demand regardless of scheduler, fleet or execution parallelism.  The batch
+behaves as a tuple of requests (length, iteration, indexing, slicing,
+equality) but builds those objects only when an element is first read;
+the fleet simulator's FIFO fast path reads the columns and never does.
 """
 
 from __future__ import annotations
 
 import abc
 import math
+import numbers
 import operator
 import random
+import threading
 from bisect import bisect
-from dataclasses import dataclass
-from itertools import accumulate
-from typing import Iterator, Sequence
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
+from itertools import accumulate, repeat
+from typing import Iterable, Iterator
 
 from repro.nerf.models import FrameConfig
 from repro.sparse.formats import Precision
@@ -87,6 +94,9 @@ class Scenario:
 
     def __post_init__(self) -> None:
         """Validate resolution and pruning ratio."""
+        for size in (self.width, self.height):
+            if isinstance(size, bool) or not isinstance(size, numbers.Integral):
+                raise ValueError(f"resolution must be integers: {self}")
         if min(self.width, self.height) < 1:
             raise ValueError(f"resolution must be positive: {self}")
         if not 0.0 <= self.pruning_ratio < 1.0:
@@ -185,6 +195,126 @@ class Request:
     pose: tuple[float, float, float] | None = None
 
 
+#: The :class:`Request` fields, in declaration order: the batch's columns.
+REQUEST_FIELDS = tuple(f.name for f in fields(Request))
+
+
+class RequestBatch(Sequence[Request]):
+    """An immutable sequence of requests stored as one column per field.
+
+    ``request_id``, ``arrival_s``, ``scenario`` (references to the mix's
+    shared :class:`Scenario` objects) and ``deadline_s`` are tuples with
+    one entry per request; ``tenant``, ``session``, ``degradable`` and
+    ``pose`` are tuples too, or ``None`` when every request carries the
+    field's default.  ``len()`` reads the columns.  Iteration, indexing,
+    slicing (which returns a tuple), hashing and ``==`` against a tuple or
+    another batch behave as on the tuple of :class:`Request` objects, which
+    is built once, on first element access, and then reused -- so
+    ``batch[i] is batch[i]``.  Concurrent first accesses build it once.
+    """
+
+    __slots__ = (*REQUEST_FIELDS, "_requests", "_lock")
+
+    def __init__(
+        self,
+        request_id: Iterable[int],
+        arrival_s: Iterable[float],
+        scenario: Iterable[Scenario],
+        deadline_s: Iterable[float | None] | None = None,
+        tenant: Iterable[str | None] | None = None,
+        session: Iterable[int | None] | None = None,
+        degradable: Iterable[bool] | None = None,
+        pose: Iterable[tuple[float, float, float] | None] | None = None,
+    ) -> None:
+        """Store the columns; ``deadline_s=None`` means no request has one."""
+        self.request_id = tuple(request_id)
+        self.arrival_s = tuple(arrival_s)
+        self.scenario = tuple(scenario)
+        n = len(self.arrival_s)
+        self.deadline_s = tuple(deadline_s) if deadline_s is not None else (None,) * n
+        self.tenant = tuple(tenant) if tenant is not None else None
+        self.session = tuple(session) if session is not None else None
+        self.degradable = tuple(degradable) if degradable is not None else None
+        self.pose = tuple(pose) if pose is not None else None
+        for name in REQUEST_FIELDS:
+            column = getattr(self, name)
+            if column is not None and len(column) != n:
+                raise ValueError(f"column {name} has {len(column)} rows, expected {n}")
+        self._requests: tuple[Request, ...] | None = None
+        self._lock = threading.Lock()
+
+    @classmethod
+    def of(cls, requests: Sequence[Request]) -> "RequestBatch":
+        """``requests`` as a batch; any other sequence becomes its cached tuple."""
+        if isinstance(requests, RequestBatch):
+            return requests
+        requests = tuple(requests)
+        batch = cls(
+            *(
+                tuple(map(operator.attrgetter(name), requests))
+                for name in REQUEST_FIELDS
+            )
+        )
+        batch._requests = requests
+        return batch
+
+    def take(self, rows: Sequence[int]) -> "RequestBatch":
+        """A new batch of the requests at ``rows``, in that order."""
+
+        def select(column: tuple | None) -> list | None:
+            return None if column is None else [column[i] for i in rows]
+
+        batch = RequestBatch(*(select(getattr(self, name)) for name in REQUEST_FIELDS))
+        if self._requests is not None:
+            batch._requests = tuple(select(self._requests))
+        return batch
+
+    def requests(self) -> tuple[Request, ...]:
+        """The batch as a tuple of :class:`Request` objects (built once)."""
+        requests = self._requests
+        if requests is None:
+            with self._lock:
+                requests = self._requests
+                if requests is None:
+                    n = len(self.arrival_s)
+                    requests = self._requests = tuple(
+                        map(
+                            Request,
+                            self.request_id,
+                            self.arrival_s,
+                            self.scenario,
+                            self.deadline_s,
+                            self.tenant or repeat(None, n),
+                            self.session or repeat(None, n),
+                            self.degradable or repeat(True, n),
+                            self.pose or repeat(None, n),
+                        )
+                    )
+        return requests
+
+    def __len__(self) -> int:
+        return len(self.arrival_s)
+
+    def __getitem__(self, index):
+        return self.requests()[index]
+
+    def __iter__(self) -> Iterator[Request]:
+        return iter(self.requests())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, RequestBatch):
+            other = other.requests()
+        if not isinstance(other, tuple):
+            return NotImplemented
+        return self.requests() == other
+
+    def __hash__(self) -> int:
+        return hash(self.requests())
+
+    def __repr__(self) -> str:
+        return f"RequestBatch({len(self)} requests)"
+
+
 class RequestStream(abc.ABC):
     """Deterministic generator of a request arrival process.
 
@@ -208,32 +338,30 @@ class RequestStream(abc.ABC):
         """Choose the scenario of the ``index``-th request (mix sample by default)."""
         return self.mix.sample(rng)
 
-    def build_request(
-        self, index: int, arrival_s: float, rng: random.Random
-    ) -> Request:
-        """Materialize the ``index``-th request at ``arrival_s``.
+    def generate(self, seed: int = 0) -> RequestBatch:
+        """Materialize the stream: one immutable request batch per seed.
 
-        The default stamps the mix-sampled scenario and the stream-wide SLA
-        deadline; subclasses override this (or :meth:`generate` outright)
-        to attach tenants, sessions, poses or per-request deadlines.  The
-        contract either way -- sequential ids, non-decreasing arrivals,
+        Fills the batch's columns straight from :meth:`arrivals` and
+        :meth:`pick` (in that ``rng`` call order, one pick per arrival) and
+        stamps the stream-wide SLA deadline; no :class:`Request` is built
+        here.  The contract -- sequential ids, non-decreasing arrivals,
         seeded determinism -- is certified for every subclass by
         ``tests/serve/stream_conformance.py``.
         """
-        deadline = arrival_s + self.sla_s if self.sla_s is not None else None
-        return Request(
-            request_id=index,
-            arrival_s=arrival_s,
-            scenario=self.pick(index, rng),
-            deadline_s=deadline,
-        )
-
-    def generate(self, seed: int = 0) -> tuple[Request, ...]:
-        """Materialize the stream: one immutable request list per seed."""
         rng = random.Random(seed)
-        build = self.build_request
-        return tuple(
-            build(i, arrival, rng) for i, arrival in enumerate(self.arrivals(rng))
+        pick = self.pick
+        arrivals: list[float] = []
+        scenarios: list[Scenario] = []
+        add_arrival, add_scenario = arrivals.append, scenarios.append
+        for index, arrival in enumerate(self.arrivals(rng)):
+            add_arrival(arrival)
+            add_scenario(pick(index, rng))
+        sla = self.sla_s
+        return RequestBatch(
+            range(len(arrivals)),
+            arrivals,
+            scenarios,
+            [arrival + sla for arrival in arrivals] if sla is not None else None,
         )
 
 
@@ -325,6 +453,8 @@ class TraceStream(RequestStream):
         """Validate and store the trace to replay."""
         super().__init__(mix, sla_s)
         times = tuple(float(t) for t in arrival_times_s)
+        if not all(map(math.isfinite, times)):
+            raise ValueError("trace arrival times must be finite")
         if any(b < a for a, b in zip(times, times[1:])):
             raise ValueError("trace arrival times must be non-decreasing")
         if any(t < 0.0 for t in times):

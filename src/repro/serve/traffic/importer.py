@@ -33,7 +33,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator, Sequence
 
-from repro.serve.request import Request, RequestStream, Scenario, ScenarioMix
+from repro.serve.request import (
+    Request,
+    RequestBatch,
+    RequestStream,
+    Scenario,
+    ScenarioMix,
+)
 from repro.sparse.formats import Precision
 
 
@@ -336,24 +342,25 @@ class ImportedTraceStream(RequestStream):
     """Verbatim replay of an imported trace's requests.
 
     The trace *is* the realization, so :meth:`generate` ignores the seed
-    and returns the recorded requests unchanged -- the conformance
-    harness marks this stream seed-insensitive by design.
+    and returns the recorded requests, wrapped once in a batch, unchanged
+    -- the conformance harness marks this stream seed-insensitive by
+    design.
     """
 
     def __init__(self, requests: Sequence[Request], mix: ScenarioMix) -> None:
         """Wrap already-validated ordered requests and their empirical mix."""
         super().__init__(mix, sla_s=None)
-        self._requests = tuple(requests)
+        self._requests = RequestBatch.of(requests)
 
     def arrivals(self, rng: random.Random) -> Iterator[float]:
         """Yield the recorded arrival times verbatim."""
-        yield from (r.arrival_s for r in self._requests)
+        yield from self._requests.arrival_s
 
     def pick(self, index: int, rng: random.Random) -> Scenario:
         """Return the recorded scenario of request ``index``."""
-        return self._requests[index].scenario
+        return self._requests.scenario[index]
 
-    def generate(self, seed: int = 0) -> tuple[Request, ...]:
+    def generate(self, seed: int = 0) -> RequestBatch:
         """Replay the imported requests (the seed is irrelevant)."""
         return self._requests
 

@@ -24,7 +24,7 @@ import random
 from typing import Iterator
 
 from repro.serve.request import (
-    Request,
+    RequestBatch,
     RequestStream,
     Scenario,
     ScenarioMix,
@@ -86,10 +86,9 @@ class SessionStream(RequestStream):
 
     def arrivals(self, rng: random.Random) -> Iterator[float]:
         """Merged frame arrival times of one realization (seed from ``rng``)."""
-        for request in self.generate(seed=rng.getrandbits(32)):
-            yield request.arrival_s
+        yield from self.generate(seed=rng.getrandbits(32)).arrival_s
 
-    def generate(self, seed: int = 0) -> tuple[Request, ...]:
+    def generate(self, seed: int = 0) -> RequestBatch:
         """Merge the per-session frame trains into one renumbered stream."""
         rng = random.Random(seed)
         period = 1.0 / self.fps
@@ -107,15 +106,13 @@ class SessionStream(RequestStream):
                 )
                 events.append((start + frame * period + jitter, session, frame, scenario))
         events.sort(key=lambda e: (e[0], e[1], e[2]))
-        return tuple(
-            Request(
-                request_id=i,
-                arrival_s=arrival,
-                scenario=scenario,
-                deadline_s=arrival + self.sla_s,
-                session=session,
-                degradable=self.degradable,
-                pose=self.pose_at(frame),
-            )
-            for i, (arrival, session, frame, scenario) in enumerate(events)
+        sla, degradable = self.sla_s, self.degradable
+        return RequestBatch(
+            range(len(events)),
+            [arrival for arrival, _, _, _ in events],
+            [scenario for _, _, _, scenario in events],
+            [arrival + sla for arrival, _, _, _ in events],
+            session=[session for _, session, _, _ in events],
+            degradable=None if degradable is True else [degradable] * len(events),
+            pose=[self.pose_at(frame) for _, _, frame, _ in events],
         )

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from repro.serve.request import (
-    Request,
+    RequestBatch,
     RequestStream,
     Scenario,
     ScenarioMix,
@@ -245,10 +245,9 @@ class MultiTenantStream(RequestStream):
 
     def arrivals(self, rng: random.Random) -> Iterator[float]:
         """Merged arrival times of one realization (seed drawn from ``rng``)."""
-        for request in self.generate(seed=rng.getrandbits(32)):
-            yield request.arrival_s
+        yield from self.generate(seed=rng.getrandbits(32)).arrival_s
 
-    def generate(self, seed: int = 0) -> tuple[Request, ...]:
+    def generate(self, seed: int = 0) -> RequestBatch:
         """Merge the per-tenant sub-streams into one renumbered stream."""
         events: list[tuple[float, int, Scenario, TenantSpec]] = []
         for tenant_index, tenant in enumerate(self.tenants):
@@ -260,15 +259,13 @@ class MultiTenantStream(RequestStream):
                     break
                 events.append((t, tenant_index, tenant.mix.sample(sub_rng), tenant))
         events.sort(key=lambda e: (e[0], e[1]))
-        return tuple(
-            Request(
-                request_id=i,
-                arrival_s=arrival,
-                scenario=scenario,
-                deadline_s=(
-                    arrival + tenant.sla_s if tenant.sla_s is not None else None
-                ),
-                tenant=tenant.name,
-            )
-            for i, (arrival, _, scenario, tenant) in enumerate(events)
+        return RequestBatch(
+            range(len(events)),
+            [arrival for arrival, _, _, _ in events],
+            [scenario for _, _, scenario, _ in events],
+            [
+                arrival + tenant.sla_s if tenant.sla_s is not None else None
+                for arrival, _, _, tenant in events
+            ],
+            tenant=[tenant.name for _, _, _, tenant in events],
         )

@@ -8,6 +8,10 @@ suite over the registry:
 * **seeded bit-determinism** -- ``generate(seed)`` is a pure function of the
   seed, identical across repeats and across concurrent threads (the
   ``--jobs`` execution mode);
+* **batch contract** -- ``generate`` returns a
+  :class:`~repro.serve.request.RequestBatch` whose length, iteration,
+  indexing, slicing and tuple equality agree with its columns, and whose
+  requests are built once even when two threads read it first together;
 * **arrival invariants** -- sequential ids, non-decreasing non-negative
   arrivals bounded by the stream horizon, deadlines at or after arrival,
   well-formed poses, per-session frame monotonicity;
@@ -34,13 +38,17 @@ Not collected by pytest (no ``test_`` prefix); the repo root is on
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable, Iterator
 
 from repro.serve.request import (
+    REQUEST_FIELDS,
     DiurnalStream,
     PoissonStream,
     Request,
+    RequestBatch,
     RequestStream,
     Scenario,
     ScenarioMix,
@@ -278,6 +286,44 @@ def all_concrete_stream_classes() -> set[type]:
         for sub in _walk_subclasses(RequestStream)
         if sub.__module__.startswith("repro.") and not inspect.isabstract(sub)
     }
+
+
+def check_batch_contract(case: StreamCase) -> None:
+    """Assert ``generate`` returns a batch that reads as its columns."""
+    stream = case.build()
+    batch = stream.generate(seed=SEED)
+    assert isinstance(batch, RequestBatch), (
+        f"{case.name}: generate returned {type(batch).__name__}, not a RequestBatch"
+    )
+    # Two threads that read a fresh batch together get equal tuples.
+    ready = threading.Barrier(2)
+
+    def materialize(_):
+        ready.wait()
+        return tuple(batch)
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        first, second = pool.map(materialize, range(2))
+    assert first == second, f"{case.name}: concurrent reads disagree"
+
+    n = len(batch.arrival_s)
+    assert len(batch) == len(first) == n, f"{case.name}: len() disagrees with columns"
+    defaults = {f.name: f.default for f in fields(Request) if f.default is not MISSING}
+    for name in REQUEST_FIELDS:
+        column = getattr(batch, name)
+        expected = column if column is not None else (defaults[name],) * n
+        assert tuple(getattr(r, name) for r in batch) == expected, (
+            f"{case.name}: iteration disagrees with the {name} column"
+        )
+    requests = tuple(batch)
+    assert batch == requests and requests == batch, f"{case.name}: tuple equality"
+    assert batch[0] is batch[0] is requests[0], f"{case.name}: element rebuilt"
+    assert batch[-1] is requests[-1] and batch[-n] is requests[0], (
+        f"{case.name}: negative indexing"
+    )
+    middle = batch[1:-1:2]
+    assert type(middle) is tuple and middle == requests[1:-1:2], f"{case.name}: slicing"
+    assert batch == stream.generate(seed=SEED), f"{case.name}: repeat call differs"
 
 
 def check_invariants(case: StreamCase, requests: tuple[Request, ...]) -> None:

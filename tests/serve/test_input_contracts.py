@@ -20,6 +20,12 @@ hung an autoscaled run.
 Simulator ingress also rejects a repeated request id, with the same error
 on the event loop and the FIFO fast path: served twice, a duplicate would
 break the offered = completed + rejected id partition.
+
+A trace's arrival times must be finite: ``TraceStream([0.1, nan, 0.3])``
+passed both the ordering and the sign check (every comparison with NaN is
+false) and failed only later, inside the simulator.  A scenario's width
+and height must be integers: ``Scenario(width=2.5)`` and
+``Scenario(width=True)`` used to be accepted.
 """
 
 import dataclasses
@@ -45,6 +51,7 @@ from repro.serve.request import (
     PoissonStream,
     Scenario,
     ScenarioMix,
+    TraceStream,
     require_count,
     require_positive,
 )
@@ -351,3 +358,33 @@ def test_event_loop_and_fast_path_share_the_duplicate_error():
             path(requests)
         messages.append(str(error.value))
     assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("value", NON_FINITE + (-INF,), ids=repr)
+@pytest.mark.parametrize("position", [0, 1, 2], ids=["first", "middle", "last"])
+def test_trace_arrival_times_must_be_finite(position, value):
+    times = [0.1, 0.2, 0.3]
+    times[position] = value
+    with fails_within(10.0):
+        with pytest.raises(ValueError) as error:
+            TraceStream(times, MIX)
+    assert str(error.value) == "trace arrival times must be finite"
+
+
+@pytest.mark.parametrize("field", ["width", "height"])
+@pytest.mark.parametrize("value", [2.5, 400.0, True, False, "400", None], ids=repr)
+def test_scenario_resolution_must_be_integers(field, value):
+    with pytest.raises(ValueError) as error:
+        Scenario("instant-ngp", **{field: value})
+    assert "resolution must be integers" in str(error.value)
+    assert "\n" not in str(error.value)
+
+
+@pytest.mark.parametrize("value", [0, -1], ids=repr)
+def test_scenario_resolution_below_one_keeps_its_wording(value):
+    with pytest.raises(ValueError, match="resolution must be positive"):
+        Scenario("instant-ngp", width=value)
+
+
+def test_scenario_accepts_any_integer_type():
+    assert Scenario("instant-ngp", width=np.int64(64), height=1).width == 64

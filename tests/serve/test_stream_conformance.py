@@ -28,6 +28,7 @@ from tests.serve.stream_conformance import (
     CASES,
     SEED,
     all_concrete_stream_classes,
+    check_batch_contract,
     check_count,
     check_invariants,
     check_mix_convergence,
@@ -75,6 +76,10 @@ class TestDeterminism:
                 for _ in range(4)
             ]
             assert all(f.result() == reference for f in futures)
+
+    def test_generate_returns_a_columnar_batch(self, case):
+        """``generate`` returns a batch that reads exactly as its columns."""
+        check_batch_contract(case)
 
     def test_seed_changes_realization(self, case):
         """Different seeds give different realizations (replay streams excepted)."""
