@@ -23,11 +23,14 @@ Admission and shedding are decided at ingress from integer queue depths, so
 FIFO fleets keep the closed-form fast path *and* its bit-identical guarantee;
 autoscaling's feedback loop runs on the event loop only.
 
-The event loop is deterministic: events are ordered by ``(time, kind,
-sequence number)``, all simultaneous events are drained before the
-scheduler runs,
-and no wall-clock or unseeded randomness is consulted anywhere.  The same
-stream + fleet + scheduler therefore produces an identical
+The event loop is deterministic.  Arrivals are read by a cursor over the
+batch's sorted ``arrival_s`` column; completions, wake-ups and autoscaler
+ticks live in a heap ordered by ``(time, sequence number)``.  At each
+timestamp the cursor's arrivals are drained first, then the heap's
+events, and only then does the scheduler run -- and only when it can act
+(see :mod:`repro.serve.scheduler` for the call contract).  No wall-clock
+or unseeded randomness is consulted anywhere.  The same stream + fleet +
+scheduler therefore produces an identical
 :class:`~repro.serve.report.ServingReport` on every run, every platform and
 every ``--jobs`` setting.
 """
@@ -35,9 +38,9 @@ every ``--jobs`` setting.
 from __future__ import annotations
 
 import collections
-import enum
 import heapq
 import itertools
+import math
 from bisect import bisect_left
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
@@ -65,13 +68,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serve.control import DegradationLadder
     from repro.serve.request import Request, Scenario
 
-class _EventKind(enum.IntEnum):
-    """Event ordering at equal timestamps: arrivals, completions, wakes, ticks."""
-
-    ARRIVAL = 0
-    COMPLETE = 1
-    WAKE = 2
-    TICK = 3
+#: Heap payloads of the event loop's two timers: a wake re-runs scheduling
+#: when a worker becomes ready or a held batch is due, a tick runs the
+#: autoscaler.
+_WAKE = "wake"
+_TICK = "tick"
 
 
 class _ControlState:
@@ -124,21 +125,19 @@ class _ControlState:
         now: float,
         request: "Request",
         queue_depth: int,
-        rejected: list[RejectedRequest],
-    ) -> bool:
-        """Run admission + shed stamping for one arrival; False when rejected."""
+    ) -> str | None:
+        """Run admission + shed stamping for one arrival.
+
+        Returns the admission policy's rejection reason, or ``None`` when
+        the arrival is admitted.
+        """
         if self.admission is not None and not self.admission.admit(now, queue_depth):
-            rejected.append(
-                RejectedRequest(
-                    request=request, time_s=now, reason=self.admission.reason
-                )
-            )
-            return False
+            return self.admission.reason
         if self.shedder is not None and request.degradable:
             level = self.shedder.level(queue_depth, self.active_count)
             if level:
                 self.shed_levels[id(request)] = level
-        return True
+        return None
 
     # -- autoscaling -----------------------------------------------------------
 
@@ -146,12 +145,6 @@ class _ControlState:
         """Anchor the active-worker time integral at the first event."""
         self._integral_origin = now
         self._last_change_s = now
-
-    def observe(self, records: Sequence[CompletedRequest]) -> None:
-        """Feed completion latencies into the autoscaler's window."""
-        if self.latencies is not None:
-            for record in records:
-                self.latencies.append(record.finish_s - record.request.arrival_s)
 
     def autoscale(
         self,
@@ -412,7 +405,20 @@ class FleetSimulator:
         return self._run_event_loop(requests)
 
     def _run_event_loop(self, requests: Sequence["Request"]) -> ServingReport:
-        """The general discrete-event engine (any scheduler, full control)."""
+        """The general discrete-event engine (any scheduler, full control).
+
+        Arrivals are read by a cursor over the batch's sorted
+        ``arrival_s`` column; the heap holds only completions, wakes and
+        ticks.  Each step drains the cursor's arrivals at ``now`` first,
+        then the heap's events at ``now``, and ``assign`` runs only when
+        the queue is non-empty and an active worker is idle.  When no
+        active worker is idle, none can become idle before the heap's
+        next event, so the arrivals before that event are queued (or
+        rejected) in one step.  Every dispatch is logged once; the
+        per-request columns are built from that log after the run, and
+        the ``completed`` / ``rejected`` records only when someone reads
+        them.
+        """
         workers = [
             Worker(index=i, name=name, device=device)
             for i, (name, device) in enumerate(self._fleet)
@@ -435,106 +441,161 @@ class FleetSimulator:
             """Scheduler-facing estimate, read from the run's service table."""
             return table.row(request.scenario)[worker.index]
 
-        seq = itertools.count()
-        # Heap entries are (time, kind, seq, payload): at equal timestamps
-        # arrivals order before completions before wakes and control ticks,
-        # then by push order.
-        events: list[tuple[float, int, int, object]] = []
-        pending_arrivals = 0
+        scheduler = self.scheduler
+        arrivals = ordered.requests()
         times = ordered.arrival_s
+        count = len(times)
         arrival_span = times[-1] - times[0] if times else 0.0
-        for request in ordered:
-            heapq.heappush(
-                events,
-                (request.arrival_s, int(_EventKind.ARRIVAL), next(seq), request),
-            )
-            pending_arrivals += 1
+        cursor = 0  # the next arrival's row
+        seq = itertools.count()
+        # Heap entries are (time, seq, payload): a completion's payload is
+        # its dispatch's requests, a timer's is _WAKE or _TICK.  Timers and
+        # completions at one timestamp commute, so push order suffices.
+        events: list[tuple[float, int, object]] = []
+        push, pop = heapq.heappush, heapq.heappop
 
         queue = RequestQueue()
-        completed: list[CompletedRequest] = []
-        rejected: list[RejectedRequest] = []
+        # One row per served request, in CompletedRequest field order:
+        # (request, worker label, start, finish, batch size, energy share,
+        # shed level, quality).  One RejectedRequest row per rejection.
+        log: list[tuple] = []
+        rejected: list[tuple["Request", float, str]] = []
         scheduled_wakes: set[float] = set()
+        enqueue, record = queue.append, log.append
+
+        def arrive(at: float, request: "Request") -> None:
+            """Queue the arrival at ``at``, or log its rejection."""
+            reason = (
+                None
+                if state is None
+                else state.admit_or_reject(at, request, len(queue))
+            )
+            if reason is None:
+                enqueue(request)
+            else:
+                rejected.append((request, at, reason))
 
         def schedule_wake(at: float) -> None:
-            """Queue a WAKE so scheduling re-runs when a worker becomes ready."""
+            """Queue a wake so scheduling re-runs when a worker becomes ready."""
             if at not in scheduled_wakes:
                 scheduled_wakes.add(at)
-                heapq.heappush(events, (at, int(_EventKind.WAKE), next(seq), None))
+                push(events, (at, next(seq), _WAKE))
 
         autoscaling = state is not None and state.autoscaler is not None
-        if autoscaling and events:
-            first = events[0][0]
-            state.begin(first)
-            heapq.heappush(
-                events, (first + state.config.tick_s, int(_EventKind.TICK), next(seq), None)
-            )
+        latencies = state.latencies if state is not None else None
+        active = state.active if state is not None else None
+        if autoscaling and count:
+            state.begin(times[0])
+            push(events, (times[0] + state.config.tick_s, next(seq), _TICK))
             state.tick_scheduled = True
 
         now = 0.0
-        while events:
-            now = events[0][0]
+        while cursor < count or events:
+            if events and (cursor == count or events[0][0] < times[cursor]):
+                now = events[0][0]
+            else:
+                now = times[cursor]
+            # Drain every arrival, then every event, at this timestamp
+            # before scheduling, so the policy sees a consistent snapshot
+            # of queue + idle devices.
+            while cursor < count and times[cursor] == now:
+                arrive(now, arrivals[cursor])
+                cursor += 1
             tick_due = False
-            # Drain every event at this timestamp before scheduling, so the
-            # policy sees a consistent snapshot of queue + idle devices.
             while events and events[0][0] == now:
-                _, kind, _, payload = heapq.heappop(events)
-                if kind == int(_EventKind.ARRIVAL):
-                    pending_arrivals -= 1
-                    if state is None or state.admit_or_reject(
-                        now, payload, len(queue), rejected
-                    ):
-                        queue.append(payload)
-                elif kind == int(_EventKind.COMPLETE):
-                    completed.extend(payload)
-                    if state is not None:
-                        state.observe(payload)
-                elif kind == int(_EventKind.WAKE):
+                payload = pop(events)[2]
+                if payload is _WAKE:
                     scheduled_wakes.discard(now)
-                else:  # TICK: the autoscaler runs after the drain below
+                elif payload is _TICK:  # the autoscaler runs after the drain
                     tick_due = True
                     state.tick_scheduled = False
+                elif latencies is not None:
+                    for request in payload:
+                        latencies.append(now - request.arrival_s)
             if tick_due:
                 state.autoscale(now, workers, len(queue), schedule_wake)
             if autoscaling and not state.tick_scheduled and (
-                pending_arrivals
+                cursor < count
                 or queue
                 or any(w.busy_until_s > now for w in workers)
             ):
-                heapq.heappush(
-                    events,
-                    (now + state.config.tick_s, int(_EventKind.TICK), next(seq), None),
-                )
+                push(events, (now + state.config.tick_s, next(seq), _TICK))
                 state.tick_scheduled = True
 
-            idle = [
-                w
-                for w in workers
-                if w.busy_until_s <= now
-                and (state is None or state.active[w.index])
-            ]
-            dispatches, wake = self.scheduler.assign(
-                now, queue, idle, estimate, draining=pending_arrivals == 0
-            )
-            for dispatch in dispatches:
-                finish, records = self._serve(now, dispatch, table, state)
-                heapq.heappush(
-                    events, (finish, int(_EventKind.COMPLETE), next(seq), records)
-                )
-            if wake is not None and wake > now:
-                schedule_wake(wake)
-            if not events and queue:
+            queued = len(queue)
+            if queued:
+                idle = [
+                    w
+                    for w in workers
+                    if w.busy_until_s <= now and (active is None or active[w.index])
+                ]
+                if idle:
+                    dispatches, wake = scheduler.assign(
+                        now, queue, idle, estimate, draining=cursor == count
+                    )
+                    taken = 0
+                    for dispatch in dispatches:
+                        members = dispatch.requests
+                        finish, level, quality, energy, label = self._serve(
+                            now, dispatch, table, state
+                        )
+                        batch = len(members)
+                        shared = (label, now, finish, batch, energy, level, quality)
+                        for request in members:
+                            record((request, *shared))
+                        push(events, (finish, next(seq), members))
+                        taken += batch
+                    left = len(queue)
+                    if left != queued - taken:
+                        raise RuntimeError(
+                            f"scheduler '{scheduler.name}' dispatched {taken} "
+                            f"requests but removed {queued - left} from the queue"
+                        )
+                    if wake is not None:
+                        if not math.isfinite(wake):
+                            raise ValueError(
+                                f"scheduler '{scheduler.name}' returned a "
+                                f"non-finite wake-up time {wake!r}"
+                            )
+                        if wake > now:
+                            schedule_wake(wake)
+                else:
+                    # Every active worker stays busy until the heap's next
+                    # event (a completion, a provisioning wake or a tick),
+                    # so the arrivals before it can only queue up.
+                    horizon = events[0][0] if events else math.inf
+                    while cursor < count and times[cursor] < horizon:
+                        arrive(times[cursor], arrivals[cursor])
+                        cursor += 1
+            if cursor == count and not events and queue:
                 raise RuntimeError(
-                    f"scheduler '{self.scheduler.name}' stalled with "
+                    f"scheduler '{scheduler.name}' stalled with "
                     f"{len(queue)} queued requests and no pending events"
                 )
 
-        return ServingReport.from_completions(
-            scheduler=self.scheduler.name,
+        # The log's rows, in request-id order (ids are unique), are the
+        # report's columns.
+        log.sort(key=lambda row: row[0].request_id)
+        served, _, starts, finishes, batch_sizes, energies, levels, qualities = (
+            zip(*log) if log else ((),) * 8
+        )
+        shedding = state is not None and state.shedder is not None
+        return ServingReport.from_arrays(
+            scheduler=scheduler.name,
             fleet=tuple(w.name for w in workers),
             workers=workers,
-            completed=completed,
-            num_requests=len(ordered),
-            rejected=rejected,
+            num_requests=count,
+            arrivals=np.array([r.arrival_s for r in served], dtype=np.float64),
+            starts=np.array(starts, dtype=np.float64),
+            finishes=np.array(finishes, dtype=np.float64),
+            deadlines=[r.deadline_s for r in served],
+            batch_sizes=batch_sizes,
+            energies=np.array(energies, dtype=np.float64),
+            qualities=qualities if shedding else None,
+            shed_levels=levels if shedding else None,
+            completed=lambda: itertools.starmap(CompletedRequest, log),
+            rejected=lambda: itertools.starmap(RejectedRequest, rejected),
+            rejected_requests=len(rejected),
             arrival_span_s=arrival_span,
             peak_active_workers=state.peak_active if autoscaling else None,
             mean_active_workers=state.mean_active(now) if autoscaling else None,
@@ -546,13 +607,15 @@ class FleetSimulator:
         dispatch: Dispatch,
         table: _ServiceTable,
         state: _ControlState | None = None,
-    ) -> tuple[float, tuple[CompletedRequest, ...]]:
-        """Occupy the dispatch's worker and build its completion records.
+    ) -> tuple[float, int, float, float, str]:
+        """Occupy the dispatch's worker; return what its members' records share.
 
-        Under quality shedding a batch is rendered once at the *deepest*
-        shed level stamped on any of its members (a batch shares one render
-        configuration), and every member's record carries that level and
-        its delivered quality.
+        The result is ``(finish, level, quality, energy, label)``: the
+        completion time, the shed level and delivered quality, each
+        member's share of the batch energy, and the worker's label.  Under
+        quality shedding a batch is rendered once at the *deepest* shed
+        level stamped on any of its members (a batch shares one render
+        configuration), so every member carries that level and quality.
         """
         worker = dispatch.worker
         if worker.busy_until_s > now:  # pragma: no cover - defensive
@@ -583,20 +646,7 @@ class FleetSimulator:
         worker.energy_j += energy_j
         worker.requests_served += batch
         worker.batches_served += 1
-        records = tuple(
-            CompletedRequest(
-                request=request,
-                worker=worker.label,
-                start_s=now,
-                finish_s=finish,
-                batch_size=batch,
-                energy_j=energy_j / batch,
-                shed_level=level,
-                quality=quality,
-            )
-            for request in dispatch.requests
-        )
-        return finish, records
+        return finish, level, quality, energy_j / batch, worker.label
 
     # -- the FIFO fast path ----------------------------------------------------
 

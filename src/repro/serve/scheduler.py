@@ -40,6 +40,22 @@ depth: ``append``, ``len`` and ``take`` are O(1) per request, ``popleft``
 is O(S) and ``groups()`` O(S log S); only ``iter`` walks the whole queue.
 A policy that looks only at group heads therefore stays linear however
 deep the backlog grows.
+
+The simulator's call contract:
+
+* ``assign`` is called only when it can act: after every arrival, completion
+  and timer at one timestamp has been drained, and only if the queue is
+  non-empty *and* at least one active worker is idle.  ``idle`` is then a
+  non-empty list in fleet order.  In every other state a policy could only
+  answer ``([], None)`` -- which all three built-in policies do -- so the
+  call is skipped, and a policy must not rely on being called there (a
+  wake-up it wants must be returned while it can act);
+* ``assign`` removes from the queue exactly the requests it dispatches; a
+  call after which ``len(queue)`` did not drop by the number of dispatched
+  requests raises :class:`RuntimeError` naming the scheduler;
+* a returned wake-up time must be finite: one later than ``now`` makes the
+  loop revisit that instant (and call ``assign`` again if it can act
+  then); a non-finite one raises :class:`ValueError`.
 """
 
 from __future__ import annotations
@@ -47,6 +63,7 @@ from __future__ import annotations
 import abc
 import heapq
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, ClassVar, Iterator
@@ -101,9 +118,13 @@ class Dispatch:
         """Reject empty or mixed-scenario batches."""
         if not self.requests:
             raise ValueError("a dispatch needs at least one request")
-        scenarios = {r.scenario for r in self.requests}
-        if len(scenarios) != 1:
-            raise ValueError(f"a dispatch must share one scenario, got {scenarios}")
+        scenario = self.requests[0].scenario
+        for request in self.requests[1:]:
+            if request.scenario is not scenario and request.scenario != scenario:
+                scenarios = {r.scenario for r in self.requests}
+                raise ValueError(
+                    f"a dispatch must share one scenario, got {scenarios}"
+                )
 
     @property
     def scenario(self) -> "Scenario":
@@ -189,9 +210,10 @@ class Scheduler(abc.ABC):
     """Policy interface: turn (queue, idle workers) into dispatches.
 
     ``assign`` removes dispatched requests from ``queue`` (a
-    :class:`RequestQueue`; see the module docstring for its contract) and
-    may return a wake-up time (absolute seconds) at which it wants to be
-    called again even if no arrival / completion happens before then.
+    :class:`RequestQueue`; see the module docstring for its contract and
+    for when the simulator calls ``assign``) and may return a finite
+    wake-up time (absolute seconds) at which it wants to be called again
+    even if no arrival / completion happens before then.
     """
 
     #: Policy name stamped into the serving report.
@@ -268,8 +290,12 @@ class BatchDeadlineScheduler(Scheduler):
     def __post_init__(self) -> None:
         """Validate batching bounds."""
         require_count("max_batch", self.max_batch, 1)
-        if not self.max_wait_s >= 0.0:  # also rejects NaN
-            raise ValueError(f"max_wait_s must be >= 0, got {self.max_wait_s!r}")
+        # An infinite hold would schedule a wake-up at t = inf, which the
+        # event loop rejects; NaN fails the comparison too.
+        if not (math.isfinite(self.max_wait_s) and self.max_wait_s >= 0.0):
+            raise ValueError(
+                f"max_wait_s must be finite and >= 0, got {self.max_wait_s!r}"
+            )
 
     def assign(self, now, queue, idle, estimate, draining):
         """Dispatch ready scenario groups; hold (with a wake-up) the rest.

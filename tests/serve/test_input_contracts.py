@@ -21,6 +21,10 @@ Simulator ingress also rejects a repeated request id, with the same error
 on the event loop and the FIFO fast path: served twice, a duplicate would
 break the offered = completed + rejected id partition.
 
+A batch-deadline scheduler's ``max_wait_s`` must be finite (and may be
+0): an infinite hold scheduled a wake-up at ``t = inf``, and an autoscaled
+run reported ``mean_active_workers: nan``.
+
 A trace's arrival times must be finite: ``TraceStream([0.1, nan, 0.3])``
 passed both the ordering and the sign check (every comparison with NaN is
 false) and failed only later, inside the simulator.  A scenario's width
@@ -147,10 +151,27 @@ def run_autoscaled(tick_s):
     ).run(requests)
 
 
+def run_batched_autoscaled(max_wait_s):
+    """A batch-deadline, autoscaled run with no SLA: nothing bounds the hold.
+
+    An infinite ``max_wait_s`` used to schedule a wake-up at ``t = inf``,
+    and the run reported ``mean_active_workers: nan``.
+    """
+    requests = PoissonStream(10.0, 1.0, MIX).generate(seed=0)
+    control = ControlConfig(autoscaler=QueueDepthAutoscaler())
+    return FleetSimulator(
+        ("flexnerfer", "neurex"),
+        scheduler=BatchDeadlineScheduler(8, max_wait_s),
+        engine=SweepEngine(),
+        control=control,
+    ).run(requests)
+
+
 #: (label, control-plane, planner or stream input exercised with one value):
 #: each must raise ValueError on a non-finite value and accept ``GOOD``.
 CONTROL_CASES = (
     ("control.tick_s", run_autoscaled),
+    ("batch-deadline.max_wait_s", run_batched_autoscaled),
     ("control.provision_delay_s", lambda v: ControlConfig(provision_delay_s=v)),
     ("latency-target.p95_s", lambda v: LatencyTargetAutoscaler(target_p95_s=v)),
     ("token-bucket.rate_rps", lambda v: TokenBucketAdmission(rate_rps=v)),
@@ -191,6 +212,19 @@ def test_non_finite_control_inputs_raise_one_line_errors(build, value):
 def test_each_control_case_is_valid_apart_from_the_bad_value(build):
     with fails_within(10.0):
         assert build(GOOD) is not None
+
+
+def test_batched_autoscaled_report_is_finite():
+    report = run_batched_autoscaled(0.05)
+    summary = report.to_dict()
+    assert all(math.isfinite(v) for v in summary.values() if isinstance(v, float))
+
+
+@pytest.mark.parametrize("value", (NAN, INF, -INF, -1.0), ids=repr)
+def test_batch_deadline_max_wait_must_be_finite_and_non_negative(value):
+    with pytest.raises(ValueError) as error:
+        BatchDeadlineScheduler(8, value)
+    assert str(error.value) == f"max_wait_s must be finite and >= 0, got {value!r}"
 
 
 def test_weight_total_overflow_is_rejected():

@@ -1,5 +1,7 @@
 """Tests for the scheduling policies and the device serving hooks."""
 
+import copy
+
 import pytest
 
 from repro.core.device import get_device
@@ -57,6 +59,15 @@ class TestDispatch:
         mixed = (Request(0, 0.0, FAST), Request(1, 0.0, SLOW))
         with pytest.raises(ValueError):
             Dispatch(worker, mixed)
+        with pytest.raises(ValueError, match="share one scenario"):
+            Dispatch(worker, (Request(0, 0.0, FAST),) * 2 + mixed[1:])
+
+    def test_accepts_equal_scenario_objects(self):
+        worker = make_workers("flexnerfer")[0]
+        twin = copy.copy(FAST)
+        assert twin is not FAST and twin == FAST
+        dispatch = Dispatch(worker, (Request(0, 0.0, FAST), Request(1, 0.0, twin)))
+        assert len(dispatch.requests) == 2
 
     def test_scenario_property(self):
         worker = make_workers("flexnerfer")[0]
