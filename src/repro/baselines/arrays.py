@@ -27,11 +27,8 @@ from repro.hw.components import DEFAULT_LIBRARY, ComponentLibrary
 from repro.hw.cost import AreaReport
 from repro.nerf.workload import GEMMOp
 from repro.noc.benes import BenesNetwork
-from repro.sim.array_config import ArrayConfig, MappingFlexibility
-from repro.sim.utilization import (
-    dense_mapping_utilization,
-    sparse_mapping_utilization,
-)
+from repro.sim.array_config import ArrayConfig
+from repro.sim.utilization import effective_mac_utilization
 from repro.sparse.formats import Precision
 
 
@@ -60,7 +57,6 @@ class _BaseArray:
     frequency_hz = 800e6
     bit_flexible = False
     supports_sparsity = False
-    mapping = MappingFlexibility.RIGID
     #: Published power per precision mode (Table 3).
     published_power_w: dict[Precision, float] = {}
     #: Fraction of peak throughput reachable per precision (interconnect
@@ -92,7 +88,6 @@ class _BaseArray:
             base_precision=Precision.INT16,
             bit_scalable=self.bit_flexible,
             supports_sparsity=self.supports_sparsity,
-            mapping=self.mapping,
         )
 
     # -- metrics ----------------------------------------------------------------
@@ -113,12 +108,7 @@ class _BaseArray:
         self, precision: Precision, op: GEMMOp | None = None
     ) -> float:
         op = op or _representative_gemm(precision)
-        config = self.array_config()
-        if self.supports_sparsity and self.mapping is MappingFlexibility.FLEXIBLE:
-            utilization = sparse_mapping_utilization(op, config)
-        else:
-            density = (1.0 - op.weight_sparsity) * (1.0 - op.activation_sparsity)
-            utilization = dense_mapping_utilization(op, config) * density
+        utilization = effective_mac_utilization(op, self.array_config())
         return self.peak_efficiency(precision) * utilization
 
     def area(self) -> AreaReport:  # pragma: no cover - overridden
@@ -146,7 +136,6 @@ class SigmaArray(_BaseArray):
     name = "SIGMA"
     bit_flexible = False
     supports_sparsity = True
-    mapping = MappingFlexibility.FLEXIBLE
     published_power_w = {Precision.INT16: 5.8}
 
     def area(self) -> AreaReport:
@@ -178,7 +167,6 @@ class BitFusionArray(_BaseArray):
     name = "Bit Fusion"
     bit_flexible = True
     supports_sparsity = False
-    mapping = MappingFlexibility.RIGID
     published_power_w = {
         Precision.INT4: 5.8,
         Precision.INT8: 5.3,
@@ -209,7 +197,6 @@ class BitScalableSigmaArray(_BaseArray):
     name = "Bit-Scalable SIGMA"
     bit_flexible = True
     supports_sparsity = True
-    mapping = MappingFlexibility.FLEXIBLE
     published_power_w = {
         Precision.INT4: 9.3,
         Precision.INT8: 8.7,

@@ -18,7 +18,7 @@ from repro.core.encoding_unit import HashEncodingEngine, PositionalEncodingEngin
 from repro.hw.cost import AreaReport, PowerReport
 from repro.hw.dram import DRAMSpec, LPDDR3
 from repro.nerf.workload import EncodingOp, GEMMOp, MiscOp, Op, OpCategory, Workload
-from repro.sim.array_config import ArrayConfig, MappingFlexibility
+from repro.sim.array_config import ArrayConfig
 from repro.sim.engine import GEMMCycleModel
 from repro.sim.memory import MemoryTrafficModel
 from repro.sim.trace import OpRecord
@@ -72,7 +72,6 @@ class NeuRex(Device):
             base_precision=Precision.INT16,
             bit_scalable=False,
             supports_sparsity=False,
-            mapping=MappingFlexibility.RIGID,
         )
         self._memory = MemoryTrafficModel(
             dram=self.config.dram, compression_enabled=False

@@ -10,7 +10,7 @@ work that offers no channel parallelism.
 from __future__ import annotations
 
 from repro.baselines.utilization import UtilizationDevice
-from repro.serve.request import require_count
+from repro.validate import require_count
 
 
 class NVDLAModel(UtilizationDevice):

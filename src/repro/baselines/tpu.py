@@ -11,7 +11,7 @@ cannot skip zeros).
 from __future__ import annotations
 
 from repro.baselines.utilization import UtilizationDevice
-from repro.serve.request import require_count
+from repro.validate import require_count
 
 
 class TPUModel(UtilizationDevice):

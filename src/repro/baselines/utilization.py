@@ -14,7 +14,7 @@ from repro.core.device import Device
 from repro.hw.cost import PowerReport
 from repro.hw.dram import LPDDR4_XAVIER
 from repro.nerf.workload import EncodingOp, GEMMOp, MiscOp, Op, OpCategory
-from repro.serve.request import require_positive
+from repro.validate import require_positive
 from repro.sim.trace import OpRecord
 from repro.sparse.formats import Precision
 

@@ -56,8 +56,7 @@ class FlexNeRFer(Device):
             buffer_bytes=self.config.encoding_buffer_bytes,
         )
         self._controller = RISCVController(
-            frequency_hz=self.config.frequency_hz,
-            program_memory_bytes=self.config.program_memory_bytes,
+            program_memory_bytes=self.config.program_memory_bytes
         )
         self._dma = DMAEngine(dram=self.config.dram, frequency_hz=self.config.frequency_hz)
         self._buffers = {

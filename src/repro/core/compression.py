@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.sparse.codecs import EncodedTensor, get_codec
-from repro.sparse.formats import Precision, SparsityFormat, tile_shape_for_precision
+from repro.sparse.formats import Precision, SparsityFormat
 from repro.sparse.selector import FormatDecision, FormatSelector
 
 
@@ -29,15 +29,6 @@ class SparsityRatioCalculator:
     _total_nonzero: int = field(default=0, init=False)
     _total_elements: int = field(default=0, init=False)
     _num_fetches: int = field(default=0, init=False)
-
-    @property
-    def elements_per_fetch(self) -> int:
-        """N_data/fetch: elements delivered per data fetch at this precision.
-
-        Quadruples each time the precision is halved (paper Section 4.3).
-        """
-        rows, cols = tile_shape_for_precision(self.precision)
-        return rows * cols
 
     def reset(self) -> None:
         self._total_nonzero = 0

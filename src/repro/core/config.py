@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.hw.dram import DRAMSpec, LPDDR3
 from repro.sparse.formats import Precision
+from repro.validate import require_count, require_positive
 
 
 @dataclass(frozen=True)
@@ -37,19 +39,21 @@ class FlexNeRFerConfig:
     format_conversion_overhead: float = 0.095
 
     def __post_init__(self) -> None:
-        if self.array_rows < 1 or self.array_cols < 1:
-            raise ValueError("array dimensions must be positive")
-        if self.frequency_hz <= 0:
-            raise ValueError("frequency must be positive")
         for name in (
+            "array_rows",
+            "array_cols",
             "input_buffer_bytes",
             "output_buffer_bytes",
             "weight_buffer_bytes",
             "encoding_buffer_bytes",
             "program_memory_bytes",
+            "pee_lanes",
+            "hee_units",
         ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            require_count(name, getattr(self, name), 1)
+        require_positive("frequency_hz", self.frequency_hz)
+        if not 0.0 <= self.format_conversion_overhead < math.inf:
+            raise ValueError("format conversion overhead must be finite and non-negative")
 
     @property
     def num_mac_units(self) -> int:

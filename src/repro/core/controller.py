@@ -2,31 +2,18 @@
 
 The RISC-V controller decodes programs copied from the host and produces the
 global control signals (tile descriptors, NoC routing configuration, format
-encoder settings); the DMA engine moves data between host memory and the
-accelerator's local DRAM.  Both are modelled at the throughput level plus a
-28 nm area/power cost.
+encoder settings); it is modelled by its 28 nm area/power cost.  The DMA
+engine moves data between host memory and the accelerator's local DRAM and is
+modelled at the throughput level plus a 28 nm area/power cost.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.hw.components import DEFAULT_LIBRARY, ComponentLibrary, ComponentSpec
 from repro.hw.dram import DRAMSpec, LPDDR3
 from repro.hw.sram import SRAMMacro
-
-
-@dataclass
-class ControlProgram:
-    """A decoded control program: one instruction per tile-level action."""
-
-    name: str
-    num_instructions: int
-    num_tiles: int = 0
-
-    def __post_init__(self) -> None:
-        if self.num_instructions < 0 or self.num_tiles < 0:
-            raise ValueError("instruction and tile counts must be non-negative")
 
 
 class RISCVController:
@@ -34,28 +21,13 @@ class RISCVController:
 
     def __init__(
         self,
-        frequency_hz: float = 800e6,
         program_memory_bytes: int = 16 << 10,
-        instructions_per_cycle: float = 1.0,
         library: ComponentLibrary = DEFAULT_LIBRARY,
     ) -> None:
-        self.frequency_hz = frequency_hz
         self.program_memory = SRAMMacro(
             "program-memory", capacity_bytes=program_memory_bytes, width_bits=32
         )
-        self.instructions_per_cycle = instructions_per_cycle
         self.library = library
-
-    def decode_time_s(self, program: ControlProgram) -> float:
-        """Time to decode a control program."""
-        cycles = program.num_instructions / self.instructions_per_cycle
-        return cycles / self.frequency_hz
-
-    def program_for_gemm(self, num_tiles: int) -> ControlProgram:
-        """Control program for a tiled GEMM: a handful of instructions per tile."""
-        return ControlProgram(
-            name="gemm", num_instructions=6 * max(num_tiles, 1), num_tiles=num_tiles
-        )
 
     def cost(self) -> ComponentSpec:
         core = self.library.get("riscv_core")
@@ -94,7 +66,7 @@ class DMAEngine:
         self.setup_cycles = setup_cycles
         self.frequency_hz = frequency_hz
         self.library = library
-        self.completed: list[DMATransfer] = field(default_factory=list) if False else []
+        self.completed: list[DMATransfer] = []
 
     def transfer_time_s(self, transfer: DMATransfer) -> float:
         """Setup latency plus streaming time at the DRAM interface bandwidth."""

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.noc.dataflow import DataflowMode, classify_assignment
+from repro.noc.dataflow import DataflowMode, row_dataflows
 from repro.noc.hierarchical import HMFNoC
 from repro.noc.mesh import Mesh1D
 from repro.sparse.formats import Precision
@@ -71,7 +71,7 @@ class MappingPlan:
         ]
         for item in first_pass:
             grid[item.mac_row][item.mac_col] = item.a_index
-        return [classify_assignment(row) for row in grid]
+        return row_dataflows(grid)
 
     def compute_outputs(self, shape: tuple[int, int]) -> np.ndarray:
         """Accumulate the assigned products into the GEMM result matrix."""

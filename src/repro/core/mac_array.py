@@ -19,9 +19,10 @@ from repro.hw.components import DEFAULT_LIBRARY, ComponentLibrary
 from repro.hw.cost import AreaReport, PowerReport
 from repro.hw.tech import TECH_28NM
 from repro.nerf.workload import GEMMOp
-from repro.sim.array_config import ArrayConfig, MappingFlexibility
-from repro.sim.utilization import sparse_mapping_utilization
+from repro.sim.array_config import ArrayConfig
+from repro.sim.utilization import effective_mac_utilization
 from repro.sparse.formats import Precision
+from repro.validate import require_count, require_positive
 
 #: Place-and-route utilisation: composed block area is inflated by this factor
 #: to account for routing, clock tree and whitespace.
@@ -56,8 +57,9 @@ class MACArray:
     library: ComponentLibrary = field(default_factory=lambda: DEFAULT_LIBRARY)
 
     def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("array dimensions must be positive")
+        require_count("array rows", self.rows, 1)
+        require_count("array cols", self.cols, 1)
+        require_positive("array frequency_hz", self.frequency_hz)
         self.mac_unit = BitScalableMACUnit(optimized_shifters=True, library=self.library)
         self.distribution = DistributionNetwork(self.rows, self.cols)
         self.reduction = FlexibleReductionTree(self.rows * self.cols, library=self.library)
@@ -89,8 +91,7 @@ class MACArray:
         unless an explicit op is provided.
         """
         op = workload_op or _representative_gemm(precision)
-        config = self.array_config()
-        utilization = sparse_mapping_utilization(op, config)
+        utilization = effective_mac_utilization(op, self.array_config())
         return self.peak_tops(precision) * utilization / self.power(precision).total_w
 
     # -- functional GEMM ----------------------------------------------------------
@@ -173,7 +174,6 @@ class MACArray:
             base_precision=Precision.INT16,
             bit_scalable=True,
             supports_sparsity=True,
-            mapping=MappingFlexibility.FLEXIBLE,
             format_conversion_overhead=format_conversion_overhead,
         )
 

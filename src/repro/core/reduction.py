@@ -44,10 +44,6 @@ class MACUnitReductionTree:
     def num_shifters(self) -> int:
         return SHIFTERS_OPTIMIZED if self.optimized else SHIFTERS_UNOPTIMIZED
 
-    def shifters_for_array(self, rows: int, cols: int) -> int:
-        """Total shifters in a ``rows x cols`` MAC array (paper: 6,144 for 16x16 unoptimised)."""
-        return rows * cols * self.num_shifters
-
     @staticmethod
     def reduce(partial_products: list[int], precision: Precision) -> list[int]:
         """Fuse 16 shifted partial products into per-lane results.

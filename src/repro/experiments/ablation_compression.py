@@ -16,7 +16,7 @@ from repro.nerf.models import FrameConfig
 from repro.sim.memory import MemoryTrafficModel
 from repro.sim.sweep import SweepEngine, get_default_engine
 from repro.sim.tiling import tile_counts
-from repro.sim.array_config import ArrayConfig, MappingFlexibility
+from repro.sim.array_config import ArrayConfig
 from repro.sparse.formats import Precision
 
 DEFAULT_MODELS = ("nerf", "instant-ngp", "tensorf")
@@ -79,7 +79,6 @@ def run(
         cols=accel_config.array_cols,
         bit_scalable=True,
         supports_sparsity=True,
-        mapping=MappingFlexibility.FLEXIBLE,
     )
     with_compression = MemoryTrafficModel(compression_enabled=True)
     without_compression = MemoryTrafficModel(compression_enabled=False)

@@ -27,9 +27,6 @@ class AcceleratorBreakdown:
     def area_fraction(self, block: str) -> float:
         return self.area_mm2.get(block, 0.0) / self.total_area_mm2
 
-    def power_fraction(self, block: str) -> float:
-        return self.power_w.get(block, 0.0) / self.total_power_w
-
 
 @dataclass(frozen=True)
 class Fig17Result:

@@ -12,7 +12,7 @@ from repro.hw.tech import TechnologyNode, TECH_28NM
 from repro.hw.components import ComponentLibrary, ComponentSpec, DEFAULT_LIBRARY
 from repro.hw.sram import SRAMMacro
 from repro.hw.dram import DRAMSpec, LPDDR3, LPDDR4_NANO, LPDDR4_XAVIER, GDDR6_2080TI, GDDR6_4090
-from repro.hw.cost import AreaReport, PowerReport, EnergyReport
+from repro.hw.cost import AreaReport, PowerReport
 
 __all__ = [
     "TechnologyNode",
@@ -29,5 +29,4 @@ __all__ = [
     "GDDR6_4090",
     "AreaReport",
     "PowerReport",
-    "EnergyReport",
 ]

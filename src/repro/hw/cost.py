@@ -1,4 +1,4 @@
-"""Area / power / energy report containers with named breakdowns."""
+"""Area / power report containers with named breakdowns."""
 
 from __future__ import annotations
 
@@ -64,25 +64,3 @@ class PowerReport:
     def fraction(self, name: str) -> float:
         return self.breakdown.get(name, 0.0) / self.total_w if self.total_w else 0.0
 
-
-@dataclass
-class EnergyReport:
-    """Energy breakdown in joules (compute, on-chip memory, DRAM, NoC, ...)."""
-
-    breakdown: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def total_j(self) -> float:
-        return sum(self.breakdown.values())
-
-    def add(self, name: str, energy_j: float) -> "EnergyReport":
-        self.breakdown[name] = self.breakdown.get(name, 0.0) + energy_j
-        return self
-
-    def merged(self, other: "EnergyReport") -> "EnergyReport":
-        return EnergyReport(breakdown=_merge(self.breakdown, other.breakdown))
-
-    def scaled(self, factor: float) -> "EnergyReport":
-        return EnergyReport(
-            breakdown={k: v * factor for k, v in self.breakdown.items()}
-        )

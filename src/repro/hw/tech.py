@@ -1,10 +1,8 @@
 """Technology node constants.
 
 All component areas and powers in :mod:`repro.hw.components` are expressed at
-the paper's implementation point (28 nm CMOS, 800 MHz, nominal voltage).  The
-:class:`TechnologyNode` dataclass captures that point and provides first-order
-scaling helpers so baselines specified at other nodes (e.g. the 12 nm RTX
-2080 Ti) can be reasoned about consistently.
+the paper's implementation point (28 nm CMOS, 800 MHz, nominal voltage), which
+the :class:`TechnologyNode` dataclass records.
 """
 
 from __future__ import annotations
@@ -21,31 +19,7 @@ class TechnologyNode:
     frequency_hz: float
     voltage: float = 0.9
 
-    @property
-    def cycle_time_s(self) -> float:
-        """Clock period in seconds."""
-        return 1.0 / self.frequency_hz
-
-    def area_scale_to(self, other: "TechnologyNode") -> float:
-        """First-order area scaling factor from this node to ``other``.
-
-        Area scales roughly with the square of the feature size ratio.
-        """
-        return (other.feature_nm / self.feature_nm) ** 2
-
-    def dynamic_power_scale_to(self, other: "TechnologyNode") -> float:
-        """First-order dynamic-power scaling factor (C*V^2*f) to ``other``."""
-        cap_scale = other.feature_nm / self.feature_nm
-        volt_scale = (other.voltage / self.voltage) ** 2
-        freq_scale = other.frequency_hz / self.frequency_hz
-        return cap_scale * volt_scale * freq_scale
-
 
 #: The implementation point used by the paper for FlexNeRFer and all MAC-array
 #: baselines (Table 3): commercial 28 nm CMOS at 800 MHz.
 TECH_28NM = TechnologyNode(name="28nm", feature_nm=28.0, frequency_hz=800e6)
-
-#: Process of the NVIDIA RTX 2080 Ti (Table 1), used by the GPU baseline.
-TECH_12NM_GPU = TechnologyNode(
-    name="12nm-gpu", feature_nm=12.0, frequency_hz=1.4e9, voltage=1.0
-)

@@ -126,13 +126,6 @@ class MLP:
             x = layer.forward(x)
         return x
 
-    def gemm_shapes(self, batch: int) -> list[tuple[int, int, int]]:
-        """Per-layer (M, N, K) GEMM shapes for a batch of ``batch`` samples."""
-        return [(batch, layer.out_features, layer.in_features) for layer in self.layers]
-
-    def num_parameters(self) -> int:
-        return sum(layer.weight.size + layer.bias.size for layer in self.layers)
-
     def prune(self, ratio: float) -> None:
         """Apply structured pruning to every hidden layer."""
         for layer in self.layers[:-1]:

@@ -38,11 +38,6 @@ def get_model(name: str) -> NeRFModel:
         ) from exc
 
 
-def all_models() -> list[NeRFModel]:
-    """Instantiate every registered model in paper order."""
-    return [cls() for cls in MODEL_REGISTRY.values()]
-
-
 __all__ = [
     "FrameConfig",
     "NeRFModel",
@@ -55,5 +50,4 @@ __all__ = [
     "TensoRF",
     "MODEL_REGISTRY",
     "get_model",
-    "all_models",
 ]

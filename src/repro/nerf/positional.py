@@ -74,12 +74,3 @@ def approx_positional_encoding(
         encoded = np.concatenate([values, encoded], axis=-1)
     return encoded
 
-
-def encoding_output_dim(
-    input_dim: int, num_frequencies: int, include_input: bool = False
-) -> int:
-    """Output dimensionality of the positional encoding."""
-    dim = input_dim * 2 * num_frequencies
-    if include_input:
-        dim += input_dim
-    return dim

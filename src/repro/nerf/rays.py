@@ -89,10 +89,3 @@ def sample_along_rays(
     points = origins[:, None, :] + t_values[..., None] * directions[:, None, :]
     return points, t_values
 
-
-def view_angles(directions: np.ndarray) -> np.ndarray:
-    """Convert normalised view directions to (azimuth, polar) angle pairs."""
-    directions = np.asarray(directions, dtype=np.float64)
-    azimuth = np.arctan2(directions[..., 1], directions[..., 0])
-    polar = np.arccos(np.clip(directions[..., 2], -1.0, 1.0))
-    return np.stack([azimuth, polar], axis=-1)

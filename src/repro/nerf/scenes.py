@@ -242,11 +242,6 @@ class SyntheticScene:
         """
         return 1.0 - self.target_occupancy
 
-    @property
-    def effective_samples_scale(self) -> float:
-        """Relative number of samples surviving skipping (vs. a Lego-like scene)."""
-        return 0.5 + 0.5 * self.complexity
-
 
 #: Scene statistics approximating the scenes named in the paper.  The
 #: occupancies are chosen so the ray-marching input sparsity matches

@@ -57,13 +57,3 @@ def composite_rays(
         rgb = rgb + (1.0 - accumulated)
     return np.clip(rgb, 0.0, 1.0)
 
-
-def expected_depth(densities: np.ndarray, t_values: np.ndarray) -> np.ndarray:
-    """Expected termination depth per ray (used for depth-map rendering)."""
-    t_values = np.asarray(t_values, dtype=np.float64)
-    deltas = np.diff(t_values, axis=-1)
-    deltas = np.concatenate([deltas, np.full_like(deltas[..., :1], 1e10)], axis=-1)
-    weights = transmittance_weights(densities, deltas)
-    total = np.sum(weights, axis=-1)
-    depth = np.sum(weights * t_values, axis=-1)
-    return np.where(total > 1e-8, depth / np.maximum(total, 1e-8), 0.0)

@@ -199,10 +199,6 @@ class Workload:
     def num_rays(self) -> int:
         return self.image_width * self.image_height
 
-    @property
-    def num_batches(self) -> int:
-        return -(-self.num_rays // self.batch_size)
-
     def gemm_ops(self) -> list[GEMMOp]:
         return [op for op in self.ops if isinstance(op, GEMMOp)]
 
@@ -214,13 +210,7 @@ class Workload:
 
     @property
     def total_flops(self) -> float:
-        return sum(self._op_flops(op) for op in self.ops)
-
-    def flops_by_category(self) -> dict[OpCategory, float]:
-        out = {category: 0.0 for category in OpCategory}
-        for op in self.ops:
-            out[op.category] += self._op_flops(op)
-        return out
+        return sum(op.flops for op in self.ops)
 
     def pruned(self, ratio: float) -> "Workload":
         """Workload with structured pruning applied to every GEMM weight."""
@@ -248,7 +238,3 @@ class Workload:
             image_height=self.image_height,
             batch_size=self.batch_size,
         )
-
-    @staticmethod
-    def _op_flops(op: Op) -> float:
-        return op.flops

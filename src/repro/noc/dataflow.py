@@ -64,7 +64,3 @@ def row_dataflows(
     """Classify the dataflow of every row of a destination grid."""
     return [classify_assignment(list(row)) for row in grid]
 
-
-def unique_fetches(values: Sequence[Hashable]) -> int:
-    """Number of distinct operand elements that must be fetched from memory."""
-    return len({v for v in values if v is not None})

@@ -25,9 +25,9 @@ from repro.serve.request import (
     Request,
     Scenario,
     ScenarioMix,
-    require_positive,
 )
 from repro.sparse.formats import Precision
+from repro.validate import require_positive
 
 #: Scheduler policies a plan space may reference, in the registry order the
 #: ``repro run`` serving experiments use.  Names resolve to constructors in

@@ -41,8 +41,9 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.serve.request import Scenario, require_count, require_positive
+from repro.serve.request import Scenario
 from repro.sparse.formats import Precision
+from repro.validate import require_count, require_positive
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.device import FrameReport

@@ -53,7 +53,7 @@ from repro.serve.report import (
     ServingReport,
     percentile,
 )
-from repro.serve.request import RequestBatch, require_positive
+from repro.serve.request import RequestBatch
 from repro.serve.scheduler import (
     Dispatch,
     FIFOScheduler,
@@ -63,6 +63,7 @@ from repro.serve.scheduler import (
     Worker,
 )
 from repro.sim.sweep import SweepEngine, get_default_engine
+from repro.validate import require_positive
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serve.control import DegradationLadder

@@ -42,37 +42,7 @@ from typing import Iterable, Iterator
 
 from repro.nerf.models import FrameConfig
 from repro.sparse.formats import Precision
-
-
-def require_positive(name: str, value: float) -> float:
-    """Return ``value`` if it is a finite number above zero.
-
-    The one guard every generation input goes through: a plain ``value <=
-    0`` test lets NaN through (every comparison with NaN is false), and a
-    NaN rate or an infinite horizon makes a stream's ``generate`` loop
-    forever.  Raises a one-line :class:`ValueError` naming ``name``.
-    """
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
-    return value
-
-
-def require_count(name: str, value: int, low: int) -> int:
-    """Return ``value`` as an ``int`` if it is an integer no smaller than ``low``.
-
-    The one guard every count knob (workers, queue caps, batch sizes,
-    sessions) goes through: a plain ``value < 1`` test lets NaN, infinity
-    and 2.5 through, and a NaN worker floor hangs an autoscaled run.  Any
-    integer type is accepted (``operator.index``) except ``bool``.  Raises
-    a one-line :class:`ValueError` naming ``name``.
-    """
-    try:
-        count = None if isinstance(value, bool) else operator.index(value)
-    except TypeError:
-        count = None
-    if count is None or count < low:
-        raise ValueError(f"{name} must be >= {low} and an integer, got {value!r}")
-    return count
+from repro.validate import require_positive
 
 
 @dataclass(frozen=True)

@@ -68,7 +68,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, ClassVar, Iterator
 
-from repro.serve.request import require_count
+from repro.validate import require_count
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.device import Device

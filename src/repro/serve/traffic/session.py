@@ -28,9 +28,8 @@ from repro.serve.request import (
     RequestStream,
     Scenario,
     ScenarioMix,
-    require_count,
-    require_positive,
 )
+from repro.validate import require_count, require_positive
 
 #: Orbit camera elevation (degrees) and radius shared by all session poses.
 ORBIT_ELEVATION_DEG = 30.0

@@ -32,9 +32,8 @@ from repro.serve.request import (
     RequestStream,
     Scenario,
     ScenarioMix,
-    require_count,
-    require_positive,
 )
+from repro.validate import require_count, require_positive
 
 
 def _poisson_count(rng: random.Random, mean: float) -> int:

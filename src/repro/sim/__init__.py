@@ -2,9 +2,10 @@
 
 This is the repo's stand-in for the modified STONNE cycle-level simulator the
 paper uses: it models how a GEMM/GEMV operation is tiled onto a MAC array,
-what utilisation the mapping achieves (dense baseline vs. FlexNeRFer's
-sparsity-aware dense mapping), how many cycles the compute takes, and how much
-on-chip / off-chip traffic it generates.  The same machinery is configured
+what utilisation the mapping achieves (a rigid array's boundary-tile fill
+vs. the packing efficiency of FlexNeRFer's sparsity-aware dense mapping,
+chosen by ``ArrayConfig.supports_sparsity``), how many cycles the compute
+takes, and how much on-chip / off-chip traffic it generates.  The same machinery is configured
 differently for FlexNeRFer, NeuRex, SIGMA, Bit Fusion and the commercial
 accelerators, so every latency/energy comparison in the evaluation goes
 through one code path.
@@ -12,7 +13,7 @@ through one code path.
 
 from repro.sim.array_config import ArrayConfig
 from repro.sim.tiling import TileGrid, tile_counts
-from repro.sim.utilization import dense_mapping_utilization, sparse_mapping_utilization
+from repro.sim.utilization import effective_mac_utilization, mapping_utilization
 from repro.sim.engine import GEMMCycleModel, GEMMExecution
 from repro.sim.memory import MemoryTrafficModel, TrafficReport
 from repro.sim.trace import ExecutionTrace, OpRecord
@@ -41,8 +42,8 @@ __all__ = [
     "ArrayConfig",
     "TileGrid",
     "tile_counts",
-    "dense_mapping_utilization",
-    "sparse_mapping_utilization",
+    "effective_mac_utilization",
+    "mapping_utilization",
     "GEMMCycleModel",
     "GEMMExecution",
     "MemoryTrafficModel",

@@ -1,34 +1,28 @@
 """Configuration of a GEMM/GEMV compute array.
 
 A single configuration class describes FlexNeRFer's MAC array as well as the
-baseline arrays (SIGMA, Bit Fusion, bit-scalable SIGMA, NeuRex's dense INT16
-array, NVDLA- and TPU-like engines), so the cycle model can be shared.
+baseline arrays (SIGMA, Bit Fusion, bit-scalable SIGMA and NeuRex's dense
+INT16 array), so the cycle model can be shared.
 """
 
 from __future__ import annotations
 
-import enum
+import math
 from dataclasses import dataclass
 
 from repro.sparse.formats import Precision
-
-
-class MappingFlexibility(enum.Enum):
-    """How flexibly operands can be placed onto the array."""
-
-    #: Rigid systolic mapping: operands occupy fixed rows/columns; irregular
-    #: shapes and sparsity leave MACs idle (TPU-like weight-stationary array).
-    RIGID = "rigid"
-    #: Channel-parallel mapping (NVDLA-like): utilisation tracks channel depth.
-    CHANNEL = "channel"
-    #: Flexible distribution (SIGMA / FlexNeRFer): non-zero operands can be
-    #: packed densely onto the array via unicast/multicast/broadcast.
-    FLEXIBLE = "flexible"
+from repro.validate import require_count, require_positive
 
 
 @dataclass(frozen=True)
 class ArrayConfig:
-    """Static description of a compute array."""
+    """Static description of a compute array.
+
+    ``supports_sparsity`` marks an array behind a flexible distribution
+    network (SIGMA / FlexNeRFer): it packs only non-zero operands onto the
+    MACs, so it skips zeros and re-packs irregular shapes.  Without it the
+    array is a rigid weight-stationary grid (TPU-like).
+    """
 
     name: str
     rows: int = 64
@@ -37,21 +31,19 @@ class ArrayConfig:
     base_precision: Precision = Precision.INT16
     bit_scalable: bool = False
     supports_sparsity: bool = False
-    mapping: MappingFlexibility = MappingFlexibility.FLEXIBLE
     #: Fraction of peak cycles lost to pipeline fill/drain and control.
     pipeline_overhead: float = 0.03
     #: Additional latency fraction spent on (de)compression / format handling.
     format_conversion_overhead: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("array dimensions must be positive")
-        if self.frequency_hz <= 0:
-            raise ValueError("frequency must be positive")
+        require_count("array rows", self.rows, 1)
+        require_count("array cols", self.cols, 1)
+        require_positive("array frequency_hz", self.frequency_hz)
         if not 0.0 <= self.pipeline_overhead < 1.0:
             raise ValueError("pipeline overhead must be in [0, 1)")
-        if self.format_conversion_overhead < 0.0:
-            raise ValueError("format conversion overhead must be non-negative")
+        if not 0.0 <= self.format_conversion_overhead < math.inf:
+            raise ValueError("format conversion overhead must be finite and non-negative")
 
     # -- precision handling ---------------------------------------------------
 
@@ -72,16 +64,6 @@ class ArrayConfig:
             return precision
         return self.base_precision
 
-    def lane_scale(self, precision: Precision) -> int:
-        """Multiplier-lane multiplication factor at ``precision``.
-
-        A bit-scalable unit built from 4x4 sub-multipliers provides 1 / 4 / 16
-        lanes per MAC unit at 16- / 8- / 4-bit precision (paper Fig. 6(a)).
-        """
-        effective = self.effective_precision(precision)
-        scale = (self.base_precision.bits // effective.bits) ** 2
-        return max(1, scale)
-
     def effective_grid(self, precision: Precision) -> tuple[int, int]:
         """Logical multiplier grid (rows, cols) at ``precision`` (Fig. 6(b))."""
         effective = self.effective_precision(precision)
@@ -92,10 +74,6 @@ class ArrayConfig:
         """Peak MAC operations per cycle at ``precision``."""
         grid_rows, grid_cols = self.effective_grid(precision)
         return grid_rows * grid_cols
-
-    def peak_ops_per_second(self, precision: Precision) -> float:
-        """Peak operations (2 x MAC) per second at ``precision``."""
-        return 2.0 * self.macs_per_cycle(precision) * self.frequency_hz
 
     def data_fetch_bytes(self, precision: Precision) -> int:
         """Bytes fetched per operand per tile at ``precision`` (Fig. 6(b)).

@@ -5,13 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.nerf.workload import GEMMOp
-from repro.sim.array_config import ArrayConfig, MappingFlexibility
+from repro.sim.array_config import ArrayConfig
 from repro.sim.memory import MemoryTrafficModel, TrafficReport
 from repro.sim.tiling import tile_counts
-from repro.sim.utilization import (
-    dense_mapping_utilization,
-    sparse_mapping_utilization,
-)
+from repro.sim.utilization import mapping_utilization
 
 
 @dataclass
@@ -66,18 +63,10 @@ class GEMMCycleModel:
         grid = tile_counts(op, config)
         macs_per_cycle = config.macs_per_cycle(op.precision)
 
-        sparsity_aware = (
-            config.supports_sparsity
-            and config.mapping is MappingFlexibility.FLEXIBLE
-        )
-        if sparsity_aware:
-            utilization = sparse_mapping_utilization(op, config)
-            work_macs = op.effective_macs
-        else:
-            utilization = dense_mapping_utilization(op, config)
-            work_macs = op.macs
-
-        utilization = max(utilization, 1e-6)
+        # A sparsity-aware array skips the zero products; a rigid one computes
+        # every MAC.
+        work_macs = op.effective_macs if config.supports_sparsity else op.macs
+        utilization = max(mapping_utilization(op, config), 1e-6)
         compute_cycles = work_macs / (macs_per_cycle * utilization)
         compute_cycles *= 1.0 + config.pipeline_overhead
 
@@ -96,7 +85,3 @@ class GEMMCycleModel:
             traffic=traffic,
             frequency_hz=config.frequency_hz,
         )
-
-    def execute_all(self, ops: list[GEMMOp]) -> list[GEMMExecution]:
-        """Model a list of GEMM ops."""
-        return [self.execute(op) for op in ops]

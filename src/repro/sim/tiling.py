@@ -20,15 +20,6 @@ class TileGrid:
     tiles_m: int
     tiles_n: int
     tiles_k: int
-    edge_utilization: float
-
-    @property
-    def num_tiles(self) -> int:
-        return self.tiles_m * self.tiles_n * self.tiles_k
-
-    @property
-    def num_output_tiles(self) -> int:
-        return self.tiles_m * self.tiles_n
 
 
 @functools.lru_cache(maxsize=16384)
@@ -37,16 +28,14 @@ def tile_counts(op: GEMMOp, config: ArrayConfig) -> TileGrid:
 
     The array maps the reduction dimension K across the rows of the
     multiplier grid and the output dimension N across its columns; the M
-    dimension is streamed tile by tile.  Edge utilisation captures the waste
-    from partially filled boundary tiles (the effect behind the low MAC
-    utilisation of rigid arrays on irregular GEMMs, paper Fig. 4(c)).
+    dimension is streamed tile by tile.
 
     Both arguments are frozen dataclasses, and the enumeration is a pure
-    function of them, so results are memoised process-wide: one frame
-    re-queries the same (op, config) pair from the cycle model and both
-    utilisation models, and sweeps re-tile identical MLP layers thousands
-    of times.  ``repro bench`` quantifies the speedup (``hot_path``
-    section); ``tile_counts.__wrapped__`` is the uncached original.
+    function of them, so results are memoised process-wide.  Only the cycle
+    model and the compression ablation's traffic probe query it, once per
+    op each, but sweeps re-tile identical MLP layers thousands of times.
+    ``repro bench`` quantifies the speedup (``hot_path`` section);
+    ``tile_counts.__wrapped__`` is the uncached original.
     """
     grid_rows, grid_cols = config.effective_grid(op.precision)
     tile_m = grid_rows
@@ -55,9 +44,6 @@ def tile_counts(op: GEMMOp, config: ArrayConfig) -> TileGrid:
     tiles_m = math.ceil(op.m / tile_m)
     tiles_n = math.ceil(op.n / tile_n)
     tiles_k = math.ceil(op.k / tile_k)
-    covered = (tiles_m * tile_m) * (tiles_n * tile_n) * (tiles_k * tile_k)
-    useful = op.m * op.n * op.k
-    edge_utilization = useful / covered if covered else 0.0
     return TileGrid(
         tile_m=tile_m,
         tile_n=tile_n,
@@ -65,5 +51,4 @@ def tile_counts(op: GEMMOp, config: ArrayConfig) -> TileGrid:
         tiles_m=tiles_m,
         tiles_n=tiles_n,
         tiles_k=tiles_k,
-        edge_utilization=edge_utilization,
     )

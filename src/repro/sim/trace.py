@@ -68,11 +68,3 @@ class ExecutionTrace:
             "format_conversion": conversion,
             "other": other,
         }
-
-    def average_utilization(self) -> float:
-        """Time-weighted MAC utilisation across GEMM records."""
-        gemm_records = [r for r in self.records if r.category is OpCategory.GEMM]
-        total = sum(r.time_s for r in gemm_records)
-        if total <= 0:
-            return 0.0
-        return sum(r.utilization * r.time_s for r in gemm_records) / total

@@ -1,18 +1,18 @@
-"""MAC-utilisation models for dense and sparsity-aware dense mappings.
+"""The MAC-utilisation model of rigid and sparsity-aware arrays.
 
 The paper's Fig. 4 shows why rigid commercial arrays lose utilisation on
 irregular or sparse GEMMs, and Fig. 5 shows how FlexNeRFer recovers it by
-packing only non-zero operands onto the array with flexible dataflows.  These
-functions capture both behaviours analytically; the distribution-network unit
-tests cross-check the flexible-mapping numbers against an explicit packing of
-small matrices.
+packing only non-zero operands onto the array with flexible dataflows.
+:func:`mapping_utilization` captures both behaviours analytically, chosen by
+``ArrayConfig.supports_sparsity`` alone: sparsity-aware dense mapping exists
+only because the flexible NoC packs the operands, so the two are one
+property of the hardware.
 """
 
 from __future__ import annotations
 
 from repro.nerf.workload import GEMMOp
-from repro.sim.array_config import ArrayConfig, MappingFlexibility
-from repro.sim.tiling import tile_counts
+from repro.sim.array_config import ArrayConfig
 from repro.sparse.formats import Precision
 
 #: Packing efficiency of a flexible distribution network per precision mode.
@@ -27,54 +27,26 @@ FLEXIBLE_PACKING_EFFICIENCY = {
 }
 
 
-def flexible_packing_efficiency(precision: Precision) -> float:
-    """Dense-packing efficiency of a flexible NoC at ``precision``."""
-    return FLEXIBLE_PACKING_EFFICIENCY[precision]
+def mapping_utilization(op: GEMMOp, config: ArrayConfig) -> float:
+    """Fraction of the array's MACs a mapping of ``op`` keeps busy.
 
-
-def dense_mapping_utilization(op: GEMMOp, config: ArrayConfig) -> float:
-    """Utilisation of a *dense* (no zero-skipping) mapping of ``op``.
-
-    Rigid arrays suffer from edge effects on irregular shapes (partially
-    filled tiles along N and K); channel-style arrays (NVDLA) need the
-    reduction dimension to cover their MAC vector lanes; flexible arrays can
-    re-pack operands and only pay a small packing overhead.
+    A sparsity-aware array packs the non-zero operands densely through its
+    flexible NoC, so it is bounded by the packing efficiency at the precision
+    it computes at, whatever the shape or the sparsity.  A rigid
+    weight-stationary array leaves MAC columns idle in the boundary tiles
+    along the reduction and output dimensions, and computes every zero.
     """
-    grid = tile_counts(op, config)
+    if config.supports_sparsity:
+        return FLEXIBLE_PACKING_EFFICIENCY[config.effective_precision(op.precision)]
     grid_rows, grid_cols = config.effective_grid(op.precision)
-    if config.mapping is MappingFlexibility.FLEXIBLE:
-        effective = config.effective_precision(op.precision)
-        return flexible_packing_efficiency(effective)
-    if config.mapping is MappingFlexibility.CHANNEL:
-        fill_k = min(op.k, grid_rows) / grid_rows
-        return max(min(grid.edge_utilization, fill_k), 0.0)
-    # RIGID: weight-stationary systolic array; boundary tiles along both the
-    # reduction and output dimensions leave MAC columns idle.
     fill_n = (op.n / grid_cols) / -(-op.n // grid_cols)
     fill_k = (op.k / grid_rows) / -(-op.k // grid_rows)
     return max(min(fill_n * fill_k, 1.0), 0.0)
 
 
-def sparse_mapping_utilization(op: GEMMOp, config: ArrayConfig) -> float:
-    """Utilisation of FlexNeRFer's sparsity-aware dense mapping.
-
-    Non-zero operands are packed densely onto the MAC array through the
-    flexible NoC, so the achievable utilisation is bounded by the packing
-    efficiency of the distribution network rather than by the sparsity
-    pattern or the operand shapes.
-    """
-    if not (
-        config.supports_sparsity
-        and config.mapping is MappingFlexibility.FLEXIBLE
-    ):
-        return dense_mapping_utilization(op, config)
-    effective = config.effective_precision(op.precision)
-    return flexible_packing_efficiency(effective)
-
-
 def effective_mac_utilization(op: GEMMOp, config: ArrayConfig) -> float:
     """Fraction of peak MAC throughput doing *useful* (non-zero) work."""
-    density = (1.0 - op.weight_sparsity) * (1.0 - op.activation_sparsity)
-    if config.supports_sparsity and config.mapping is MappingFlexibility.FLEXIBLE:
-        return sparse_mapping_utilization(op, config)
-    return dense_mapping_utilization(op, config) * density
+    utilization = mapping_utilization(op, config)
+    if config.supports_sparsity:
+        return utilization
+    return utilization * ((1.0 - op.weight_sparsity) * (1.0 - op.activation_sparsity))

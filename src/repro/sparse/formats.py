@@ -36,16 +36,6 @@ class Precision(enum.IntEnum):
         """Smallest representable signed value."""
         return -(2 ** (self.bits - 1))
 
-    @classmethod
-    def from_bits(cls, bits: int) -> "Precision":
-        """Return the precision enum for a bit-width (4, 8 or 16)."""
-        try:
-            return cls(bits)
-        except ValueError as exc:
-            raise ValueError(
-                f"unsupported precision {bits}-bit; FlexNeRFer supports 4, 8 and 16"
-            ) from exc
-
 
 class SparsityFormat(enum.Enum):
     """Storage format for a (possibly sparse) operand tile."""
@@ -56,10 +46,6 @@ class SparsityFormat(enum.Enum):
     CSC = "csc"
     BITMAP = "bitmap"
 
-    @property
-    def is_compressed(self) -> bool:
-        """True for every format except the raw dense layout."""
-        return self is not SparsityFormat.NONE
 
 
 #: Base tile edge (elements) in 16-bit mode; the paper uses a 64x64 MAC array.

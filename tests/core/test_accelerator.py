@@ -1,5 +1,7 @@
 """Tests for the FlexNeRFer top-level accelerator model."""
 
+import math
+
 import pytest
 
 from repro.core import FlexNeRFer, FlexNeRFerConfig
@@ -25,10 +27,18 @@ class TestConfig:
         assert config.default_precision is Precision.INT16
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            FlexNeRFerConfig(array_rows=0)
-        with pytest.raises(ValueError):
-            FlexNeRFerConfig(input_buffer_bytes=0)
+        bad_values = {
+            "array_rows": (0, math.nan, math.inf, 2.5, True),
+            "array_cols": (0, math.nan, -math.inf, 2.5, True),
+            "input_buffer_bytes": (0, math.nan, math.inf, 2.5, True),
+            "pee_lanes": (0, math.nan, 2.5, True),
+            "frequency_hz": (0, math.nan, math.inf, -math.inf),
+            "format_conversion_overhead": (-0.1, math.nan, math.inf, -math.inf),
+        }
+        for field, values in bad_values.items():
+            for value in values:
+                with pytest.raises(ValueError):
+                    FlexNeRFerConfig(**{field: value})
 
 
 class TestHardwareCost:

@@ -11,11 +11,6 @@ from repro.sparse.tensor import random_sparse_matrix, sparsity_ratio
 
 
 class TestSparsityRatioCalculator:
-    def test_elements_per_fetch_quadruples_per_precision_step(self):
-        assert SparsityRatioCalculator(Precision.INT16).elements_per_fetch == 64 * 64
-        assert SparsityRatioCalculator(Precision.INT8).elements_per_fetch == 128 * 128
-        assert SparsityRatioCalculator(Precision.INT4).elements_per_fetch == 256 * 256
-
     def test_eq4_matches_true_sparsity(self, rng):
         calculator = SparsityRatioCalculator()
         tile = random_sparse_matrix((64, 64), 0.7, rng=rng)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.controller import ControlProgram, DMAEngine, DMATransfer, RISCVController
+from repro.core.controller import DMAEngine, DMATransfer, RISCVController
 from repro.core.encoding_unit import (
     HashEncodingEngine,
     NeRFEncodingUnit,
@@ -88,16 +88,6 @@ class TestNeRFEncodingUnit:
 
 
 class TestControllerAndDMA:
-    def test_decode_time_scales_with_program(self):
-        controller = RISCVController()
-        small = controller.program_for_gemm(num_tiles=10)
-        large = controller.program_for_gemm(num_tiles=1000)
-        assert controller.decode_time_s(large) > controller.decode_time_s(small)
-
-    def test_program_validation(self):
-        with pytest.raises(ValueError):
-            ControlProgram("bad", num_instructions=-1)
-
     def test_controller_cost_includes_program_memory(self):
         cost = RISCVController().cost()
         assert cost.area_um2 > 68000.0

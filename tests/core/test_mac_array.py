@@ -1,5 +1,7 @@
 """Tests for the MAC array: functional GEMM and Table 3 calibration."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -24,8 +26,12 @@ class TestStructure:
         assert array.peak_tops(Precision.INT4) == pytest.approx(104.9, rel=0.01)
 
     def test_invalid_dimensions(self):
-        with pytest.raises(ValueError):
-            MACArray(rows=0)
+        for bad in (
+            {"rows": 0}, {"rows": math.nan}, {"rows": math.inf}, {"rows": 2.5},
+            {"cols": True}, {"frequency_hz": math.nan}, {"frequency_hz": -math.inf},
+        ):
+            with pytest.raises(ValueError):
+                MACArray(**bad)
 
 
 class TestFunctionalGEMM:

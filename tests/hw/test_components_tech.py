@@ -1,21 +1,9 @@
-"""Tests for the technology node, component library and cost reports."""
+"""Tests for the component library and cost reports."""
 
 import pytest
 
 from repro.hw.components import DEFAULT_LIBRARY, ComponentSpec
-from repro.hw.cost import AreaReport, EnergyReport, PowerReport
-from repro.hw.tech import TECH_12NM_GPU, TECH_28NM
-
-
-class TestTechnologyNode:
-    def test_cycle_time(self):
-        assert TECH_28NM.cycle_time_s == pytest.approx(1.25e-9)
-
-    def test_area_scaling_shrinks_towards_smaller_nodes(self):
-        assert TECH_28NM.area_scale_to(TECH_12NM_GPU) < 1.0
-
-    def test_power_scaling_positive(self):
-        assert TECH_28NM.dynamic_power_scale_to(TECH_12NM_GPU) > 0.0
+from repro.hw.cost import AreaReport, PowerReport
 
 
 class TestComponentLibrary:
@@ -58,10 +46,6 @@ class TestCostReports:
     def test_scaled_power_report(self):
         report = PowerReport({"core": 2.0}).scaled(0.5)
         assert report.total_w == pytest.approx(1.0)
-
-    def test_energy_report(self):
-        report = EnergyReport().add("dram", 1e-3).add("compute", 2e-3)
-        assert report.total_j == pytest.approx(3e-3)
 
     def test_empty_report_fraction_is_zero(self):
         assert AreaReport().fraction("anything") == 0.0

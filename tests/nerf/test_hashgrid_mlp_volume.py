@@ -5,7 +5,7 @@ import pytest
 
 from repro.nerf.hashgrid import HashGrid, HashGridConfig
 from repro.nerf.mlp import MLP, LinearLayer, relu
-from repro.nerf.volume import composite_rays, expected_depth, transmittance_weights
+from repro.nerf.volume import composite_rays, transmittance_weights
 
 
 class TestHashGrid:
@@ -76,14 +76,6 @@ class TestMLP:
     def test_relu(self):
         np.testing.assert_array_equal(relu(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
 
-    def test_gemm_shapes(self, rng):
-        mlp = MLP.build([8, 16, 4], rng=rng)
-        assert mlp.gemm_shapes(100) == [(100, 16, 8), (100, 4, 16)]
-
-    def test_num_parameters(self, rng):
-        mlp = MLP.build([8, 16, 4], rng=rng)
-        assert mlp.num_parameters() == 8 * 16 + 16 + 16 * 4 + 4
-
     def test_structured_pruning_zeroes_columns(self, rng):
         layer = LinearLayer.random(32, 64, rng=rng)
         layer.prune(0.5)
@@ -136,12 +128,6 @@ class TestVolumeRendering:
         t_values = np.tile(np.linspace(2, 6, 8), (4, 1))
         image = composite_rays(colors, densities, t_values)
         assert image.min() >= 0.0 and image.max() <= 1.0
-
-    def test_expected_depth_matches_opaque_surface(self):
-        densities = np.array([[0.0, 1000.0, 0.0]])
-        t_values = np.array([[2.0, 4.0, 6.0]])
-        depth = expected_depth(densities, t_values)
-        assert depth[0] == pytest.approx(4.0, abs=1e-3)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):

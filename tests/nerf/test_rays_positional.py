@@ -9,10 +9,9 @@ from repro.nerf.positional import (
     approx_cos_halfpi,
     approx_positional_encoding,
     approx_sin_halfpi,
-    encoding_output_dim,
     positional_encoding,
 )
-from repro.nerf.rays import Camera, generate_rays, sample_along_rays, view_angles
+from repro.nerf.rays import Camera, generate_rays, sample_along_rays
 
 
 class TestCameraAndRays:
@@ -57,20 +56,13 @@ class TestCameraAndRays:
         with pytest.raises(ValueError):
             sample_along_rays(np.zeros((2, 3)), np.zeros((2, 3)), 4, near=5, far=2, rng=rng)
 
-    def test_view_angles_range(self, rng):
-        directions = rng.normal(size=(100, 3))
-        directions /= np.linalg.norm(directions, axis=-1, keepdims=True)
-        angles = view_angles(directions)
-        assert np.all(angles[:, 1] >= 0) and np.all(angles[:, 1] <= np.pi)
-
 
 class TestPositionalEncoding:
     def test_output_dim(self):
         values = np.zeros((10, 3))
         encoded = positional_encoding(values, 10)
         assert encoded.shape == (10, 60)
-        assert encoding_output_dim(3, 10) == 60
-        assert encoding_output_dim(3, 10, include_input=True) == 63
+        assert positional_encoding(values, 10, include_input=True).shape == (10, 63)
 
     def test_include_input(self):
         values = np.ones((5, 2))

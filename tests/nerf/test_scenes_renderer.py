@@ -31,9 +31,6 @@ class TestScenes:
     def test_mic_sparser_than_lego(self):
         assert get_scene("mic").ray_marching_sparsity > get_scene("lego").ray_marching_sparsity
 
-    def test_palace_more_complex_than_mic(self):
-        assert get_scene("palace").effective_samples_scale > get_scene("mic").effective_samples_scale
-
     def test_density_and_color_shapes(self, rng):
         scene = get_scene("lego")
         points = rng.uniform(-1, 1, size=(50, 3))

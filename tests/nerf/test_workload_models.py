@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.nerf.models import MODEL_REGISTRY, FrameConfig, all_models, get_model
-from repro.nerf.workload import EncodingOp, GEMMOp, MiscOp, OpCategory, Workload
+from repro.nerf.models import MODEL_REGISTRY, FrameConfig, get_model
+from repro.nerf.workload import EncodingOp, GEMMOp, MiscOp, Workload
 from repro.sparse.formats import Precision
 
 
@@ -74,10 +74,8 @@ class TestWorkload:
 
     def test_category_totals(self):
         workload = self._workload()
-        by_category = workload.flops_by_category()
-        assert by_category[OpCategory.GEMM] == 2 * 100 * 64 * 32
-        assert by_category[OpCategory.OTHER] == 1000
-        assert workload.total_flops == sum(by_category.values())
+        encoding_flops = workload.encoding_ops()[0].flops
+        assert workload.total_flops == 2 * 100 * 64 * 32 + encoding_flops + 1000
 
     def test_pruning_only_affects_gemms(self):
         pruned = self._workload().pruned(0.5)
@@ -87,11 +85,6 @@ class TestWorkload:
     def test_precision_change(self):
         converted = self._workload().with_precision(Precision.INT4)
         assert all(op.precision is Precision.INT4 for op in converted.gemm_ops())
-
-    def test_num_batches(self):
-        workload = self._workload()
-        assert workload.num_rays == 800 * 800
-        assert workload.num_batches == -(-800 * 800 // 4096)
 
 
 class TestModelDescriptors:
@@ -112,7 +105,7 @@ class TestModelDescriptors:
 
     def test_vanilla_nerf_is_heaviest_positional_model(self):
         config = FrameConfig()
-        flops = {m.name: m.build_workload(config).total_flops for m in all_models()}
+        flops = {m.name: m.build_workload(config).total_flops for m in map(get_model, MODEL_REGISTRY)}
         assert flops["nerf"] > flops["instant-ngp"]
         assert flops["nerf"] > flops["kilonerf"]
 

@@ -5,7 +5,6 @@ from repro.noc.dataflow import (
     classify_assignment,
     column_dataflows,
     row_dataflows,
-    unique_fetches,
 )
 
 
@@ -62,10 +61,3 @@ class TestGridClassification:
     def test_empty_grid(self):
         assert column_dataflows([]) == []
 
-
-class TestUniqueFetches:
-    def test_counts_distinct_values(self):
-        assert unique_fetches(["A", "A", "B", None]) == 2
-
-    def test_all_none(self):
-        assert unique_fetches([None, None]) == 0

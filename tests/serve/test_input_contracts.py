@@ -3,7 +3,7 @@
 Every rate, duration, period and SLA budget of the request streams, the
 simulator's ``default_sla_s``, the control plane's tick and latency target,
 the token bucket's rate and the planner's traffic envelope go through one
-shared guard, :func:`repro.serve.request.require_positive`.  A plain
+shared guard, :func:`repro.validate.require_positive`.  A plain
 ``x <= 0`` test lets NaN through: ``PoissonStream(rate_rps=nan)`` or
 ``duration_s=inf`` used to make ``generate()`` loop forever,
 ``default_sla_s=nan`` silently reported 0 % attainment, an autoscaled run
@@ -13,7 +13,7 @@ turns a hang into a failure.
 
 Every integer count knob (worker bounds, queue caps, batch sizes, session
 and burst counts) goes through the sibling guard
-:func:`repro.serve.request.require_count`: a plain ``x < 1`` test let NaN,
+:func:`repro.validate.require_count`: a plain ``x < 1`` test let NaN,
 infinity and 2.5 through, and ``QueueDepthAutoscaler(min_workers=nan)``
 hung an autoscaled run.
 
@@ -56,8 +56,6 @@ from repro.serve.request import (
     Scenario,
     ScenarioMix,
     TraceStream,
-    require_count,
-    require_positive,
 )
 from repro.serve.scheduler import BatchDeadlineScheduler, FIFOScheduler
 from repro.serve.traffic import (
@@ -68,6 +66,7 @@ from repro.serve.traffic import (
     TenantSpec,
 )
 from repro.sim.sweep import SweepEngine
+from repro.validate import require_count, require_positive
 from tests._timeouts import fails_within
 
 MIX = ScenarioMix(

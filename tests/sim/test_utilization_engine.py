@@ -4,53 +4,43 @@ import pytest
 
 from repro.hw.sram import SRAMMacro
 from repro.nerf.workload import GEMMOp, OpCategory
-from repro.sim.array_config import ArrayConfig, MappingFlexibility
+from repro.sim.array_config import ArrayConfig
 from repro.sim.engine import GEMMCycleModel
 from repro.sim.memory import MemoryTrafficModel
 from repro.sim.trace import ExecutionTrace, OpRecord
-from repro.sim.utilization import (
-    dense_mapping_utilization,
-    effective_mac_utilization,
-    flexible_packing_efficiency,
-    sparse_mapping_utilization,
-)
+from repro.sim.utilization import effective_mac_utilization, mapping_utilization
 from repro.sparse.formats import Precision, SparsityFormat
 
 
-FLEXIBLE = ArrayConfig(
-    name="flex", bit_scalable=True, supports_sparsity=True,
-    mapping=MappingFlexibility.FLEXIBLE,
-)
-RIGID = ArrayConfig(name="rigid", mapping=MappingFlexibility.RIGID)
+FLEXIBLE = ArrayConfig(name="flex", bit_scalable=True, supports_sparsity=True)
+RIGID = ArrayConfig(name="rigid")
 
 
 class TestUtilization:
     def test_flexible_mapping_is_shape_insensitive(self):
         square = GEMMOp("a", m=4096, n=64, k=64)
         irregular = GEMMOp("b", m=4096, n=65, k=37)
-        assert dense_mapping_utilization(square, FLEXIBLE) == pytest.approx(
-            dense_mapping_utilization(irregular, FLEXIBLE)
+        assert mapping_utilization(square, FLEXIBLE) == pytest.approx(
+            mapping_utilization(irregular, FLEXIBLE)
         )
 
     def test_rigid_mapping_suffers_on_irregular_shapes(self):
         square = GEMMOp("a", m=4096, n=64, k=64)
         irregular = GEMMOp("b", m=4096, n=65, k=37)
-        assert dense_mapping_utilization(irregular, RIGID) < dense_mapping_utilization(
-            square, RIGID
-        )
+        assert mapping_utilization(irregular, RIGID) < mapping_utilization(square, RIGID)
 
     def test_packing_efficiency_decreases_with_precision(self):
-        assert (
-            flexible_packing_efficiency(Precision.INT16)
-            > flexible_packing_efficiency(Precision.INT8)
-            > flexible_packing_efficiency(Precision.INT4)
+        int16, int8, int4 = (
+            mapping_utilization(GEMMOp("a", m=4096, n=64, k=64, precision=p), FLEXIBLE)
+            for p in (Precision.INT16, Precision.INT8, Precision.INT4)
         )
+        assert int16 > int8 > int4
 
     def test_sparse_mapping_ignores_sparsity_pattern(self):
         dense = GEMMOp("a", m=1000, n=128, k=128)
         sparse = GEMMOp("b", m=1000, n=128, k=128, activation_sparsity=0.9)
-        assert sparse_mapping_utilization(sparse, FLEXIBLE) == pytest.approx(
-            sparse_mapping_utilization(dense, FLEXIBLE)
+        assert mapping_utilization(sparse, FLEXIBLE) == pytest.approx(
+            mapping_utilization(dense, FLEXIBLE)
         )
 
     def test_effective_utilization_penalises_non_sparse_arrays(self):
@@ -84,7 +74,7 @@ class TestCycleModel:
     def test_format_conversion_overhead(self):
         config = ArrayConfig(
             name="conv", bit_scalable=True, supports_sparsity=True,
-            mapping=MappingFlexibility.FLEXIBLE, format_conversion_overhead=0.1,
+            format_conversion_overhead=0.1,
         )
         execution = GEMMCycleModel(config).execute(GEMMOp("a", m=1000, n=64, k=64))
         assert execution.format_conversion_cycles == pytest.approx(
@@ -98,10 +88,6 @@ class TestCycleModel:
             + execution.dram_time_s
             + execution.format_conversion_time_s
         )
-
-    def test_execute_all(self):
-        ops = [GEMMOp("a", m=100, n=64, k=64), GEMMOp("b", m=100, n=32, k=32)]
-        assert len(GEMMCycleModel(FLEXIBLE).execute_all(ops)) == 2
 
 
 class TestMemoryTraffic:
@@ -155,10 +141,3 @@ class TestTrace:
         trace = ExecutionTrace(device="x", model_name="m")
         assert trace.total_time_s == 0.0
         assert all(v == 0.0 for v in trace.runtime_breakdown().values())
-        assert trace.average_utilization() == 0.0
-
-    def test_average_utilization_weighted_by_time(self):
-        trace = ExecutionTrace(device="x", model_name="m")
-        trace.add(self._record("a", OpCategory.GEMM, 1.0, utilization=1.0))
-        trace.add(self._record("b", OpCategory.GEMM, 3.0, utilization=0.5))
-        assert trace.average_utilization() == pytest.approx(0.625)

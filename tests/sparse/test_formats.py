@@ -4,7 +4,6 @@ import pytest
 
 from repro.sparse.formats import (
     Precision,
-    SparsityFormat,
     index_bits,
     tile_shape_for_precision,
 )
@@ -21,20 +20,6 @@ class TestPrecision:
         assert Precision.INT4.min_value == -8
         assert Precision.INT8.max_value == 127
         assert Precision.INT16.min_value == -32768
-
-    def test_from_bits(self):
-        assert Precision.from_bits(8) is Precision.INT8
-
-    def test_from_bits_rejects_unsupported(self):
-        with pytest.raises(ValueError):
-            Precision.from_bits(32)
-
-
-class TestSparsityFormat:
-    def test_compressed_flag(self):
-        assert not SparsityFormat.NONE.is_compressed
-        for fmt in (SparsityFormat.COO, SparsityFormat.CSR, SparsityFormat.CSC, SparsityFormat.BITMAP):
-            assert fmt.is_compressed
 
 
 class TestTileShape:
