@@ -10,6 +10,8 @@ from repro.baselines.arrays import (
 )
 from repro.baselines.nvdla import NVDLAModel
 from repro.baselines.tpu import TPUModel
+from repro.nerf.workload import GEMMOp
+from repro.sim.utilization import effective_mac_utilization
 from repro.sparse.formats import Precision
 
 
@@ -45,6 +47,15 @@ class TestTable3Baselines:
         sigma_eff = SigmaArray().effective_efficiency(Precision.INT16)
         bitfusion_eff = BitFusionArray().effective_efficiency(Precision.INT16)
         assert bitfusion_eff < sigma_eff
+
+    def test_effective_efficiency_uses_shared_utilization_model(self):
+        op = GEMMOp("g", m=4096, n=65, k=37, weight_sparsity=0.5, activation_sparsity=0.3)
+        for cls in TABLE3_BASELINES:
+            array = cls()
+            assert array.effective_efficiency(Precision.INT16, op) == pytest.approx(
+                array.peak_efficiency(Precision.INT16)
+                * effective_mac_utilization(op, array.array_config())
+            )
 
     def test_spec_rows_complete(self):
         for cls in TABLE3_BASELINES:

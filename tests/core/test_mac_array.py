@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.mac_array import MACArray
+from repro.nerf.workload import GEMMOp
 from repro.sparse.formats import Precision
 from repro.sparse.tensor import random_sparse_matrix
 
@@ -76,6 +77,17 @@ class TestTable3Calibration:
     def test_effective_efficiency(self, array, precision, expected_effective):
         assert array.effective_efficiency_tops_per_w(precision) == pytest.approx(
             expected_effective, rel=0.1
+        )
+
+    def test_effective_efficiency_ignores_shape_and_sparsity(self, array):
+        # The flexible NoC packs non-zero operands densely, so only the
+        # precision's packing efficiency matters.
+        square = GEMMOp("a", m=4096, n=64, k=64, precision=Precision.INT8)
+        irregular = GEMMOp(
+            "b", m=4096, n=65, k=37, precision=Precision.INT8, activation_sparsity=0.7
+        )
+        assert array.effective_efficiency_tops_per_w(Precision.INT8, square) == pytest.approx(
+            array.effective_efficiency_tops_per_w(Precision.INT8, irregular)
         )
 
     def test_breakdown_blocks_present(self, array):

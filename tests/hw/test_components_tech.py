@@ -1,9 +1,15 @@
-"""Tests for the component library and cost reports."""
+"""Tests for the technology node, component library and cost reports."""
 
 import pytest
 
 from repro.hw.components import DEFAULT_LIBRARY, ComponentSpec
 from repro.hw.cost import AreaReport, PowerReport
+from repro.hw.tech import TECH_28NM
+
+
+class TestTechnologyNode:
+    def test_cycle_time(self):
+        assert 1.0 / TECH_28NM.frequency_hz == pytest.approx(1.25e-9)
 
 
 class TestComponentLibrary:

@@ -76,6 +76,16 @@ class TestMLP:
     def test_relu(self):
         np.testing.assert_array_equal(relu(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
 
+    def test_gemm_shapes(self, rng):
+        mlp = MLP.build([8, 16, 4], rng=rng)
+        assert [(layer.in_features, layer.out_features) for layer in mlp.layers] == [(8, 16), (16, 4)]
+        assert mlp.forward(np.zeros((100, 8))).shape == (100, 4)
+
+    def test_num_parameters(self, rng):
+        mlp = MLP.build([8, 16, 4], rng=rng)
+        count = sum(layer.weight.size + layer.bias.size for layer in mlp.layers)
+        assert count == 8 * 16 + 16 + 16 * 4 + 4
+
     def test_structured_pruning_zeroes_columns(self, rng):
         layer = LinearLayer.random(32, 64, rng=rng)
         layer.prune(0.5)
@@ -128,6 +138,13 @@ class TestVolumeRendering:
         t_values = np.tile(np.linspace(2, 6, 8), (4, 1))
         image = composite_rays(colors, densities, t_values)
         assert image.min() >= 0.0 and image.max() <= 1.0
+
+    def test_expected_depth_matches_opaque_surface(self):
+        densities = np.array([[0.0, 1000.0, 0.0]])
+        t_values = np.array([[2.0, 4.0, 6.0]])
+        weights = transmittance_weights(densities, np.array([[2.0, 2.0, 1e10]]))
+        depth = np.sum(weights * t_values, axis=-1) / np.sum(weights, axis=-1)
+        assert depth[0] == pytest.approx(4.0, abs=1e-3)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -31,6 +31,11 @@ class TestScenes:
     def test_mic_sparser_than_lego(self):
         assert get_scene("mic").ray_marching_sparsity > get_scene("lego").ray_marching_sparsity
 
+    def test_palace_more_complex_than_mic(self):
+        palace, mic = get_scene("palace"), get_scene("mic")
+        assert palace.complexity > mic.complexity
+        assert palace.num_primitives > mic.num_primitives
+
     def test_density_and_color_shapes(self, rng):
         scene = get_scene("lego")
         points = rng.uniform(-1, 1, size=(50, 3))

@@ -87,6 +87,12 @@ class TestWorkload:
         assert all(op.precision is Precision.INT4 for op in converted.gemm_ops())
 
 
+    def test_num_batches(self):
+        workload = self._workload()
+        assert workload.num_rays == 800 * 800
+        assert workload.batch_size == 4096
+
+
 class TestModelDescriptors:
     def test_registry_has_seven_models(self):
         assert len(MODEL_REGISTRY) == 7

@@ -2,10 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.nerf.workload import GEMMOp
 from repro.sim.array_config import ArrayConfig
+from repro.sim.engine import GEMMCycleModel
 from repro.sim.tiling import tile_counts
 from repro.sparse.formats import Precision
 
@@ -32,6 +34,26 @@ class TestArrayConfig:
     def test_fixed_precision_array_falls_back(self):
         config = ArrayConfig(name="dense", bit_scalable=False)
         assert config.effective_precision(Precision.INT4) is Precision.INT16
+
+    def test_lane_scaling(self):
+        flexible = _flexible_config()
+        fixed = ArrayConfig(name="dense", bit_scalable=False)
+        base = Precision.INT16
+        for precision, lanes in ((Precision.INT16, 1), (Precision.INT8, 4), (Precision.INT4, 16)):
+            assert flexible.macs_per_cycle(precision) == lanes * flexible.macs_per_cycle(base)
+            assert fixed.macs_per_cycle(precision) == fixed.macs_per_cycle(base)
+
+    def test_peak_ops(self):
+        # A rigid array with no pipeline overhead runs an aligned GEMM at
+        # exactly its peak of 2 ops per MAC per cycle.
+        config = ArrayConfig(name="peak", frequency_hz=800e6, pipeline_overhead=0.0)
+        op = GEMMOp("g", m=4096, n=64, k=64)
+        execution = GEMMCycleModel(config).execute(op)
+        assert 2 * op.macs / execution.compute_time_s == pytest.approx(2 * 4096 * 800e6)
+
+    def test_numpy_integer_geometry_accepted(self):
+        config = ArrayConfig(name="np", rows=np.int64(32), cols=np.int32(16))
+        assert config.macs_per_cycle(Precision.INT16) == 32 * 16
 
     def test_effective_grid_and_macs(self):
         config = _flexible_config()
@@ -75,3 +97,18 @@ class TestTiling:
         grid = tile_counts(op, _flexible_config())
         assert grid.tile_m == 256
         assert (grid.tiles_m, grid.tiles_n, grid.tiles_k) == (1, 1, 1)
+
+    def test_fixed_precision_array_keeps_base_tiles(self):
+        op = GEMMOp("g", m=256, n=256, k=256, precision=Precision.INT4)
+        grid = tile_counts(op, ArrayConfig(name="dense", bit_scalable=False))
+        assert (grid.tile_m, grid.tile_n, grid.tile_k) == (64, 64, 64)
+        assert (grid.tiles_m, grid.tiles_n, grid.tiles_k) == (4, 4, 4)
+
+    def test_output_tiles(self):
+        op = GEMMOp("g", m=200, n=100, k=64)
+        grid = tile_counts(op, _flexible_config())
+        assert (grid.tiles_m, grid.tiles_n) == (4, 2)
+
+    def test_results_are_memoised(self):
+        op = GEMMOp("g", m=200, n=100, k=64)
+        assert tile_counts(op, _flexible_config()) is tile_counts(op, _flexible_config())

@@ -47,6 +47,25 @@ class TestUtilization:
         op = GEMMOp("a", m=1000, n=64, k=64, activation_sparsity=0.5)
         assert effective_mac_utilization(op, RIGID) < effective_mac_utilization(op, FLEXIBLE)
 
+    def test_rigid_fill_is_boundary_tile_occupancy(self):
+        # N = 65 spans two 64-wide column tiles, K = 37 fills 37 of 64 rows.
+        op = GEMMOp("a", m=4096, n=65, k=37)
+        assert mapping_utilization(op, RIGID) == pytest.approx((65 / 128) * (37 / 64))
+
+    def test_fixed_precision_sparse_array_packs_at_base_precision(self):
+        sigma = ArrayConfig(name="sigma", supports_sparsity=True)
+        int4 = GEMMOp("a", m=4096, n=64, k=64, precision=Precision.INT4)
+        int16 = GEMMOp("a", m=4096, n=64, k=64, precision=Precision.INT16)
+        assert mapping_utilization(int4, sigma) == mapping_utilization(int16, sigma)
+        assert mapping_utilization(int4, sigma) > mapping_utilization(int4, FLEXIBLE)
+
+    def test_effective_utilization_scales_rigid_fill_by_density(self):
+        op = GEMMOp("a", m=1000, n=65, k=37, weight_sparsity=0.5, activation_sparsity=0.2)
+        assert effective_mac_utilization(op, RIGID) == pytest.approx(
+            mapping_utilization(op, RIGID) * 0.5 * 0.8
+        )
+        assert effective_mac_utilization(op, FLEXIBLE) == mapping_utilization(op, FLEXIBLE)
+
 
 class TestCycleModel:
     def test_sparsity_speeds_up_flexible_arrays(self):
@@ -88,6 +107,16 @@ class TestCycleModel:
             + execution.dram_time_s
             + execution.format_conversion_time_s
         )
+
+
+    def test_compute_cycles_follow_mapping_utilization(self):
+        op = GEMMOp("a", m=1000, n=65, k=37, activation_sparsity=0.5)
+        for config in (FLEXIBLE, RIGID):
+            execution = GEMMCycleModel(config).execute(op)
+            work = op.effective_macs if config.supports_sparsity else op.macs
+            expected = work / (config.macs_per_cycle(op.precision) * mapping_utilization(op, config))
+            assert execution.compute_cycles == pytest.approx(expected * (1.0 + config.pipeline_overhead))
+            assert execution.utilization == pytest.approx(mapping_utilization(op, config))
 
 
 class TestMemoryTraffic:
@@ -141,3 +170,14 @@ class TestTrace:
         trace = ExecutionTrace(device="x", model_name="m")
         assert trace.total_time_s == 0.0
         assert all(v == 0.0 for v in trace.runtime_breakdown().values())
+
+    def test_time_by_component_splits_records(self):
+        trace = ExecutionTrace(device="x", model_name="m")
+        trace.add(self._record(
+            "g", OpCategory.GEMM, 4.0, compute_time_s=2.0, dram_time_s=1.0,
+            format_conversion_time_s=0.5,
+        ))
+        trace.add(self._record("e", OpCategory.ENCODING, 1.0, compute_time_s=1.0))
+        assert trace.time_by_component() == pytest.approx(
+            {"compute": 3.0, "dram": 1.0, "format_conversion": 0.5, "other": 0.5}
+        )

@@ -21,6 +21,13 @@ class TestPrecision:
         assert Precision.INT8.max_value == 127
         assert Precision.INT16.min_value == -32768
 
+    def test_from_bits(self):
+        assert Precision(8) is Precision.INT8
+
+    def test_from_bits_rejects_unsupported(self):
+        with pytest.raises(ValueError):
+            Precision(32)
+
 
 class TestTileShape:
     def test_int16_base_tile(self):
