@@ -13,26 +13,17 @@ Layout:
   resolution;
 * :mod:`repro.analysis.rules` -- one module per shipped rule (DET001,
   DET002, DET003, STORE001, PURE001, CONC001), discovered dynamically;
-* :mod:`repro.analysis.driver` -- :func:`run_lint`: parse, check,
-  apply inline ``# repro: lint-ignore[RULE-ID]`` pragmas and the
-  committed baseline;
-* :mod:`repro.analysis.baseline` -- the grandfathering file format;
+* :mod:`repro.analysis.driver` -- :func:`run_lint`: parse, check and
+  apply inline ``# repro: lint-ignore[RULE-ID]`` pragmas;
 * :mod:`repro.analysis.report` -- the CLI's table / json renderers.
 
-See ``docs/linting.md`` for the rule catalog and the suppression /
-baseline policy; CI gates every PR on a clean ``repro lint`` run.
+See ``docs/linting.md`` for the rule catalog and the suppression
+policy; CI gates every PR on a clean ``repro lint`` run.
 """
 
-from repro.analysis.base import Finding, ModuleRule, Project, Rule, Severity, SourceModule
-from repro.analysis.baseline import (
-    Baseline,
-    BaselineEntry,
-    load_baseline,
-    update_baseline,
-)
+from repro.analysis.base import Finding, ModuleRule, Project, Rule, SourceModule
 from repro.analysis.driver import (
     LintReport,
-    default_baseline_path,
     default_lint_root,
     load_project,
     run_lint,
@@ -42,23 +33,17 @@ from repro.analysis.report import render_json, render_table
 from repro.analysis.rules import discover_rules
 
 __all__ = [
-    "Baseline",
-    "BaselineEntry",
     "Finding",
     "LintReport",
     "ModuleRule",
     "Project",
     "Rule",
-    "Severity",
     "SourceModule",
-    "default_baseline_path",
     "default_lint_root",
     "discover_rules",
-    "load_baseline",
     "load_project",
     "render_json",
     "render_table",
     "run_lint",
     "select_rules",
-    "update_baseline",
 ]

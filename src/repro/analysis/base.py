@@ -8,8 +8,7 @@ machine-checked design rules over the package's own AST.
 
 This module defines the pieces every rule builds on:
 
-* :class:`Severity` / :class:`Finding` -- one diagnostic, content-matched
-  by the baseline machinery (rule + path + message, never line numbers);
+* :class:`Finding` -- one diagnostic: rule, location and message;
 * :class:`SourceModule` / :class:`Project` -- a parsed source tree with
   import-alias resolution (:meth:`SourceModule.call_name`), so rules match
   ``np.random.shuffle`` and ``from time import perf_counter`` alike;
@@ -26,17 +25,9 @@ from __future__ import annotations
 
 import abc
 import ast
-import enum
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import ClassVar, Iterator
-
-
-class Severity(enum.Enum):
-    """How bad a finding is: ``ERROR`` gates CI, ``WARNING`` is advisory."""
-
-    ERROR = "error"
-    WARNING = "warning"
 
 
 @dataclass(frozen=True)
@@ -44,21 +35,14 @@ class Finding:
     """One diagnostic: a rule violated at a specific source location.
 
     ``path`` is relative to the linted root (POSIX separators) so findings
-    -- and the committed baseline that grandfathers them -- are portable
-    across checkouts.  Baseline matching deliberately ignores ``line``:
-    unrelated edits move code, they do not change what is wrong with it.
+    are portable across checkouts.  Every finding gates CI unless an
+    inline pragma suppresses it.
     """
 
     rule_id: str
-    severity: Severity
     path: str
     line: int
     message: str
-
-    @property
-    def key(self) -> tuple[str, str, str]:
-        """The content identity baseline entries match on (no line number)."""
-        return (self.rule_id, self.path, self.message)
 
     def location(self) -> str:
         """The finding's ``path:line`` source location."""
@@ -68,7 +52,6 @@ class Finding:
         """JSON-safe form, one row of ``repro lint --format json``."""
         return {
             "rule": self.rule_id,
-            "severity": self.severity.value,
             "path": self.path,
             "line": self.line,
             "message": self.message,
@@ -183,14 +166,12 @@ class Rule(abc.ABC):
     :class:`ModuleRule` instead and get module-prefix scoping for free.
     """
 
-    #: Unique rule identifier, e.g. ``DET001`` (used in pragmas / baselines).
+    #: Unique rule identifier, e.g. ``DET001`` (used in pragmas).
     id: ClassVar[str] = ""
     #: One-line summary of what the rule forbids.
     title: ClassVar[str] = ""
     #: Why violating the rule corrupts caching / reproducibility.
     rationale: ClassVar[str] = ""
-    #: Whether findings gate CI (:attr:`Severity.ERROR`) or only advise.
-    severity: ClassVar[Severity] = Severity.ERROR
 
     @abc.abstractmethod
     def check(self, project: Project) -> Iterator[Finding]:
@@ -200,7 +181,6 @@ class Rule(abc.ABC):
         """Build one :class:`Finding` at ``node``'s location in ``module``."""
         return Finding(
             rule_id=self.id,
-            severity=self.severity,
             path=module.path,
             line=getattr(node, "lineno", 1),
             message=message,

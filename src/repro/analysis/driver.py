@@ -1,16 +1,14 @@
-"""The lint driver: parse a tree, run rules, apply suppressions + baseline.
+"""The lint driver: parse a tree, run rules, apply inline suppressions.
 
 :func:`run_lint` is the one entry point the CLI, CI and the test suite
 share.  It loads every ``*.py`` under a root into a
 :class:`~repro.analysis.base.Project`, runs the (optionally filtered) rule
-set, then partitions the raw findings three ways:
+set, then partitions the raw findings two ways:
 
 * **suppressed** -- carrying a matching inline
   ``# repro: lint-ignore[RULE-ID]`` pragma on the flagged line (or alone on
   the line directly above it);
-* **baselined** -- grandfathered by the committed baseline file
-  (:mod:`repro.analysis.baseline`), matched on content, not line numbers;
-* **findings** -- everything else: these gate CI.
+* **findings** -- everything else: every one of these gates CI.
 
 Files that fail to parse surface as :data:`SYNTAX_RULE_ID` findings rather
 than crashing the pass -- a tree the linter cannot read is not a tree it
@@ -25,8 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro.analysis.base import Finding, Project, Rule, Severity, SourceModule
-from repro.analysis.baseline import Baseline, BaselineEntry
+from repro.analysis.base import Finding, Project, Rule, SourceModule
 from repro.analysis.rules import discover_rules
 
 #: Pseudo rule id of files the parser could not read (always reported).
@@ -47,14 +44,6 @@ def default_lint_root() -> Path:
     their full ``repro.`` prefix and rule scopes match.
     """
     return Path(__file__).resolve().parents[2]
-
-
-def default_baseline_path() -> Path:
-    """Where the committed baseline lives: ``lint-baseline.json`` at the root."""
-    root = Path(__file__).resolve().parents[3]
-    if (root / "pyproject.toml").exists():
-        return root / "lint-baseline.json"
-    return Path("lint-baseline.json")
 
 
 def _module_name(rel_path: Path) -> str:
@@ -80,7 +69,6 @@ def load_project(root: Path) -> tuple[Project, list[Finding]]:
             problems.append(
                 Finding(
                     rule_id=SYNTAX_RULE_ID,
-                    severity=Severity.ERROR,
                     path=rel_posix,
                     line=int(line),
                     message=f"file could not be parsed: {exc}",
@@ -133,17 +121,13 @@ class LintReport:
     """Outcome of one lint pass, already partitioned for reporting.
 
     ``findings`` are the actionable diagnostics (exit code 1 when
-    non-empty); ``suppressed`` / ``baselined`` record what the pragmas and
-    the baseline absorbed; ``stale_baseline`` lists baseline entries that
-    no longer match anything (time to delete them).
+    non-empty); ``suppressed`` records what the inline pragmas absorbed.
     """
 
     root: str
     rules: tuple[type[Rule], ...]
     findings: tuple[Finding, ...]
     suppressed: tuple[Finding, ...]
-    baselined: tuple[Finding, ...]
-    stale_baseline: tuple[BaselineEntry, ...]
 
     @property
     def clean(self) -> bool:
@@ -154,20 +138,11 @@ class LintReport:
         """JSON-safe form, the ``repro lint --format json`` document."""
         return {
             "schema": "repro-lint",
-            "schema_version": 1,
+            "schema_version": 2,
             "root": self.root,
-            "rules": [
-                {
-                    "id": rule.id,
-                    "title": rule.title,
-                    "severity": rule.severity.value,
-                }
-                for rule in self.rules
-            ],
+            "rules": [{"id": rule.id, "title": rule.title} for rule in self.rules],
             "findings": [finding.to_dict() for finding in self.findings],
             "suppressed": [finding.to_dict() for finding in self.suppressed],
-            "baselined": [finding.to_dict() for finding in self.baselined],
-            "stale_baseline": [entry.to_dict() for entry in self.stale_baseline],
             "clean": self.clean,
         }
 
@@ -194,11 +169,7 @@ def select_rules(
     return tuple(rule for rule in rules if rule.id in set(wanted))
 
 
-def run_lint(
-    root: Path,
-    rule_ids: Iterable[str] | None = None,
-    baseline: Baseline | None = None,
-) -> LintReport:
+def run_lint(root: Path, rule_ids: Iterable[str] | None = None) -> LintReport:
     """Lint the tree under ``root`` and return the partitioned report."""
     rules = select_rules(rule_ids)
     project, raw = load_project(root)
@@ -209,27 +180,14 @@ def run_lint(
     by_path = {module.path: module for module in project.modules}
     actionable: list[Finding] = []
     suppressed: list[Finding] = []
-    baselined: list[Finding] = []
     for finding in raw:
         if _is_suppressed(finding, by_path.get(finding.path)):
             suppressed.append(finding)
-        elif baseline is not None and baseline.matches(finding):
-            baselined.append(finding)
         else:
             actionable.append(finding)
-    # Staleness is only judgeable for rules that actually ran: a --rules
-    # subset must not report the other rules' entries as removable.
-    active = {rule.id for rule in rules} | {SYNTAX_RULE_ID}
-    stale = tuple(
-        entry
-        for entry in (baseline.stale_entries(raw) if baseline is not None else ())
-        if entry.rule in active
-    )
     return LintReport(
         root=str(root),
         rules=rules,
         findings=tuple(actionable),
         suppressed=tuple(suppressed),
-        baselined=tuple(baselined),
-        stale_baseline=tuple(stale),
     )

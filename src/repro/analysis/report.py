@@ -21,25 +21,16 @@ def render_json(report: LintReport) -> str:
 def render_table(report: LintReport) -> str:
     """The report as human-readable diagnostic lines plus a summary.
 
-    One ``path:line: RULE [severity] message`` line per actionable
-    finding, stale-baseline notes, and a final summary line the CI log
-    always shows.
+    One ``path:line: RULE message`` line per actionable finding, then a
+    final summary line the CI log always shows.
     """
-    lines = []
-    for finding in report.findings:
-        lines.append(
-            f"{finding.location()}: {finding.rule_id} "
-            f"[{finding.severity.value}] {finding.message}"
-        )
-    for entry in report.stale_baseline:
-        lines.append(
-            f"note: stale baseline entry ({entry.rule} at {entry.path}) "
-            f"matches nothing; remove it or rerun --update-baseline"
-        )
+    lines = [
+        f"{finding.location()}: {finding.rule_id} {finding.message}"
+        for finding in report.findings
+    ]
     summary = (
         f"{len(report.findings)} finding(s), "
-        f"{len(report.suppressed)} suppressed inline, "
-        f"{len(report.baselined)} baselined"
+        f"{len(report.suppressed)} suppressed inline"
     )
     if report.clean:
         summary = "clean: " + summary

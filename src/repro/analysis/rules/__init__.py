@@ -20,7 +20,7 @@ def discover_rules() -> tuple[type[Rule], ...]:
 
     Scans the package's submodules for :class:`Rule` subclasses that
     declare an ``id``, enforcing id uniqueness (two rules claiming one id
-    would make pragmas and baselines ambiguous).
+    would make pragmas ambiguous).
     """
     by_id: dict[str, type[Rule]] = {}
     for info in sorted(pkgutil.iter_modules(__path__), key=lambda i: i.name):

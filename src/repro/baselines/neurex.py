@@ -109,10 +109,6 @@ class NeuRex(Device):
         report.add("control_and_io", NEUREX_POWER_W * 0.10)
         return report
 
-    def power_profile(self) -> dict[str, float]:
-        """The single INT16 power figure, labelled for cost tables."""
-        return {Precision.INT16.name: self.power_w()}
-
     @property
     def peak_tops(self) -> float:
         return (

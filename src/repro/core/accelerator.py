@@ -126,10 +126,6 @@ class FlexNeRFer(Device):
         report.add("dram_interface", dram_interface_w[precision])
         return report
 
-    def power_profile(self) -> dict[str, float]:
-        """Power at each supported precision mode (Fig. 16's rows)."""
-        return {p.name: self.power_w(p) for p in PRECISION_MODES}
-
     # -- frame execution ------------------------------------------------------------
 
     def _prepare(

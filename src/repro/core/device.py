@@ -298,8 +298,16 @@ class Device:
         return self.power(precision).total_w
 
     def power_profile(self) -> dict[str, float]:
-        """Labelled power figures for cost tables (Fig. 16)."""
-        return {"typical": self.power_w()}
+        """Labelled power figures for cost tables (Fig. 16).
+
+        A precision-scalable device reports one figure per
+        :data:`PRECISION_MODES` mode; any other device reports one figure,
+        labelled with its native precision (``typical`` when it has none).
+        """
+        if self.supports_precision:
+            return {p.name: self.power_w(p) for p in PRECISION_MODES}
+        label = self.native_precision.name if self.native_precision else "typical"
+        return {label: self.power_w()}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"

@@ -22,6 +22,7 @@ from repro.hw.sram import SRAMMacro
 from repro.nerf.hashgrid import HashGrid
 from repro.nerf.positional import approx_positional_encoding
 from repro.nerf.workload import EncodingOp
+from repro.validate import require_count
 
 
 @dataclass
@@ -45,8 +46,7 @@ class PositionalEncodingEngine:
         frequency_hz: float = 800e6,
         library: ComponentLibrary = DEFAULT_LIBRARY,
     ) -> None:
-        if num_lanes < 1:
-            raise ValueError("PEE needs at least one lane")
+        require_count("PEE num_lanes", num_lanes, 1)
         self.num_lanes = num_lanes
         self.frequency_hz = frequency_hz
         self.library = library
@@ -83,8 +83,7 @@ class HashEncodingEngine:
         coalescing_factor: float = 4.0,
         library: ComponentLibrary = DEFAULT_LIBRARY,
     ) -> None:
-        if num_units < 1:
-            raise ValueError("HEE needs at least one unit")
+        require_count("HEE num_units", num_units, 1)
         if coalescing_factor < 1.0:
             raise ValueError("coalescing factor must be >= 1")
         self.num_units = num_units

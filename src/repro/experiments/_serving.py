@@ -1,35 +1,17 @@
 """Shared fixtures for the serving experiments (`serve-*`).
 
-The three serving studies share one reference scenario mix so their numbers
-are comparable: a mostly-Instant-NGP request population at 400x400 with a
-dense TensoRF tail and one pruned low-precision scenario -- the kind of
-request FlexNeRFer's sparsity-aware datapath serves disproportionately
-faster, which is what makes heterogeneous routing interesting.
+The serving studies share one reference scenario mix so their numbers are
+comparable: :data:`repro.plan.space.REFERENCE_MIX`, a mostly-Instant-NGP
+request population at 400x400 with a dense TensoRF tail and one pruned
+low-precision scenario -- the kind of request FlexNeRFer's sparsity-aware
+datapath serves disproportionately faster, which is what makes
+heterogeneous routing interesting.  This module holds the rest: the
+modelled degradation ladder and the fleet-spec parser.
 """
 
 from __future__ import annotations
 
 from repro.serve.control import DEFAULT_LADDER_STEPS, DegradationLadder
-from repro.serve.request import Scenario, ScenarioMix
-from repro.sparse.formats import Precision
-
-#: The reference request population every serving experiment defaults to.
-REFERENCE_MIX = ScenarioMix(
-    scenarios=(
-        Scenario("instant-ngp", scene="lego", width=400, height=400),
-        Scenario(
-            "instant-ngp",
-            scene="mic",
-            width=400,
-            height=400,
-            precision=Precision.INT8,
-            pruning_ratio=0.5,
-        ),
-        Scenario("tensorf", scene="lego", width=400, height=400),
-    ),
-    weights=(2.0, 1.0, 1.0),
-)
-
 
 #: Default-step ladder with *modelled* (fixed) qualities rather than
 #: PSNR-measured ones.  The traffic experiments use it so their goldens

@@ -423,7 +423,7 @@ class Experiment:
         # normalize_result_json before any determinism comparison.
         start = time.perf_counter()  # repro: lint-ignore[DET002]
         raw = self.fn(**values)
-        wall_time_s = time.perf_counter() - start  # repro: lint-ignore[DET002]
+        wall_time_s = time.perf_counter() - start  # repro: lint-ignore[DET002] provenance only
         rows = tuple(
             self.to_rows(raw)
             if self.to_rows is not None

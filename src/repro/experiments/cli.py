@@ -15,7 +15,6 @@ Usage::
                [--jobs N] [--sla-ms X] [--min-attainment F]
     repro docs [--out PATH] [--check]
     repro lint [--format table|json] [--rules ID[,ID]] [--root PATH]
-               [--baseline PATH] [--update-baseline]
     repro bench [--quick] [--out PATH] [--validate PATH]
                 [--compare A.json B.json] [--trend [--dir PATH]]
     repro cache <stats|clear|evict> [--dir PATH] [--format table|json]
@@ -220,8 +219,6 @@ COMMANDS: tuple[CommandSpec, ...] = (
             CommandOption("--format", "table|json", "diagnostic rendering (default: table)"),
             CommandOption("--rules", "ID[,ID]", "run only the given rule ids (default: all)"),
             CommandOption("--root", "PATH", "tree to lint (default: the installed repro package sources)"),
-            CommandOption("--baseline", "PATH", "baseline file (default: lint-baseline.json at the checkout root)"),
-            CommandOption("--update-baseline", "", "rewrite the baseline to grandfather every current finding"),
         ),
     ),
     CommandSpec(
@@ -457,50 +454,23 @@ def _cmd_docs(_operands: list[str], options: Options, _params: Params) -> int:
 def _cmd_lint(_operands: list[str], options: Options, _params: Params) -> int:
     """Run the determinism / cache-safety static-analysis pass.
 
-    Exits 0 on a clean pass, 1 when non-baselined findings remain, 2 on
-    usage errors -- the same contract the CI lint gate relies on.
+    Exits 0 on a clean pass, 1 when findings remain, 2 on usage errors --
+    the same contract the CI lint gate relies on.
     """
-    from repro.analysis import (
-        default_baseline_path,
-        default_lint_root,
-        load_baseline,
-        render_json,
-        render_table,
-        run_lint,
-        update_baseline,
-    )
+    from repro.analysis import default_lint_root, render_json, render_table, run_lint
 
-    update = "--update-baseline" in options
     rule_ids = None
     if "--rules" in options:
         rule_ids = [r for r in options["--rules"].split(",") if r]
         if not rule_ids:
             raise CLIError("--rules needs at least one rule id")
-        if update:
-            # A partial run would rewrite the baseline without the other
-            # rules' findings, silently un-grandfathering them.
-            raise CLIError("--update-baseline requires the full rule set; drop --rules")
     root = Path(options["--root"]) if "--root" in options else default_lint_root()
     if not root.is_dir():
         raise CLIError(f"no such lint root: {root}")
-    baseline_path = (
-        Path(options["--baseline"])
-        if "--baseline" in options
-        else default_baseline_path()
-    )
     try:
-        baseline = load_baseline(baseline_path)
-        report = run_lint(root, rule_ids=rule_ids, baseline=baseline)
+        report = run_lint(root, rule_ids=rule_ids)
     except ValueError as exc:
         raise CLIError(str(exc)) from None
-    if update:
-        # Grandfather every current non-suppressed finding: new ones get a
-        # TODO justification, already-baselined ones keep theirs.
-        update_baseline(
-            baseline_path, report.findings + report.baselined, baseline
-        )
-        report = run_lint(root, rule_ids=rule_ids, baseline=load_baseline(baseline_path))
-        print(f"wrote {baseline_path} ({len(report.baselined)} entries matched)")
     json_out = options.get("--format") == "json"
     print(render_json(report) if json_out else render_table(report))
     return 0 if report.clean else 1
@@ -850,9 +820,10 @@ def _cmd_plan(operands: list[str], options: Options, _params: Params) -> int:
     else:
         store = _attach_store(options.get("--store"))
 
+    # Provenance wall time: reported beside the results, never part of them.
     start = time.perf_counter()  # repro: lint-ignore[DET002]
     evaluation = evaluate_space(space, store=store, shard=shard, jobs=jobs)
-    wall_time_s = time.perf_counter() - start  # repro: lint-ignore[DET002]
+    wall_time_s = time.perf_counter() - start  # repro: lint-ignore[DET002] provenance only
     frontier = pareto_frontier(evaluation.points)
 
     constraint: dict[str, Any] | None = None

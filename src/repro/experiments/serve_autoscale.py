@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments._serving import REFERENCE_MIX
 from repro.experiments.api import Column, Param, experiment
+from repro.plan.space import REFERENCE_MIX
 from repro.serve.control import (
     AutoscalePolicy,
     ControlConfig,

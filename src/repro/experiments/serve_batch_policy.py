@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments._serving import REFERENCE_MIX
 from repro.experiments.api import Column, Param, experiment
+from repro.plan.space import REFERENCE_MIX
 from repro.serve.fleet import FleetSimulator
 from repro.serve.request import PoissonStream
 from repro.serve.scheduler import BatchDeadlineScheduler, FIFOScheduler, Scheduler

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments._serving import MODELED_LADDER, REFERENCE_MIX
+from repro.experiments._serving import MODELED_LADDER
 from repro.experiments.api import Column, Param, experiment
+from repro.plan.space import REFERENCE_MIX
 from repro.serve.control import (
     ControlConfig,
     QueueCapAdmission,

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments._serving import REFERENCE_MIX, parse_fleet
+from repro.experiments._serving import parse_fleet
 from repro.experiments.api import Column, Param, experiment
+from repro.plan.space import REFERENCE_MIX
 from repro.serve.fleet import FleetSimulator
 from repro.serve.request import DiurnalStream
 from repro.serve.scheduler import SparsityAwareScheduler

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.validate import require_count
+
 
 @dataclass(frozen=True)
 class SRAMMacro:
@@ -31,10 +33,9 @@ class SRAMMacro:
     LEAKAGE_MW_PER_MB = 1.9
 
     def __post_init__(self) -> None:
-        if self.capacity_bytes <= 0:
-            raise ValueError("SRAM capacity must be positive")
-        if self.width_bits <= 0 or self.banks <= 0:
-            raise ValueError("SRAM width and bank count must be positive")
+        require_count("SRAM capacity_bytes", self.capacity_bytes, 1)
+        require_count("SRAM width_bits", self.width_bits, 1)
+        require_count("SRAM banks", self.banks, 1)
 
     @property
     def area_um2(self) -> float:

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.validate import require_count, require_positive
+
 
 @dataclass(frozen=True)
 class Camera:
@@ -22,10 +24,9 @@ class Camera:
     origin: tuple[float, float, float] = (0.0, 0.0, 4.0)
 
     def __post_init__(self) -> None:
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("image dimensions must be positive")
-        if self.focal <= 0:
-            raise ValueError("focal length must be positive")
+        require_count("width", self.width, 1)
+        require_count("height", self.height, 1)
+        require_positive("focal", self.focal)
 
 
 def generate_rays(camera: Camera) -> tuple[np.ndarray, np.ndarray]:

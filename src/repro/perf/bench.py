@@ -176,7 +176,7 @@ def bench_experiments(quick: bool) -> list[dict[str, Any]]:
 
 def bench_serving(quick: bool) -> dict[str, Any]:
     """Event-loop throughput of the fleet simulator on warmed estimates."""
-    from repro.experiments._serving import REFERENCE_MIX
+    from repro.plan.space import REFERENCE_MIX
     from repro.serve.fleet import FleetSimulator
     from repro.serve.request import PoissonStream
     from repro.serve.scheduler import FIFOScheduler
@@ -294,7 +294,7 @@ def _bench_fleet_dispatch(quick: bool) -> dict[str, float]:
     the test suite); the measurement is pure dispatch overhead on warmed
     frame-report caches.
     """
-    from repro.experiments._serving import REFERENCE_MIX
+    from repro.plan.space import REFERENCE_MIX
     from repro.serve.fleet import FleetSimulator
     from repro.serve.request import PoissonStream
     from repro.sim.sweep import SweepEngine

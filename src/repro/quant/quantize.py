@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.sparse.formats import Precision
+from repro.validate import require_positive
 
 
 @dataclass
@@ -45,8 +46,7 @@ def quantize(
             # Subnormal inputs can underflow the division; fall back to a unit
             # scale, which quantizes such values to zero.
             scale = 1.0
-    if scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
+    require_positive("scale", scale)
     quantized = np.clip(
         np.round(tensor / scale), precision.min_value, precision.max_value
     ).astype(np.int32)

@@ -1,9 +1,8 @@
-"""The analysis framework itself: discovery, suppression, baseline, schema.
+"""The analysis framework itself: discovery, suppression, schema.
 
 Pins the contracts every rule and every CI run relies on: rules are
 discovered (with unique ids), inline pragmas suppress exactly their rule,
-the baseline round-trips through ``--update-baseline`` preserving
-justifications, and the JSON document's schema stays stable.
+and the JSON document's schema stays stable.
 """
 
 import json
@@ -11,16 +10,11 @@ import json
 import pytest
 
 from repro.analysis import (
-    Baseline,
-    BaselineEntry,
     ModuleRule,
     Rule,
-    Severity,
     discover_rules,
-    load_baseline,
     run_lint,
     select_rules,
-    update_baseline,
 )
 from repro.analysis.driver import SYNTAX_RULE_ID, suppressed_ids
 
@@ -37,7 +31,6 @@ class TestDiscovery:
         for rule in discover_rules():
             assert issubclass(rule, Rule)
             assert rule.id and rule.title and rule.rationale
-            assert isinstance(rule.severity, Severity)
 
     def test_select_rules_filters_and_rejects_unknown(self):
         (only,) = select_rules(["DET001"])
@@ -84,7 +77,6 @@ class TestRulesOnFixtures:
         assert by_rule["CONC001"].path == "repro/serve/state.py"
         for finding in report.findings:
             assert finding.line >= 1
-            assert finding.severity is Severity.ERROR
 
     def test_scopes_unflag_the_same_code_elsewhere(self, tmp_path):
         # The identical sources outside the rules' scoped subsystems are
@@ -165,84 +157,26 @@ class TestInlineSuppression:
         assert suppressed_ids(lines, 2) == frozenset({"DET001", "CONC001"})
 
 
-class TestBaseline:
-    def test_round_trip_grandfathers_and_then_passes(self, violation_tree, tmp_path):
-        path = tmp_path / "baseline.json"
-        dirty = run_lint(violation_tree, baseline=load_baseline(path))
-        assert len(dirty.findings) == len(ALL_RULE_IDS)
-
-        update_baseline(path, dirty.findings, load_baseline(path))
-        clean = run_lint(violation_tree, baseline=load_baseline(path))
-        assert clean.clean
-        assert len(clean.baselined) == len(ALL_RULE_IDS)
-        assert not clean.stale_baseline
-
-    def test_update_preserves_surviving_justifications(self, violation_tree, tmp_path):
-        path = tmp_path / "baseline.json"
-        report = run_lint(violation_tree)
-        update_baseline(path, report.findings, load_baseline(path))
-
-        entries = [
-            BaselineEntry(e.rule, e.path, e.message, f"because {e.rule}")
-            for e in load_baseline(path).entries
-        ]
-        justified = Baseline(path=path, entries=tuple(entries))
-        updated = update_baseline(path, report.findings, justified)
-        assert {e.justification for e in updated.entries} == {
-            f"because {rule}" for rule in ALL_RULE_IDS
-        }
-
-    def test_matching_ignores_line_numbers(self, violation_tree, tmp_path):
-        path = tmp_path / "baseline.json"
-        report = run_lint(violation_tree)
-        update_baseline(path, report.findings, load_baseline(path))
-        # Prepend comments: every finding moves, the baseline still holds.
-        target = violation_tree / "repro/sim/unseeded.py"
-        target.write_text("# moved\n# moved\n" + target.read_text())
-        again = run_lint(violation_tree, baseline=load_baseline(path))
-        assert again.clean
-
-    def test_stale_entries_are_reported(self, tmp_path):
-        root = write_tree(tmp_path / "t", {"repro/sim/ok.py": "X = 1\n"})
-        stale = Baseline(
-            path=None,
-            entries=(BaselineEntry("DET001", "repro/sim/gone.py", "old"),),
-        )
-        report = run_lint(root, baseline=stale)
-        assert report.clean
-        assert [e.rule for e in report.stale_baseline] == ["DET001"]
-
-    def test_missing_file_is_empty_and_malformed_raises(self, tmp_path):
-        assert load_baseline(tmp_path / "absent.json").entries == ()
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"schema": "something-else"}))
-        with pytest.raises(ValueError, match="repro-lint-baseline"):
-            load_baseline(bad)
-        bad.write_text("not json")
-        with pytest.raises(ValueError, match="cannot read baseline"):
-            load_baseline(bad)
-
-
 class TestJsonSchema:
     def test_report_document_schema_is_stable(self, violation_tree):
         document = run_lint(violation_tree).to_dict()
         assert sorted(document) == [
-            "baselined",
             "clean",
             "findings",
             "root",
             "rules",
             "schema",
             "schema_version",
-            "stale_baseline",
             "suppressed",
         ]
         assert document["schema"] == "repro-lint"
-        assert document["schema_version"] == 1
+        assert document["schema_version"] == 2
         assert document["clean"] is False
         for row in document["findings"]:
-            assert sorted(row) == ["line", "message", "path", "rule", "severity"]
+            assert sorted(row) == ["line", "message", "path", "rule"]
         assert sorted(r["id"] for r in document["rules"]) == ALL_RULE_IDS
+        for rule in document["rules"]:
+            assert sorted(rule) == ["id", "title"]
 
     def test_document_is_json_serializable(self, violation_tree):
         text = json.dumps(run_lint(violation_tree).to_dict())

@@ -5,6 +5,7 @@ import pytest
 from repro.core.device import FrameReport
 from repro.core.device import (
     DEVICE_REGISTRY,
+    PRECISION_MODES,
     Device,
     UnsupportedKnobError,
     available_devices,
@@ -147,6 +148,17 @@ class TestDeviceCost:
         profile = get_device("flexnerfer").power_profile()
         assert profile["INT4"] > profile["INT8"] > profile["INT16"]
 
+    def test_power_profile_labels_follow_the_precision_capability(self):
+        for name in available_devices():
+            device = get_device(name)
+            profile = device.power_profile()
+            if device.supports_precision:
+                assert profile == {p.name: device.power_w(p) for p in PRECISION_MODES}
+            else:
+                native = device.native_precision
+                label = native.name if native is not None else "typical"
+                assert profile == {label: device.power_w()}
+
 
 def _device_subclasses(cls=Device):
     for sub in cls.__subclasses__():
@@ -195,7 +207,7 @@ class TestOneClassPerDevice:
         for name, watts in (("nvdla", 2.5), ("tpu", 2.0)):
             device = get_device(name)
             assert device.power_w() == watts
-            assert device.power_profile() == {"typical": watts}
+            assert device.power_profile() == {"INT8": watts}
             with pytest.raises(NotImplementedError):
                 device.area()
 

@@ -13,6 +13,9 @@ from repro.nerf.hashgrid import HashGrid, HashGridConfig
 from repro.nerf.positional import approx_positional_encoding
 from repro.nerf.workload import EncodingOp
 
+NAN, INF = float("nan"), float("inf")
+BAD_COUNTS = [NAN, INF, -INF, 2.5, True]
+
 
 class TestPositionalEncodingEngine:
     def test_functional_encoding_matches_approximation(self, rng):
@@ -27,6 +30,11 @@ class TestPositionalEncodingEngine:
         small = EncodingOp("p", "positional", num_points=640, input_dim=3, output_dim=60)
         large = EncodingOp("p", "positional", num_points=6400, input_dim=3, output_dim=60)
         assert pee.timing(large).cycles == pytest.approx(10 * pee.timing(small).cycles, rel=0.01)
+
+    @pytest.mark.parametrize("value", BAD_COUNTS)
+    def test_lane_count_must_be_an_integer(self, value):
+        with pytest.raises(ValueError, match="PEE num_lanes must be >= 1 and an integer"):
+            PositionalEncodingEngine(num_lanes=value)
 
     def test_rejects_hash_ops(self):
         with pytest.raises(ValueError):
@@ -68,6 +76,11 @@ class TestHashEncodingEngine:
             HashEncodingEngine(num_units=0)
         with pytest.raises(ValueError):
             HashEncodingEngine(coalescing_factor=0.5)
+
+    @pytest.mark.parametrize("value", BAD_COUNTS)
+    def test_unit_count_must_be_an_integer(self, value):
+        with pytest.raises(ValueError, match="HEE num_units must be >= 1 and an integer"):
+            HashEncodingEngine(num_units=value)
 
 
 class TestNeRFEncodingUnit:

@@ -39,7 +39,6 @@ ENFORCED_MODULES = (
     "repro.serve.traffic.streams",
     "repro.analysis",
     "repro.analysis.base",
-    "repro.analysis.baseline",
     "repro.analysis.driver",
     "repro.analysis.report",
     "repro.analysis.rules",

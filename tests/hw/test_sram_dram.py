@@ -5,6 +5,8 @@ import pytest
 from repro.hw.dram import GDDR6_2080TI, LPDDR3
 from repro.hw.sram import SRAMMacro
 
+NAN, INF = float("nan"), float("inf")
+
 
 class TestSRAM:
     def test_area_grows_with_capacity(self):
@@ -39,6 +41,13 @@ class TestSRAM:
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
             SRAMMacro("m", capacity_bytes=0)
+
+    @pytest.mark.parametrize("field", ["capacity_bytes", "width_bits", "banks"])
+    @pytest.mark.parametrize("value", [NAN, INF, -INF, 2.5, True])
+    def test_geometry_must_be_integer_counts(self, field, value):
+        args = {"capacity_bytes": 1024, field: value}
+        with pytest.raises(ValueError, match=f"SRAM {field} must be >= 1 and an integer"):
+            SRAMMacro("m", **args)
 
 
 class TestDRAM:

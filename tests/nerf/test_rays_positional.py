@@ -13,6 +13,8 @@ from repro.nerf.positional import (
 )
 from repro.nerf.rays import Camera, generate_rays, sample_along_rays
 
+NAN, INF = float("nan"), float("inf")
+
 
 class TestCameraAndRays:
     def test_ray_count_and_normalisation(self):
@@ -27,6 +29,18 @@ class TestCameraAndRays:
             Camera(width=0, height=4, focal=1.0)
         with pytest.raises(ValueError):
             Camera(width=4, height=4, focal=-1.0)
+
+    @pytest.mark.parametrize("field", ["width", "height"])
+    @pytest.mark.parametrize("value", [NAN, INF, -INF, 2.5, True])
+    def test_dimensions_must_be_integer_counts(self, field, value):
+        args = {"width": 4, "height": 4, "focal": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be >= 1 and an integer"):
+            Camera(**args)
+
+    @pytest.mark.parametrize("value", [NAN, INF, -INF])
+    def test_focal_must_be_finite(self, value):
+        with pytest.raises(ValueError, match="focal must be positive and finite"):
+            Camera(width=4, height=4, focal=value)
 
     def test_sampling_within_bounds(self, rng):
         camera = Camera(width=4, height=4, focal=5.0)

@@ -41,6 +41,11 @@ class TestQuantize:
         with pytest.raises(ValueError):
             quantize(np.ones(4), Precision.INT8, scale=0.0)
 
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_scale(self, scale):
+        with pytest.raises(ValueError, match="scale must be positive and finite"):
+            quantize(np.ones(4), Precision.INT8, scale=scale)
+
     def test_empty_tensor_error_is_zero(self):
         assert quantization_error(np.array([]), Precision.INT4) == 0.0
 
