@@ -13,6 +13,7 @@ removes the encoding bottleneck identified in Fig. 3:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,7 @@ from repro.hw.sram import SRAMMacro
 from repro.nerf.hashgrid import HashGrid
 from repro.nerf.positional import approx_positional_encoding
 from repro.nerf.workload import EncodingOp
-from repro.validate import require_count
+from repro.validate import require_count, require_positive
 
 
 @dataclass
@@ -48,7 +49,7 @@ class PositionalEncodingEngine:
     ) -> None:
         require_count("PEE num_lanes", num_lanes, 1)
         self.num_lanes = num_lanes
-        self.frequency_hz = frequency_hz
+        self.frequency_hz = require_positive("PEE frequency_hz", frequency_hz)
         self.library = library
 
     def encode(self, values: np.ndarray, num_frequencies: int) -> np.ndarray:
@@ -84,10 +85,12 @@ class HashEncodingEngine:
         library: ComponentLibrary = DEFAULT_LIBRARY,
     ) -> None:
         require_count("HEE num_units", num_units, 1)
-        if coalescing_factor < 1.0:
-            raise ValueError("coalescing factor must be >= 1")
+        if not (math.isfinite(coalescing_factor) and coalescing_factor >= 1.0):
+            raise ValueError(
+                f"HEE coalescing_factor must be finite and >= 1, got {coalescing_factor!r}"
+            )
         self.num_units = num_units
-        self.frequency_hz = frequency_hz
+        self.frequency_hz = require_positive("HEE frequency_hz", frequency_hz)
         self.coalescing_factor = coalescing_factor
         self.library = library
 

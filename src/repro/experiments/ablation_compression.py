@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.config import FlexNeRFerConfig
-from repro.experiments.api import Column, Param, experiment
+from repro.experiments.api import Column, experiment
 from repro.nerf.models import FrameConfig
 from repro.sim.memory import MemoryTrafficModel
 from repro.sim.sweep import SweepEngine, get_default_engine
@@ -42,11 +42,11 @@ class CompressionAblationRow:
     "ablation-compression",
     title="DRAM traffic with vs without sparsity-aware compression",
     tags=("ablation", "sparsity", "frame-sim"),
-    params=(
-        Param("models", str, DEFAULT_MODELS, help="models to measure", repeated=True),
-        Param("pruning_ratio", float, 0.5, help="structured pruning ratio"),
-        Param("precision", Precision, Precision.INT16, help="operand precision"),
-    ),
+    params={
+        "models": "models to measure",
+        "pruning_ratio": "structured pruning ratio",
+        "precision": "operand precision",
+    },
     columns=(
         Column("model", "<14"),
         Column("pruning %", ">9.0f", value=lambda r: r.pruning_ratio * 100),

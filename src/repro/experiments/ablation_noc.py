@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.distribution import DistributionNetwork
-from repro.experiments.api import Param, experiment
+from repro.experiments.api import experiment
 from repro.noc.energy import NoCEnergyModel
 from repro.noc.hierarchical import HMFNoC, HMNoC
 from repro.sparse.formats import Precision
@@ -75,12 +75,12 @@ def _render(result: NoCAblationResult) -> str:
     "ablation-noc",
     title="HMF-NoC vs HM-NoC energy, CLB bandwidth",
     tags=("ablation", "noc"),
-    params=(
-        Param("num_leaves", int, 64, help="distribution-tree leaf count"),
-        Param("num_steps", int, 64, help="mapping steps to replay"),
-        Param("reuse", float, 0.6, help="fraction of operands reused per step"),
-        Param("seed", int, 0, help="traffic-pattern RNG seed"),
-    ),
+    params={
+        "num_leaves": "distribution-tree leaf count",
+        "num_steps": "mapping steps to replay",
+        "reuse": "fraction of operands reused per step",
+        "seed": "traffic-pattern RNG seed",
+    },
     render=_render,
 )
 def run(

@@ -2,7 +2,8 @@
 
 Every paper artifact (figure / table / ablation) is an :class:`Experiment`:
 an id, a title, a set of tags, a typed parameter schema and a ``run``
-function.  Running an experiment always produces one uniform shape, the
+function; the schema is read off ``run``'s signature (:func:`derive_params`).
+Running an experiment always produces one uniform shape, the
 :class:`ExperimentResult` -- named columns, JSON-safe row dicts and
 provenance metadata (parameter values, config fingerprint, wall time, repo
 version) -- regardless of which dataclasses the experiment uses internally.
@@ -13,7 +14,7 @@ Modules register through the :func:`experiment` decorator::
         "fig99",
         title="My new study",
         tags=("frame-sim",),
-        params=(Param("device", str, "rtx-2080-ti"),),
+        params={"device": "registry name of the GPU"},
         columns=(
             Column("model", "<14"),
             Column("latency [ms]", ">14.1f", key="latency_ms"),
@@ -37,10 +38,12 @@ from __future__ import annotations
 import csv
 import enum
 import hashlib
+import inspect
 import io
 import json
 import re
 import time
+import typing
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -93,23 +96,14 @@ def _parse_precision(text: str) -> Precision:
             ) from exc
 
 
-def _parse_bool(text: str) -> bool:
-    """Parse a boolean flag value ('1/true/yes/on' or '0/false/no/off')."""
-    lowered = text.lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise BadParamError(f"invalid boolean '{text}'")
-
-
 @dataclass(frozen=True)
 class Param:
     """One typed experiment parameter, auto-exposed as a CLI flag.
 
-    ``type`` is the *element* type (``str`` / ``int`` / ``float`` / ``bool``
-    / :class:`Precision`); ``repeated`` parameters are tuples of elements and
-    parse from comma-separated flag values (``--pruning-ratios 0,0.5,0.9``).
+    ``type`` is the *element* type (one of :data:`PARAM_TYPES`);
+    ``repeated`` parameters are tuples of elements and parse from
+    comma-separated flag values (``--pruning-ratios 0,0.5,0.9``).
+    :func:`experiment` derives these from ``run``'s signature.
     """
 
     name: str
@@ -117,7 +111,6 @@ class Param:
     default: Any = None
     help: str = ""
     repeated: bool = False
-    choices: tuple[Any, ...] | None = None
 
     @property
     def flag(self) -> str:
@@ -163,34 +156,68 @@ class Param:
     def _element_from_text(self, text: str) -> Any:
         try:
             if self.type is Precision:
-                value = _parse_precision(text)
-            elif self.type is bool:
-                value = _parse_bool(text)
-            else:
-                value = self.type(text)
+                return _parse_precision(text)
+            return self.type(text)
         except (ValueError, TypeError) as exc:
             raise BadParamError(
                 f"{self.flag}: invalid {self.type.__name__} '{text}'"
             ) from exc
-        return self._check_choice(value)
 
     def _coerce_element(self, value: Any) -> Any:
         if isinstance(value, str):
             return self._element_from_text(value)
         if self.type is float and isinstance(value, (int, float)):
-            return self._check_choice(float(value))
+            return float(value)
         if not isinstance(value, self.type):
             raise BadParamError(
                 f"{self.name}: expected {self.type.__name__}, got {value!r}"
             )
-        return self._check_choice(value)
-
-    def _check_choice(self, value: Any) -> Any:
-        if self.choices is not None and value not in self.choices:
-            raise BadParamError(
-                f"{self.name}: {value!r} not in {list(self.choices)}"
-            )
         return value
+
+
+#: Element types an argument's hint must name for it to become a parameter.
+PARAM_TYPES = (str, int, float, Precision)
+
+
+def _param_type(hint: Any) -> tuple[type, bool] | None:
+    """``(element type, repeated)`` of a parameter hint, else None."""
+    if hint in PARAM_TYPES:
+        return hint, False
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple and args[1:] == (...,):
+        return (args[0], True) if args[0] in PARAM_TYPES else None
+    return None
+
+
+def derive_params(fn: Callable[..., Any], helps: Mapping[str, str]) -> tuple[Param, ...]:
+    """The typed parameters of ``fn``, read off its signature.
+
+    Every keyword argument whose hint :func:`_param_type` accepts becomes a
+    :class:`Param`, in signature order, with the signature's default and the
+    help text from ``helps``; other arguments (an ``engine``, a ``config``)
+    stay programmatic-only.  Raises a one-line :class:`ExperimentError` for a
+    help entry that names no parameter, a parameter without help and a
+    parameter without a default.
+    """
+    where = f"{fn.__module__}.{fn.__qualname__}"
+    hints = typing.get_type_hints(fn)
+    params = []
+    for arg in inspect.signature(fn).parameters.values():
+        kind = _param_type(hints.get(arg.name))
+        keyword = arg.kind in (arg.POSITIONAL_OR_KEYWORD, arg.KEYWORD_ONLY)
+        if kind is None or not keyword:
+            continue
+        if arg.name not in helps:
+            raise ExperimentError(f"{where}: parameter '{arg.name}' has no help text")
+        if arg.default is arg.empty:
+            raise ExperimentError(f"{where}: parameter '{arg.name}' has no default")
+        params.append(Param(arg.name, kind[0], arg.default, helps[arg.name], kind[1]))
+    unknown = sorted(set(helps) - {p.name for p in params})
+    if unknown:
+        raise ExperimentError(
+            f"{where}: help for '{unknown[0]}' names no str/int/float/Precision argument"
+        )
+    return tuple(params)
 
 
 # -- the shared table renderer ------------------------------------------------
@@ -392,8 +419,6 @@ class Experiment:
     render: Callable[[Any], str] | None = None
     #: Raw result -> sequence of row objects (default: the result itself).
     items: Callable[[Any], Sequence[Any]] = default_items
-    #: Raw result -> JSON-safe row dicts (default: flatten ``items``).
-    to_rows: Callable[[Any], list[dict[str, Any]]] | None = None
 
     def param(self, name: str) -> Param:
         """Look up one of the experiment's typed parameters by name."""
@@ -424,11 +449,7 @@ class Experiment:
         start = time.perf_counter()  # repro: lint-ignore[DET002]
         raw = self.fn(**values)
         wall_time_s = time.perf_counter() - start  # repro: lint-ignore[DET002] provenance only
-        rows = tuple(
-            self.to_rows(raw)
-            if self.to_rows is not None
-            else [_jsonify(item) for item in self.items(raw)]
-        )
+        rows = tuple(_jsonify(item) for item in self.items(raw))
         columns = tuple(rows[0].keys()) if rows else ()
         params_json = {p.name: p.to_json(values[p.name]) for p in self.params}
         provenance = Provenance(
@@ -478,15 +499,16 @@ def experiment(
     *,
     title: str,
     tags: Sequence[str] = (),
-    params: Sequence[Param] = (),
+    params: Mapping[str, str] = {},
     columns: Sequence[Column] | None = None,
     header: bool = True,
     render: Callable[[Any], str] | None = None,
     items: Callable[[Any], Sequence[Any]] = default_items,
-    to_rows: Callable[[Any], list[dict[str, Any]]] | None = None,
 ) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
     """Register a run() function as an :class:`Experiment`.
 
+    ``params`` maps each parameter's name to its help text; the types and
+    defaults come from ``run``'s signature (see :func:`derive_params`).
     Returns the function unchanged (so direct module-level calls keep their
     raw return types) and attaches the registered experiment as
     ``fn.experiment``.
@@ -499,12 +521,11 @@ def experiment(
                 title=title,
                 fn=fn,
                 tags=tuple(tags),
-                params=tuple(params),
+                params=derive_params(fn, params),
                 columns=tuple(columns) if columns is not None else None,
                 header=header,
                 render=render,
                 items=items,
-                to_rows=to_rows,
             )
         )
         fn.experiment = exp

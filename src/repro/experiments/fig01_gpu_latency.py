@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.api import Column, Param, experiment
+from repro.experiments.api import Column, experiment
 from repro.nerf.models import MODEL_REGISTRY, FrameConfig
 from repro.sim.sweep import SweepEngine, SweepSpec, get_default_engine
 
@@ -32,9 +32,7 @@ class LatencyRow:
     "fig01",
     title="GPU rendering latency of seven NeRF models",
     tags=("frame-sim", "gpu"),
-    params=(
-        Param("device", str, "rtx-2080-ti", help="registry name of the GPU"),
-    ),
+    params={"device": "registry name of the GPU"},
     columns=(
         Column("model", "<14"),
         Column("latency [ms]", ">14.1f", key="latency_ms"),

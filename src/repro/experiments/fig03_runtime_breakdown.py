@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.api import Column, Param, experiment
+from repro.experiments.api import Column, experiment
 from repro.nerf.models import MODEL_REGISTRY, FrameConfig
 from repro.nerf.workload import OpCategory
 from repro.sim.sweep import SweepEngine, SweepSpec, get_default_engine
@@ -33,9 +33,7 @@ class BreakdownRow:
     "fig03",
     title="GPU runtime breakdown per model",
     tags=("frame-sim", "gpu"),
-    params=(
-        Param("device", str, "rtx-2080-ti", help="registry name of the GPU"),
-    ),
+    params={"device": "registry name of the GPU"},
     columns=(
         Column("model", "<14"),
         Column("GEMM %", ">8.1f", value=lambda r: r.gemm_fraction * 100),

@@ -10,8 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.mac_array import MACArray
-from repro.experiments.api import Column, Param, experiment
-from repro.sim.array_config import ArrayConfig
+from repro.experiments.api import Column, experiment
 from repro.sparse.formats import Precision
 
 
@@ -30,10 +29,7 @@ class FetchRow:
     "fig06",
     title="Multiplier grid and fetch size per precision",
     tags=("hw-cost", "precision"),
-    params=(
-        Param("rows", int, 64, help="physical MAC-array rows"),
-        Param("cols", int, 64, help="physical MAC-array columns"),
-    ),
+    params={"rows": "physical MAC-array rows", "cols": "physical MAC-array columns"},
     columns=(
         Column("mode", "<8", value=lambda r: r.precision.name),
         Column("grid", ">12", value=lambda r: f"{r.grid_rows}x{r.grid_cols}"),

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.api import Column, Param, experiment
+from repro.experiments.api import Column, experiment
 from repro.sparse.footprint import FootprintModel
 from repro.sparse.formats import Precision, SparsityFormat
 
@@ -52,15 +52,7 @@ def _points_cell(entry: "FootprintSeries") -> str:
     "fig07",
     title="Memory footprint vs sparsity per format",
     tags=("sparsity", "formats"),
-    params=(
-        Param(
-            "precisions",
-            Precision,
-            (Precision.INT16, Precision.INT8, Precision.INT4),
-            help="precision modes to sweep",
-            repeated=True,
-        ),
-    ),
+    params={"precisions": "precision modes to sweep"},
     columns=(
         Column("precision", "<6", value=lambda e: e.precision.name),
         Column("fmt", "<7", value=lambda e: e.fmt.value),

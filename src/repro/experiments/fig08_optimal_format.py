@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.api import Column, Param, experiment
+from repro.experiments.api import Column, experiment
 from repro.experiments.fig07_footprint import SPARSITY_PERCENTAGES
 from repro.sparse.formats import Precision, SparsityFormat
 from repro.sparse.selector import FormatSelector
@@ -44,15 +44,7 @@ def _transitions_cell(row: "OptimalFormatRow") -> str:
     "fig08",
     title="Optimal sparsity format per ratio / mode",
     tags=("sparsity", "formats"),
-    params=(
-        Param(
-            "precisions",
-            Precision,
-            (Precision.INT4, Precision.INT8, Precision.INT16),
-            help="precision modes to sweep",
-            repeated=True,
-        ),
-    ),
+    params={"precisions": "precision modes to sweep"},
     columns=(
         Column("precision", "<6", value=lambda r: r.precision.name),
         Column("transitions", "", value=_transitions_cell),

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.api import Column, Param, experiment
+from repro.experiments.api import Column, experiment
 from repro.nerf.hashgrid import HashGridConfig
 from repro.nerf.rays import Camera
 from repro.nerf.renderer import InstantNGPRenderer
@@ -34,11 +34,11 @@ class SparsityRow:
     "fig13",
     title="Input sparsity across rendering stages",
     tags=("sparsity", "nerf"),
-    params=(
-        Param("scenes", str, ("lego", "mic"), help="scenes to render", repeated=True),
-        Param("image_size", int, 48, help="rendered image side length"),
-        Param("num_samples", int, 32, help="samples per ray"),
-    ),
+    params={
+        "scenes": "scenes to render",
+        "image_size": "rendered image side length",
+        "num_samples": "samples per ray",
+    },
     columns=(
         Column("scene", "<8"),
         Column(

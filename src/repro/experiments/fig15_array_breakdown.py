@@ -10,7 +10,7 @@ from repro.baselines.arrays import (
     SigmaArray,
 )
 from repro.core.mac_array import MACArray
-from repro.experiments.api import Param, experiment
+from repro.experiments.api import experiment
 from repro.sparse.formats import Precision
 
 
@@ -43,9 +43,7 @@ def _render(rows: list[BreakdownRow]) -> str:
     "fig15",
     title="Compute-array area/power breakdowns",
     tags=("hw-cost", "baseline"),
-    params=(
-        Param("precision", Precision, Precision.INT16, help="operating mode"),
-    ),
+    params={"precision": "operating mode"},
     render=_render,
 )
 def run(precision: Precision = Precision.INT16) -> list[BreakdownRow]:

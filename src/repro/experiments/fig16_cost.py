@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.device import get_device
-from repro.experiments.api import Column, Param, experiment
+from repro.experiments.api import Column, experiment
 
 #: On-device integration constraints quoted in the paper.
 AREA_CONSTRAINT_MM2 = 100.0
@@ -36,15 +36,7 @@ class DeviceCostRow:
     "fig16",
     title="Accelerator-level area/power vs GPUs and NeuRex",
     tags=("hw-cost",),
-    params=(
-        Param(
-            "devices",
-            str,
-            DEFAULT_DEVICES,
-            help="registry names of the devices to compare",
-            repeated=True,
-        ),
-    ),
+    params={"devices": "registry names of the devices to compare"},
     columns=(
         Column("device", "<14"),
         Column("area [mm2]", ">10.1f", key="area_mm2"),

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.device import get_device
-from repro.experiments.api import Param, experiment
+from repro.experiments.api import experiment
 from repro.sparse.formats import Precision
 
 
@@ -72,9 +72,7 @@ def _render(result: Fig17Result) -> str:
     "fig17",
     title="FlexNeRFer / NeuRex cost breakdowns",
     tags=("hw-cost",),
-    params=(
-        Param("precision", Precision, Precision.INT16, help="operating mode"),
-    ),
+    params={"precision": "operating mode"},
     render=_render,
     items=lambda result: (result.neurex, result.flexnerfer),
 )

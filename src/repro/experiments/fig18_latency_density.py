@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.api import Column, Param, experiment
+from repro.experiments.api import Column, experiment
 from repro.nerf.models import FrameConfig
 from repro.sim.sweep import SweepEngine, SweepSpec, get_default_engine
 from repro.sparse.formats import Precision
@@ -56,9 +56,7 @@ def _row(result, normalized: float, area_mm2: float, density: float) -> LatencyD
     "fig18",
     title="Normalised latency and compute density",
     tags=("frame-sim",),
-    params=(
-        Param("model_name", str, "instant-ngp", help="NeRF model to render"),
-    ),
+    params={"model_name": "NeRF model to render"},
     columns=(
         Column("device", "<12"),
         Column("mode", "<6", value=lambda r: r.precision.name if r.precision else "-"),

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.experiments._stats import gain_geomean
-from repro.experiments.api import Column, Param, experiment
+from repro.experiments.api import Column, experiment
 from repro.nerf.models import MODEL_REGISTRY, FrameConfig
 from repro.sim.sweep import SweepEngine, SweepSpec, get_default_engine
 from repro.sparse.formats import Precision
@@ -45,22 +45,10 @@ class GainPoint:
     "fig19",
     title="Speedup / energy gain over the GPU",
     tags=("frame-sim", "sparsity", "precision"),
-    params=(
-        Param(
-            "models",
-            str,
-            DEFAULT_MODELS,
-            help="models to average over ('all' for every registered model)",
-            repeated=True,
-        ),
-        Param(
-            "pruning_ratios",
-            float,
-            PRUNING_RATIOS,
-            help="structured pruning ratios to sweep",
-            repeated=True,
-        ),
-    ),
+    params={
+        "models": "models to average over ('all' for every registered model)",
+        "pruning_ratios": "structured pruning ratios to sweep",
+    },
     columns=(
         Column("device", "<12"),
         Column("mode", "<6", value=lambda p: p.precision.name if p.precision else "-"),

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.api import Column, Param, experiment
+from repro.experiments.api import Column, experiment
 from repro.nerf.hashgrid import HashGridConfig
 from repro.nerf.models import FrameConfig
 from repro.nerf.rays import Camera
@@ -41,11 +41,11 @@ class PSNRPoint:
     "fig20a",
     title="PSNR vs energy efficiency per precision",
     tags=("frame-sim", "nerf", "quant"),
-    params=(
-        Param("scene_name", str, "lego", help="scene to render"),
-        Param("image_size", int, 48, help="rendered image side length"),
-        Param("num_samples", int, 32, help="samples per ray"),
-    ),
+    params={
+        "scene_name": "scene to render",
+        "image_size": "rendered image side length",
+        "num_samples": "samples per ray",
+    },
     columns=(
         Column("setting", "<18", key="label"),
         Column(

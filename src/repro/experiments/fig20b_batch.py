@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.api import Column, Param, experiment
+from repro.experiments.api import Column, experiment
 from repro.nerf.models import FrameConfig
 from repro.sim.sweep import SweepEngine, SweepSpec, get_default_engine, index_rows
 from repro.sparse.formats import Precision
@@ -50,18 +50,12 @@ def _batch_efficiency(batch_size: int) -> float:
     "fig20b",
     title="Speedup vs batch size and scene complexity",
     tags=("frame-sim", "nerf"),
-    params=(
-        Param("scenes", str, ("mic", "palace"), help="scenes to sweep", repeated=True),
-        Param(
-            "batch_sizes",
-            int,
-            BATCH_SIZES,
-            help="ray batch sizes to sweep",
-            repeated=True,
-        ),
-        Param("model_name", str, "instant-ngp", help="NeRF model to render"),
-        Param("precision", Precision, Precision.INT16, help="FlexNeRFer mode"),
-    ),
+    params={
+        "scenes": "scenes to sweep",
+        "batch_sizes": "ray batch sizes to sweep",
+        "model_name": "NeRF model to render",
+        "precision": "FlexNeRFer mode",
+    },
     columns=(
         Column("scene", "<8"),
         Column("batch", ">6", key="batch_size"),

@@ -14,17 +14,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.api import Column, Param, experiment
+from repro.experiments.api import Column, experiment
 from repro.plan.evaluate import EvaluatedPoint, evaluate_space
 from repro.plan.pareto import cheapest_feasible, pareto_frontier
 from repro.plan.space import PLAN_SPECS, load_space
 from repro.sim.sweep import SweepEngine, get_default_engine
+from repro.validate import require_positive
 
 #: SLA targets (milliseconds) the capacity table sweeps by default.
 DEFAULT_SLA_LADDER_MS = (15.0, 25.0, 50.0, 120.0)
 
 #: Attainment floor the capacity table requires at every SLA target.
 DEFAULT_MIN_ATTAINMENT = 0.95
+
+#: Help text of the ``spec`` parameter both planning experiments take.
+SPEC_HELP = f"plan space to search: {', '.join(sorted(PLAN_SPECS))} or a JSON spec file"
 
 
 def _evaluated_points(
@@ -53,14 +57,7 @@ class FrontierPoint:
     "plan-frontier",
     title="Fleet plan space: Pareto frontier (cost vs p99 vs energy)",
     tags=("planning",),
-    params=(
-        Param(
-            "spec",
-            str,
-            "tiny",
-            help=f"plan space to search: {', '.join(sorted(PLAN_SPECS))} or a JSON spec file",
-        ),
-    ),
+    params={"spec": SPEC_HELP},
     columns=(
         Column("fleet", "<24"),
         Column("n", ">2", key="workers"),
@@ -111,27 +108,11 @@ class CapacityPoint:
     "plan-capacity",
     title="Capacity ladder: cheapest feasible fleet per SLA target",
     tags=("planning",),
-    params=(
-        Param(
-            "spec",
-            str,
-            "tiny",
-            help=f"plan space to search: {', '.join(sorted(PLAN_SPECS))} or a JSON spec file",
-        ),
-        Param(
-            "sla_ladder_ms",
-            float,
-            DEFAULT_SLA_LADDER_MS,
-            help="SLA targets (ms) to solve the capacity question at",
-            repeated=True,
-        ),
-        Param(
-            "min_attainment",
-            float,
-            DEFAULT_MIN_ATTAINMENT,
-            help="required SLO attainment over offered load, in [0, 1]",
-        ),
-    ),
+    params={
+        "spec": SPEC_HELP,
+        "sla_ladder_ms": "SLA targets (ms) to solve the capacity question at",
+        "min_attainment": "required SLO attainment over offered load, in [0, 1]",
+    },
     columns=(
         Column("SLA [ms]", ">8.1f", key="sla_ms"),
         Column("fleet", "<24"),
@@ -151,6 +132,8 @@ def run_capacity(
     """Solve the cheapest-feasible-fleet question at each SLA target."""
     if not 0.0 <= min_attainment <= 1.0:
         raise ValueError(f"min_attainment must be in [0, 1], got {min_attainment}")
+    for sla_ms in sla_ladder_ms:
+        require_positive("sla_ladder_ms", sla_ms)
     engine = engine or get_default_engine()
     points = _evaluated_points(spec, engine)
     rows = []

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.api import Column, Param, experiment
+from repro.experiments.api import Column, experiment
 from repro.plan.space import REFERENCE_MIX
 from repro.serve.control import (
     AutoscalePolicy,
@@ -45,18 +45,18 @@ class AutoscalePoint:
     "serve-autoscale",
     title="Autoscaling policies vs static pools under diurnal load",
     tags=("serving",),
-    params=(
-        Param("device", str, "flexnerfer", help="device registry name of the pool"),
-        Param("pool", int, 6, help="provisioned pool size (devices)"),
-        Param("base_rps", float, 10.0, help="diurnal trough arrival rate"),
-        Param("peak_rps", float, 60.0, help="diurnal peak arrival rate"),
-        Param("period_s", float, 20.0, help="diurnal period"),
-        Param("duration_s", float, 40.0, help="stream duration in seconds"),
-        Param("sla_ms", float, 400.0, help="per-request latency SLA"),
-        Param("provision_delay_ms", float, 500.0, help="scale-out provisioning delay"),
-        Param("target_p95_ms", float, 200.0, help="latency-target policy's p95 goal"),
-        Param("seed", int, 0, help="request stream seed"),
-    ),
+    params={
+        "device": "device registry name of the pool",
+        "pool": "provisioned pool size (devices)",
+        "base_rps": "diurnal trough arrival rate",
+        "peak_rps": "diurnal peak arrival rate",
+        "period_s": "diurnal period",
+        "duration_s": "stream duration in seconds",
+        "sla_ms": "per-request latency SLA",
+        "provision_delay_ms": "scale-out provisioning delay",
+        "target_p95_ms": "latency-target policy's p95 goal",
+        "seed": "request stream seed",
+    },
     columns=(
         Column("policy", "<15", key="policy"),
         Column("reqs", ">6", key="num_requests"),

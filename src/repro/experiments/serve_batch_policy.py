@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.api import Column, Param, experiment
+from repro.experiments.api import Column, experiment
 from repro.plan.space import REFERENCE_MIX
 from repro.serve.fleet import FleetSimulator
 from repro.serve.request import PoissonStream
@@ -43,21 +43,15 @@ class PolicyPoint:
     "serve-batch-policy",
     title="Scheduling policy: FIFO vs batch-up-to-deadline",
     tags=("serving",),
-    params=(
-        Param("device", str, "flexnerfer", help="device registry name to serve on"),
-        Param("rate_rps", float, 40.0, help="Poisson arrival rate (requests/s)"),
-        Param("duration_s", float, 30.0, help="stream duration in seconds"),
-        Param(
-            "max_batches",
-            int,
-            DEFAULT_MAX_BATCHES,
-            help="batch-size bounds to sweep for the batching policy",
-            repeated=True,
-        ),
-        Param("max_wait_ms", float, 50.0, help="longest a request may be held"),
-        Param("sla_ms", float, 1000.0, help="per-request latency SLA"),
-        Param("seed", int, 0, help="request stream seed"),
-    ),
+    params={
+        "device": "device registry name to serve on",
+        "rate_rps": "Poisson arrival rate (requests/s)",
+        "duration_s": "stream duration in seconds",
+        "max_batches": "batch-size bounds to sweep for the batching policy",
+        "max_wait_ms": "longest a request may be held",
+        "sla_ms": "per-request latency SLA",
+        "seed": "request stream seed",
+    },
     columns=(
         Column("policy", "<12"),
         Column("batch", ">6.2f", key="mean_batch"),

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.experiments._serving import MODELED_LADDER
-from repro.experiments.api import Column, Param, experiment
+from repro.experiments.api import Column, experiment
 from repro.plan.space import REFERENCE_MIX
 from repro.serve.control import (
     ControlConfig,
@@ -55,29 +55,18 @@ class FlashCrowdPoint:
     "serve-flash-crowd",
     title="Flash-crowd burst absorption per control mechanism",
     tags=("serving",),
-    params=(
-        Param("device", str, "flexnerfer", help="device registry name to serve on"),
-        Param("base_rps", float, 12.0, help="baseline arrival rate between bursts"),
-        Param(
-            "burst_rates",
-            float,
-            DEFAULT_BURST_RATES,
-            help="crowd arrival rates to sweep (requests/s during a burst)",
-            repeated=True,
-        ),
-        Param("num_bursts", int, 2, help="seeded burst epochs per run"),
-        Param("burst_s", float, 2.5, help="duration of each burst window"),
-        Param("duration_s", float, 20.0, help="stream duration in seconds"),
-        Param("sla_ms", float, 250.0, help="per-request latency SLA"),
-        Param("max_queue", int, 6, help="queue-cap admission bound"),
-        Param(
-            "depth_per_step",
-            int,
-            4,
-            help="queued requests per worker per degradation-ladder rung",
-        ),
-        Param("seed", int, 0, help="request stream seed"),
-    ),
+    params={
+        "device": "device registry name to serve on",
+        "base_rps": "baseline arrival rate between bursts",
+        "burst_rates": "crowd arrival rates to sweep (requests/s during a burst)",
+        "num_bursts": "seeded burst epochs per run",
+        "burst_s": "duration of each burst window",
+        "duration_s": "stream duration in seconds",
+        "sla_ms": "per-request latency SLA",
+        "max_queue": "queue-cap admission bound",
+        "depth_per_step": "queued requests per worker per degradation-ladder rung",
+        "seed": "request stream seed",
+    },
     columns=(
         Column("burst", ">6.0f", key="burst_rps"),
         Column("mode", "<10", key="mode"),

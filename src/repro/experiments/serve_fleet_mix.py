@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.experiments._serving import parse_fleet
-from repro.experiments.api import Column, Param, experiment
+from repro.experiments.api import Column, experiment
 from repro.plan.space import REFERENCE_MIX
 from repro.serve.fleet import FleetSimulator
 from repro.serve.request import DiurnalStream
@@ -47,21 +47,15 @@ class FleetPoint:
     "serve-fleet-mix",
     title="Fleet compositions under diurnal load (sparsity-aware routing)",
     tags=("serving",),
-    params=(
-        Param(
-            "fleets",
-            str,
-            DEFAULT_FLEETS,
-            help="fleet compositions to compare, e.g. flexnerfer+neurex",
-            repeated=True,
-        ),
-        Param("base_rps", float, 5.0, help="trough arrival rate (requests/s)"),
-        Param("peak_rps", float, 30.0, help="peak arrival rate (requests/s)"),
-        Param("period_s", float, 20.0, help="burst cycle period"),
-        Param("duration_s", float, 40.0, help="stream duration in seconds"),
-        Param("sla_ms", float, 300.0, help="per-request latency SLA"),
-        Param("seed", int, 0, help="request stream seed"),
-    ),
+    params={
+        "fleets": "fleet compositions to compare, e.g. flexnerfer+neurex",
+        "base_rps": "trough arrival rate (requests/s)",
+        "peak_rps": "peak arrival rate (requests/s)",
+        "period_s": "burst cycle period",
+        "duration_s": "stream duration in seconds",
+        "sla_ms": "per-request latency SLA",
+        "seed": "request stream seed",
+    },
     columns=(
         Column("fleet", "<24"),
         Column("p50 [ms]", ">9.1f", key="p50_latency_ms"),

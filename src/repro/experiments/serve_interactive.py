@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.experiments._serving import MODELED_LADDER
-from repro.experiments.api import Column, Param, experiment
+from repro.experiments.api import Column, experiment
 from repro.serve.control import ControlConfig, QueueDepthShedder
 from repro.serve.fleet import FleetSimulator
 from repro.serve.request import Scenario, ScenarioMix
@@ -57,27 +57,16 @@ class InteractivePoint:
     "serve-interactive",
     title="Interactive session frames: deadlines, shedding, pinned quality",
     tags=("serving",),
-    params=(
-        Param("device", str, "flexnerfer", help="device registry name to serve on"),
-        Param(
-            "sessions",
-            int,
-            DEFAULT_SESSIONS,
-            help="concurrent-session counts to sweep",
-            repeated=True,
-        ),
-        Param("frames", int, 40, help="frames per session"),
-        Param("fps", float, 20.0, help="frame rate of each session"),
-        Param("spread_s", float, 1.0, help="session start-time spread"),
-        Param("jitter_ms", float, 5.0, help="per-frame arrival jitter"),
-        Param(
-            "depth_per_step",
-            int,
-            2,
-            help="queued frames per worker per degradation-ladder rung",
-        ),
-        Param("seed", int, 0, help="session stream seed"),
-    ),
+    params={
+        "device": "device registry name to serve on",
+        "sessions": "concurrent-session counts to sweep",
+        "frames": "frames per session",
+        "fps": "frame rate of each session",
+        "spread_s": "session start-time spread",
+        "jitter_ms": "per-frame arrival jitter",
+        "depth_per_step": "queued frames per worker per degradation-ladder rung",
+        "seed": "session stream seed",
+    },
     columns=(
         Column("sessions", ">8", key="sessions"),
         Column("mode", "<12", key="mode"),

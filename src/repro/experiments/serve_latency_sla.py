@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.api import Column, Param, experiment
+from repro.experiments.api import Column, experiment
 from repro.plan.space import REFERENCE_MIX
 from repro.serve.fleet import FleetSimulator
 from repro.serve.request import PoissonStream
@@ -43,19 +43,13 @@ class SLAPoint:
     "serve-latency-sla",
     title="Serving tail latency / goodput vs offered load",
     tags=("serving",),
-    params=(
-        Param("device", str, "flexnerfer", help="device registry name to serve on"),
-        Param(
-            "rates",
-            float,
-            DEFAULT_RATES,
-            help="Poisson arrival rates to sweep (requests/s)",
-            repeated=True,
-        ),
-        Param("duration_s", float, 30.0, help="stream duration in seconds"),
-        Param("sla_ms", float, 250.0, help="per-request latency SLA"),
-        Param("seed", int, 0, help="request stream seed"),
-    ),
+    params={
+        "device": "device registry name to serve on",
+        "rates": "Poisson arrival rates to sweep (requests/s)",
+        "duration_s": "stream duration in seconds",
+        "sla_ms": "per-request latency SLA",
+        "seed": "request stream seed",
+    },
     columns=(
         Column("rate", ">6.0f", key="rate_rps"),
         Column("reqs", ">6", key="num_requests"),

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.experiments._serving import parse_fleet
-from repro.experiments.api import Column, Param, experiment
+from repro.experiments.api import Column, experiment
 from repro.plan.space import REFERENCE_MIX
 from repro.serve.fleet import FleetSimulator
 from repro.serve.request import ScenarioMix
@@ -61,18 +61,12 @@ class TenantPoint:
     "serve-multi-tenant",
     title="Per-tenant SLO attainment on shared candidate fleets",
     tags=("serving",),
-    params=(
-        Param(
-            "fleets",
-            str,
-            DEFAULT_FLEETS,
-            help="candidate fleets, each a +-separated device list",
-            repeated=True,
-        ),
-        Param("duration_s", float, 20.0, help="stream duration in seconds"),
-        Param("scale", float, 1.0, help="multiplier on every tenant's rate"),
-        Param("seed", int, 0, help="request stream seed"),
-    ),
+    params={
+        "fleets": "candidate fleets, each a +-separated device list",
+        "duration_s": "stream duration in seconds",
+        "scale": "multiplier on every tenant's rate",
+        "seed": "request stream seed",
+    },
     columns=(
         Column("fleet", "<18", key="fleet"),
         Column("tenant", "<12", key="tenant"),

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.api import Column, Param, experiment
+from repro.experiments.api import Column, experiment
 from repro.plan.space import REFERENCE_MIX
 from repro.serve.control import (
     ControlConfig,
@@ -57,28 +57,17 @@ class OverloadPoint:
     "serve-overload-sla",
     title="SLO attainment under overload per control mechanism",
     tags=("serving",),
-    params=(
-        Param("device", str, "flexnerfer", help="device registry name to serve on"),
-        Param(
-            "rates",
-            float,
-            DEFAULT_RATES,
-            help="Poisson arrival rates to sweep (requests/s)",
-            repeated=True,
-        ),
-        Param("duration_s", float, 20.0, help="stream duration in seconds"),
-        Param("sla_ms", float, 250.0, help="per-request latency SLA"),
-        Param("max_queue", int, 5, help="queue-cap admission bound"),
-        Param("admit_rps", float, 24.0, help="token-bucket sustained admit rate"),
-        Param("admit_burst", float, 5.0, help="token-bucket burst headroom"),
-        Param(
-            "depth_per_step",
-            int,
-            4,
-            help="queued requests per worker per degradation-ladder rung",
-        ),
-        Param("seed", int, 0, help="request stream seed"),
-    ),
+    params={
+        "device": "device registry name to serve on",
+        "rates": "Poisson arrival rates to sweep (requests/s)",
+        "duration_s": "stream duration in seconds",
+        "sla_ms": "per-request latency SLA",
+        "max_queue": "queue-cap admission bound",
+        "admit_rps": "token-bucket sustained admit rate",
+        "admit_burst": "token-bucket burst headroom",
+        "depth_per_step": "queued requests per worker per degradation-ladder rung",
+        "seed": "request stream seed",
+    },
     columns=(
         Column("rate", ">6.0f", key="rate_rps"),
         Column("mode", "<13", key="mode"),

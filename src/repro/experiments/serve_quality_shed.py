@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.api import Column, Param, experiment
+from repro.experiments.api import Column, experiment
 from repro.plan.space import REFERENCE_MIX
 from repro.serve.control import ControlConfig, QueueDepthShedder, price_ladder
 from repro.serve.fleet import FleetSimulator
@@ -47,20 +47,14 @@ class ShedPoint:
     "serve-quality-shed",
     title="Quality shedding: attainment vs delivered quality",
     tags=("serving",),
-    params=(
-        Param("device", str, "flexnerfer", help="device registry name to serve on"),
-        Param("rate_rps", float, 50.0, help="offered load (~2x capacity)"),
-        Param("duration_s", float, 20.0, help="stream duration in seconds"),
-        Param("sla_ms", float, 250.0, help="per-request latency SLA"),
-        Param(
-            "depths",
-            int,
-            DEFAULT_DEPTHS,
-            help="depth_per_step values to sweep (smaller sheds harder)",
-            repeated=True,
-        ),
-        Param("seed", int, 0, help="request stream seed"),
-    ),
+    params={
+        "device": "device registry name to serve on",
+        "rate_rps": "offered load (~2x capacity)",
+        "duration_s": "stream duration in seconds",
+        "sla_ms": "per-request latency SLA",
+        "depths": "depth_per_step values to sweep (smaller sheds harder)",
+        "seed": "request stream seed",
+    },
     columns=(
         Column("config", "<10", key="config"),
         Column("done", ">6", key="completed"),

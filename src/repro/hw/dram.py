@@ -7,7 +7,10 @@ constants follow widely used published estimates for each interface class.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+from repro.validate import require_positive
 
 
 @dataclass(frozen=True)
@@ -20,21 +23,28 @@ class DRAMSpec:
     capacity_gb: float = 8.0
     background_power_w: float = 0.15
 
+    def __post_init__(self) -> None:
+        require_positive(f"{self.name} bandwidth_gbps", self.bandwidth_gbps)
+        require_positive(f"{self.name} energy_per_bit_pj", self.energy_per_bit_pj)
+
     @property
     def bandwidth_bytes_per_s(self) -> float:
         return self.bandwidth_gbps * 1e9
 
     def transfer_time_s(self, num_bytes: float) -> float:
         """Time to transfer ``num_bytes`` at peak bandwidth."""
-        if num_bytes < 0:
-            raise ValueError("byte count must be non-negative")
-        return num_bytes / self.bandwidth_bytes_per_s
+        return _byte_count(num_bytes) / self.bandwidth_bytes_per_s
 
     def transfer_energy_j(self, num_bytes: float) -> float:
         """Energy to transfer ``num_bytes``."""
-        if num_bytes < 0:
-            raise ValueError("byte count must be non-negative")
-        return num_bytes * 8.0 * self.energy_per_bit_pj * 1e-12
+        return _byte_count(num_bytes) * 8.0 * self.energy_per_bit_pj * 1e-12
+
+
+def _byte_count(num_bytes: float) -> float:
+    """Return ``num_bytes`` if it is a finite, non-negative byte count."""
+    if not (math.isfinite(num_bytes) and num_bytes >= 0):
+        raise ValueError(f"byte count must be finite and non-negative, got {num_bytes!r}")
+    return num_bytes
 
 
 #: FlexNeRFer / NeuRex local DRAM (paper Fig. 14): LPDDR3-1600, 12.8 GB/s.

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from repro.nerf.scenes import SyntheticScene, get_scene
 from repro.nerf.workload import EncodingOp, GEMMOp, MiscOp, Workload
 from repro.sparse.formats import Precision
+from repro.validate import require_count
 
 
 @dataclass(frozen=True)
@@ -21,8 +22,8 @@ class FrameConfig:
     precision: Precision = Precision.INT16
 
     def __post_init__(self) -> None:
-        if min(self.image_width, self.image_height, self.batch_size) < 1:
-            raise ValueError("image dimensions and batch size must be positive")
+        for name in ("image_width", "image_height", "batch_size"):
+            require_count(name, getattr(self, name), 1)
 
     @property
     def num_rays(self) -> int:

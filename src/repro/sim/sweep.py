@@ -94,8 +94,8 @@ class SweepSpec:
         """The base config with one sweep point's scene / batch substituted."""
         return replace(
             self.base_config,
-            scene_name=scene or self.base_config.scene_name,
-            batch_size=batch or self.base_config.batch_size,
+            scene_name=self.base_config.scene_name if scene is None else scene,
+            batch_size=self.base_config.batch_size if batch is None else batch,
         )
 
 

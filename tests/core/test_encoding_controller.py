@@ -77,6 +77,18 @@ class TestHashEncodingEngine:
         with pytest.raises(ValueError):
             HashEncodingEngine(coalescing_factor=0.5)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_coalescing_factor_must_be_finite_and_at_least_one(self, value):
+        with pytest.raises(ValueError, match="HEE coalescing_factor must be finite"):
+            HashEncodingEngine(coalescing_factor=value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_clock_must_be_positive_and_finite(self, value):
+        with pytest.raises(ValueError, match="HEE frequency_hz must be positive"):
+            HashEncodingEngine(frequency_hz=value)
+        with pytest.raises(ValueError, match="PEE frequency_hz must be positive"):
+            PositionalEncodingEngine(frequency_hz=value)
+
     @pytest.mark.parametrize("value", BAD_COUNTS)
     def test_unit_count_must_be_an_integer(self, value):
         with pytest.raises(ValueError, match="HEE num_units must be >= 1 and an integer"):

@@ -16,8 +16,9 @@ from repro.experiments import (
     get_experiment,
     run_experiment,
 )
-from repro.experiments.api import config_fingerprint
+from repro.experiments.api import ExperimentError, config_fingerprint, derive_params
 from repro.experiments.cli import run_many
+from repro.sim.sweep import SweepEngine
 from repro.sparse.formats import Precision
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -132,6 +133,81 @@ class TestTypedParams:
 
     def test_param_flag_naming(self):
         assert Param("pruning_ratios", float, (), repeated=True).flag == "--pruning-ratios"
+
+
+def _typed_run(
+    device: str = "flexnerfer",
+    rows: int = 64,
+    rate_rps: float = 20.0,
+    precision: Precision = Precision.INT8,
+    ratios: tuple[float, ...] = (0.0, 0.5),
+    engine: SweepEngine | None = None,
+    note=None,
+):
+    """A run() with one argument of every kind the schema derivation reads."""
+
+
+_TYPED_HELP = {
+    "device": "device name",
+    "rows": "array rows",
+    "rate_rps": "arrival rate",
+    "precision": "precision mode",
+    "ratios": "pruning ratios",
+}
+
+
+class TestDerivedSchema:
+    """The parameter schema is read off run()'s signature, help from the decorator."""
+
+    def test_each_supported_hint_becomes_a_param(self):
+        assert derive_params(_typed_run, _TYPED_HELP) == (
+            Param("device", str, "flexnerfer", "device name"),
+            Param("rows", int, 64, "array rows"),
+            Param("rate_rps", float, 20.0, "arrival rate"),
+            Param("precision", Precision, Precision.INT8, "precision mode"),
+            Param("ratios", float, (0.0, 0.5), "pruning ratios", repeated=True),
+        )
+
+    def test_other_arguments_stay_programmatic(self):
+        names = [p.name for p in derive_params(_typed_run, _TYPED_HELP)]
+        assert "engine" not in names and "note" not in names
+        # A registered experiment keeps its engine / config arguments off the CLI.
+        assert [p.name for p in get_experiment("fig19").params] == [
+            "models",
+            "pruning_ratios",
+        ]
+
+    def test_help_for_an_unknown_argument_is_rejected(self):
+        with pytest.raises(ExperimentError, match="help for 'bogus' names no"):
+            derive_params(_typed_run, {**_TYPED_HELP, "bogus": "no such argument"})
+        with pytest.raises(ExperimentError, match="help for 'engine' names no"):
+            derive_params(_typed_run, {**_TYPED_HELP, "engine": "not a parameter"})
+
+    def test_bool_arguments_cannot_be_params(self):
+        def run(fast: bool = False):
+            """A bool flag has no parameter type."""
+
+        with pytest.raises(ExperimentError, match=r"test_api\..*help for 'fast'"):
+            derive_params(run, {"fast": "go fast"})
+
+    def test_param_without_help_is_rejected(self):
+        help_text = dict(_TYPED_HELP)
+        del help_text["rows"]
+        with pytest.raises(ExperimentError, match="parameter 'rows' has no help text"):
+            derive_params(_typed_run, help_text)
+
+    def test_param_without_default_is_rejected(self):
+        def run(device: str, engine: SweepEngine | None = None):
+            """``device`` has no default to expose."""
+
+        with pytest.raises(ExperimentError, match="parameter 'device' has no default"):
+            derive_params(run, {"device": "device name"})
+
+    def test_errors_are_one_line_and_name_the_module(self):
+        with pytest.raises(ExperimentError) as info:
+            derive_params(_typed_run, {})
+        assert "\n" not in str(info.value)
+        assert str(info.value).startswith(f"{__name__}._typed_run:")
 
 
 class TestParallelExecution:

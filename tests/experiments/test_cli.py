@@ -109,6 +109,26 @@ class TestRunErrors:
         assert err.count("\n") == 1
         assert "unknown scene" in err
 
+    def test_zero_batch_size_exits_2(self, capsys):
+        # Batch 0 used to be replaced by the default and surface as a KeyError.
+        code, out, err = run_cli(capsys, "run", "fig20b", "--batch-sizes", "0")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: fig20b: batch_size must be >= 1")
+
+    @pytest.mark.parametrize("target", ["nan", "0", "-25"])
+    def test_bad_sla_target_exits_2(self, capsys, target):
+        code, out, err = run_cli(
+            capsys, "run", "plan-capacity", "--sla-ladder-ms", f"50,{target}"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith(
+            "error: plan-capacity: sla_ladder_ms must be positive and finite"
+        )
+
 
 class TestRun:
     def test_table_output(self, capsys):

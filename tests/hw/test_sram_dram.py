@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.hw.dram import GDDR6_2080TI, LPDDR3
+from repro.hw.dram import GDDR6_2080TI, LPDDR3, DRAMSpec
 from repro.hw.sram import SRAMMacro
 
 NAN, INF = float("nan"), float("inf")
@@ -67,3 +67,17 @@ class TestDRAM:
             LPDDR3.transfer_time_s(-1)
         with pytest.raises(ValueError):
             LPDDR3.transfer_energy_j(-1)
+
+    @pytest.mark.parametrize("num_bytes", [float("nan"), float("inf")])
+    def test_non_finite_transfer_rejected(self, num_bytes):
+        with pytest.raises(ValueError, match="byte count must be finite"):
+            LPDDR3.transfer_time_s(num_bytes)
+        with pytest.raises(ValueError, match="byte count must be finite"):
+            LPDDR3.transfer_energy_j(num_bytes)
+
+    @pytest.mark.parametrize("field", ["bandwidth_gbps", "energy_per_bit_pj"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_spec_rejects_bad_bandwidth_and_energy(self, field, value):
+        args = {"name": "x", "bandwidth_gbps": 12.8, "energy_per_bit_pj": 40.0}
+        with pytest.raises(ValueError, match=f"x {field} must be positive and finite"):
+            DRAMSpec(**{**args, field: value})

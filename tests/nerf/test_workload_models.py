@@ -35,6 +35,14 @@ class TestGEMMOp:
             GEMMOp("x", m=1, n=1, k=1, weight_sparsity=1.0)
 
 
+class TestFrameConfig:
+    @pytest.mark.parametrize("field", ["image_width", "image_height", "batch_size"])
+    @pytest.mark.parametrize("value", [0, -1, float("nan"), 2.5, True])
+    def test_sizes_must_be_positive_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1 and an integer"):
+            FrameConfig(**{field: value})
+
+
 class TestEncodingAndMiscOps:
     def test_positional_flops_scale_with_output(self):
         small = EncodingOp("p", "positional", num_points=100, input_dim=3, output_dim=30)

@@ -92,6 +92,14 @@ class TestReportCache:
         assert [row.batch_size for row in rows] == [2048, 8192]
         assert engine.stats.render_calls == 1
 
+    def test_zero_batch_is_not_replaced_by_the_default(self, engine):
+        spec = SweepSpec(devices=("flexnerfer",), models=("nerf",), batch_sizes=(0,))
+        assert spec.resolve_config(None, None) == spec.base_config
+        with pytest.raises(ValueError, match="batch_size must be >= 1"):
+            spec.resolve_config(None, 0)
+        with pytest.raises(ValueError, match="batch_size must be >= 1"):
+            engine.run(spec)
+
     def test_gpu_is_never_asked_for_unsupported_knobs(self, engine):
         rows = engine.run(
             SweepSpec(
