@@ -16,8 +16,9 @@ resolved from the repository root and must exist too; a pytest node id's
 (globs and placeholders) are skipped.  Inline-code dotted names of the
 package (`` `repro.core.device.Device` ``, optionally called, as in
 `` `repro.sim.sweep.get_default_engine()` ``) must name a module under
-``src/`` or something it defines: the sources are parsed, never imported,
-so a doc naming a deleted class fails.  Exits 1 listing every broken link;
+``src/`` or something it defines or re-exports (eagerly or through a
+``lazy_exports`` table): the sources are parsed, never imported, so a doc
+naming a deleted class fails.  Exits 1 listing every broken link;
 no third-party dependencies.
 """
 
@@ -81,11 +82,38 @@ def _module_body(parts: tuple[str, ...]) -> list[ast.stmt] | None:
     return None if path is None else ast.parse(path.read_text()).body
 
 
+def _lazy_reexports(node: ast.AST) -> dict[str, ast.ImportFrom]:
+    """Names a ``lazy_exports(__name__, {module: names})`` call re-exports.
+
+    Each name maps to the ``from module import name`` it stands for, so a
+    lazy package re-export resolves like an eager one.
+    """
+    if not (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "lazy_exports"
+        and len(node.args) == 2
+        and isinstance(node.args[1], ast.Dict)
+    ):
+        return {}
+    imports: dict[str, ast.ImportFrom] = {}
+    for module, names in zip(node.args[1].keys, node.args[1].values):
+        if not (isinstance(module, ast.Constant) and isinstance(names, (ast.Tuple, ast.List))):
+            continue
+        for name in names.elts:
+            if isinstance(name, ast.Constant) and isinstance(name.value, str):
+                imports[name.value] = ast.ImportFrom(
+                    module=module.value, names=[ast.alias(name=name.value)], level=0
+                )
+    return imports
+
+
 def _bindings(body: list[ast.stmt]) -> dict[str, ast.AST]:
     """Names a module or class body binds -> the statement binding them.
 
-    Covers definitions, assignments and imports, including those nested in
-    top-level ``if`` / ``try`` blocks.
+    Covers definitions, assignments, imports and lazy re-exports
+    (:func:`_lazy_reexports`), including those nested in top-level ``if`` /
+    ``try`` blocks.
     """
     names: dict[str, ast.AST] = {}
     for node in body:
@@ -93,6 +121,7 @@ def _bindings(body: list[ast.stmt]) -> dict[str, ast.AST]:
             names[node.name] = node
         elif isinstance(node, ast.Assign):
             names.update((t.id, node) for t in node.targets if isinstance(t, ast.Name))
+            names.update(_lazy_reexports(node.value))
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
             names[node.target.id] = node
         elif isinstance(node, (ast.Import, ast.ImportFrom)):

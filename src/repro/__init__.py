@@ -4,8 +4,8 @@ accelerator model for on-device NeRF rendering (ISCA 2025).
 Public API overview
 -------------------
 
-* :class:`repro.FlexNeRFer` -- the accelerator model (area/power reports and
-  frame-level latency/energy estimation).
+* :class:`repro.core.accelerator.FlexNeRFer` -- the accelerator model
+  (area/power reports and frame-level latency/energy estimation).
 * :mod:`repro.nerf` -- the NeRF substrate: functional renderers and the seven
   per-model workload descriptors.
 * :mod:`repro.baselines` -- the GPU, NeuRex and compute-array baselines.
@@ -13,7 +13,8 @@ Public API overview
   :mod:`repro.sim` -- the substrates (sparse formats, quantization, NoCs,
   hardware cost models, performance simulation).
 * :mod:`repro.core.device` -- the unified :class:`Device` protocol and the
-  ``DEVICE_REGISTRY`` covering FlexNeRFer and every baseline device.
+  ``DEVICE_REGISTRY`` covering FlexNeRFer and every baseline device
+  (``repro.get_device(name)`` builds one).
 * :mod:`repro.sim.sweep` -- the cached :class:`SweepEngine` that runs
   device x model x precision x pruning x batch sweeps for the experiments.
 * :mod:`repro.serve` -- the serving layer: request streams, scheduling
@@ -24,27 +25,22 @@ Public API overview
   (``BENCH_<rev>.json`` trajectory points).
 * :mod:`repro.experiments` -- one module per paper table/figure plus the
   ``serve-*`` serving studies.
+
+The package re-exports ``get_device``, ``SweepEngine``, ``SweepSpec`` and
+``Precision`` lazily: ``import repro`` loads none of the subsystems, and
+each name imports its module on first use.
 """
 
-from repro.core import FlexNeRFer, FlexNeRFerConfig, FrameReport, MACArray
-from repro.core.device import DEVICE_REGISTRY, Device, get_device
-from repro.sim.sweep import SweepEngine, SweepSpec, get_default_engine
-from repro.sparse.formats import Precision, SparsityFormat
+from repro._lazy import lazy_exports
 
 __version__ = "1.7.0"
 
-__all__ = [
-    "FlexNeRFer",
-    "FlexNeRFerConfig",
-    "FrameReport",
-    "MACArray",
-    "Device",
-    "DEVICE_REGISTRY",
-    "get_device",
-    "SweepEngine",
-    "SweepSpec",
-    "get_default_engine",
-    "Precision",
-    "SparsityFormat",
-    "__version__",
-]
+_exports, __getattr__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.device": ("get_device",),
+        "repro.sim.sweep": ("SweepEngine", "SweepSpec"),
+        "repro.sparse.formats": ("Precision",),
+    },
+)
+__all__ = [*_exports, "__version__"]

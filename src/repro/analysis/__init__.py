@@ -21,29 +21,14 @@ See ``docs/linting.md`` for the rule catalog and the suppression
 policy; CI gates every PR on a clean ``repro lint`` run.
 """
 
-from repro.analysis.base import Finding, ModuleRule, Project, Rule, SourceModule
-from repro.analysis.driver import (
-    LintReport,
-    default_lint_root,
-    load_project,
-    run_lint,
-    select_rules,
-)
-from repro.analysis.report import render_json, render_table
-from repro.analysis.rules import discover_rules
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Finding",
-    "LintReport",
-    "ModuleRule",
-    "Project",
-    "Rule",
-    "SourceModule",
-    "default_lint_root",
-    "discover_rules",
-    "load_project",
-    "render_json",
-    "render_table",
-    "run_lint",
-    "select_rules",
-]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        "repro.analysis.base": ("ModuleRule", "Rule"),
+        "repro.analysis.driver": ("default_lint_root", "run_lint", "select_rules"),
+        "repro.analysis.report": ("render_json", "render_table"),
+        "repro.analysis.rules": ("discover_rules",),
+    },
+)

@@ -140,8 +140,14 @@ class SharedStateRule(ModuleRule):
         "a lock races, silently corrupting caches and statistics.  Guard "
         "the mutation with a lock, as the engine's caches do."
     )
-    #: The subsystems that execute on the ``--jobs`` thread pools.
-    scope: ClassVar[tuple[str, ...]] = ("repro.sim", "repro.serve", "repro.perf")
+    #: The subsystems that execute on the ``--jobs`` thread pools, including
+    #: the experiments, whose registry those pools fill on first lookup.
+    scope: ClassVar[tuple[str, ...]] = (
+        "repro.sim",
+        "repro.serve",
+        "repro.perf",
+        "repro.experiments",
+    )
 
     def _statement_mutations(
         self,

@@ -15,28 +15,12 @@ NeuRex, the GPUs, NVDLA and the TPU are one :class:`repro.core.device.Device`
 subclass each, whose only cost hooks are ``area()`` / ``power()``.
 """
 
-from repro.baselines.gpu import GPUModel, RTX_2080_TI, XAVIER_NX, JETSON_NANO, RTX_4090
-from repro.baselines.neurex import NeuRex
-from repro.baselines.arrays import (
-    BitFusionArray,
-    BitScalableSigmaArray,
-    SigmaArray,
-    TABLE3_BASELINES,
-)
-from repro.baselines.nvdla import NVDLAModel
-from repro.baselines.tpu import TPUModel
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "GPUModel",
-    "RTX_2080_TI",
-    "RTX_4090",
-    "XAVIER_NX",
-    "JETSON_NANO",
-    "NeuRex",
-    "SigmaArray",
-    "BitFusionArray",
-    "BitScalableSigmaArray",
-    "TABLE3_BASELINES",
-    "NVDLAModel",
-    "TPUModel",
-]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        "repro.baselines.nvdla": ("NVDLAModel",),
+        "repro.baselines.tpu": ("TPUModel",),
+    },
+)

@@ -18,46 +18,12 @@
   reports and frame-level performance/energy estimation.
 """
 
-from repro.core.config import FlexNeRFerConfig
-from repro.core.mac_unit import BitScalableMACUnit
-from repro.core.mac_array import MACArray
-from repro.core.reduction import FlexibleReductionTree, MACUnitReductionTree
-from repro.core.distribution import DistributionNetwork, MappingPlan
-from repro.core.compression import SparsityAwareCompressor, SparsityRatioCalculator
-from repro.core.encoding_unit import HashEncodingEngine, NeRFEncodingUnit, PositionalEncodingEngine
-from repro.core.controller import DMAEngine, RISCVController
-from repro.core.accelerator import FlexNeRFer
-from repro.core.device import (
-    DEVICE_REGISTRY,
-    Device,
-    FrameReport,
-    UnsupportedKnobError,
-    available_devices,
-    get_device,
-    register_device,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Device",
-    "DEVICE_REGISTRY",
-    "UnsupportedKnobError",
-    "available_devices",
-    "get_device",
-    "register_device",
-    "FlexNeRFerConfig",
-    "BitScalableMACUnit",
-    "MACArray",
-    "MACUnitReductionTree",
-    "FlexibleReductionTree",
-    "DistributionNetwork",
-    "MappingPlan",
-    "SparsityAwareCompressor",
-    "SparsityRatioCalculator",
-    "PositionalEncodingEngine",
-    "HashEncodingEngine",
-    "NeRFEncodingUnit",
-    "RISCVController",
-    "DMAEngine",
-    "FlexNeRFer",
-    "FrameReport",
-]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.accelerator": ("FlexNeRFer",),
+        "repro.core.config": ("FlexNeRFerConfig",),
+    },
+)

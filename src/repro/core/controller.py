@@ -9,6 +9,7 @@ modelled at the throughput level plus a 28 nm area/power cost.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.hw.components import DEFAULT_LIBRARY, ComponentLibrary, ComponentSpec
@@ -46,8 +47,10 @@ class DMATransfer:
     direction: str = "host-to-local"
 
     def __post_init__(self) -> None:
-        if self.num_bytes < 0:
-            raise ValueError("transfer size must be non-negative")
+        if not (math.isfinite(self.num_bytes) and self.num_bytes >= 0):
+            raise ValueError(
+                f"transfer size must be non-negative and finite, got {self.num_bytes!r}"
+            )
         if self.direction not in ("host-to-local", "local-to-host"):
             raise ValueError(f"unknown direction '{self.direction}'")
 

@@ -363,8 +363,3 @@ def get_device(name: str) -> Device:
             f"unknown device '{name}'; available: {sorted(DEVICE_REGISTRY)}"
         ) from exc
     return factory()
-
-
-def available_devices() -> tuple[str, ...]:
-    """Registry names of every known device."""
-    return tuple(DEVICE_REGISTRY)

@@ -6,38 +6,29 @@ typed params).  ``Experiment.run`` wraps the same function into the uniform
 :class:`repro.experiments.api.ExperimentResult` -- named columns, JSON-safe
 rows, provenance -- consumed by the ``repro`` CLI, the benchmarks and the
 artifact-publishing CI job.
+
+Importing the package loads no experiment module.  The registry
+(:mod:`repro.experiments.registry`) holds a committed id -> module table:
+looking up one id imports that one module, and iterating the registry
+imports every module in artifact order.
 """
 
-from repro.experiments.api import (
-    BadParamError,
-    Column,
-    Experiment,
-    ExperimentResult,
-    Param,
-    Provenance,
-    UnknownExperimentError,
-    experiment,
-)
-from repro.experiments.registry import (
-    EXPERIMENTS,
-    all_tags,
-    experiments_by_tag,
-    get_experiment,
-    run_experiment,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BadParamError",
-    "Column",
-    "EXPERIMENTS",
-    "Experiment",
-    "ExperimentResult",
-    "Param",
-    "Provenance",
-    "UnknownExperimentError",
-    "all_tags",
-    "experiment",
-    "experiments_by_tag",
-    "get_experiment",
-    "run_experiment",
-]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        "repro.experiments.api": (
+            "BadParamError",
+            "ExperimentResult",
+            "Param",
+            "UnknownExperimentError",
+        ),
+        "repro.experiments.registry": (
+            "EXPERIMENTS",
+            "experiments_by_tag",
+            "get_experiment",
+            "run_experiment",
+        ),
+    },
+)

@@ -29,8 +29,8 @@ decorated function itself is returned unchanged, so ``module.run(...)``
 still hands back the raw dataclasses for tests and notebooks.
 
 The module also hosts the process-wide registry the decorator populates;
-:mod:`repro.experiments.registry` imports every experiment module (which
-triggers registration) and re-exports the lookup helpers.
+:mod:`repro.experiments.registry` imports each experiment module on first
+lookup (which triggers its registration) and holds the lookup helpers.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ import inspect
 import io
 import json
 import re
+import threading
 import time
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -482,15 +483,22 @@ class Experiment:
 
 # -- the registry -------------------------------------------------------------
 
-#: Experiment id -> :class:`Experiment`, in registration order.
+#: Experiment id -> :class:`Experiment`, in registration order (imported
+#: modules only; :data:`repro.experiments.registry.EXPERIMENTS` is the
+#: complete, ordered view).
 REGISTRY: dict[str, Experiment] = {}
+
+#: Guards :data:`REGISTRY`: modules register on first lookup, which
+#: ``repro run --jobs N`` makes from several threads.
+_registry_lock = threading.Lock()
 
 
 def register(exp: Experiment) -> Experiment:
     """Add an experiment to the registry (ids are unique)."""
-    if exp.id in REGISTRY:
-        raise ExperimentError(f"duplicate experiment id '{exp.id}'")
-    REGISTRY[exp.id] = exp
+    with _registry_lock:
+        if exp.id in REGISTRY:
+            raise ExperimentError(f"duplicate experiment id '{exp.id}'")
+        REGISTRY[exp.id] = exp
     return exp
 
 
@@ -533,25 +541,3 @@ def experiment(
 
     return decorate
 
-
-def get_experiment(key: str) -> Experiment:
-    """Look up an experiment by id (case-insensitive)."""
-    try:
-        return REGISTRY[key.lower()]
-    except KeyError:
-        raise UnknownExperimentError(key, sorted(REGISTRY)) from None
-
-
-def run_experiment(key: str, **params: Any) -> ExperimentResult:
-    """Run an experiment by id with typed parameter overrides."""
-    return get_experiment(key).run(**params)
-
-
-def experiments_by_tag(tag: str) -> list[Experiment]:
-    """All experiments carrying ``tag``, in registration order."""
-    return [exp for exp in REGISTRY.values() if tag in exp.tags]
-
-
-def all_tags() -> list[str]:
-    """Every tag in use, sorted."""
-    return sorted({tag for exp in REGISTRY.values() for tag in exp.tags})

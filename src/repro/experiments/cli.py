@@ -76,7 +76,6 @@ from __future__ import annotations
 
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Sequence, TextIO
@@ -1056,6 +1055,8 @@ def run_many(
 
     if jobs <= 1 or len(experiments) <= 1:
         return [one(exp) for exp in experiments]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(one, experiments))
 

@@ -7,26 +7,3 @@ area/power in Fig. 12(c), array-level costs in Table 3 / Fig. 15, accelerator
 level costs in Fig. 16/17).  The evaluation only ever consumes block-level
 aggregates, so this substitution preserves every reported comparison.
 """
-
-from repro.hw.tech import TechnologyNode, TECH_28NM
-from repro.hw.components import ComponentLibrary, ComponentSpec, DEFAULT_LIBRARY
-from repro.hw.sram import SRAMMacro
-from repro.hw.dram import DRAMSpec, LPDDR3, LPDDR4_NANO, LPDDR4_XAVIER, GDDR6_2080TI, GDDR6_4090
-from repro.hw.cost import AreaReport, PowerReport
-
-__all__ = [
-    "TechnologyNode",
-    "TECH_28NM",
-    "ComponentLibrary",
-    "ComponentSpec",
-    "DEFAULT_LIBRARY",
-    "SRAMMacro",
-    "DRAMSpec",
-    "LPDDR3",
-    "LPDDR4_NANO",
-    "LPDDR4_XAVIER",
-    "GDDR6_2080TI",
-    "GDDR6_4090",
-    "AreaReport",
-    "PowerReport",
-]

@@ -8,50 +8,3 @@ On top of that, :mod:`repro.nerf.models` provides per-frame *workload
 descriptors* for the seven NeRF models evaluated in the paper, which feed both
 the GPU baseline and the accelerator simulator.
 """
-
-from repro.nerf.rays import Camera, generate_rays, sample_along_rays
-from repro.nerf.positional import (
-    positional_encoding,
-    approx_sin_halfpi,
-    approx_cos_halfpi,
-    approx_positional_encoding,
-)
-from repro.nerf.hashgrid import HashGrid, HashGridConfig
-from repro.nerf.mlp import MLP, LinearLayer, relu
-from repro.nerf.volume import composite_rays, transmittance_weights
-from repro.nerf.scenes import SyntheticScene, SCENE_LIBRARY, get_scene
-from repro.nerf.renderer import VanillaNeRFRenderer, InstantNGPRenderer
-from repro.nerf.workload import (
-    EncodingOp,
-    GEMMOp,
-    MiscOp,
-    OpCategory,
-    Workload,
-)
-
-__all__ = [
-    "Camera",
-    "generate_rays",
-    "sample_along_rays",
-    "positional_encoding",
-    "approx_sin_halfpi",
-    "approx_cos_halfpi",
-    "approx_positional_encoding",
-    "HashGrid",
-    "HashGridConfig",
-    "MLP",
-    "LinearLayer",
-    "relu",
-    "composite_rays",
-    "transmittance_weights",
-    "SyntheticScene",
-    "SCENE_LIBRARY",
-    "get_scene",
-    "VanillaNeRFRenderer",
-    "InstantNGPRenderer",
-    "GEMMOp",
-    "EncodingOp",
-    "MiscOp",
-    "OpCategory",
-    "Workload",
-]

@@ -13,25 +13,3 @@ Implements the interconnect structures compared in the paper:
 * an energy model for comparing distribution networks
   (``repro.noc.energy``).
 """
-
-from repro.noc.dataflow import DataflowMode, classify_assignment, column_dataflows
-from repro.noc.switch import Switch2x2, Switch3x3, SwitchPort
-from repro.noc.hierarchical import HMNoC, HMFNoC, RouteResult
-from repro.noc.mesh import Mesh1D
-from repro.noc.benes import BenesNetwork
-from repro.noc.energy import NoCEnergyModel
-
-__all__ = [
-    "DataflowMode",
-    "classify_assignment",
-    "column_dataflows",
-    "Switch2x2",
-    "Switch3x3",
-    "SwitchPort",
-    "HMNoC",
-    "HMFNoC",
-    "RouteResult",
-    "Mesh1D",
-    "BenesNetwork",
-    "NoCEnergyModel",
-]

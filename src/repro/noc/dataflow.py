@@ -40,27 +40,8 @@ def classify_assignment(values: Sequence[Hashable]) -> DataflowMode:
     return DataflowMode.MULTICAST
 
 
-def column_dataflows(
-    grid: Sequence[Sequence[Hashable]],
-) -> list[DataflowMode]:
-    """Classify the dataflow of every column of a destination grid.
-
-    ``grid[r][c]`` is the operand element required at MAC (r, c).  Returns the
-    per-column classification, which is what the column-level HMF-NoC /
-    CLB must support.
-    """
-    if not grid:
-        return []
-    num_cols = len(grid[0])
-    modes = []
-    for c in range(num_cols):
-        modes.append(classify_assignment([row[c] for row in grid]))
-    return modes
-
-
 def row_dataflows(
     grid: Sequence[Sequence[Hashable]],
 ) -> list[DataflowMode]:
     """Classify the dataflow of every row of a destination grid."""
     return [classify_assignment(list(row)) for row in grid]
-

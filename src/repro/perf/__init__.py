@@ -1,6 +1,6 @@
 """Performance infrastructure: the persistent result store and the bench harness.
 
-Two concerns live here, both documented in ``docs/performance.md``:
+Three concerns live here, all documented in ``docs/performance.md``:
 
 * :mod:`repro.perf.store` -- a content-addressed on-disk cache of frame
   simulations, keyed by (device fingerprint, workload digest, effective
@@ -17,51 +17,3 @@ Two concerns live here, both documented in ``docs/performance.md``:
   machinery behind ``repro shard`` / ``repro assemble`` and the CI shard
   matrix (``docs/distributed.md``).
 """
-
-from repro.perf.store import (
-    PACK_SCHEMA_VERSION,
-    STORE_SCHEMA_VERSION,
-    ExperimentResultKey,
-    MergeStats,
-    PackConflictError,
-    PlanPointKey,
-    ResultStore,
-    StoreKey,
-    device_registry_digest,
-    environment_digest,
-    model_registry_digest,
-)
-from repro.perf.bench import (
-    BENCH_SCHEMA_VERSION,
-    compare_bench,
-    run_bench,
-    validate_bench,
-)
-from repro.perf.distributed import (
-    Shard,
-    assemble_packs,
-    shard_experiments,
-    shard_index,
-)
-
-__all__ = [
-    "PACK_SCHEMA_VERSION",
-    "STORE_SCHEMA_VERSION",
-    "ExperimentResultKey",
-    "MergeStats",
-    "PackConflictError",
-    "PlanPointKey",
-    "ResultStore",
-    "StoreKey",
-    "device_registry_digest",
-    "environment_digest",
-    "model_registry_digest",
-    "BENCH_SCHEMA_VERSION",
-    "compare_bench",
-    "run_bench",
-    "validate_bench",
-    "Shard",
-    "assemble_packs",
-    "shard_experiments",
-    "shard_index",
-]

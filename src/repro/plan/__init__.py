@@ -22,44 +22,13 @@ space across machines exactly like the experiment sweeps
 (``docs/planning.md``).
 """
 
-from repro.plan.evaluate import (
-    COST_MODEL,
-    OBJECTIVES,
-    EvaluatedPoint,
-    PlanEvaluation,
-    evaluate_point,
-    evaluate_space,
-)
-from repro.plan.pareto import cheapest_feasible, dominates, pareto_frontier
-from repro.plan.space import (
-    PLAN_MIXES,
-    PLAN_SPECS,
-    PlanPoint,
-    PlanSpace,
-    TrafficSpec,
-    load_space,
-    plan_point_key,
-    space_digest,
-    space_from_dict,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "COST_MODEL",
-    "OBJECTIVES",
-    "EvaluatedPoint",
-    "PlanEvaluation",
-    "PlanPoint",
-    "PlanSpace",
-    "PLAN_MIXES",
-    "PLAN_SPECS",
-    "TrafficSpec",
-    "cheapest_feasible",
-    "dominates",
-    "evaluate_point",
-    "evaluate_space",
-    "load_space",
-    "pareto_frontier",
-    "plan_point_key",
-    "space_digest",
-    "space_from_dict",
-]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        "repro.plan.evaluate": ("OBJECTIVES", "evaluate_space"),
+        "repro.plan.pareto": ("cheapest_feasible", "pareto_frontier"),
+        "repro.plan.space": ("load_space", "space_digest"),
+    },
+)

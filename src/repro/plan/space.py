@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.core.device import DEVICE_REGISTRY, canonical_digest
-from repro.perf.store import PlanPointKey, environment_digest
+from repro.perf.store import environment_digest
 from repro.serve.request import (
     PoissonStream,
     Request,
@@ -321,14 +321,6 @@ def space_digest(space: PlanSpace, cost_model: dict | None = None) -> str:
             tuple(sorted(constants.items())),
             environment_digest(),
         )
-    )
-
-
-def plan_point_key(space: PlanSpace, point: PlanPoint) -> PlanPointKey:
-    """The content-addressed store key of ``point`` evaluated in ``space``."""
-    return PlanPointKey(
-        space_digest=space_digest(space),
-        point_digest=point.digest,
     )
 
 

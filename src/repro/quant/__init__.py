@@ -4,24 +4,3 @@ mixed-precision quantization, and image-quality metrics (PSNR / MSE).
 Used by the PSNR-vs-energy sensitivity study (paper Fig. 20(a)) and by the
 workload descriptors that execute NeRF layers at reduced precision.
 """
-
-from repro.quant.quantize import (
-    QuantizedTensor,
-    dequantize,
-    quantization_error,
-    quantize,
-)
-from repro.quant.outlier import OutlierQuantizedTensor, outlier_quantize, outlier_dequantize
-from repro.quant.metrics import mse, psnr
-
-__all__ = [
-    "QuantizedTensor",
-    "quantize",
-    "dequantize",
-    "quantization_error",
-    "OutlierQuantizedTensor",
-    "outlier_quantize",
-    "outlier_dequantize",
-    "mse",
-    "psnr",
-]

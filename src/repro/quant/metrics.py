@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.validate import require_positive
+
 
 def mse(reference: np.ndarray, test: np.ndarray) -> float:
     """Mean squared error between two images / tensors of the same shape."""
@@ -20,8 +22,7 @@ def mse(reference: np.ndarray, test: np.ndarray) -> float:
 
 def psnr(reference: np.ndarray, test: np.ndarray, data_range: float = 1.0) -> float:
     """Peak signal-to-noise ratio in dB (infinite for identical inputs)."""
-    if data_range <= 0:
-        raise ValueError(f"data_range must be positive, got {data_range}")
+    require_positive("data_range", data_range)
     error = mse(reference, test)
     if error == 0.0:
         return float("inf")

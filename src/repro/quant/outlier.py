@@ -85,8 +85,3 @@ def outlier_quantize(
         outlier_indices=outlier_indices,
         shape=tensor.shape,
     )
-
-
-def outlier_dequantize(quantized: OutlierQuantizedTensor) -> np.ndarray:
-    """Convenience wrapper around :meth:`OutlierQuantizedTensor.dequantize`."""
-    return quantized.dequantize()

@@ -51,17 +51,3 @@ def quantize(
         np.round(tensor / scale), precision.min_value, precision.max_value
     ).astype(np.int32)
     return QuantizedTensor(data=quantized, scale=scale, precision=precision)
-
-
-def dequantize(quantized: QuantizedTensor) -> np.ndarray:
-    """Convenience wrapper around :meth:`QuantizedTensor.dequantize`."""
-    return quantized.dequantize()
-
-
-def quantization_error(tensor: np.ndarray, precision: Precision) -> float:
-    """Root-mean-square error introduced by quantizing ``tensor``."""
-    tensor = np.asarray(tensor, dtype=np.float64)
-    if tensor.size == 0:
-        return 0.0
-    reconstructed = quantize(tensor, precision).dequantize()
-    return float(np.sqrt(np.mean((tensor - reconstructed) ** 2)))

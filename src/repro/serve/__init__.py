@@ -26,41 +26,31 @@ for the end-to-end data flow.
 
 The package re-exports only the names the README, docs, examples and
 benchmark workloads import from it; everything else is imported from its
-submodule.  Importing the package also loads :mod:`repro.serve.traffic`, so
-every stream subclass of the scenario library is defined.
+submodule.  The re-exports are lazy: ``import repro.serve`` loads no
+submodule, and the scenario library (:mod:`repro.serve.traffic`) loads
+only where a caller imports it.
 """
 
-import repro.serve.traffic  # noqa: F401 - defines the scenario-library streams
-from repro.serve.control import (
-    ControlConfig,
-    DegradationLadder,
-    QueueCapAdmission,
-    QueueDepthAutoscaler,
-    QueueDepthShedder,
-    price_ladder,
-)
-from repro.serve.fleet import FleetSimulator
-from repro.serve.request import PoissonStream, Scenario, ScenarioMix
-from repro.serve.scheduler import (
-    BatchDeadlineScheduler,
-    FIFOScheduler,
-    Scheduler,
-    SparsityAwareScheduler,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BatchDeadlineScheduler",
-    "ControlConfig",
-    "DegradationLadder",
-    "FIFOScheduler",
-    "FleetSimulator",
-    "PoissonStream",
-    "QueueCapAdmission",
-    "QueueDepthAutoscaler",
-    "QueueDepthShedder",
-    "Scenario",
-    "ScenarioMix",
-    "Scheduler",
-    "SparsityAwareScheduler",
-    "price_ladder",
-]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        "repro.serve.control": (
+            "ControlConfig",
+            "DegradationLadder",
+            "QueueCapAdmission",
+            "QueueDepthAutoscaler",
+            "QueueDepthShedder",
+            "price_ladder",
+        ),
+        "repro.serve.fleet": ("FleetSimulator",),
+        "repro.serve.request": ("PoissonStream", "Scenario", "ScenarioMix"),
+        "repro.serve.scheduler": (
+            "BatchDeadlineScheduler",
+            "FIFOScheduler",
+            "Scheduler",
+            "SparsityAwareScheduler",
+        ),
+    },
+)

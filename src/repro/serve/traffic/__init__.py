@@ -19,39 +19,29 @@ into both the event-loop and FIFO fast-path simulators unchanged:
   quality-degradable flag for the degradation ladder.
 
 Every stream here is certified by the conformance harness in
-``tests/serve/stream_conformance.py``; see ``docs/scenarios.md``.
+``tests/serve/stream_conformance.py``; see ``docs/scenarios.md``.  The
+re-exports are lazy: a name loads only the submodule that defines it.
 """
 
-from repro.serve.traffic.importer import (
-    CSV_COLUMNS,
-    JSONL_KEYS,
-    ImportedTrace,
-    ImportedTraceStream,
-    TraceFormatError,
-    dump_trace,
-    load_trace,
-    trace_to_jsonl,
-)
-from repro.serve.traffic.session import SessionStream
-from repro.serve.traffic.streams import (
-    FlashCrowdStream,
-    MarkedBurstStream,
-    MultiTenantStream,
-    TenantSpec,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CSV_COLUMNS",
-    "FlashCrowdStream",
-    "ImportedTrace",
-    "ImportedTraceStream",
-    "JSONL_KEYS",
-    "MarkedBurstStream",
-    "MultiTenantStream",
-    "SessionStream",
-    "TenantSpec",
-    "TraceFormatError",
-    "dump_trace",
-    "load_trace",
-    "trace_to_jsonl",
-]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        "repro.serve.traffic.importer": (
+            "CSV_COLUMNS",
+            "ImportedTraceStream",
+            "TraceFormatError",
+            "dump_trace",
+            "load_trace",
+            "trace_to_jsonl",
+        ),
+        "repro.serve.traffic.session": ("SessionStream",),
+        "repro.serve.traffic.streams": (
+            "FlashCrowdStream",
+            "MarkedBurstStream",
+            "MultiTenantStream",
+            "TenantSpec",
+        ),
+    },
+)

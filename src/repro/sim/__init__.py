@@ -10,44 +10,3 @@ differently for FlexNeRFer, NeuRex, SIGMA, Bit Fusion and the commercial
 accelerators, so every latency/energy comparison in the evaluation goes
 through one code path.
 """
-
-from repro.sim.array_config import ArrayConfig
-from repro.sim.tiling import TileGrid, tile_counts
-from repro.sim.utilization import effective_mac_utilization, mapping_utilization
-from repro.sim.engine import GEMMCycleModel, GEMMExecution
-from repro.sim.memory import MemoryTrafficModel, TrafficReport
-from repro.sim.trace import ExecutionTrace, OpRecord
-from repro.sim.sweep import (
-    SweepCacheStats,
-    SweepEngine,
-    SweepResult,
-    SweepSpec,
-    aggregate,
-    geomean,
-    get_default_engine,
-    index_rows,
-    workload_fingerprint,
-)
-
-__all__ = [
-    "SweepCacheStats",
-    "SweepEngine",
-    "SweepResult",
-    "SweepSpec",
-    "aggregate",
-    "geomean",
-    "get_default_engine",
-    "index_rows",
-    "workload_fingerprint",
-    "ArrayConfig",
-    "TileGrid",
-    "tile_counts",
-    "effective_mac_utilization",
-    "mapping_utilization",
-    "GEMMCycleModel",
-    "GEMMExecution",
-    "MemoryTrafficModel",
-    "TrafficReport",
-    "ExecutionTrace",
-    "OpRecord",
-]

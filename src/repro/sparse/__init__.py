@@ -13,38 +13,3 @@ sparsity-aware data compression (paper Section 3.2.3 and 4.3):
 * helpers for generating random sparse tensors with a target sparsity ratio
   (``repro.sparse.tensor``).
 """
-
-from repro.sparse.formats import Precision, SparsityFormat, tile_shape_for_precision
-from repro.sparse.codecs import (
-    BitmapCodec,
-    COOCodec,
-    CSCCodec,
-    CSRCodec,
-    DenseCodec,
-    EncodedTensor,
-    get_codec,
-)
-from repro.sparse.footprint import FootprintModel, footprint_bits, footprint_ratio
-from repro.sparse.selector import FormatSelector, optimal_format
-from repro.sparse.tensor import SparseTensor, random_sparse_matrix, sparsity_ratio
-
-__all__ = [
-    "Precision",
-    "SparsityFormat",
-    "tile_shape_for_precision",
-    "DenseCodec",
-    "COOCodec",
-    "CSRCodec",
-    "CSCCodec",
-    "BitmapCodec",
-    "EncodedTensor",
-    "get_codec",
-    "FootprintModel",
-    "footprint_bits",
-    "footprint_ratio",
-    "FormatSelector",
-    "optimal_format",
-    "SparseTensor",
-    "random_sparse_matrix",
-    "sparsity_ratio",
-]

@@ -80,32 +80,3 @@ class FootprintModel:
     ) -> list[float]:
         """Normalised footprint of ``fmt`` across a list of sparsity ratios."""
         return [self.ratio_over_none(fmt, s) for s in sparsity_ratios]
-
-
-def footprint_bits(
-    fmt: SparsityFormat,
-    sparsity_ratio: float,
-    precision: Precision,
-    shape: tuple[int, int] | None = None,
-) -> float:
-    """Convenience wrapper returning storage bits for a tile.
-
-    When ``shape`` is omitted the native MAC-array tile for ``precision`` is
-    used, matching the setup of paper Fig. 7.
-    """
-    if shape is None:
-        model = FootprintModel.for_precision(precision)
-    else:
-        model = FootprintModel(rows=shape[0], cols=shape[1], precision=precision)
-    return model.bits(fmt, sparsity_ratio)
-
-
-def footprint_ratio(
-    fmt: SparsityFormat,
-    sparsity_ratio: float,
-    precision: Precision,
-    shape: tuple[int, int] | None = None,
-) -> float:
-    """Footprint of ``fmt`` normalised to the dense layout for the same tile."""
-    dense = footprint_bits(SparsityFormat.NONE, sparsity_ratio, precision, shape)
-    return footprint_bits(fmt, sparsity_ratio, precision, shape) / dense

@@ -13,6 +13,8 @@ from __future__ import annotations
 import enum
 import math
 
+from repro.validate import require_count
+
 
 class Precision(enum.IntEnum):
     """Operand bit-width supported by the bit-scalable MAC array."""
@@ -67,8 +69,7 @@ def tile_shape_for_precision(
 
 def index_bits(dim: int) -> int:
     """Number of bits needed to index a dimension of size ``dim``."""
-    if dim <= 0:
-        raise ValueError(f"dimension must be positive, got {dim}")
+    dim = require_count("dimension", dim, 1)
     if dim == 1:
         return 1
     return int(math.ceil(math.log2(dim)))

@@ -6,7 +6,8 @@ experiment, device or CLI path runs it.  This guard parses every module
 under ``src/`` and fails when a public ``def`` (module function, method or
 property, no leading underscore) is named nowhere in ``src/`` except at its
 own definition.  A name counts as used when it appears as a variable, an
-attribute (also inside f-strings) or an imported name; strings and comments
+attribute (also inside f-strings), an imported name or a name a package
+re-exports through its ``lazy_exports`` table; other strings and comments
 do not count.  The match is by name, not by binding, so it only catches
 names no code in ``src/`` mentions at all.
 
@@ -104,6 +105,9 @@ ALLOWED: dict[str, str] = {
         "Fig. 17's format-codec area share, checked against the paper"
     ),
     # Reached by name, not by a call in src/.
+    "repro.core.device.register_device": (
+        "the extension point README.md and docs/architecture.md document for adding a device"
+    ),
     "repro.experiments.plan_frontier.run_capacity": (
         "registered by the @experiment decorator; the CLI runs it by id"
     ),
@@ -131,6 +135,17 @@ def _public_defs(body: list[ast.stmt], prefix: str):
             yield from _public_defs(node.body, f"{prefix}.{node.name}")
 
 
+def _is_lazy_exports(node: ast.AST) -> bool:
+    """Whether ``node`` is a ``lazy_exports(__name__, {module: (names...)})`` call."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "lazy_exports"
+        and len(node.args) == 2
+        and isinstance(node.args[1], ast.Dict)
+    )
+
+
 def uncalled_defs(root: Path) -> dict[str, str]:
     """Map each public def under ``root`` that no code there names to ``path:line``."""
     defs = []
@@ -144,6 +159,9 @@ def uncalled_defs(root: Path) -> dict[str, str]:
                 named[node.attr] += 1
             elif isinstance(node, ast.alias):
                 named[node.name.rpartition(".")[2]] += 1
+            elif _is_lazy_exports(node):
+                for names in node.args[1].values:
+                    named.update(elt.value for elt in names.elts)
         module = _module_name(path, root)
         defs.extend(
             (qualname, name, f"{path.relative_to(root)}:{line}")
@@ -173,11 +191,15 @@ def test_allowlist_is_current():
 def test_scan_flags_only_uncalled_defs(tmp_path):
     package = tmp_path / "pkg"
     package.mkdir()
-    (package / "__init__.py").write_text("from pkg.mod import exported\n")
+    (package / "__init__.py").write_text(
+        "from pkg.mod import exported\n"
+        "__all__, __getattr__ = lazy_exports(__name__, {'pkg.mod': ('lazily_exported',)})\n"
+    )
     (package / "mod.py").write_text(
         textwrap.dedent(
             """
             def exported(): ...
+            def lazily_exported(): ...
             def orphan(): ...
             def _private(): ...
             def used_in_fstring(): ...
@@ -192,7 +214,7 @@ def test_scan_flags_only_uncalled_defs(tmp_path):
         )
     )
     assert uncalled_defs(tmp_path) == {
-        "pkg.mod.orphan": "pkg/mod.py:3",
-        "pkg.mod.Box.lonely": "pkg/mod.py:8",
-        "pkg.mod.main": "pkg/mod.py:10",
+        "pkg.mod.orphan": "pkg/mod.py:4",
+        "pkg.mod.Box.lonely": "pkg/mod.py:9",
+        "pkg.mod.main": "pkg/mod.py:11",
     }

@@ -130,3 +130,8 @@ class TestControllerAndDMA:
             DMATransfer(num_bytes=-1)
         with pytest.raises(ValueError):
             DMATransfer(num_bytes=1, direction="sideways")
+
+    @pytest.mark.parametrize("num_bytes", [float("nan"), float("inf"), -float("inf")])
+    def test_dma_transfer_rejects_non_finite_size(self, num_bytes):
+        with pytest.raises(ValueError, match="transfer size must be non-negative"):
+            DMATransfer(num_bytes=num_bytes)

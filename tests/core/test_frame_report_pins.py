@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from repro.core.device import available_devices, get_device
+from repro.core.device import DEVICE_REGISTRY, get_device
 from repro.nerf.models import MODEL_REGISTRY, FrameConfig, get_model
 from repro.perf.store import report_to_dict
 from repro.sparse.formats import Precision
@@ -97,7 +97,7 @@ def digest(reports) -> str:
 
 
 def test_every_registered_device_is_pinned():
-    assert set(available_devices()) == set(DEVICE_PINS)
+    assert set(DEVICE_REGISTRY) == set(DEVICE_PINS)
 
 
 @pytest.mark.parametrize("name", sorted(DEVICE_PINS))

@@ -65,7 +65,8 @@ def test_package_names_resolve_from_the_sources(checker, tmp_path):
         tmp_path,
         "`repro.core.device.Device` and its `repro.core.device.Device.render_frame`,\n"
         "`repro.baselines.TPUModel.fingerprint` (re-exported, inherited),\n"
-        "`repro.serve.traffic` and `repro.sim.sweep.get_default_engine()`.\n",
+        "`repro.serve.traffic` and `repro.sim.sweep.get_default_engine()`,\n"
+        "`repro.serve.traffic.load_trace` (re-exported lazily).\n",
     )
     assert checker.broken_links(page) == []
 

@@ -3,7 +3,6 @@
 from repro.noc.dataflow import (
     DataflowMode,
     classify_assignment,
-    column_dataflows,
     row_dataflows,
 )
 
@@ -48,16 +47,3 @@ class TestGridClassification:
             DataflowMode.UNICAST,
             DataflowMode.UNICAST,
         ]
-
-    def test_column_dataflows(self):
-        grid = [
-            ["A", "B"],
-            ["A", "C"],
-        ]
-        modes = column_dataflows(grid)
-        assert modes[0] is DataflowMode.BROADCAST
-        assert modes[1] is DataflowMode.UNICAST
-
-    def test_empty_grid(self):
-        assert column_dataflows([]) == []
-

@@ -14,7 +14,8 @@ import pytest
 
 from repro.experiments.cli import main
 from repro.perf.distributed import shard_index
-from repro.plan.space import PLAN_SPECS, plan_point_key
+from repro.perf.store import PlanPointKey
+from repro.plan.space import space_digest
 
 from tests._differential import assert_text_matches_modulo_wall_time
 
@@ -191,7 +192,7 @@ class TestOutputs:
 
         space = load_space(str(path))
         (point,) = space.enumerate_points()
-        empty = 1 - shard_index(plan_point_key(space, point), 2)
+        empty = 1 - shard_index(PlanPointKey(space_digest(space), point.digest), 2)
         code, out, err = run_cli(
             capsys, "plan", str(path), "--no-store", "--shard", f"{empty}/2"
         )

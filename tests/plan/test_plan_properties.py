@@ -24,7 +24,7 @@ import random
 import pytest
 
 from repro.perf.distributed import Shard
-from repro.perf.store import ResultStore
+from repro.perf.store import PlanPointKey, ResultStore
 from repro.plan.evaluate import evaluate_space
 from repro.plan.pareto import cheapest_feasible, dominates, pareto_frontier
 from repro.plan.space import (
@@ -34,7 +34,7 @@ from repro.plan.space import (
     TRAFFIC_SHAPES,
     PlanSpace,
     TrafficSpec,
-    plan_point_key,
+    space_digest,
 )
 from repro.sim.sweep import SweepEngine
 
@@ -186,12 +186,13 @@ class TestShardUnion:
         for index in range(N_SPACES):
             space = random_space(rng, name=f"shard-{index}")
             points = space.enumerate_points()
+            digest = space_digest(space)
             for count in (2, 3, 5):
                 shards = [
                     [
                         point
                         for point in points
-                        if Shard(i, count).contains(plan_point_key(space, point))
+                        if Shard(i, count).contains(PlanPointKey(digest, point.digest))
                     ]
                     for i in range(count)
                 ]

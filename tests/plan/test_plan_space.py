@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.perf.distributed import shard_index
+from repro.perf.store import PlanPointKey
 from repro.plan.space import (
     CONTROL_NAMES,
     PLAN_SPECS,
@@ -15,7 +16,6 @@ from repro.plan.space import (
     PlanSpace,
     TrafficSpec,
     load_space,
-    plan_point_key,
     space_digest,
     space_from_dict,
 )
@@ -129,7 +129,7 @@ class TestContentKeys:
     def test_plan_point_keys_shard_deterministically(self):
         space = PLAN_SPECS["tiny"]
         points = space.enumerate_points()
-        keys = [plan_point_key(space, p) for p in points]
+        keys = [PlanPointKey(space_digest(space), p.digest) for p in points]
         assignment = [shard_index(key, 2) for key in keys]
         assert assignment == [shard_index(k, 2) for k in keys]
         assert all(index in (0, 1) for index in assignment)

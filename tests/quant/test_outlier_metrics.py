@@ -68,3 +68,8 @@ class TestMetrics:
     def test_invalid_data_range(self):
         with pytest.raises(ValueError):
             psnr(np.zeros(4), np.zeros(4), data_range=0.0)
+
+    @pytest.mark.parametrize("data_range", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_data_range(self, data_range):
+        with pytest.raises(ValueError, match="data_range must be positive"):
+            psnr(np.zeros(4), np.ones(4), data_range=data_range)

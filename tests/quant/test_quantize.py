@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.quant.quantize import quantization_error, quantize
+from repro.quant.quantize import quantize
 from repro.sparse.formats import Precision
 
 
@@ -25,7 +25,10 @@ class TestQuantize:
 
     def test_higher_precision_smaller_error(self, rng):
         tensor = rng.normal(0, 1, size=(500,))
-        errors = [quantization_error(tensor, p) for p in (Precision.INT4, Precision.INT8, Precision.INT16)]
+        errors = [
+            np.sqrt(np.mean((tensor - quantize(tensor, p).dequantize()) ** 2))
+            for p in (Precision.INT4, Precision.INT8, Precision.INT16)
+        ]
         assert errors[0] > errors[1] > errors[2]
 
     def test_explicit_scale_is_used(self):
@@ -45,9 +48,6 @@ class TestQuantize:
     def test_non_finite_scale(self, scale):
         with pytest.raises(ValueError, match="scale must be positive and finite"):
             quantize(np.ones(4), Precision.INT8, scale=scale)
-
-    def test_empty_tensor_error_is_zero(self):
-        assert quantization_error(np.array([]), Precision.INT4) == 0.0
 
 
 @given(

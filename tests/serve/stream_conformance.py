@@ -37,12 +37,15 @@ Not collected by pytest (no ``test_`` prefix); the repo root is on
 
 from __future__ import annotations
 
+import importlib
 import inspect
+import pkgutil
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable, Iterator
 
+import repro.serve
 from repro.serve.request import (
     REQUEST_FIELDS,
     DiurnalStream,
@@ -278,9 +281,14 @@ def _walk_subclasses(cls: type) -> Iterator[type]:
 def all_concrete_stream_classes() -> set[type]:
     """Every concrete ``RequestStream`` subclass the repository defines.
 
-    Test-local subclasses (fixtures defining throwaway streams) are out of
-    scope; only classes living under the ``repro`` package must certify.
+    Imports every module of :mod:`repro.serve` first: the package loads
+    its submodules lazily, and a stream class exists only once its module
+    is imported.  Test-local subclasses (fixtures defining throwaway
+    streams) are out of scope; only classes living under the ``repro``
+    package must certify.
     """
+    for info in pkgutil.walk_packages(repro.serve.__path__, "repro.serve."):
+        importlib.import_module(info.name)
     return {
         sub
         for sub in _walk_subclasses(RequestStream)

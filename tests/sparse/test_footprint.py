@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sparse.footprint import FootprintModel, footprint_bits, footprint_ratio
+from repro.sparse.footprint import FootprintModel
 from repro.sparse.formats import Precision, SparsityFormat
 
 
@@ -73,18 +73,9 @@ class TestPaperTrends:
 
 
 class TestHelpers:
-    def test_footprint_bits_matches_model(self):
-        model = FootprintModel.for_precision(Precision.INT8)
-        assert footprint_bits(SparsityFormat.CSR, 0.5, Precision.INT8) == model.bits(
-            SparsityFormat.CSR, 0.5
-        )
-
-    def test_footprint_ratio_dense_is_one(self):
-        assert footprint_ratio(SparsityFormat.NONE, 0.42, Precision.INT4) == 1.0
-
     def test_custom_shape(self):
-        bits = footprint_bits(SparsityFormat.NONE, 0.0, Precision.INT16, shape=(10, 10))
-        assert bits == 100 * 16
+        model = FootprintModel(rows=10, cols=10, precision=Precision.INT16)
+        assert model.bits(SparsityFormat.NONE, 0.0) == 100 * 16
 
     def test_sweep_returns_one_value_per_ratio(self):
         model = FootprintModel.for_precision(Precision.INT16)

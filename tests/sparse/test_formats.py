@@ -51,3 +51,8 @@ class TestIndexBits:
     def test_rejects_non_positive(self):
         with pytest.raises(ValueError):
             index_bits(0)
+
+    @pytest.mark.parametrize("dim", [2.5, True, float("nan"), float("inf")])
+    def test_rejects_non_integer(self, dim):
+        with pytest.raises(ValueError, match="dimension must be >= 1 and an integer"):
+            index_bits(dim)
