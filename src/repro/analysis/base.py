@@ -1,8 +1,8 @@
 """Core types of the determinism / cache-safety static-analysis pass.
 
 The whole stack rests on invariants no test can economically guard: store
-keys must capture *all* state that affects results, shard/assemble runs
-must be bit-identical to serial runs, and every stream / simulator must be
+keys must capture *all* state that affects results, warm replays must be
+bit-identical to cold runs, and every stream / simulator must be
 seed-deterministic.  ``repro lint`` turns those invariants into
 machine-checked design rules over the package's own AST.
 

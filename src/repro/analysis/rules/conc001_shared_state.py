@@ -122,12 +122,11 @@ def _own_nodes(statement: ast.stmt) -> Iterator[ast.AST]:
 class SharedStateRule(ModuleRule):
     """Flag unlocked mutation of module/class-level state on parallel paths.
 
-    The ``--jobs`` option of ``repro run``, ``repro shard`` and ``repro
-    plan`` runs experiments and plan points on a thread pool against one
-    shared sweep engine; any module-level or class-level mutable container
-    mutated on those paths without a lock is a data race -- lost updates
-    at best, corrupted caches at worst.  The engine's own
-    caches mutate under ``self._lock``; mutations lexically inside a
+    The ``--jobs`` option of ``repro run`` and ``repro plan`` runs
+    experiments and plan points on a thread pool against one shared sweep
+    engine; any module-level or class-level mutable container mutated on
+    those paths without a lock is a data race -- lost updates at best,
+    corrupted caches at worst.  The engine's own caches mutate under ``self._lock``; mutations lexically inside a
     ``with <...lock...>:`` block, and instance state assigned per object,
     are recognised as safe.
     """
@@ -135,7 +134,7 @@ class SharedStateRule(ModuleRule):
     id = "CONC001"
     title = "unlocked shared-state mutation on a parallel code path"
     rationale = (
-        "the --jobs thread pools of repro run, shard and plan run this code "
+        "the --jobs thread pools of repro run and plan run this code "
         "concurrently; mutating module- or class-level containers without "
         "a lock races, silently corrupting caches and statistics.  Guard "
         "the mutation with a lock, as the engine's caches do."

@@ -20,8 +20,8 @@ class UnseededRandomRule(ModuleRule):
 
     Calls like ``random.shuffle`` or ``np.random.uniform`` draw from the
     interpreter-wide RNG: their results depend on everything else that
-    touched that stream, so two runs -- or two shards -- of the same seeded
-    experiment diverge.  Constructing a seedable generator
+    touched that stream, so two runs of the same seeded experiment
+    diverge.  Constructing a seedable generator
     (``random.Random(seed)``, ``np.random.default_rng(seed)``) and threading
     it through, as every stream / renderer in the tree already does, is the
     compliant pattern.
@@ -31,8 +31,8 @@ class UnseededRandomRule(ModuleRule):
     title = "unseeded global-state RNG call"
     rationale = (
         "Global RNG streams are shared process state: any other caller "
-        "advances them, so seeded experiments, shard runs and cached "
-        "results silently diverge.  Thread a random.Random(seed) / "
+        "advances them, so seeded experiments and cached results "
+        "silently diverge.  Thread a random.Random(seed) / "
         "np.random.default_rng(seed) instance instead."
     )
     scope: ClassVar[tuple[str, ...]] = (

@@ -33,19 +33,19 @@ class WallClockRule(ModuleRule):
 
     A timestamp that reaches a simulated result, a rendered table or a
     store-key digest makes every run unique: warm replays stop being
-    byte-identical and shard outputs stop matching the serial run.  Only
-    the measurement harness (``repro.perf`` -- bench timings, store entry
-    timestamps) legitimately reads clocks; provenance wall-time capture
-    elsewhere carries an inline ``lint-ignore`` with its justification.
+    byte-identical to the cold run.  Only the measurement harness
+    (``repro.perf`` -- bench timings, store entry timestamps) legitimately
+    reads clocks; provenance wall-time capture elsewhere carries an inline
+    ``lint-ignore`` with its justification.
     """
 
     id = "DET002"
     title = "wall-clock read outside repro.perf"
     rationale = (
         "Clock reads feeding results, tables or digests make every run "
-        "unique, breaking byte-identical warm replays and shard/serial "
-        "equivalence.  Measure time only in repro.perf, or suppress with "
-        "a justified inline pragma where wall time *is* the datum."
+        "unique, breaking byte-identical warm replays.  Measure time only "
+        "in repro.perf, or suppress with a justified inline pragma where "
+        "wall time *is* the datum."
     )
     exempt: ClassVar[tuple[str, ...]] = ("repro.perf",)
 

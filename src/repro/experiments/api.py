@@ -445,8 +445,8 @@ class Experiment:
     def run(self, **overrides: Any) -> ExperimentResult:
         """Execute with typed params and wrap into an :class:`ExperimentResult`."""
         values = self.resolve_params(overrides)
-        # Provenance wall-time is wall-clock by design; it is stripped by
-        # normalize_result_json before any determinism comparison.
+        # Provenance wall-time is wall-clock by design; a warm replay keeps
+        # the producing run's value, so replays stay byte-identical.
         start = time.perf_counter()  # repro: lint-ignore[DET002]
         raw = self.fn(**values)
         wall_time_s = time.perf_counter() - start  # repro: lint-ignore[DET002] provenance only

@@ -5,14 +5,9 @@ Usage::
     repro list [--tags frame-sim,hw-cost] [--format table|json]
     repro run <ids|tag:TAG|all> [--format table|json|csv] [--out DIR]
               [--jobs N] [--no-store] [per-experiment param flags]
-    repro shard <ids|tag:TAG|all> --index I --count N [--store DIR]
-                [--pack PATH] [--jobs N] [per-experiment param flags]
-    repro assemble <pack.json ...> [--store DIR] [--run SELECTORS]
-                   [--format table|json|csv] [--out DIR] [--check DIR]
-                   [--no-run] [per-experiment param flags]
-    repro plan <spec> [--shard I/N] [--pack PATH] [--format table|json|csv]
-               [--out PATH] [--check PATH] [--store DIR] [--no-store]
-               [--jobs N] [--sla-ms X] [--min-attainment F]
+    repro plan <spec> [--format table|json|csv] [--out PATH] [--check PATH]
+               [--store DIR] [--no-store] [--jobs N] [--sla-ms X]
+               [--min-attainment F]
     repro docs [--out PATH] [--check]
     repro lint [--format table|json] [--rules ID[,ID]] [--root PATH]
     repro bench [--quick] [--out PATH] [--validate PATH]
@@ -27,12 +22,8 @@ Examples::
     repro run tag:serving --format json
     repro run all --format json --out artifacts/ --jobs 4
     repro run all --no-store          # force cold, bypass the result store
-    repro shard all --index 2 --count 4 --store .shard-store \\
-        --pack packs/shard-2.json    # one machine's quarter of the evaluation
-    repro assemble packs/*.json --out assembled/ --check artifacts/
     repro plan tiny                   # Pareto frontier of the built-in tiny space
     repro plan reference --sla-ms 250 --min-attainment 0.99
-    repro plan reference --shard 0/2 --store .plan-store --pack packs/plan-0.json
     repro docs --check
     repro lint                        # determinism / cache-safety pass, exits 1 on findings
     repro lint --rules DET001,CONC001 --format json
@@ -41,20 +32,14 @@ Examples::
     repro cache stats --format json
     repro cache evict --max-entries 5000
 
-``repro shard`` runs the deterministic ``--index``-of-``--count`` subset of
-an experiment selection (partitioned by result-store cache key), persisting
-every frame and result entry it produces; ``repro assemble`` merges the
-shards' exported packs back into one store and replays the full selection
-store-warm -- see ``docs/distributed.md`` for the scaling recipe.
-
 ``repro plan`` searches a fleet capacity-plan space (:mod:`repro.plan`):
 every candidate (device mix, worker count, scheduler, control variant) is
 simulated against the spec's traffic and scored, the Pareto frontier over
 (cost/request, p99, energy/request) is reported, and ``--sla-ms`` /
 ``--min-attainment`` solve for the cheapest feasible point.  Evaluated
-points are cached in the store's plan tier, so ``--shard I/N`` + ``repro
-assemble --no-run`` distribute a large space across machines and a final
-serial ``repro plan`` replays it warm -- see ``docs/planning.md``.
+points are cached in the store's plan tier, so a warm re-run re-evaluates
+nothing and ``--check`` compares it with an earlier output -- see
+``docs/planning.md``.
 
 Every selected experiment's typed parameters are exposed as ``--flag value``
 options (``repro list --format json`` shows them); a flag applies to every
@@ -151,39 +136,10 @@ COMMANDS: tuple[CommandSpec, ...] = (
         ),
     ),
     CommandSpec(
-        "shard",
-        "run one deterministic shard of an experiment set into the store",
-        operands=(("selectors", "experiment ids, tag:TAG groups, or 'all'"),),
-        options=(
-            CommandOption("--index", "I", "this shard's index, in [0, count)"),
-            CommandOption("--count", "N", "total number of shards"),
-            CommandOption("--store", "DIR", "result store to populate (default: $REPRO_STORE_DIR or .repro-store)"),
-            CommandOption("--pack", "PATH", "export the populated store as a portable pack file (whole store: use a fresh --store for a minimal pack)"),
-            CommandOption("--jobs", "N", "run up to N of the shard's experiments concurrently"),
-            CommandOption("--<param>", "VALUE", "any selected experiment's typed parameter"),
-        ),
-    ),
-    CommandSpec(
-        "assemble",
-        "merge shard packs into one store and replay the results store-warm",
-        operands=(("packs", "pack files written by 'repro shard --pack'"),),
-        options=(
-            CommandOption("--store", "DIR", "store to merge into (default: $REPRO_STORE_DIR or .repro-store)"),
-            CommandOption("--run", "SELECTORS", "experiments to replay after merging (default: all)"),
-            CommandOption("--format", "table|json|csv", "output rendering (default: json)"),
-            CommandOption("--out", "DIR", "write one artifact file per experiment"),
-            CommandOption("--check", "DIR", "verify replayed artifacts match a reference directory (wall-clock field excluded)"),
-            CommandOption("--no-run", "", "merge only; skip the replay"),
-            CommandOption("--<param>", "VALUE", "typed parameter for the replay (pass the same values the shards used)"),
-        ),
-    ),
-    CommandSpec(
         "plan",
         "search a fleet plan space and report its Pareto frontier",
         operands=(("spec", "built-in plan-space name (tiny, reference) or a JSON spec file"),),
         options=(
-            CommandOption("--shard", "I/N", "evaluate only this shard of the space's plan points"),
-            CommandOption("--pack", "PATH", "export the populated store as a portable pack file"),
             CommandOption("--format", "table|json|csv", "output rendering (default: table)"),
             CommandOption("--out", "PATH", "write the rendered plan to a file instead of stdout"),
             CommandOption("--check", "PATH", "verify output matches a reference file (wall-clock field excluded)"),
@@ -663,118 +619,7 @@ def _cmd_run(selectors: list[str], options: Options, params: Params) -> int:
     return 0
 
 
-# -- repro shard / repro assemble ---------------------------------------------
-
-
-def _cmd_shard(selectors: list[str], options: Options, params: Params) -> int:
-    """Run one deterministic shard of an experiment selection into the store."""
-    from repro.perf.distributed import Shard, shard_experiments
-
-    if not selectors:
-        raise CLIError("no experiments selected; pass ids, tag:TAG or 'all'")
-    for flag in ("--index", "--count"):
-        if flag not in options:
-            raise CLIError(f"missing required option {flag}")
-    try:
-        shard = Shard(_number(options, "--index"), _number(options, "--count"))
-    except ValueError as exc:
-        raise CLIError(str(exc)) from None
-    jobs = _number(options, "--jobs", low=1) or 1
-    experiments = _select(selectors)
-    overrides = _resolve_param_flags(params, experiments)
-    store = _attach_store(options.get("--store"))
-    mine = shard_experiments(experiments, shard, overrides)
-    print(
-        f"shard {shard.index}/{shard.count}: {len(mine)} of "
-        f"{len(experiments)} selected experiments -> {store.root}"
-    )
-    results = run_many(mine, overrides, jobs=jobs)
-    for result in results:
-        print(f"  {result.experiment_id} ({result.provenance.wall_time_s:.1f}s)")
-    if "--pack" in options:
-        path = store.export_pack(Path(options["--pack"]))
-        print(f"wrote pack {path} ({store.stats().entries} store entries)")
-    return 0
-
-
-def _cmd_assemble(packs: list[str], options: Options, params: Params) -> int:
-    """Merge shard packs into one store and replay the results store-warm."""
-    from repro.perf.distributed import assemble_packs, normalize_result_json
-    from repro.perf.store import PackConflictError
-
-    if not packs:
-        raise CLIError(
-            "no shard packs given; pass pack files written by 'repro shard --pack'"
-        )
-    no_run = "--no-run" in options
-    if no_run and params:
-        raise CLIError(
-            "--<param> flags apply to the replay; drop --no-run to use them"
-        )
-    fmt = options.get("--format", "json")
-    experiments = _select([s for s in options.get("--run", "all").split(",") if s])
-    # The result-tier keys hash parameter values, so the replay must carry
-    # the same overrides the shard runs were given.
-    overrides = _resolve_param_flags(params, experiments)
-
-    store = _attach_store(options.get("--store"))
-    try:
-        stats = assemble_packs(store, [Path(p) for p in packs])
-    except (PackConflictError, ValueError) as exc:
-        raise CLIError(str(exc)) from None
-    print(
-        f"merged {len(packs)} pack(s) into {store.root}: {stats.added} added, "
-        f"{stats.identical} identical, {stats.skipped} skipped"
-    )
-    if no_run:
-        return 0
-    results = run_many(experiments, overrides)
-    if "--out" in options:
-        _write_artifacts(results, fmt, Path(options["--out"]))
-    if "--check" in options:
-        reference = Path(options["--check"])
-        mismatches = []
-        for result in results:
-            path = reference / f"{result.experiment_id}.{_EXTENSIONS[fmt]}"
-            text = _render(result, fmt)
-            text = text if text.endswith("\n") else text + "\n"
-            if not path.exists():
-                mismatches.append(f"{path}: missing from reference")
-            elif normalize_result_json(path.read_text()) != normalize_result_json(
-                text
-            ):
-                mismatches.append(f"{path}: assembled output differs")
-        if mismatches:
-            for mismatch in mismatches:
-                print(f"error: {mismatch}", file=sys.stderr)
-            return 1
-        print(
-            f"assembled output matches {reference} for "
-            f"{len(results)} experiment(s)"
-        )
-    if "--out" not in options and "--check" not in options:
-        _print_results(results, fmt, sys.stdout)
-    return 0
-
-
 # -- repro plan ---------------------------------------------------------------
-
-
-def _parse_shard_option(text: str):
-    """Parse an ``I/N`` shard designator into a ``Shard`` (one-line errors)."""
-    from repro.perf.distributed import Shard
-
-    parts = text.split("/")
-    if len(parts) != 2:
-        raise CLIError(f"--shard: invalid shard '{text}' (expected I/N)")
-    try:
-        index, count = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise CLIError(f"--shard: invalid shard '{text}' (expected I/N)") from None
-    try:
-        return Shard(index, count)
-    except ValueError as exc:
-        raise CLIError(f"--shard: {exc}") from None
 
 
 def _cmd_plan(operands: list[str], options: Options, _params: Params) -> int:
@@ -782,7 +627,6 @@ def _cmd_plan(operands: list[str], options: Options, _params: Params) -> int:
     import time
 
     from repro.experiments.api import _repo_version
-    from repro.perf.distributed import normalize_result_json
     from repro.plan import (
         OBJECTIVES,
         cheapest_feasible,
@@ -791,22 +635,19 @@ def _cmd_plan(operands: list[str], options: Options, _params: Params) -> int:
         pareto_frontier,
         space_digest,
     )
-    from repro.plan.render import plan_point_dict, render_plan
+    from repro.plan.render import normalize_result_json, plan_point_dict, render_plan
 
     if len(operands) != 1:
         raise CLIError(
             "pass exactly one plan spec (a built-in name or a JSON spec file)"
         )
     fmt = options.get("--format", "table")
-    shard = _parse_shard_option(options["--shard"]) if "--shard" in options else None
     jobs = _number(options, "--jobs", low=1) or 1
     sla_ms = _number(options, "--sla-ms", float, low=0, strict=True)
     min_attainment = _number(options, "--min-attainment", float, low=0, high=1)
     no_store = "--no-store" in options
     if no_store and "--store" in options:
         raise CLIError("--no-store and --store are mutually exclusive")
-    if no_store and "--pack" in options:
-        raise CLIError("--pack exports the store; drop --no-store to use it")
 
     try:
         space = load_space(operands[0])
@@ -821,9 +662,10 @@ def _cmd_plan(operands: list[str], options: Options, _params: Params) -> int:
 
     # Provenance wall time: reported beside the results, never part of them.
     start = time.perf_counter()  # repro: lint-ignore[DET002]
-    evaluation = evaluate_space(space, store=store, shard=shard, jobs=jobs)
+    evaluation = evaluate_space(space, store=store, jobs=jobs)
     wall_time_s = time.perf_counter() - start  # repro: lint-ignore[DET002] provenance only
     frontier = pareto_frontier(evaluation.points)
+    evaluated = len(evaluation.points)
 
     constraint: dict[str, Any] | None = None
     if sla_ms is not None or min_attainment is not None:
@@ -841,7 +683,7 @@ def _cmd_plan(operands: list[str], options: Options, _params: Params) -> int:
             raise CLIError(
                 f"infeasible constraint: no evaluated point has "
                 f"{' and '.join(bounds)} "
-                f"({len(evaluation.points)} points evaluated)"
+                f"({evaluated} points evaluated)"
             )
         constraint = {
             "sla_ms": sla_ms,
@@ -853,9 +695,8 @@ def _cmd_plan(operands: list[str], options: Options, _params: Params) -> int:
         "spec": space.name,
         "space": space.canonical(),
         "space_digest": space_digest(space),
-        "shard": None if shard is None else {"index": shard.index, "count": shard.count},
-        "enumerated": evaluation.enumerated,
-        "evaluated": len(evaluation.points),
+        "enumerated": evaluated,
+        "evaluated": evaluated,
         "objectives": list(OBJECTIVES),
         "frontier": [plan_point_dict(point) for point in frontier],
         "constraint": constraint,
@@ -866,8 +707,7 @@ def _cmd_plan(operands: list[str], options: Options, _params: Params) -> int:
     }
 
     print(
-        f"plan {space.name}: {len(evaluation.points)} of "
-        f"{evaluation.enumerated} points evaluated "
+        f"plan {space.name}: {evaluated} of {evaluated} points evaluated "
         f"({evaluation.fresh} fresh, {evaluation.cached} cached)"
     )
     text = render_plan(document, fmt)
@@ -879,9 +719,6 @@ def _cmd_plan(operands: list[str], options: Options, _params: Params) -> int:
         print(f"wrote {path}")
     else:
         sys.stdout.write(text)
-    if "--pack" in options and store is not None:
-        path = store.export_pack(Path(options["--pack"]))
-        print(f"wrote pack {path} ({store.stats().entries} store entries)")
     if "--check" in options:
         reference = Path(options["--check"])
         if not reference.exists():
@@ -1020,7 +857,7 @@ def run_many(
     parameter change, version bump or store-schema bump invalidates the
     entry.
     """
-    from repro.perf.distributed import experiment_result_key
+    from repro.perf.store import experiment_result_key
 
     overrides = overrides or {}
     store = _result_store()
@@ -1110,8 +947,6 @@ def _write_artifacts(
 _HANDLERS = {
     "list": _cmd_list,
     "run": _cmd_run,
-    "shard": _cmd_shard,
-    "assemble": _cmd_assemble,
     "plan": _cmd_plan,
     "trace": _cmd_trace,
     "docs": _cmd_docs,

@@ -12,9 +12,11 @@ simulator consume it.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
 
 from repro.sparse.formats import Precision
+from repro.validate import require_count
 
 
 class OpCategory(enum.Enum):
@@ -48,8 +50,8 @@ class GEMMOp:
     category = OpCategory.GEMM
 
     def __post_init__(self) -> None:
-        if min(self.m, self.n, self.k) < 1 or self.count < 1:
-            raise ValueError(f"GEMM dimensions and count must be positive: {self}")
+        for name in ("m", "n", "k", "count"):
+            require_count(f"{self.name}.{name}", getattr(self, name), 1)
         for value in (self.weight_sparsity, self.activation_sparsity):
             if not 0.0 <= value < 1.0:
                 raise ValueError(f"sparsity must be in [0, 1): {self}")
@@ -113,8 +115,11 @@ class EncodingOp:
     def __post_init__(self) -> None:
         if self.kind not in ("positional", "hash"):
             raise ValueError(f"unknown encoding kind '{self.kind}'")
-        if min(self.num_points, self.input_dim, self.output_dim, self.count) < 1:
-            raise ValueError(f"encoding op dimensions must be positive: {self}")
+        for name in ("num_points", "input_dim", "output_dim", "count"):
+            require_count(f"{self.name}.{name}", getattr(self, name), 1)
+        require_count(
+            f"{self.name}.table_lookups_per_point", self.table_lookups_per_point, 0
+        )
 
     @property
     def flops(self) -> float:
@@ -170,8 +175,13 @@ class MiscOp:
     category = OpCategory.OTHER
 
     def __post_init__(self) -> None:
-        if self.flops < 0 or self.memory_bytes < 0 or self.count < 1:
-            raise ValueError(f"MiscOp fields must be non-negative: {self}")
+        for name in ("flops", "memory_bytes"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(
+                    f"{self.name}.{name} must be finite and >= 0, got {value!r}"
+                )
+        require_count(f"{self.name}.count", self.count, 1)
 
     @property
     def input_bytes(self) -> float:

@@ -1,6 +1,6 @@
 """Performance infrastructure: the persistent result store and the bench harness.
 
-Three concerns live here, all documented in ``docs/performance.md``:
+Two concerns live here, both documented in ``docs/performance.md``:
 
 * :mod:`repro.perf.store` -- a content-addressed on-disk cache of frame
   simulations, keyed by (device fingerprint, workload digest, effective
@@ -12,8 +12,4 @@ Three concerns live here, all documented in ``docs/performance.md``:
   vs. warm sweep timing, per-experiment wall time, fleet-simulator
   throughput and hot-path microbenchmarks, emitted as a schema-versioned
   ``BENCH_<rev>.json`` trajectory point.
-* :mod:`repro.perf.distributed` -- deterministic sharding of experiment
-  sets and plan spaces by store cache key, plus pack-and-merge assembly: the
-  machinery behind ``repro shard`` / ``repro assemble`` and the CI shard
-  matrix (``docs/distributed.md``).
 """

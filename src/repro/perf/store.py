@@ -53,7 +53,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, ClassVar, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, ClassVar, Iterator, Mapping
 
 from repro.core.device import canonical_digest
 from repro.nerf.workload import OpCategory
@@ -61,6 +61,7 @@ from repro.sparse.formats import Precision
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.device import FrameReport
+    from repro.experiments.api import Experiment
     from repro.nerf.workload import Workload
 
 #: Generation of the store's serialization format *and* of the simulation
@@ -73,72 +74,6 @@ STORE_DIR_ENV = "REPRO_STORE_DIR"
 
 #: Directory name of the default store inside the repository checkout.
 DEFAULT_STORE_DIRNAME = ".repro-store"
-
-#: The ``schema`` marker every exported pack file carries.
-PACK_SCHEMA = "repro-store-pack"
-
-#: Version of the pack file layout; bump on any structural change so
-#: ``merge_from`` can refuse packs it does not understand.
-PACK_SCHEMA_VERSION = 1
-
-
-class PackConflictError(Exception):
-    """A merge found the same cache key carrying *different* content.
-
-    Identical content under one key is the expected write race (two shards
-    simulated the same point) and merges silently; diverging content means
-    the shards ran different code or state and must not be papered over.
-    ``conflicts`` lists the offending entry paths (relative to the schema
-    partition).
-    """
-
-    def __init__(self, conflicts: Sequence[str]) -> None:
-        """Record the conflicting entry paths and build the message."""
-        self.conflicts = tuple(conflicts)
-        preview = ", ".join(self.conflicts[:3])
-        if len(self.conflicts) > 3:
-            preview += ", ..."
-        super().__init__(
-            f"{len(self.conflicts)} conflicting store entr"
-            f"{'y' if len(self.conflicts) == 1 else 'ies'} "
-            f"(same key, different content): {preview}"
-        )
-
-
-@dataclass(frozen=True)
-class MergeStats:
-    """Outcome of one (or, via ``combined``, several) store merges.
-
-    ``added`` entries were new to the target, ``identical`` already present
-    with the same content (last write wins), ``skipped`` belonged to a
-    foreign schema generation or were unreadable, and ``conflicts`` names
-    entries whose content diverged (kept from the target under
-    ``strict=False``; fatal otherwise).
-    """
-
-    added: int = 0
-    identical: int = 0
-    skipped: int = 0
-    conflicts: tuple[str, ...] = ()
-
-    def combined(self, other: "MergeStats") -> "MergeStats":
-        """This outcome accumulated with ``other``'s."""
-        return MergeStats(
-            added=self.added + other.added,
-            identical=self.identical + other.identical,
-            skipped=self.skipped + other.skipped,
-            conflicts=self.conflicts + other.conflicts,
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-safe mapping of the outcome."""
-        return {
-            "added": self.added,
-            "identical": self.identical,
-            "skipped": self.skipped,
-            "conflicts": list(self.conflicts),
-        }
-
 
 def workload_digest(workload: "Workload") -> str:
     """Content hash of a workload's exact operation list and frame shape."""
@@ -225,9 +160,7 @@ class PlanPointKey(ContentKey):
     constants and the simulation environment digest (so any device-model
     or NeRF-descriptor edit invalidates every cached evaluation).
     ``point_digest`` hashes the candidate (fleet, scheduler, control
-    variant).  Plan entries shard, pack and assemble through the same
-    machinery as every other tier -- ``repro plan --shard I/N`` partitions
-    these digests exactly as ``repro shard`` partitions result keys.
+    variant).
     """
 
     space_digest: str
@@ -321,6 +254,26 @@ def environment_digest() -> str:
     """
     return canonical_digest(
         {"devices": device_registry_digest(), "models": model_registry_digest()}
+    )
+
+
+def experiment_result_key(
+    exp: "Experiment", overrides: Mapping[str, Any] | None = None
+) -> ExperimentResultKey:
+    """Content address of one experiment invocation under ``overrides``.
+
+    This is the key ``run_many`` caches whole experiment results under: a
+    parameter override changes the params fingerprint, so it gets its own
+    entry.
+    """
+    from repro.experiments.api import config_fingerprint
+
+    values = exp.resolve_params(overrides or {})
+    params_json = {p.name: p.to_json(values[p.name]) for p in exp.params}
+    return ExperimentResultKey(
+        experiment_id=exp.id,
+        params_fingerprint=config_fingerprint(exp.id, params_json),
+        environment_digest=environment_digest(),
     )
 
 
@@ -427,8 +380,7 @@ class ResultStore:
     Layout: ``root/v<schema>/<kind>/<digest[:2]>/<digest>.json``; the two-level
     fan-out keeps directories small at fleet-sweep entry counts.  All
     operations tolerate concurrent readers and writers (atomic replace,
-    corrupt-as-miss), making the store safe under ``repro run --jobs`` and
-    parallel CI shards sharing one cache directory.
+    corrupt-as-miss), making the store safe under ``repro run --jobs``.
     """
 
     def __init__(self, root: Path | str) -> None:
@@ -545,173 +497,6 @@ class ResultStore:
         tmp = path.with_suffix(f".tmp-{os.getpid()}-{os.urandom(4).hex()}")
         tmp.write_text(json.dumps(document))
         os.replace(tmp, path)
-
-    # -- pack export / merge ---------------------------------------------------
-
-    def _pack_entries(self) -> Iterator[tuple[str, dict[str, Any]]]:
-        """Yield ``(relative path, document)`` for every readable current entry."""
-        base = self._schema_dir()
-        for path in self._entry_files():
-            try:
-                document = json.loads(path.read_text())
-            except (OSError, ValueError):
-                continue  # corrupt / racing entry: not worth shipping
-            if (
-                isinstance(document, dict)
-                and document.get("schema_version") == self.schema_version
-            ):
-                yield path.relative_to(base).as_posix(), document
-
-    def export_pack(self, out: Path | str) -> Path:
-        """Write every current-schema entry into one portable pack file.
-
-        The pack is a single JSON document carrying the store's schema
-        version and each entry's relative path plus full stored document,
-        so :meth:`merge_from` can reconstruct the entries byte-equivalently
-        in any other store.  Stale-schema generations are not exported.
-        Returns the written path.
-        """
-        out = Path(out)
-        pack = {
-            "schema": PACK_SCHEMA,
-            "pack_schema_version": PACK_SCHEMA_VERSION,
-            "store_schema_version": self.schema_version,
-            "entries": [
-                {"path": rel, "document": document}
-                for rel, document in self._pack_entries()
-            ],
-        }
-        self._atomic_write(out, pack)
-        return out
-
-    @staticmethod
-    def _load_pack(source: Path) -> dict[str, Any]:
-        """Parse and shape-check one pack file; raises ValueError on problems."""
-        try:
-            pack = json.loads(source.read_text())
-        except FileNotFoundError:
-            raise ValueError(f"no such pack file: {source}") from None
-        except (OSError, ValueError) as exc:
-            raise ValueError(f"cannot read pack {source}: {exc}") from None
-        if not isinstance(pack, dict) or pack.get("schema") != PACK_SCHEMA:
-            raise ValueError(f"{source} is not a result-store pack")
-        if pack.get("pack_schema_version") != PACK_SCHEMA_VERSION:
-            raise ValueError(
-                f"{source} uses pack schema "
-                f"v{pack.get('pack_schema_version')}, "
-                f"this build reads v{PACK_SCHEMA_VERSION}"
-            )
-        if not isinstance(pack.get("entries"), list):
-            raise ValueError(f"{source} carries no entry list")
-        return pack
-
-    @staticmethod
-    def _comparable(document: dict[str, Any]) -> dict[str, Any]:
-        """A document stripped of its write timestamp, for identity checks."""
-        return {k: v for k, v in document.items() if k != "created_s"}
-
-    @staticmethod
-    def _safe_relative_path(rel: Any, base: Path) -> bool:
-        """Whether a pack entry path stays strictly inside ``base``.
-
-        Beyond the obvious ``..`` components, this rejects anything the
-        host's path semantics could carry outside the store -- absolute
-        paths, Windows drive letters and backslash separators -- by
-        resolving the joined path and requiring ``base`` as an ancestor.
-        """
-        if not isinstance(rel, str) or not rel or "\\" in rel or ":" in rel:
-            return False
-        if rel.startswith("/") or ".." in rel.split("/"):
-            return False
-        try:
-            resolved_base = base.resolve()
-            resolved = (base / rel).resolve()
-            return resolved != resolved_base and resolved.is_relative_to(
-                resolved_base
-            )
-        except (OSError, ValueError):  # pragma: no cover - exotic paths
-            return False
-
-    def merge_from(
-        self, source: "ResultStore | Path | str", strict: bool = True
-    ) -> MergeStats:
-        """Merge entries from a pack file or another store into this store.
-
-        ``source`` is a pack file written by :meth:`export_pack`, a store
-        directory, or a :class:`ResultStore`.  Semantics per entry:
-
-        * **new key** -- written atomically (``added``);
-        * **same key, identical content** (write timestamps excluded) --
-          the incoming entry wins the race exactly as a concurrent writer
-          would (``identical``);
-        * **same key, different content** -- a genuine conflict: recorded
-          in ``conflicts`` and, under ``strict`` (the default), raised as
-          :class:`PackConflictError` after the merge pass (the target's
-          entries are kept either way);
-        * **foreign schema generation / unreadable** -- ``skipped``.
-
-        Only current-schema entries move; a pack whose
-        ``store_schema_version`` differs from this build's raises
-        ValueError, since its content would be unreadable anyway.
-        """
-        if isinstance(source, ResultStore):
-            entries = list(source._pack_entries())
-            if source.schema_version != self.schema_version:  # pragma: no cover
-                raise ValueError("cannot merge across store schema versions")
-        else:
-            source_path = Path(source)
-            if source_path.is_dir():
-                return self.merge_from(ResultStore(source_path), strict=strict)
-            pack = self._load_pack(source_path)
-            if pack["store_schema_version"] != self.schema_version:
-                raise ValueError(
-                    f"{source_path} was exported from store schema "
-                    f"v{pack['store_schema_version']}, this build uses "
-                    f"v{self.schema_version}"
-                )
-            entries = [
-                (entry.get("path"), entry.get("document"))
-                for entry in pack["entries"]
-                if isinstance(entry, dict)
-            ]
-        base = self._schema_dir()
-        added = identical = skipped = 0
-        conflicts: list[str] = []
-        for rel, document in entries:
-            if (
-                not self._safe_relative_path(rel, base)
-                or not isinstance(document, dict)
-                or document.get("schema_version") != self.schema_version
-            ):
-                skipped += 1
-                continue
-            target = base / rel
-            existing: dict[str, Any] | None = None
-            try:
-                loaded = json.loads(target.read_text())
-                if isinstance(loaded, dict):
-                    existing = loaded
-            except (OSError, ValueError):
-                existing = None  # absent or corrupt: incoming entry heals it
-            try:
-                if existing is None:
-                    self._atomic_write(target, document)
-                    added += 1
-                elif self._comparable(existing) == self._comparable(document):
-                    self._atomic_write(target, document)  # last write wins
-                    identical += 1
-                else:
-                    conflicts.append(rel)
-            except OSError:  # pragma: no cover - unwritable target
-                skipped += 1
-        if strict and conflicts:
-            raise PackConflictError(conflicts)
-        return MergeStats(
-            added=added,
-            identical=identical,
-            skipped=skipped,
-            conflicts=tuple(conflicts),
-        )
 
     # -- maintenance -----------------------------------------------------------
 

@@ -17,9 +17,7 @@ variant) one level above the accelerator design-space sweeps:
   document (imported on demand: it uses the experiments' table renderer).
 
 ``repro plan <spec>`` is the CLI surface; because plan points are store
-keys, ``repro plan --shard I/N`` + ``repro assemble`` distribute a large
-space across machines exactly like the experiment sweeps
-(``docs/planning.md``).
+keys, a warm re-run of a space re-evaluates nothing (``docs/planning.md``).
 """
 
 from repro._lazy import lazy_exports

@@ -7,7 +7,7 @@ and is scored with the repository's hardware cost models
 electricity), energy per request, tail latency and SLO attainment.
 Evaluations are pure functions of the space digest, so results are cached
 in the store's plan tier (:class:`~repro.perf.store.PlanPointKey`) and a
-warm re-run -- or a shard assembled from packs -- re-evaluates nothing.
+warm re-run re-evaluates nothing.
 """
 
 import math
@@ -15,7 +15,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from repro.hw.cost import AreaReport, PowerReport
-from repro.perf.distributed import Shard
 from repro.perf.store import PlanPointKey, ResultStore
 from repro.plan.space import PlanPoint, PlanSpace, space_digest
 from repro.serve.control import (
@@ -260,15 +259,14 @@ def evaluate_point(
 
 @dataclass(frozen=True)
 class PlanEvaluation:
-    """The outcome of evaluating (one shard of) a plan space.
+    """The outcome of evaluating a plan space.
 
-    ``points`` is in enumeration order, restricted to the owned shard;
-    ``fresh`` / ``cached`` count simulations run vs. store hits, so the
-    warm-store differential test can assert zero re-evaluations.
+    ``points`` is in enumeration order; ``fresh`` / ``cached`` count
+    simulations run vs. store hits, so a warm re-run can be checked for
+    zero re-evaluations.
     """
 
     points: tuple[EvaluatedPoint, ...]
-    enumerated: int
     fresh: int
     cached: int
 
@@ -277,17 +275,13 @@ def evaluate_space(
     space: PlanSpace,
     engine: SweepEngine | None = None,
     store: ResultStore | None = None,
-    shard: Shard | None = None,
     jobs: int = 1,
 ) -> PlanEvaluation:
-    """Evaluate every candidate of ``space`` this runner owns.
+    """Evaluate every candidate of ``space``.
 
-    ``shard`` restricts work to the plan points whose content address the
-    shard owns (the union over all shards is exactly the serial
-    enumeration); ``store`` (defaulting to the engine's attached store)
-    caches each evaluation under its
-    :class:`~repro.perf.store.PlanPointKey`; ``jobs`` fans fresh
-    evaluations over a thread pool with bit-identical results.
+    ``store`` (defaulting to the engine's attached store) caches each
+    evaluation under its :class:`~repro.perf.store.PlanPointKey`; ``jobs``
+    fans fresh evaluations over a thread pool with bit-identical results.
     """
     engine = engine or get_default_engine()
     if store is None:
@@ -295,14 +289,11 @@ def evaluate_space(
     points = space.enumerate_points()
     digest = space_digest(space)
     keyed = [(point, PlanPointKey(digest, point.digest)) for point in points]
-    owned = [
-        (point, key) for point, key in keyed if shard is None or shard.contains(key)
-    ]
     # One realized arrival process per traffic shape in use; candidates
     # sharing a shape replay the identical requests.
     requests_by_shape = {
         shape: space.traffic.requests(shape)
-        for shape in sorted({point.traffic for point, _ in owned})
+        for shape in sorted({point.traffic for point in points})
     }
     fresh = 0
     cached = 0
@@ -325,11 +316,11 @@ def evaluate_space(
             store.put(key, evaluated.to_payload())
         return evaluated, False
 
-    if jobs > 1 and len(owned) > 1:
+    if jobs > 1 and len(keyed) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(evaluate_one, owned))
+            outcomes = list(pool.map(evaluate_one, keyed))
     else:
-        outcomes = [evaluate_one(item) for item in owned]
+        outcomes = [evaluate_one(item) for item in keyed]
     for _, was_cached in outcomes:
         if was_cached:
             cached += 1
@@ -337,7 +328,6 @@ def evaluate_space(
             fresh += 1
     return PlanEvaluation(
         points=tuple(evaluated for evaluated, _ in outcomes),
-        enumerated=len(points),
         fresh=fresh,
         cached=cached,
     )

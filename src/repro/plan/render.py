@@ -1,12 +1,14 @@
 """Text renderings of a ``repro plan`` document: table, CSV and JSON.
 
 The document is what ``repro plan`` prints or writes with ``--out``; the
-table goes through the experiments' shared fixed-width renderer.
+table goes through the experiments' shared fixed-width renderer, and
+``--check`` compares documents through :func:`normalize_result_json`.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from operator import itemgetter
 from typing import Any
 
@@ -32,6 +34,21 @@ CSV_FIELDS = (
     "energy_per_request_j", "slo_attainment", "goodput_rps", "completed_requests",
 )
 
+#: The one volatile field of a rendered document: the provenance wall time,
+#: which records the producing run's measurement.
+_WALL_TIME_RE = re.compile(r'("wall_time_s":\s*)[-+0-9.eE]+')
+
+
+def normalize_result_json(text: str) -> str:
+    """``text`` with the volatile provenance wall-clock field zeroed.
+
+    A warm replay reproduces every simulated number, but two producing runs
+    measure different wall times.  Substituting only the ``wall_time_s``
+    number leaves every other byte intact, so comparing normalized texts
+    still pins all simulated content bit for bit.
+    """
+    return _WALL_TIME_RE.sub(r"\g<1>0.0", text)
+
 
 def plan_point_dict(evaluated: EvaluatedPoint) -> dict[str, Any]:
     """One evaluated plan point as a flat JSON-safe mapping."""
@@ -47,8 +64,6 @@ def _table(document: dict[str, Any]) -> str:
         f"({document['enumerated']} enumerated)",
         render_grid(FRONTIER_COLUMNS, document["frontier"]),
     ]
-    if not document["frontier"]:
-        lines.append("(empty frontier: no plan points evaluated)")
     constraint = document.get("constraint")
     if constraint is not None:
         solution = constraint["solution"]

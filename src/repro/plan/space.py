@@ -7,8 +7,7 @@ with the :class:`TrafficSpec` every candidate is judged against.  Enumeration
 is fully deterministic (declared tuple order, no set/dict iteration), and
 each candidate maps to a content-addressed
 :class:`~repro.perf.store.PlanPointKey`, so evaluated points are cached in
-the result store and partition across machines through the same
-``repro shard`` / ``repro assemble`` machinery as every other tier.
+the result store like every other tier's entries.
 
 ``docs/planning.md`` documents the model; ``repro plan`` is the CLI surface.
 """
@@ -257,8 +256,8 @@ class PlanSpace:
         Worker counts, fleets (``itertools.combinations_with_replacement``
         over the declared device order), schedulers and controls nest in
         that order, so repeat calls -- on any machine -- enumerate the
-        identical sequence.  Sharding and the serial/shard differential
-        tests rely on this.
+        identical sequence, and a warm re-run finds every point's store
+        entry.
         """
         points = []
         for count in self.worker_counts:

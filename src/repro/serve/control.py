@@ -540,7 +540,7 @@ def price_ladder(
     """
     from repro.nerf.hashgrid import HashGridConfig
     from repro.nerf.rays import Camera
-    from repro.nerf.renderer import InstantNGPRenderer
+    from repro.nerf.renderer import InstantNGPRenderer, RenderPlan
     from repro.nerf.scenes import get_scene
     from repro.quant.metrics import psnr
     from repro.sim.sweep import get_default_engine
@@ -557,9 +557,19 @@ def price_ladder(
         )
     )
     renderer.fit_to_scene(get_scene(scenario.scene), store=engine.store)
-    camera = Camera(width=probe_size, height=probe_size, focal=probe_size * 1.2)
-    reference_plan = renderer.prepare_render(camera, num_samples=probe_samples)
-    reference = renderer.render_prepared(reference_plan, record_stats=False)
+    # One prepared probe per (size, samples): steps that shrink to the same
+    # probe, or keep the full-quality one, share its plan.
+    plans: dict[tuple[int, int], RenderPlan] = {}
+
+    def probe(size: int, samples: int) -> RenderPlan:
+        if (size, samples) not in plans:
+            camera = Camera(width=size, height=size, focal=size * 1.2)
+            plans[size, samples] = renderer.prepare_render(camera, num_samples=samples)
+        return plans[size, samples]
+
+    reference = renderer.render_prepared(
+        probe(probe_size, probe_samples), record_stats=False
+    )
 
     rows = []
     for step in steps:
@@ -567,13 +577,8 @@ def price_ladder(
         report = _scenario_report(engine, device, degraded)
         size = max(1, round(probe_size * step.resolution_scale))
         samples = max(1, round(probe_samples * step.sample_scale))
-        if size == probe_size and samples == probe_samples:
-            plan = reference_plan
-        else:
-            probe_camera = Camera(width=size, height=size, focal=size * 1.2)
-            plan = renderer.prepare_render(probe_camera, num_samples=samples)
         image = renderer.render_prepared(
-            plan, precision=step.precision, record_stats=False
+            probe(size, samples), precision=step.precision, record_stats=False
         )
         if size != probe_size:
             image = _nearest_resize(image, probe_size)

@@ -1,10 +1,9 @@
 """Shared differential-testing helpers: normalize-and-diff comparators.
 
-Three suites pin "two ways of computing the same thing agree bit-exactly":
-the serving fast path vs. the event loop (``tests/serve``), sharded
-``repro shard`` + ``assemble`` replays vs. serial runs (``tests/perf``),
-and sharded ``repro plan`` vs. serial planning (``tests/plan``).  The
-comparison logic used to be duplicated per suite; it lives here once.
+Two suites pin "two ways of computing the same thing agree bit-exactly":
+the serving fast path vs. the event loop (``tests/serve``), and a warm
+``repro plan`` replay vs. the cold run (``tests/plan``).  The comparison
+logic lives here once.
 
 Not a test module (the leading underscore keeps pytest from collecting
 it); import as ``from tests._differential import ...`` -- the repo root is
@@ -14,7 +13,7 @@ namespace package.
 
 import json
 
-from repro.perf.distributed import normalize_result_json
+from repro.plan.render import normalize_result_json
 
 
 def assert_fast_path_matches_event_loop(simulator, requests, context=""):
@@ -40,7 +39,7 @@ def assert_text_matches_modulo_wall_time(reference, candidate, context=""):
     """Assert two JSON artifacts match byte-for-byte except wall-clock time.
 
     Both directions of the pin: the texts are identical once
-    :func:`~repro.perf.distributed.normalize_result_json` masks the
+    :func:`~repro.plan.render.normalize_result_json` masks the
     volatile ``wall_time_s`` provenance field, *and* the masking touches
     nothing else (parsing both documents and deleting every ``wall_time_s``
     leaves equal structures) -- so a regression cannot hide behind the
@@ -66,29 +65,3 @@ def _without_wall_time(document):
         return [_without_wall_time(item) for item in document]
     return document
 
-
-def assert_shard_union_matches_serial(serial_items, shard_item_lists, key=None):
-    """Assert shard outputs partition the serial output exactly.
-
-    ``serial_items`` is the full (serial) sequence; ``shard_item_lists``
-    is one sequence per shard.  Asserts the shards are pairwise disjoint,
-    collectively complete, and order-preserving restrictions of the serial
-    sequence.  ``key`` maps an item to its identity (default: the item
-    itself).
-    """
-    key = key or (lambda item: item)
-    serial_keys = [key(item) for item in serial_items]
-    assert len(set(serial_keys)) == len(serial_keys), "serial items not unique"
-    seen = set()
-    for index, items in enumerate(shard_item_lists):
-        shard_keys = [key(item) for item in items]
-        overlap = seen.intersection(shard_keys)
-        assert not overlap, f"shard {index} repeats items of earlier shards: {overlap}"
-        seen.update(shard_keys)
-        # Each shard preserves the serial enumeration order of its subset.
-        positions = [serial_keys.index(k) for k in shard_keys]
-        assert positions == sorted(positions), f"shard {index} reorders items"
-    assert seen == set(serial_keys), (
-        f"shard union differs from serial: missing={set(serial_keys) - seen} "
-        f"extra={seen - set(serial_keys)}"
-    )

@@ -22,11 +22,11 @@ ENFORCED_MODULES = (
     "repro.perf",
     "repro.perf.store",
     "repro.perf.bench",
-    "repro.perf.distributed",
     "repro.plan",
     "repro.plan.space",
     "repro.plan.evaluate",
     "repro.plan.pareto",
+    "repro.plan.render",
     "repro.serve",
     "repro.serve.request",
     "repro.serve.scheduler",

@@ -240,17 +240,54 @@ class TestStoreFlags:
         assert "32x32" in overridden_out
         assert overridden_out != default_out
 
+    @pytest.mark.parametrize("exp_id", sorted(EXPERIMENTS))
     def test_warm_json_artifacts_match_cold(
-        self, capsys, monkeypatch, tmp_path
+        self, capsys, monkeypatch, tmp_path, exp_id
     ):
+        # A warm run replays the cold one from the result tier, byte for
+        # byte (wall time included), without re-running the experiment.
+        from repro.experiments.api import Experiment
+
         monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "store"))
         cold_dir, warm_dir = tmp_path / "cold", tmp_path / "warm"
-        run_cli(capsys, "run", "fig04", "--format", "json", "--out", str(cold_dir))
-        run_cli(capsys, "run", "fig04", "--format", "json", "--out", str(warm_dir))
-        assert (
-            (cold_dir / "fig04.json").read_text()
-            == (warm_dir / "fig04.json").read_text()
+        code, _, err = run_cli(
+            capsys, "run", exp_id, "--format", "json", "--out", str(cold_dir)
         )
+        assert code == 0, err
+
+        def recompute(self, **params):
+            raise AssertionError(f"warm replay re-ran {self.id}")
+
+        monkeypatch.setattr(Experiment, "run", recompute)
+        code, _, err = run_cli(
+            capsys, "run", exp_id, "--format", "json", "--out", str(warm_dir)
+        )
+        assert code == 0, err
+        assert (
+            (cold_dir / f"{exp_id}.json").read_text()
+            == (warm_dir / f"{exp_id}.json").read_text()
+        )
+
+
+class TestRetiredSurface:
+    """The multi-machine commands and options are gone: each exits 2."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("shard", "all", "--index", "0", "--count", "1"),
+            ("assemble", "p.json"),
+            ("plan", "tiny", "--no-store", "--shard", "0/2"),
+            ("plan", "tiny", "--no-store", "--pack", "p.json"),
+        ],
+        ids=["shard", "assemble", "plan--shard", "plan--pack"],
+    )
+    def test_exits_2_with_one_line_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert out == ""
 
 
 class TestCache:
@@ -410,8 +447,6 @@ class TestDocs:
 VALID_ARGS = {
     "list": (),
     "run": ("fig06",),
-    "shard": ("fig06", "--index", "0", "--count", "1"),
-    "assemble": ("shard.json",),
     "plan": ("tiny",),
     "trace": ("trace.csv",),
     "docs": (),

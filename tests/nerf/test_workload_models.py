@@ -1,5 +1,6 @@
 """Tests for workload descriptors and the seven per-model builders."""
 
+import numpy as np
 import pytest
 
 from repro.nerf.models import MODEL_REGISTRY, FrameConfig, get_model
@@ -67,6 +68,71 @@ class TestEncodingAndMiscOps:
     def test_misc_validation(self):
         with pytest.raises(ValueError):
             MiscOp("m", flops=-1, memory_bytes=0)
+
+
+NAN, INF = float("nan"), float("inf")
+
+GEMM = dict(name="g", m=4, n=4, k=4)
+ENCODING = dict(name="e", kind="hash", num_points=4, input_dim=3, output_dim=2)
+MISC = dict(name="x", flops=1.0, memory_bytes=0.0)
+
+
+BAD_OP_FIELDS = [
+    (GEMMOp, "m", NAN, "g.m must be >= 1 and an integer"),
+    (GEMMOp, "m", INF, "g.m must be >= 1 and an integer"),
+    (GEMMOp, "n", 2.5, "g.n must be >= 1 and an integer"),
+    (GEMMOp, "k", True, "g.k must be >= 1 and an integer"),
+    (GEMMOp, "count", NAN, "g.count must be >= 1 and an integer"),
+    (EncodingOp, "num_points", NAN, "e.num_points must be >= 1"),
+    (EncodingOp, "num_points", 2.5, "e.num_points must be >= 1"),
+    (EncodingOp, "count", INF, "e.count must be >= 1"),
+    (EncodingOp, "table_lookups_per_point", 2.5, "e.table_lookups_per_point must be >= 0"),
+    (MiscOp, "flops", NAN, "x.flops must be finite and >= 0"),
+    (MiscOp, "flops", INF, "x.flops must be finite and >= 0"),
+    (MiscOp, "memory_bytes", NAN, "x.memory_bytes must be finite and >= 0"),
+    (MiscOp, "count", 2.5, "x.count must be >= 1 and an integer"),
+    (MiscOp, "count", True, "x.count must be >= 1 and an integer"),
+    (GEMMOp, "count", 2.5, "g.count must be >= 1 and an integer"),
+    (EncodingOp, "input_dim", 2.5, "e.input_dim must be >= 1"),
+    (EncodingOp, "output_dim", NAN, "e.output_dim must be >= 1"),
+    (EncodingOp, "count", True, "e.count must be >= 1"),
+    (EncodingOp, "table_lookups_per_point", -1, "e.table_lookups_per_point must be >= 0"),
+    (EncodingOp, "table_lookups_per_point", NAN, "e.table_lookups_per_point must be >= 0"),
+    (MiscOp, "flops", -INF, "x.flops must be finite and >= 0"),
+    (MiscOp, "memory_bytes", INF, "x.memory_bytes must be finite and >= 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "op,field,value,message",
+    [
+        pytest.param(*case, id=f"{case[0].__name__}-{case[1]}={case[2]}")
+        for case in BAD_OP_FIELDS
+    ],
+)
+def test_op_fields_reject_non_finite_fractional_and_bool(op, field, value, message):
+    base = {GEMMOp: GEMM, EncodingOp: ENCODING, MiscOp: MISC}[op]
+    with pytest.raises(ValueError, match=message):
+        op(**{**base, field: value})
+
+
+@pytest.mark.parametrize(
+    "op,fields",
+    [
+        (GEMMOp, dict(m=np.int64(4), n=np.int32(2), k=np.int64(8), count=np.int64(3))),
+        (EncodingOp, dict(num_points=np.int64(4), table_lookups_per_point=0)),
+        (MiscOp, dict(flops=0, memory_bytes=0, count=np.int64(2))),
+    ],
+    ids=["GEMMOp", "EncodingOp", "MiscOp"],
+)
+def test_op_fields_accept_numpy_integers_and_zero_costs(op, fields):
+    # The guards reject fractions and bools, not integer types: numpy
+    # integers pass as their int value, and a free op (zero flops or bytes,
+    # zero table lookups) stays legal.
+    base = {GEMMOp: GEMM, EncodingOp: ENCODING, MiscOp: MISC}[op]
+    built = op(**{**base, **fields})
+    for name, value in fields.items():
+        assert getattr(built, name) == value
 
 
 class TestWorkload:

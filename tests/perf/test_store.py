@@ -28,6 +28,7 @@ from repro.perf.store import (
     ResultStore,
     StoreKey,
     device_registry_digest,
+    experiment_result_key,
     report_from_dict,
     report_to_dict,
     workload_digest,
@@ -328,6 +329,18 @@ class TestExperimentResultTier:
             del MODEL_REGISTRY["store-test-model"]
         assert environment_digest() == env_before
 
+    def test_overrides_change_the_key_deterministically(self):
+        from repro.experiments.registry import EXPERIMENTS
+
+        exp = EXPERIMENTS["fig19"]
+        base = experiment_result_key(exp)
+        overridden = experiment_result_key(exp, {"pruning_ratios": (0.0,)})
+        assert base.digest != overridden.digest
+        assert (
+            experiment_result_key(exp, {"pruning_ratios": (0.0,)}).digest
+            == overridden.digest
+        )
+
 
 #: One key per entry kind, each with a payload shaped like its real one.
 KIND_CASES = (
@@ -451,6 +464,21 @@ class TestEngineIntegration:
         assert engine.stats.store_hits == 0
         assert engine.stats.render_calls == engine.stats.store_misses > 0
         assert len(rows) == len(SweepEngine().run(SPEC))
+
+    def test_independent_engines_address_content_at_one_path(self, tmp_path):
+        # The entry's file name is its key's digest, and two engines that
+        # simulate the same content write it at the same relative path.
+        entries = []
+        for name in ("a", "b"):
+            root = tmp_path / name
+            SweepEngine(store=ResultStore(root)).frame_report(
+                "flexnerfer", "instant-ngp", config=SMALL, precision=Precision.INT8
+            )
+            [path] = sorted(root.rglob("frame/*/*.json"))
+            key = StoreKey(**json.loads(path.read_text())["key"])
+            assert path.stem == key.digest
+            entries.append(path.relative_to(root))
+        assert entries[0] == entries[1]
 
     def test_no_store_engine_is_unaffected(self):
         engine = SweepEngine()

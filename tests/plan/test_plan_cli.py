@@ -1,11 +1,10 @@
-"""CLI surface of ``repro plan``: error paths, formats, shard differential.
+"""CLI surface of ``repro plan``: error paths, formats, warm replay.
 
 Error paths follow the pinned-exit-code pattern of
 ``tests/experiments/test_cli.py``: status 2 and a one-line ``error:``
-message, never a traceback.  The differential class pins the acceptance
-criterion end to end: a 2-shard ``repro plan`` run assembles byte-identical
-(modulo wall-time provenance) to the serial run, with zero re-evaluations
-on the warm store.
+message, never a traceback.  The replay class pins that a warm
+``repro plan`` re-run is byte-identical (modulo wall-time provenance) to
+the cold run, with zero re-evaluations on the warm store.
 """
 
 import json
@@ -13,9 +12,6 @@ import json
 import pytest
 
 from repro.experiments.cli import main
-from repro.perf.distributed import shard_index
-from repro.perf.store import PlanPointKey
-from repro.plan.space import space_digest
 
 from tests._differential import assert_text_matches_modulo_wall_time
 
@@ -79,14 +75,6 @@ class TestErrorPaths:
         code, _, err = run_cli(capsys, "plan")
         self.assert_one_liner(code, err, "exactly one plan spec")
 
-    def test_bad_shard_designators(self, capsys):
-        for bad in ("2", "a/b", "3/2", "-1/2"):
-            code, _, err = run_cli(
-                capsys, "plan", "tiny", "--no-store", "--shard", bad
-            )
-            assert code == 2, bad
-            assert err.startswith("error: --shard:"), bad
-
     def test_bad_format(self, capsys):
         code, _, err = run_cli(
             capsys, "plan", "tiny", "--no-store", "--format", "xml"
@@ -104,10 +92,6 @@ class TestErrorPaths:
             capsys, "plan", "tiny", "--no-store", "--store", str(tmp_path / "s")
         )
         self.assert_one_liner(code, err, "mutually exclusive")
-        code, _, err = run_cli(
-            capsys, "plan", "tiny", "--no-store", "--pack", str(tmp_path / "p.json")
-        )
-        self.assert_one_liner(code, err, "--pack exports the store")
 
     def test_unknown_option(self, capsys):
         code, _, err = run_cli(capsys, "plan", "tiny", "--frobnicate", "1")
@@ -184,70 +168,36 @@ class TestOutputs:
         assert code == 0
         assert "cheapest feasible:" in out
 
-    def test_empty_frontier_on_shard_owning_nothing(self, capsys, tmp_path):
-        # A single-point space: exactly one of two shards owns the point,
-        # so the other evaluates nothing and reports an empty frontier.
-        path = write_spec(tmp_path, devices=["flexnerfer"])
-        from repro.plan.space import load_space
 
-        space = load_space(str(path))
-        (point,) = space.enumerate_points()
-        empty = 1 - shard_index(PlanPointKey(space_digest(space), point.digest), 2)
-        code, out, err = run_cli(
-            capsys, "plan", str(path), "--no-store", "--shard", f"{empty}/2"
-        )
-        assert code == 0 and err == ""
-        assert "0 of 1 points evaluated" in out
-        assert "(empty frontier: no plan points evaluated)" in out
-
-
-class TestShardDifferential:
-    """The acceptance pin: sharded plan == serial plan, warm and byte-exact."""
+class TestWarmReplay:
+    """A warm plan replays the cold plan byte-exactly, re-evaluating nothing."""
 
     def plan(self, capsys, *argv):
         code, out, err = run_cli(capsys, "plan", *argv)
         assert code == 0, err
         return out
 
-    def test_two_shard_assemble_matches_serial(self, capsys, tmp_path):
-        serial_json = tmp_path / "serial.json"
-        self.plan(
-            capsys, "tiny", "--store", str(tmp_path / "serial-store"),
-            "--format", "json", "--out", str(serial_json),
+    def test_warm_replay_matches_cold_run(self, capsys, tmp_path):
+        store = str(tmp_path / "store")
+        cold_json = tmp_path / "cold.json"
+        out = self.plan(
+            capsys, "tiny", "--store", store,
+            "--format", "json", "--out", str(cold_json),
         )
-        packs = []
-        shard_points = 0
-        for index in range(2):
-            pack = tmp_path / f"pack-{index}.json"
-            out = self.plan(
-                capsys, "tiny", "--shard", f"{index}/2",
-                "--store", str(tmp_path / f"shard-store-{index}"),
-                "--pack", str(pack),
-            )
-            assert f"wrote pack {pack}" in out
-            shard_points += int(out.split(" of ")[0].split(": ")[1])
-            packs.append(pack)
-        assert shard_points == 5, "two shards cover the whole space"
-
-        code, out, err = run_cli(
-            capsys, "assemble", *map(str, packs),
-            "--store", str(tmp_path / "assembled-store"), "--no-run",
-        )
-        assert code == 0, err
-        assert "merged 2 pack(s)" in out
+        assert "(5 fresh, 0 cached)" in out
 
         warm_json = tmp_path / "warm.json"
         out = self.plan(
-            capsys, "tiny", "--store", str(tmp_path / "assembled-store"),
+            capsys, "tiny", "--store", store,
             "--format", "json", "--out", str(warm_json),
-            "--check", str(serial_json),
+            "--check", str(cold_json),
         )
         # Zero re-evaluations on the warm store...
         assert "(0 fresh, 5 cached)" in out
-        assert f"plan output matches {serial_json}" in out
+        assert f"plan output matches {cold_json}" in out
         # ...and byte-identical output modulo the wall-time provenance.
         assert_text_matches_modulo_wall_time(
-            serial_json.read_text(), warm_json.read_text()
+            cold_json.read_text(), warm_json.read_text()
         )
 
     def test_check_flags_divergent_reference(self, capsys, tmp_path):

@@ -7,8 +7,6 @@ Fixed-seed randomized plan spaces assert the tentpole's promises:
   an independent inline dominance implementation, not the library's);
 * **constraint-solver optimality** -- ``cheapest_feasible`` equals an
   exhaustive scan with the same deterministic tie-break;
-* **shard-union == serial** -- the shard partitions of a space's plan
-  points are disjoint, complete and order-preserving for every shard count;
 * **bit-determinism** -- re-evaluating a space (serially, with ``jobs=2``,
   or through a warm store) reproduces identical evaluated points.
 
@@ -23,8 +21,7 @@ import random
 
 import pytest
 
-from repro.perf.distributed import Shard
-from repro.perf.store import PlanPointKey, ResultStore
+from repro.perf.store import ResultStore
 from repro.plan.evaluate import evaluate_space
 from repro.plan.pareto import cheapest_feasible, dominates, pareto_frontier
 from repro.plan.space import (
@@ -34,11 +31,8 @@ from repro.plan.space import (
     TRAFFIC_SHAPES,
     PlanSpace,
     TrafficSpec,
-    space_digest,
 )
 from repro.sim.sweep import SweepEngine
-
-from tests._differential import assert_shard_union_matches_serial
 
 #: Fixed fuzz seed: the whole suite is one reproducible random stream.
 SEED = 20260808
@@ -178,48 +172,6 @@ class TestConstraintSolver:
         evaluated = evaluate_space(space, engine=engine).points
         solution = cheapest_feasible(evaluated)
         assert solution == min(evaluated, key=brute_force_key)
-
-
-class TestShardUnion:
-    def test_shard_partitions_match_serial_enumeration(self):
-        rng = random.Random(SEED + 4)
-        for index in range(N_SPACES):
-            space = random_space(rng, name=f"shard-{index}")
-            points = space.enumerate_points()
-            digest = space_digest(space)
-            for count in (2, 3, 5):
-                shards = [
-                    [
-                        point
-                        for point in points
-                        if Shard(i, count).contains(PlanPointKey(digest, point.digest))
-                    ]
-                    for i in range(count)
-                ]
-                assert_shard_union_matches_serial(
-                    points, shards, key=lambda p: p.digest
-                )
-
-    def test_sharded_evaluation_union_equals_serial(self, engine, tmp_path):
-        rng = random.Random(SEED + 5)
-        space = random_space(rng)
-        serial = evaluate_space(space, engine=engine).points
-        store = ResultStore(tmp_path / "store")
-        union = []
-        for i in range(2):
-            shard_eval = evaluate_space(
-                space, engine=engine, store=store, shard=Shard(i, 2)
-            )
-            union.extend(shard_eval.points)
-        assert sorted(union, key=brute_force_key) == sorted(
-            serial, key=brute_force_key
-        )
-        # The shards populated the store: a warm serial pass re-evaluates
-        # nothing and reproduces the serial results exactly.
-        warm = evaluate_space(space, engine=engine, store=store)
-        assert warm.fresh == 0
-        assert warm.cached == len(serial)
-        assert warm.points == serial
 
 
 class TestDeterminism:

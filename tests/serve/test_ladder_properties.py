@@ -92,6 +92,24 @@ class TestSingleRungLadder:
         assert ladder.depth == 1
         assert ladder.quality_of(1) == row.quality
 
+    def test_price_ladder_prepares_each_probe_once(self, monkeypatch):
+        from repro.nerf.renderer import InstantNGPRenderer
+
+        prepared = []
+        prepare = InstantNGPRenderer.prepare_render
+
+        def counting(self, camera, num_samples, *args, **kwargs):
+            prepared.append((camera.width, num_samples))
+            return prepare(self, camera, num_samples, *args, **kwargs)
+
+        monkeypatch.setattr(InstantNGPRenderer, "prepare_render", counting)
+        price_ladder(
+            SCENARIO, "flexnerfer", engine=SweepEngine(), probe_size=16, probe_samples=8
+        )
+        # The full-quality probe, then int8 (same size), int8+half-samples,
+        # and the two half-res steps sharing one (8, 8) probe.
+        assert prepared == [(16, 8), (16, 4), (8, 8)]
+
 
 class TestSpeedupValidation:
     def test_slower_than_full_quality_rejected(self):

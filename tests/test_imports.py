@@ -12,11 +12,10 @@ from __future__ import annotations
 from tests._fresh_interpreter import SRC, run_fresh
 
 #: Modules the serving layer must not load: the experiment modules, the
-#: bench harness, sharding, plan evaluation and the lint pass.
+#: bench harness, plan evaluation and the lint pass.
 NOT_FOR_SERVING = (
     "repro.experiments",
     "repro.perf.bench",
-    "repro.perf.distributed",
     "repro.plan.evaluate",
     "repro.analysis",
 )
