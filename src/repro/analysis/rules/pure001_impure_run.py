@@ -74,8 +74,8 @@ class ImpureRunRule(ModuleRule):
     id = "PURE001"
     title = "experiment run() touches the filesystem or environment"
     rationale = (
-        "Experiment results are cached by (params, device fingerprints, "
-        "workload digests); file or environment reads inside run() are "
+        "Experiment results are cached by (params, package source "
+        "digest); file or environment reads inside run() are "
         "inputs the cache key cannot see, so warm replays return results "
         "computed under different external state."
     )

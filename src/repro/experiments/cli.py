@@ -555,9 +555,9 @@ def _cmd_cache(operands: list[str], options: Options, _params: Params) -> int:
             print(json.dumps(stats.to_dict(), indent=2))
         else:
             print(f"store:          {stats.root}")
-            print(f"schema version: v{stats.schema_version}")
+            print(f"code digest:    {stats.code_digest}")
             print(f"entries:        {stats.entries}")
-            print(f"stale entries:  {stats.stale_entries} (other schema versions)")
+            print(f"stale entries:  {stats.stale_entries} (other code digests)")
             print(f"size:           {stats.total_bytes / 1e6:.2f} MB")
         return 0
     if action == "clear":
@@ -695,7 +695,6 @@ def _cmd_plan(operands: list[str], options: Options, _params: Params) -> int:
         "spec": space.name,
         "space": space.canonical(),
         "space_digest": space_digest(space),
-        "enumerated": evaluated,
         "evaluated": evaluated,
         "objectives": list(OBJECTIVES),
         "frontier": [plan_point_dict(point) for point in frontier],
@@ -707,7 +706,7 @@ def _cmd_plan(operands: list[str], options: Options, _params: Params) -> int:
     }
 
     print(
-        f"plan {space.name}: {evaluated} of {evaluated} points evaluated "
+        f"plan {space.name}: {evaluated} points evaluated "
         f"({evaluation.fresh} fresh, {evaluation.cached} cached)"
     )
     text = render_plan(document, fmt)
@@ -853,9 +852,8 @@ def run_many(
     cached through it (:class:`repro.perf.store.ExperimentResultKey`): a
     warm invocation replays the serialized result -- rendered table
     included, so output is byte-identical -- without re-running the
-    experiment at all.  Any device-model or NeRF-descriptor edit,
-    parameter change, version bump or store-schema bump invalidates the
-    entry.
+    experiment at all.  A parameter change, version bump or any edit to
+    the package source invalidates the entry.
     """
     from repro.perf.store import experiment_result_key
 

@@ -336,14 +336,12 @@ def run_bench(quick: bool = False, store_root: Path | None = None) -> dict[str, 
     import tempfile
 
     from repro import __version__
-    from repro.perf.store import STORE_SCHEMA_VERSION
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-store-") as tmp:
         sweep = bench_sweep(quick, store_root or Path(tmp))
     return {
         "schema": BENCH_SCHEMA,
         "schema_version": BENCH_SCHEMA_VERSION,
-        "store_schema_version": STORE_SCHEMA_VERSION,
         "revision": repo_revision(),
         "repo_version": __version__,
         "created_utc": datetime.now(timezone.utc).isoformat(),
@@ -361,7 +359,6 @@ def run_bench(quick: bool = False, store_root: Path | None = None) -> dict[str, 
 _ROOT_FIELDS: tuple[tuple[str, type | tuple[type, ...]], ...] = (
     ("schema", str),
     ("schema_version", int),
-    ("store_schema_version", int),
     ("revision", str),
     ("repo_version", str),
     ("created_utc", str),

@@ -15,24 +15,24 @@ or code path:
 * the **effective knobs** (precision / pruning after capability-flag
   collapse) mirror the in-memory cache key, so a store entry is shared by
   every requested sweep point that lands on the same simulation;
-* the **schema version** (:data:`STORE_SCHEMA_VERSION`) partitions the
-  store by serialization / semantics generation -- bump it whenever the
-  simulation model changes in a way fingerprints cannot see, and every old
-  entry silently becomes a miss.
+* the **code digest** (:func:`code_digest`) hashes the source of the
+  ``repro`` package and partitions the store by it, so any edit to the code
+  that produced an entry -- a simulation model, an experiment's logic, a
+  validation guard, the serialization itself -- turns every entry of every
+  kind into a miss.
 
 Three more entry kinds share the directory and the machinery: whole
 **experiment results** (:class:`ExperimentResultKey`, keyed on the
-experiment's parameter fingerprint plus the simulation environment digest,
-so a warm ``repro run all`` is byte-identical to the cold run without
-re-running any experiment), evaluated **capacity-plan points**
-(:class:`PlanPointKey`) and fitted hash-grid **assets**
-(:class:`GridAssetKey`).
+experiment's parameter fingerprint, so a warm ``repro run all`` is
+byte-identical to the cold run without re-running any experiment),
+evaluated **capacity-plan points** (:class:`PlanPointKey`) and fitted
+hash-grid **assets** (:class:`GridAssetKey`).
 
 Every kind follows one key protocol (:class:`ContentKey`): a ``kind`` plus
 dataclass fields, hashed in declaration order into the digest that names
 the file.  Every kind is read and written by the one
 :meth:`ResultStore.get` / :meth:`ResultStore.put` pair, as one document
-shape ``{schema_version, created_s, key, payload}`` whose payload is a JSON
+shape ``{code_digest, created_s, key, payload}`` whose payload is a JSON
 mapping the caller encodes and decodes (frame reports via
 :func:`report_to_dict` / :func:`report_from_dict`).  Entries are single
 JSON files written atomically (temp file + ``os.replace``), so concurrent
@@ -45,11 +45,12 @@ up lazily.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import hashlib
 import json
 import math
 import os
 import sys
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -64,16 +65,34 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.api import Experiment
     from repro.nerf.workload import Workload
 
-#: Generation of the store's serialization format *and* of the simulation
-#: semantics fingerprints cannot observe.  Bump on either kind of change;
-#: entries from other generations are never read (see ``docs/performance.md``).
-STORE_SCHEMA_VERSION = 3
-
 #: Environment variable overriding the default store location.
 STORE_DIR_ENV = "REPRO_STORE_DIR"
 
 #: Directory name of the default store inside the repository checkout.
 DEFAULT_STORE_DIRNAME = ".repro-store"
+
+
+def _source_digest(root: Path) -> str:
+    """SHA-256 over the relative POSIX path and bytes of each ``.py`` in ``root``."""
+    digest = hashlib.sha256()
+    for rel, path in sorted(
+        (path.relative_to(root).as_posix(), path) for path in root.rglob("*.py")
+    ):
+        data = path.read_bytes()
+        digest.update(f"{rel}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
+@functools.cache
+def code_digest() -> str:
+    """Digest of the imported ``repro`` package's source (computed once).
+
+    The store partitions its entries by this digest, so an entry is only
+    ever read back by the code that wrote it.
+    """
+    return _source_digest(Path(__file__).resolve().parents[1])
+
 
 def workload_digest(workload: "Workload") -> str:
     """Content hash of a workload's exact operation list and frame shape."""
@@ -92,14 +111,12 @@ class ContentKey:
     """The one key protocol every store entry kind follows.
 
     A key is a frozen dataclass with a class-level ``kind`` (the directory
-    its entries live under inside a schema partition) whose last field is
-    ``schema_version``.  Its digest hashes every field in declaration
-    order, and :meth:`ResultStore.put` records the same fields as the
-    stored document's ``"key"`` block.
+    its entries live under inside a code-digest partition).  Its digest
+    hashes every field in declaration order, and :meth:`ResultStore.put`
+    records the same fields as the stored document's ``"key"`` block.
     """
 
     kind: ClassVar[str]
-    schema_version: int
     __dataclass_fields__: ClassVar[dict[str, dataclasses.Field[Any]]]
 
     @property
@@ -123,7 +140,6 @@ class StoreKey(ContentKey):
     workload_digest: str
     precision: str | None
     pruning_ratio: float
-    schema_version: int = STORE_SCHEMA_VERSION
 
     kind = "frame"
 
@@ -133,20 +149,14 @@ class ExperimentResultKey(ContentKey):
     """Content address of one whole experiment result (the result tier).
 
     ``params_fingerprint`` is the Experiment API's config fingerprint
-    (experiment id + typed parameter values + repo version);
-    ``environment_digest`` hashes every registered device's fingerprint
-    (:func:`device_registry_digest`), so *any* device-model edit
-    invalidates every cached result.  Simulation-code edits no fingerprint
-    can see are covered by the shared :data:`STORE_SCHEMA_VERSION` bump
-    rule, exactly as for frame entries.  The payload is the serialized
-    :class:`~repro.experiments.api.ExperimentResult` plus its rendered
-    table (see ``repro.experiments.cli``).
+    (experiment id + typed parameter values + repo version); code edits
+    are covered by the store's code-digest partition.  The payload is the
+    serialized :class:`~repro.experiments.api.ExperimentResult` plus its
+    rendered table (see ``repro.experiments.cli``).
     """
 
     experiment_id: str
     params_fingerprint: str
-    environment_digest: str
-    schema_version: int = STORE_SCHEMA_VERSION
 
     kind = "result"
 
@@ -156,16 +166,13 @@ class PlanPointKey(ContentKey):
     """Content address of one evaluated capacity-plan point (the plan tier).
 
     ``space_digest`` hashes everything a plan evaluation's outcome depends
-    on besides the candidate itself: the traffic spec, the cost-model
-    constants and the simulation environment digest (so any device-model
-    or NeRF-descriptor edit invalidates every cached evaluation).
-    ``point_digest`` hashes the candidate (fleet, scheduler, control
-    variant).
+    on besides the candidate itself and the code: the search axes, the
+    traffic spec and the cost-model constants.  ``point_digest`` hashes
+    the candidate (fleet, scheduler, control variant).
     """
 
     space_digest: str
     point_digest: str
-    schema_version: int = STORE_SCHEMA_VERSION
 
     kind = "plan"
 
@@ -178,83 +185,16 @@ class GridAssetKey(ContentKey):
     are a pure function of the scene's field parameters
     (:meth:`repro.nerf.scenes.SyntheticScene.fingerprint`) and the grid
     configuration, so they can be reused across runs, experiments and
-    renderers.  Fitting-algorithm changes fingerprints cannot see are
-    covered by the shared :data:`STORE_SCHEMA_VERSION` bump rule, exactly
-    as for the frame and result tiers.  The payload is ``{"tables": [...]}``,
+    renderers; fitting-algorithm edits are covered by the store's
+    code-digest partition.  The payload is ``{"tables": [...]}``,
     one entry per level: base64 of the table's raw little-endian float64
     bytes, which reloads the exact IEEE-754 doubles.
     """
 
     scene_fingerprint: str
     grid_fingerprint: str
-    schema_version: int = STORE_SCHEMA_VERSION
 
     kind = "asset"
-
-
-#: Memoised registry digests, keyed on the registry's identity so runtime
-#: ``register_device`` calls are observed (device / workload construction is
-#: cheap but not free, and every cached experiment lookup needs the digest).
-_REGISTRY_DIGESTS: dict[tuple, str] = {}
-
-#: Guards :data:`_REGISTRY_DIGESTS`: ``repro run --jobs`` computes result
-#: keys on a thread pool, and an unguarded memo write is exactly the race
-#: CONC001 (``repro lint``) exists to catch.
-_REGISTRY_DIGESTS_LOCK = threading.Lock()
-
-
-def device_registry_digest() -> str:
-    """One digest over the fingerprints of every registered device."""
-    from repro.core.device import DEVICE_REGISTRY, get_device
-
-    identity = tuple(sorted((name, id(f)) for name, f in DEVICE_REGISTRY.items()))
-    with _REGISTRY_DIGESTS_LOCK:
-        if identity not in _REGISTRY_DIGESTS:
-            _REGISTRY_DIGESTS[identity] = canonical_digest(
-                {
-                    name: get_device(name).fingerprint()
-                    for name in sorted(DEVICE_REGISTRY)
-                }
-            )
-        return _REGISTRY_DIGESTS[identity]
-
-
-def model_registry_digest() -> str:
-    """One digest over every registered NeRF model's default-config workload.
-
-    Editing a model descriptor (layer widths, encoding tables, op counts)
-    changes its default-config workload digest, which is how experiment
-    results cached by :func:`environment_digest` get invalidated without a
-    schema bump.
-    """
-    from repro.nerf.models import MODEL_REGISTRY, FrameConfig, get_model
-
-    identity = ("models",) + tuple(
-        sorted((name, id(cls)) for name, cls in MODEL_REGISTRY.items())
-    )
-    with _REGISTRY_DIGESTS_LOCK:
-        if identity not in _REGISTRY_DIGESTS:
-            config = FrameConfig()
-            _REGISTRY_DIGESTS[identity] = canonical_digest(
-                {
-                    name: workload_digest(get_model(name).build_workload(config))
-                    for name in sorted(MODEL_REGISTRY)
-                }
-            )
-        return _REGISTRY_DIGESTS[identity]
-
-
-def environment_digest() -> str:
-    """The simulation environment's combined identity for result caching.
-
-    Hashes every registered device's fingerprint *and* every registered
-    model's default workload digest, so a cached experiment result is
-    invalidated by any device-model or NeRF-descriptor edit -- the same
-    edits that would invalidate the frame tier entry by entry.
-    """
-    return canonical_digest(
-        {"devices": device_registry_digest(), "models": model_registry_digest()}
-    )
 
 
 def experiment_result_key(
@@ -273,7 +213,6 @@ def experiment_result_key(
     return ExperimentResultKey(
         experiment_id=exp.id,
         params_fingerprint=config_fingerprint(exp.id, params_json),
-        environment_digest=environment_digest(),
     )
 
 
@@ -358,35 +297,30 @@ class StoreStats:
     """Snapshot of a store's on-disk contents (``repro cache stats``)."""
 
     root: str
-    schema_version: int
+    code_digest: str
     entries: int
     total_bytes: int
     stale_entries: int
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-safe mapping of the snapshot."""
-        return {
-            "root": self.root,
-            "schema_version": self.schema_version,
-            "entries": self.entries,
-            "total_bytes": self.total_bytes,
-            "stale_entries": self.stale_entries,
-        }
+        return dataclasses.asdict(self)
 
 
 class ResultStore:
     """A directory of content-addressed store entries of every kind.
 
-    Layout: ``root/v<schema>/<kind>/<digest[:2]>/<digest>.json``; the two-level
-    fan-out keeps directories small at fleet-sweep entry counts.  All
-    operations tolerate concurrent readers and writers (atomic replace,
-    corrupt-as-miss), making the store safe under ``repro run --jobs``.
+    Layout: ``root/<code_digest[:16]>/<kind>/<digest[:2]>/<digest>.json``;
+    the two-level fan-out keeps directories small at fleet-sweep entry
+    counts.  Entries in other code-digest partitions are stale: never read,
+    and reaped by :meth:`evict`.  All operations tolerate concurrent
+    readers and writers (atomic replace, corrupt-as-miss), making the store
+    safe under ``repro run --jobs``.
     """
 
     def __init__(self, root: Path | str) -> None:
         """Bind the store to ``root`` (created lazily on first write)."""
         self.root = Path(root)
-        self.schema_version = STORE_SCHEMA_VERSION
         self._write_warned = False
 
     @classmethod
@@ -406,28 +340,22 @@ class ResultStore:
 
     # -- pathing ---------------------------------------------------------------
 
-    def _schema_dir(self, schema_version: int | None = None) -> Path:
-        version = self.schema_version if schema_version is None else schema_version
-        return self.root / f"v{version}"
+    def _partition_dir(self) -> Path:
+        return self.root / code_digest()[:16]
 
     def path_for(self, key: ContentKey) -> Path:
         """On-disk location of ``key``'s entry."""
         digest = key.digest
-        return (
-            self._schema_dir(key.schema_version)
-            / key.kind
-            / digest[:2]
-            / f"{digest}.json"
-        )
+        return self._partition_dir() / key.kind / digest[:2] / f"{digest}.json"
 
-    def _entry_files(self, schema_only: bool = True) -> Iterator[Path]:
-        base = self._schema_dir() if schema_only else self.root
+    def _entry_files(self, current_only: bool = True) -> Iterator[Path]:
+        base = self._partition_dir() if current_only else self.root
         if not base.exists():
             return
         yield from sorted(base.rglob("*.json"))
 
-    def _is_current_schema(self, path: Path) -> bool:
-        return f"v{self.schema_version}" in path.parts
+    def _is_current(self, path: Path) -> bool:
+        return path.relative_to(self.root).parts[0] == code_digest()[:16]
 
     # -- read / write ----------------------------------------------------------
 
@@ -450,7 +378,7 @@ class ResultStore:
             return None
         if (
             not isinstance(document, dict)
-            or document.get("schema_version") != key.schema_version
+            or document.get("code_digest") != code_digest()
         ):
             return None
         payload = document.get("payload")
@@ -467,7 +395,7 @@ class ResultStore:
         """
         path = self.path_for(key)
         document = {
-            "schema_version": key.schema_version,
+            "code_digest": code_digest(),
             "created_s": time.time(),
             "key": dataclasses.asdict(key),
             "payload": payload,
@@ -501,32 +429,32 @@ class ResultStore:
     # -- maintenance -----------------------------------------------------------
 
     def stats(self) -> StoreStats:
-        """Entry counts and on-disk footprint, split current vs. stale schema."""
+        """Entry counts and on-disk footprint, split current vs. stale code."""
         entries = 0
         total_bytes = 0
         stale = 0
-        for path in self._entry_files(schema_only=False):
+        for path in self._entry_files(current_only=False):
             try:
                 size = path.stat().st_size
             except OSError:  # pragma: no cover - racing eviction
                 continue
             total_bytes += size
-            if self._is_current_schema(path):
+            if self._is_current(path):
                 entries += 1
             else:
                 stale += 1
         return StoreStats(
             root=str(self.root),
-            schema_version=self.schema_version,
+            code_digest=code_digest()[:16],
             entries=entries,
             total_bytes=total_bytes,
             stale_entries=stale,
         )
 
     def clear(self) -> int:
-        """Delete every entry (all schema generations); returns the count."""
+        """Delete every entry (all code digests); returns the count."""
         removed = 0
-        for path in self._entry_files(schema_only=False):
+        for path in self._entry_files(current_only=False):
             try:
                 path.unlink()
                 removed += 1
@@ -539,13 +467,13 @@ class ResultStore:
         max_entries: int | None = None,
         max_age_s: float | None = None,
     ) -> int:
-        """Drop stale-schema entries, then the oldest beyond the given bounds.
+        """Drop stale-code entries, then the oldest beyond the given bounds.
 
-        ``max_entries`` keeps at most that many newest current-schema
+        ``max_entries`` keeps at most that many newest current-code
         entries; ``max_age_s`` drops entries older than the horizon.  Either
         bound may be None; negative or non-finite bounds are rejected (a
         negative slice would silently doom the whole store, a NaN age would
-        silently drop the bound).  Stale-schema generations are always
+        silently drop the bound).  Entries of other code digests are always
         evicted.  Returns the number of files removed.
         """
         if max_entries is not None and not 0 <= max_entries < math.inf:
@@ -553,8 +481,8 @@ class ResultStore:
         if max_age_s is not None and not 0 <= max_age_s < math.inf:
             raise ValueError(f"max_age_s must be finite and >= 0, got {max_age_s}")
         removed = 0
-        for path in self._entry_files(schema_only=False):
-            if not self._is_current_schema(path):
+        for path in self._entry_files(current_only=False):
+            if not self._is_current(path):
                 try:
                     path.unlink()
                     removed += 1

@@ -60,8 +60,7 @@ def _table(document: dict[str, Any]) -> str:
     """Summary line, frontier table and constraint solution of a document."""
     lines = [
         f"plan {document['spec']}: frontier {len(document['frontier'])} of "
-        f"{document['evaluated']} evaluated points "
-        f"({document['enumerated']} enumerated)",
+        f"{document['evaluated']} evaluated points",
         render_grid(FRONTIER_COLUMNS, document["frontier"]),
     ]
     constraint = document.get("constraint")

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.core.device import DEVICE_REGISTRY, canonical_digest
-from repro.perf.store import environment_digest
 from repro.serve.request import (
     PoissonStream,
     Request,
@@ -301,10 +300,9 @@ def space_digest(space: PlanSpace, cost_model: dict | None = None) -> str:
     """Content digest of everything a point's evaluation depends on.
 
     Hashes the space's search axes and traffic spec (the ``name`` is
-    display-only and excluded, so renaming a spec keeps its cache warm),
-    the cost-model constants, and the simulation environment digest --
-    any device-model or NeRF-descriptor edit invalidates every cached
-    plan point, exactly like the experiment-result tier.
+    display-only and excluded, so renaming a spec keeps its cache warm)
+    and the cost-model constants.  Code edits are covered by the result
+    store's code-digest partition, as for every other tier.
     """
     from repro.plan.evaluate import COST_MODEL
 
@@ -318,7 +316,6 @@ def space_digest(space: PlanSpace, cost_model: dict | None = None) -> str:
             space.traffic_shapes,
             space.traffic,
             tuple(sorted(constants.items())),
-            environment_digest(),
         )
     )
 

@@ -14,6 +14,13 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def use_code_digest(monkeypatch, digest):
+    """Make every result store read and write as if the source digested to ``digest``."""
+    from repro.perf import store as store_module
+
+    monkeypatch.setattr(store_module, "code_digest", lambda: digest, raising=False)
+
+
 @pytest.fixture(autouse=True)
 def _detach_default_store():
     """CLI runs attach the result store to the shared engine; detach after
@@ -269,6 +276,79 @@ class TestStoreFlags:
         )
 
 
+def _fig03_gemm_doubled(capsys, monkeypatch, store_dir):
+    """Cold ``fig03`` into the store, then a source edit doubling its GEMM share."""
+    from repro.experiments import fig03_runtime_breakdown as fig03
+
+    code, out, err = run_cli(capsys, "run", "fig03", "--format", "csv")
+    assert code == 0, err
+    model, gemm = out.splitlines()[2].split(",")[:2]
+    row = fig03.BreakdownRow
+    monkeypatch.setattr(
+        fig03,
+        "BreakdownRow",
+        lambda gemm_fraction, **rest: row(gemm_fraction=2 * gemm_fraction, **rest),
+    )
+    return ("run", "fig03", "--format", "csv"), 0, f"{model},{2 * float(gemm)!r},"
+
+
+def _plan_capacity_nan(capsys, monkeypatch, store_dir):
+    """A ``nan (infeasible)`` row stored before the SLA-ladder guard existed."""
+    from repro.perf.store import ResultStore, experiment_result_key
+
+    exp = EXPERIMENTS["plan-capacity"]
+    [param] = [p for p in exp.params if p.name == "sla_ladder_ms"]
+    key = experiment_result_key(exp, {param.name: param.parse("nan")})
+    result = {
+        "experiment_id": exp.id,
+        "title": exp.title,
+        "columns": ["sla_ms", "fleet"],
+        "rows": [{"sla_ms": None, "fleet": "(infeasible)"}],
+        "provenance": {
+            "experiment_id": exp.id,
+            "params": {},
+            "config_fingerprint": key.params_fingerprint,
+            "wall_time_s": 0.0,
+            "repo_version": "0",
+        },
+    }
+    ResultStore(store_dir).put(
+        key, {"result": result, "table": "     nan (infeasible)"}
+    )
+    return (
+        ("run", "plan-capacity", "--sla-ladder-ms", "nan"),
+        2,
+        "error: plan-capacity: sla_ladder_ms must be positive and finite",
+    )
+
+
+class TestStaleReplay:
+    """An entry written by other code is never replayed.
+
+    Each case fills the store under code digest A, then runs under digest
+    B: a store keyed on parameters alone printed the old output.
+    """
+
+    @pytest.mark.parametrize(
+        "seed",
+        [_fig03_gemm_doubled, _plan_capacity_nan],
+        ids=["fig03-edit", "plan-capacity-nan"],
+    )
+    def test_source_edit_misses_the_result_tier(
+        self, capsys, monkeypatch, tmp_path, seed
+    ):
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))
+        use_code_digest(monkeypatch, "a" * 64)
+        argv, expected_code, expected = seed(capsys, monkeypatch, tmp_path)
+        use_code_digest(monkeypatch, "b" * 64)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == expected_code, err
+        if code == 0:
+            assert expected in out
+        else:
+            assert err.startswith(expected) and err.count("\n") == 1
+
+
 class TestRetiredSurface:
     """The multi-machine commands and options are gone: each exits 2."""
 
@@ -321,6 +401,30 @@ class TestCache:
             capsys, "cache", "stats", "--format", "json"
         )
         assert json.loads(out)["entries"] == 0
+
+    def test_stats_and_evict_treat_other_code_digests_as_stale(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        from repro.perf.store import PlanPointKey, ResultStore
+
+        store = ResultStore(tmp_path)
+        use_code_digest(monkeypatch, "a" * 64)
+        store.put(PlanPointKey("space", "p1"), {"metrics": {}})
+        store.put(PlanPointKey("space", "p2"), {"metrics": {}})
+        use_code_digest(monkeypatch, "b" * 64)
+        code, out, _ = run_cli(capsys, "cache", "stats", "--dir", str(tmp_path))
+        assert code == 0
+        assert "code digest:    bbbbbbbbbbbbbbbb" in out
+        assert "stale entries:  2 (other code digests)" in out
+        code, out, _ = run_cli(
+            capsys, "cache", "stats", "--dir", str(tmp_path), "--format", "json"
+        )
+        stats = json.loads(out)
+        assert stats["code_digest"] == "b" * 16 and "schema_version" not in stats
+        assert (stats["entries"], stats["stale_entries"]) == (0, 2)
+        code, out, _ = run_cli(capsys, "cache", "evict", "--dir", str(tmp_path))
+        assert code == 0 and "evicted 2 entries" in out
+        assert store.stats().stale_entries == 0
 
     def test_evict_with_bounds(self, capsys, tmp_path):
         code, out, _ = run_cli(

@@ -2,8 +2,8 @@
 
 ``InstantNGPRenderer.fit_to_scene(scene, store=...)`` writes the fitted
 tables into a content-addressed asset entry keyed on (scene fingerprint,
-grid-config fingerprint, store schema), one base64 string of raw float64
-bytes per level.  A warm fit must be a pure decode: bit-identical tables,
+grid-config fingerprint), one base64 string of raw float64 bytes per
+level.  A warm fit must be a pure decode: bit-identical tables,
 and *zero* queries of the scene fields.  A payload that does not fit the
 grid is a miss: the fit runs again and overwrites it.
 """

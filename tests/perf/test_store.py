@@ -1,15 +1,18 @@
 """Correctness of the persistent result store (repro.perf.store).
 
-Pins the store's core promises: fingerprint changes on device / workload /
-schema edits address different entries, warm-path results are bit-exact
-vs. the cold path (down to per-op trace records), concurrent writers never
-corrupt the store, and eviction / clearing behave as documented.
+Pins the store's core promises: fingerprint changes on device / workload
+edits address different entries, a source edit moves the store to a new
+code-digest partition, warm-path results are bit-exact vs. the cold path
+(down to per-op trace records), concurrent writers never corrupt the store,
+and eviction / clearing behave as documented.
 """
 
 import dataclasses
 import json
 import os
+import shutil
 import threading
+from pathlib import Path
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -20,14 +23,15 @@ from repro.baselines.tpu import TPUModel
 from repro.core.device import get_device
 from repro.core.config import FlexNeRFerConfig
 from repro.nerf.models import FrameConfig, get_model
+from repro.perf import store as store_module
 from repro.perf.store import (
-    STORE_SCHEMA_VERSION,
     ExperimentResultKey,
     GridAssetKey,
     PlanPointKey,
     ResultStore,
     StoreKey,
-    device_registry_digest,
+    _source_digest,
+    code_digest,
     experiment_result_key,
     report_from_dict,
     report_to_dict,
@@ -54,6 +58,14 @@ def put_report(store, key, report):
 def get_report(store, key):
     payload = store.get(key)
     return None if payload is None else report_from_dict(payload)
+
+
+def use_code_digest(monkeypatch, digest):
+    """Make every store read and write as if the source digested to ``digest``."""
+    monkeypatch.setattr(store_module, "code_digest", lambda: digest)
+
+
+DIGEST_A, DIGEST_B = "a" * 64, "b" * 64
 
 
 def make_key(salt="a"):
@@ -135,17 +147,6 @@ class TestFingerprints:
             base.with_precision(Precision.INT4)
         )
 
-    def test_schema_version_partitions_keys(self):
-        key = make_key()
-        successor = StoreKey(
-            device_fingerprint=key.device_fingerprint,
-            workload_digest=key.workload_digest,
-            precision=key.precision,
-            pruning_ratio=key.pruning_ratio,
-            schema_version=STORE_SCHEMA_VERSION + 1,
-        )
-        assert key.digest != successor.digest
-
     def test_knobs_partition_keys(self):
         base = make_key()
         assert (
@@ -172,20 +173,6 @@ class TestStoreBasics:
         assert loaded is not None
         assert loaded.latency_s == report.latency_s
         assert loaded.energy_j == report.energy_j
-
-    def test_schema_mismatch_is_a_miss(self, tmp_path):
-        store = ResultStore(tmp_path)
-        key = make_key()
-        old = StoreKey(
-            key.device_fingerprint,
-            key.workload_digest,
-            key.precision,
-            key.pruning_ratio,
-            schema_version=STORE_SCHEMA_VERSION + 1,
-        )
-        put_report(store, old, render_small())
-        assert store.get(key) is None
-        assert store.stats().stale_entries == 1
 
     def test_unwritable_store_degrades_to_cold(self, capsys):
         store = ResultStore("/dev/null/not-a-dir")
@@ -250,11 +237,12 @@ class TestStoreBasics:
             store.evict(max_age_s=-5.0)
         assert store.stats().entries == 1  # nothing was doomed
 
-    def test_evict_drops_stale_schemas(self, tmp_path):
+    def test_evict_drops_other_code_digests(self, tmp_path, monkeypatch):
         store = ResultStore(tmp_path)
+        use_code_digest(monkeypatch, DIGEST_A)
         put_report(store, make_key(), render_small())
-        old = StoreKey("fp", "wl", None, 0.0, schema_version=STORE_SCHEMA_VERSION + 1)
-        put_report(store, old, render_small())
+        use_code_digest(monkeypatch, DIGEST_B)
+        put_report(store, make_key(), render_small())
         assert store.evict() == 1
         assert store.stats().entries == 1
         assert store.stats().stale_entries == 0
@@ -265,25 +253,15 @@ class TestExperimentResultTier:
         return ExperimentResultKey(
             experiment_id="fig99",
             params_fingerprint=f"params-{salt}",
-            environment_digest=f"env-{salt}",
         )
 
     def test_key_components_partition_entries(self):
         base = self.make_result_key()
         assert base.digest != ExperimentResultKey(
-            "other", base.params_fingerprint, base.environment_digest
+            "other", base.params_fingerprint
         ).digest
         assert base.digest != ExperimentResultKey(
-            base.experiment_id, "params-b", base.environment_digest
-        ).digest
-        assert base.digest != ExperimentResultKey(
-            base.experiment_id, base.params_fingerprint, "env-b"
-        ).digest
-        assert base.digest != ExperimentResultKey(
-            base.experiment_id,
-            base.params_fingerprint,
-            base.environment_digest,
-            schema_version=STORE_SCHEMA_VERSION + 1,
+            base.experiment_id, "params-b"
         ).digest
 
     def test_payload_round_trip(self, tmp_path):
@@ -302,33 +280,6 @@ class TestExperimentResultTier:
         assert get_report(store, make_key()) is not None
         assert store.get(self.make_result_key()) is not None
 
-    def test_registry_digest_is_stable_and_tracks_registration(self):
-        from repro.core.device import DEVICE_REGISTRY, register_device
-
-        assert device_registry_digest() == device_registry_digest()
-        before = device_registry_digest()
-        register_device("store-test-tpu", lambda: TPUModel(rows=8))
-        try:
-            changed = device_registry_digest()
-        finally:
-            del DEVICE_REGISTRY["store-test-tpu"]
-        assert changed != before
-        assert device_registry_digest() == before
-
-    def test_environment_digest_tracks_model_registry(self):
-        from repro.nerf.models import MODEL_REGISTRY
-        from repro.perf.store import environment_digest, model_registry_digest
-
-        assert model_registry_digest() == model_registry_digest()
-        env_before = environment_digest()
-        MODEL_REGISTRY["store-test-model"] = MODEL_REGISTRY["instant-ngp"]
-        try:
-            assert model_registry_digest() != env_before
-            assert environment_digest() != env_before
-        finally:
-            del MODEL_REGISTRY["store-test-model"]
-        assert environment_digest() == env_before
-
     def test_overrides_change_the_key_deterministically(self):
         from repro.experiments.registry import EXPERIMENTS
 
@@ -345,34 +296,34 @@ class TestExperimentResultTier:
 #: One key per entry kind, each with a payload shaped like its real one.
 KIND_CASES = (
     (make_key(), {"device": "d", "latency_s": 0.1}),
-    (ExperimentResultKey("fig99", "params", "env"), {"table": "t", "result": {}}),
+    (ExperimentResultKey("fig99", "params"), {"table": "t", "result": {}}),
     (PlanPointKey("space", "point"), {"point": {}, "metrics": {"p95": 0.5}}),
     (GridAssetKey("scene", "grid"), {"tables": [[1.0, 2.5e-17]]}),
 )
 
 
-#: Digests the hand-written per-kind formulas produced; the shared key
-#: protocol must keep every existing address stable.
+#: Digests of ``canonical_digest(astuple(key))`` per kind; the shared key
+#: protocol must keep every address stable.
 DIGEST_PINS = (
     (
-        StoreKey("fp", "wl", "INT8", 0.5, schema_version=1),
-        "aae8b0e29d52c171edd8b38cddf1bc32a98816db",
+        StoreKey("fp", "wl", "INT8", 0.5),
+        "02b20d606a865b63f599f0496e50087c778c8d6a",
     ),
     (
-        StoreKey("fp", "wl", None, 0.0, schema_version=1),
-        "a19f165c341c46b85e61d70ee02457ce7f53eec5",
+        StoreKey("fp", "wl", None, 0.0),
+        "2c758c5b55abb737b207858f2fd39abca1cc335c",
     ),
     (
-        ExperimentResultKey("fig01", "pf", "env", schema_version=1),
-        "03b2fa7b378841beeedf1d553d07772b5112369b",
+        ExperimentResultKey("fig01", "pf"),
+        "54c828e30505fb189fd3412683b62cf13fd012ab",
     ),
     (
-        PlanPointKey("sd", "pd", schema_version=1),
-        "d9a44fdd208105c1a9b226f1f6605bcdbc9ab078",
+        PlanPointKey("sd", "pd"),
+        "76ac9504803e568f696bf91c13636e9b4564d6cf",
     ),
     (
-        GridAssetKey("sc", "gr", schema_version=1),
-        "2ef34fd69a7b4fd6784acdc767d752b5d1435f3a",
+        GridAssetKey("sc", "gr"),
+        "a6128595f29761e50ef2aa7b9d270bf5df7a33ce",
     ),
 )
 
@@ -397,7 +348,8 @@ class TestKeyProtocol:
         assert path.parent.parent.name == key.kind
         assert store.get(key) == payload
         document = json.loads(path.read_text())
-        assert set(document) == {"schema_version", "created_s", "key", "payload"}
+        assert set(document) == {"code_digest", "created_s", "key", "payload"}
+        assert document["code_digest"] == code_digest()
         assert document["key"] == dataclasses.asdict(key)
 
     @pytest.mark.parametrize(
@@ -413,15 +365,26 @@ class TestKeyProtocol:
     @pytest.mark.parametrize(
         "key,payload", KIND_CASES, ids=[key.kind for key, _ in KIND_CASES]
     )
-    def test_schema_mismatch_is_a_miss(self, tmp_path, key, payload):
+    def test_document_code_digest_mismatch_is_a_miss(self, tmp_path, key, payload):
         store = ResultStore(tmp_path)
         path = store.put(key, payload)
         document = json.loads(path.read_text())
-        document["schema_version"] = STORE_SCHEMA_VERSION + 1
+        document["code_digest"] = DIGEST_B
         path.write_text(json.dumps(document))
         assert store.get(key) is None
-        successor = dataclasses.replace(key, schema_version=STORE_SCHEMA_VERSION + 1)
-        assert store.get(successor) is None
+
+    @pytest.mark.parametrize(
+        "key,payload", KIND_CASES, ids=[key.kind for key, _ in KIND_CASES]
+    )
+    def test_source_edit_misses_every_tier(self, tmp_path, monkeypatch, key, payload):
+        store = ResultStore(tmp_path)
+        use_code_digest(monkeypatch, DIGEST_A)
+        path = store.put(key, payload)
+        assert path.relative_to(tmp_path).parts[0] == DIGEST_A[:16]
+        assert store.get(key) == payload
+        use_code_digest(monkeypatch, DIGEST_B)
+        assert store.get(key) is None
+        assert (store.stats().entries, store.stats().stale_entries) == (0, 1)
 
 
 SPEC = SweepSpec(
@@ -454,7 +417,7 @@ class TestEngineIntegration:
     def test_undecodable_frame_payload_is_a_miss(self, tmp_path):
         store = ResultStore(tmp_path)
         SweepEngine(store=store).run(SPEC)
-        frames = tmp_path / f"v{STORE_SCHEMA_VERSION}" / "frame"
+        frames = tmp_path / code_digest()[:16] / "frame"
         for path in frames.rglob("*.json"):
             document = json.loads(path.read_text())
             document["payload"] = {"latency_s": "not a report"}
@@ -581,3 +544,32 @@ class TestDefaultLocation:
         root = ResultStore.default().root
         assert root.name == ".repro-store"
         assert (root.parent / "pyproject.toml").exists()
+
+
+class TestCodeDigest:
+    @pytest.fixture
+    def package_copy(self, tmp_path):
+        import repro
+
+        root = tmp_path / "repro"
+        shutil.copytree(
+            Path(repro.__file__).parent,
+            root,
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        return root
+
+    def test_identical_copy_has_the_same_digest(self, package_copy):
+        assert _source_digest(package_copy) == code_digest()
+
+    def test_one_byte_edit_changes_the_digest(self, package_copy):
+        module = package_copy / "experiments" / "fig03_runtime_breakdown.py"
+        source = module.read_bytes()
+        module.write_bytes(source.replace(b"gemm_fraction", b"gemm_fractioN", 1))
+        assert len(module.read_bytes()) == len(source)
+        assert _source_digest(package_copy) != code_digest()
+
+    def test_renaming_a_module_changes_the_digest(self, package_copy):
+        module = package_copy / "experiments" / "fig03_runtime_breakdown.py"
+        module.rename(module.with_name("fig03_renamed.py"))
+        assert _source_digest(package_copy) != code_digest()

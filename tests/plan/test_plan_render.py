@@ -5,8 +5,8 @@ each ``--format``.  They were recorded with the hand-padded frontier table
 that :mod:`repro.plan.render` replaced with the shared ``render_grid``, so
 they pin that the move changed no byte.  The JSON pin masks the three
 fields that are not rendering: the wall time, the package version and the
-space digest (it hashes every registered device's fingerprint, so any
-device-model edit moves it; ``tests/plan/test_plan_space.py`` covers it).
+space digest (it hashes the cost-model constants, so a cost edit moves it;
+``tests/plan/test_plan_space.py`` covers it).
 """
 
 import json
