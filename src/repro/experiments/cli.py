@@ -555,7 +555,7 @@ def _cmd_cache(operands: list[str], options: Options, _params: Params) -> int:
             print(json.dumps(stats.to_dict(), indent=2))
         else:
             print(f"store:          {stats.root}")
-            print(f"code digest:    {stats.code_digest}")
+            print(f"code digest:    {stats.code_digest[:16]}")
             print(f"entries:        {stats.entries}")
             print(f"stale entries:  {stats.stale_entries} (other code digests)")
             print(f"size:           {stats.total_bytes / 1e6:.2f} MB")
@@ -852,8 +852,8 @@ def run_many(
     cached through it (:class:`repro.perf.store.ExperimentResultKey`): a
     warm invocation replays the serialized result -- rendered table
     included, so output is byte-identical -- without re-running the
-    experiment at all.  A parameter change, version bump or any edit to
-    the package source invalidates the entry.
+    experiment at all.  A parameter change, version bump, re-registered
+    device or any edit to the package source invalidates the entry.
     """
     from repro.perf.store import experiment_result_key
 

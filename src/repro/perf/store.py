@@ -21,10 +21,16 @@ or code path:
   validation guard, the serialization itself -- turns every entry of every
   kind into a miss.
 
+The code digest cannot see a device registered at runtime
+(:func:`repro.core.device.register_device`): its code lives in the
+caller's script.  So every key that names devices also hashes their
+fingerprints.
+
 Three more entry kinds share the directory and the machinery: whole
 **experiment results** (:class:`ExperimentResultKey`, keyed on the
-experiment's parameter fingerprint, so a warm ``repro run all`` is
-byte-identical to the cold run without re-running any experiment),
+experiment's parameter fingerprint and the registered devices'
+fingerprints, so a warm ``repro run all`` is byte-identical to the cold
+run without re-running any experiment),
 evaluated **capacity-plan points** (:class:`PlanPointKey`) and fitted
 hash-grid **assets** (:class:`GridAssetKey`).
 
@@ -54,14 +60,14 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, ClassVar, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Callable, ClassVar, Iterator, Mapping
 
 from repro.core.device import canonical_digest
 from repro.nerf.workload import OpCategory
 from repro.sparse.formats import Precision
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.device import FrameReport
+    from repro.core.device import Device, FrameReport
     from repro.experiments.api import Experiment
     from repro.nerf.workload import Workload
 
@@ -149,14 +155,18 @@ class ExperimentResultKey(ContentKey):
     """Content address of one whole experiment result (the result tier).
 
     ``params_fingerprint`` is the Experiment API's config fingerprint
-    (experiment id + typed parameter values + repo version); code edits
-    are covered by the store's code-digest partition.  The payload is the
+    (experiment id + typed parameter values + repo version);
+    ``devices_digest`` hashes every registered device's fingerprint
+    (:func:`devices_digest`), so re-registering a device under a used name
+    misses.  Code edits are covered by the store's code-digest partition.
+    The payload is the
     serialized :class:`~repro.experiments.api.ExperimentResult` plus its
     rendered table (see ``repro.experiments.cli``).
     """
 
     experiment_id: str
     params_fingerprint: str
+    devices_digest: str
 
     kind = "result"
 
@@ -167,7 +177,8 @@ class PlanPointKey(ContentKey):
 
     ``space_digest`` hashes everything a plan evaluation's outcome depends
     on besides the candidate itself and the code: the search axes, the
-    traffic spec and the cost-model constants.  ``point_digest`` hashes
+    fingerprints of the space's devices, the traffic spec and the
+    cost-model constants.  ``point_digest`` hashes
     the candidate (fleet, scheduler, control variant).
     """
 
@@ -197,6 +208,29 @@ class GridAssetKey(ContentKey):
     kind = "asset"
 
 
+@functools.cache
+def _factory_fingerprint(factory: Callable[[], "Device"]) -> str:
+    """Fingerprint of the device ``factory`` builds (built once per factory)."""
+    return factory().fingerprint()
+
+
+def devices_digest() -> str:
+    """One digest over the fingerprint of every registered device.
+
+    Each factory is built once per process and memoised on the factory
+    object, so ``register_device`` under a used name (a new factory) is
+    seen while every other lookup stays cheap.
+    """
+    from repro.core.device import DEVICE_REGISTRY
+
+    return canonical_digest(
+        {
+            name: _factory_fingerprint(factory)
+            for name, factory in sorted(DEVICE_REGISTRY.items())
+        }
+    )
+
+
 def experiment_result_key(
     exp: "Experiment", overrides: Mapping[str, Any] | None = None
 ) -> ExperimentResultKey:
@@ -213,6 +247,7 @@ def experiment_result_key(
     return ExperimentResultKey(
         experiment_id=exp.id,
         params_fingerprint=config_fingerprint(exp.id, params_json),
+        devices_digest=devices_digest(),
     )
 
 
@@ -445,7 +480,7 @@ class ResultStore:
                 stale += 1
         return StoreStats(
             root=str(self.root),
-            code_digest=code_digest()[:16],
+            code_digest=code_digest(),
             entries=entries,
             total_bytes=total_bytes,
             stale_entries=stale,

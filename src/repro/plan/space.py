@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.core.device import DEVICE_REGISTRY, canonical_digest
+from repro.core.device import DEVICE_REGISTRY, canonical_digest, get_device
 from repro.serve.request import (
     PoissonStream,
     Request,
@@ -299,10 +299,11 @@ class PlanSpace:
 def space_digest(space: PlanSpace, cost_model: dict | None = None) -> str:
     """Content digest of everything a point's evaluation depends on.
 
-    Hashes the space's search axes and traffic spec (the ``name`` is
-    display-only and excluded, so renaming a spec keeps its cache warm)
-    and the cost-model constants.  Code edits are covered by the result
-    store's code-digest partition, as for every other tier.
+    Hashes the space's search axes, the fingerprint of each of its
+    devices (a device registered at runtime lives outside the package
+    source the store's code digest covers), the traffic spec (the ``name``
+    is display-only and excluded, so renaming a spec keeps its cache warm)
+    and the cost-model constants.
     """
     from repro.plan.evaluate import COST_MODEL
 
@@ -310,6 +311,7 @@ def space_digest(space: PlanSpace, cost_model: dict | None = None) -> str:
     return canonical_digest(
         (
             space.devices,
+            tuple(get_device(device).fingerprint() for device in space.devices),
             space.worker_counts,
             space.schedulers,
             space.controls,

@@ -25,6 +25,18 @@ def _isolated_result_store(tmp_path_factory):
 
 
 @pytest.fixture
+def use_code_digest(monkeypatch):
+    """Setter that makes every store read and write as if the source digested
+    to its argument (a package edit, without editing the package)."""
+    from repro.perf import store as store_module
+
+    def use(digest: str) -> None:
+        monkeypatch.setattr(store_module, "code_digest", lambda: digest)
+
+    return use
+
+
+@pytest.fixture
 def rng() -> np.random.Generator:
     """Deterministic random generator for reproducible tests."""
     return np.random.default_rng(12345)

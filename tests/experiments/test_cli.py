@@ -14,13 +14,6 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def use_code_digest(monkeypatch, digest):
-    """Make every result store read and write as if the source digested to ``digest``."""
-    from repro.perf import store as store_module
-
-    monkeypatch.setattr(store_module, "code_digest", lambda: digest, raising=False)
-
-
 @pytest.fixture(autouse=True)
 def _detach_default_store():
     """CLI runs attach the result store to the shared engine; detach after
@@ -335,18 +328,69 @@ class TestStaleReplay:
         ids=["fig03-edit", "plan-capacity-nan"],
     )
     def test_source_edit_misses_the_result_tier(
-        self, capsys, monkeypatch, tmp_path, seed
+        self, capsys, monkeypatch, tmp_path, use_code_digest, seed
     ):
         monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))
-        use_code_digest(monkeypatch, "a" * 64)
+        use_code_digest("a" * 64)
         argv, expected_code, expected = seed(capsys, monkeypatch, tmp_path)
-        use_code_digest(monkeypatch, "b" * 64)
+        use_code_digest("b" * 64)
         code, out, err = run_cli(capsys, *argv)
         assert code == expected_code, err
         if code == 0:
             assert expected in out
         else:
             assert err.startswith(expected) and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv,kind",
+        [
+            (("run", "fig19", "--pruning-ratios", "0.5"), "result"),
+            (("plan", "tiny"), "plan"),
+        ],
+        ids=["result", "plan"],
+    )
+    def test_reregistered_device_misses(
+        self, capsys, monkeypatch, tmp_path, argv, kind
+    ):
+        """A device registered at runtime lives in the caller's script, which
+        the code digest cannot see: re-registering its name under another
+        config must miss, not replay the first config's entries."""
+        from repro.core.accelerator import FlexNeRFer
+        from repro.core.config import FlexNeRFerConfig
+        from repro.core.device import DEVICE_REGISTRY, register_device
+        from repro.perf.store import ResultStore
+        from repro.sim import sweep
+
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))
+        # Restores the built-in factory after the test re-registers the name.
+        monkeypatch.setitem(
+            DEVICE_REGISTRY, "flexnerfer", DEVICE_REGISTRY["flexnerfer"]
+        )
+        written = []
+        put = ResultStore.put
+
+        def counting_put(self, key, payload):
+            written.append(key.kind)
+            return put(self, key, payload)
+
+        monkeypatch.setattr(ResultStore, "put", counting_put)
+
+        def puts_in_a_new_process(frequency_hz):
+            register_device(
+                "flexnerfer",
+                lambda: FlexNeRFer(FlexNeRFerConfig(frequency_hz=frequency_hz)),
+                overwrite=True,
+            )
+            monkeypatch.setattr(sweep, "_DEFAULT_ENGINE", None)  # no warm engine
+            written.clear()
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 0, err
+            return written.count(kind)
+
+        cold = puts_in_a_new_process(800e6)
+        assert cold > 0
+        assert puts_in_a_new_process(800e6) == 0
+        assert puts_in_a_new_process(400e6) == cold
 
 
 class TestRetiredSurface:
@@ -403,15 +447,15 @@ class TestCache:
         assert json.loads(out)["entries"] == 0
 
     def test_stats_and_evict_treat_other_code_digests_as_stale(
-        self, capsys, monkeypatch, tmp_path
+        self, capsys, tmp_path, use_code_digest
     ):
         from repro.perf.store import PlanPointKey, ResultStore
 
         store = ResultStore(tmp_path)
-        use_code_digest(monkeypatch, "a" * 64)
+        use_code_digest("a" * 64)
         store.put(PlanPointKey("space", "p1"), {"metrics": {}})
         store.put(PlanPointKey("space", "p2"), {"metrics": {}})
-        use_code_digest(monkeypatch, "b" * 64)
+        use_code_digest("b" * 64)
         code, out, _ = run_cli(capsys, "cache", "stats", "--dir", str(tmp_path))
         assert code == 0
         assert "code digest:    bbbbbbbbbbbbbbbb" in out
@@ -420,7 +464,7 @@ class TestCache:
             capsys, "cache", "stats", "--dir", str(tmp_path), "--format", "json"
         )
         stats = json.loads(out)
-        assert stats["code_digest"] == "b" * 16 and "schema_version" not in stats
+        assert stats["code_digest"] == "b" * 64 and "schema_version" not in stats
         assert (stats["entries"], stats["stale_entries"]) == (0, 2)
         code, out, _ = run_cli(capsys, "cache", "evict", "--dir", str(tmp_path))
         assert code == 0 and "evicted 2 entries" in out

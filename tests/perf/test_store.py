@@ -23,7 +23,6 @@ from repro.baselines.tpu import TPUModel
 from repro.core.device import get_device
 from repro.core.config import FlexNeRFerConfig
 from repro.nerf.models import FrameConfig, get_model
-from repro.perf import store as store_module
 from repro.perf.store import (
     ExperimentResultKey,
     GridAssetKey,
@@ -58,11 +57,6 @@ def put_report(store, key, report):
 def get_report(store, key):
     payload = store.get(key)
     return None if payload is None else report_from_dict(payload)
-
-
-def use_code_digest(monkeypatch, digest):
-    """Make every store read and write as if the source digested to ``digest``."""
-    monkeypatch.setattr(store_module, "code_digest", lambda: digest)
 
 
 DIGEST_A, DIGEST_B = "a" * 64, "b" * 64
@@ -237,11 +231,11 @@ class TestStoreBasics:
             store.evict(max_age_s=-5.0)
         assert store.stats().entries == 1  # nothing was doomed
 
-    def test_evict_drops_other_code_digests(self, tmp_path, monkeypatch):
+    def test_evict_drops_other_code_digests(self, tmp_path, use_code_digest):
         store = ResultStore(tmp_path)
-        use_code_digest(monkeypatch, DIGEST_A)
+        use_code_digest(DIGEST_A)
         put_report(store, make_key(), render_small())
-        use_code_digest(monkeypatch, DIGEST_B)
+        use_code_digest(DIGEST_B)
         put_report(store, make_key(), render_small())
         assert store.evict() == 1
         assert store.stats().entries == 1
@@ -253,16 +247,13 @@ class TestExperimentResultTier:
         return ExperimentResultKey(
             experiment_id="fig99",
             params_fingerprint=f"params-{salt}",
+            devices_digest=f"devices-{salt}",
         )
 
     def test_key_components_partition_entries(self):
         base = self.make_result_key()
-        assert base.digest != ExperimentResultKey(
-            "other", base.params_fingerprint
-        ).digest
-        assert base.digest != ExperimentResultKey(
-            base.experiment_id, "params-b"
-        ).digest
+        for field in ("experiment_id", "params_fingerprint", "devices_digest"):
+            assert base.digest != dataclasses.replace(base, **{field: "b"}).digest
 
     def test_payload_round_trip(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -296,7 +287,7 @@ class TestExperimentResultTier:
 #: One key per entry kind, each with a payload shaped like its real one.
 KIND_CASES = (
     (make_key(), {"device": "d", "latency_s": 0.1}),
-    (ExperimentResultKey("fig99", "params"), {"table": "t", "result": {}}),
+    (ExperimentResultKey("fig99", "params", "devices"), {"table": "t", "result": {}}),
     (PlanPointKey("space", "point"), {"point": {}, "metrics": {"p95": 0.5}}),
     (GridAssetKey("scene", "grid"), {"tables": [[1.0, 2.5e-17]]}),
 )
@@ -314,8 +305,8 @@ DIGEST_PINS = (
         "2c758c5b55abb737b207858f2fd39abca1cc335c",
     ),
     (
-        ExperimentResultKey("fig01", "pf"),
-        "54c828e30505fb189fd3412683b62cf13fd012ab",
+        ExperimentResultKey("fig01", "pf", "dd"),
+        "48cd34f9842c34a4c1390a0cdffa592e2f2ff3d9",
     ),
     (
         PlanPointKey("sd", "pd"),
@@ -376,13 +367,15 @@ class TestKeyProtocol:
     @pytest.mark.parametrize(
         "key,payload", KIND_CASES, ids=[key.kind for key, _ in KIND_CASES]
     )
-    def test_source_edit_misses_every_tier(self, tmp_path, monkeypatch, key, payload):
+    def test_source_edit_misses_every_tier(
+        self, tmp_path, use_code_digest, key, payload
+    ):
         store = ResultStore(tmp_path)
-        use_code_digest(monkeypatch, DIGEST_A)
+        use_code_digest(DIGEST_A)
         path = store.put(key, payload)
         assert path.relative_to(tmp_path).parts[0] == DIGEST_A[:16]
         assert store.get(key) == payload
-        use_code_digest(monkeypatch, DIGEST_B)
+        use_code_digest(DIGEST_B)
         assert store.get(key) is None
         assert (store.stats().entries, store.stats().stale_entries) == (0, 1)
 
