@@ -30,12 +30,15 @@ def main(scene_name: str = "lego", image_size: int = 64) -> None:
     renderer.fit_to_scene(scene)
 
     reference = render_reference(scene, camera, num_samples=48)
-    fp32 = renderer.render(camera, num_samples=48)
+    # Rays, occupancy and the FP32 encode are prepared once; every
+    # quantization setting below re-renders off the same plan.
+    plan = renderer.prepare_render(camera, num_samples=48)
+    fp32 = renderer.render_prepared(plan)
     print(f"Scene '{scene_name}' ({image_size}x{image_size})")
     print(f"  model PSNR vs oracle reference: {psnr(reference, fp32):.1f} dB")
 
     print("\nStage sparsity (drives the online format selection):")
-    for stage, value in renderer.stats.stage_sparsity.items():
+    for stage, value in renderer.stage_sparsity(plan).items():
         print(f"  {stage:<22} {value * 100:6.2f}%")
 
     print("\nQuantization study (PSNR vs the FP32 render):")
@@ -47,9 +50,8 @@ def main(scene_name: str = "lego", image_size: int = 64) -> None:
         ("INT4 + outliers", Precision.INT4, True),
     ]
     for label, precision, outlier_aware in settings:
-        image = renderer.render(
-            camera, num_samples=48, precision=precision,
-            outlier_aware=outlier_aware, record_stats=False,
+        image = renderer.render_prepared(
+            plan, precision=precision, outlier_aware=outlier_aware
         )
         print(f"  {label:<16} {psnr(fp32, image):6.1f} dB")
 

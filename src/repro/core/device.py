@@ -16,8 +16,9 @@ families.  This module defines the one interface they all share:
 * the one cost hook: a device overrides :meth:`~Device.area` and
   :meth:`~Device.power` (per-block reports); the totals
   (:meth:`~Device.area_mm2`, :meth:`~Device.power_w`) derive from them;
-* device fingerprints (:meth:`Device.fingerprint`, :func:`canonical_digest`)
-  that key the persistent result store;
+* device fingerprints (:meth:`Device.fingerprint`, :func:`canonical_digest`,
+  and :func:`device_fingerprint`, memoised per registered factory) that key
+  the sweep engine's caches and the persistent result store;
 * :data:`DEVICE_REGISTRY` -- name -> factory mapping, so new devices are one
   registry entry away from every sweep and experiment.
 
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import importlib
 import json
@@ -354,12 +356,32 @@ def register_device(name: str, factory: DeviceFactory, *, overwrite: bool = Fals
     DEVICE_REGISTRY[key] = factory
 
 
-def get_device(name: str) -> Device:
-    """Instantiate a fresh device by registry name."""
+def device_factory(name: str) -> DeviceFactory:
+    """The factory registered under ``name`` (a KeyError lists the valid names)."""
     try:
-        factory = DEVICE_REGISTRY[name.lower()]
+        return DEVICE_REGISTRY[name.lower()]
     except KeyError as exc:
         raise KeyError(
             f"unknown device '{name}'; available: {sorted(DEVICE_REGISTRY)}"
         ) from exc
-    return factory()
+
+
+def get_device(name: str) -> Device:
+    """Instantiate a fresh device by registry name."""
+    return device_factory(name)()
+
+
+@functools.cache
+def _factory_fingerprint(factory: DeviceFactory) -> str:
+    """Fingerprint of the device ``factory`` builds (built once per factory)."""
+    return factory().fingerprint()
+
+
+def device_fingerprint(name: str) -> str:
+    """Fingerprint of the device registered under ``name``.
+
+    Memoised on the registry's factory object, so ``register_device`` under
+    a used name (a new factory) is seen while every other lookup stays a
+    dictionary read.
+    """
+    return _factory_fingerprint(device_factory(name))

@@ -13,10 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.experiments.api import Column, experiment
-from repro.nerf.hashgrid import HashGridConfig
-from repro.nerf.rays import Camera
-from repro.nerf.renderer import InstantNGPRenderer
-from repro.nerf.scenes import get_scene
 from repro.sim.sweep import get_default_engine
 
 
@@ -56,25 +52,11 @@ def run(
     num_samples: int = 32,
 ) -> list[SparsityRow]:
     """Render each scene with the fitted Instant-NGP model and record sparsity."""
+    engine = get_default_engine()
     rows = []
-    camera = Camera(width=image_size, height=image_size, focal=image_size * 1.2)
-    # Fitted grids are cached in the result store's asset tier (when the
-    # process-wide engine carries one), so warm runs skip fitting entirely.
-    store = get_default_engine().store
     for scene_name in scenes:
-        scene = get_scene(scene_name)
-        renderer = InstantNGPRenderer(
-            HashGridConfig(
-                num_levels=6,
-                features_per_level=4,
-                log2_table_size=13,
-                base_resolution=8,
-                max_resolution=64,
-            )
-        )
-        renderer.fit_to_scene(scene, store=store)
-        renderer.render(camera, num_samples=num_samples)
-        stage = renderer.stats.stage_sparsity
+        renderer, plan = engine.probe(scene_name, image_size, num_samples)
+        stage = renderer.stage_sparsity(plan)
         rows.append(
             SparsityRow(
                 scene=scene_name,

@@ -13,10 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.experiments.api import Column, experiment
-from repro.nerf.hashgrid import HashGridConfig
 from repro.nerf.models import FrameConfig
-from repro.nerf.rays import Camera
-from repro.nerf.renderer import InstantNGPRenderer, render_reference
+from repro.nerf.renderer import render_reference
 from repro.nerf.scenes import get_scene
 from repro.quant.metrics import psnr
 from repro.sim.sweep import SweepEngine, get_default_engine
@@ -66,31 +64,20 @@ def run(
     """Measure PSNR (vs the FP32 render) and energy gain per precision mode."""
     engine = engine or get_default_engine()
     config = config or FrameConfig(scene_name=scene_name)
-    camera = Camera(width=image_size, height=image_size, focal=image_size * 1.2)
-    scene = get_scene(scene_name)
-    renderer = InstantNGPRenderer(
-        HashGridConfig(
-            num_levels=6,
-            features_per_level=4,
-            log2_table_size=13,
-            base_resolution=8,
-            max_resolution=64,
-        )
-    )
-    renderer.fit_to_scene(scene, store=engine.store)
+    # The view and the FP32 feature matrix are shared by every precision
+    # setting (and with Fig. 13(a)): the engine fits the scene and prepares
+    # the view once, then each setting re-quantizes the one plan.
+    renderer, plan = engine.probe(scene_name, image_size, num_samples)
     # The paper reports PSNR of the quantized Instant-NGP against the dataset
     # ground truth.  Our stand-in model's fitting error (vs the oracle render)
     # would swamp the quantization effect, so quantized renders are measured
     # against the FP32 render of the same model: this isolates exactly the
     # quantization-induced degradation the figure is about.  The FP32 point
     # itself is reported against the oracle render for context.
-    oracle = render_reference(scene, camera, num_samples=num_samples)
-    # The view and the FP32 feature matrix are shared by every precision
-    # setting: prepare once, then re-quantize per setting instead of
-    # re-running ray generation + occupancy + hash-grid encode six times.
-    plan = renderer.prepare_render(camera, num_samples=num_samples)
-    fp32_image = renderer.render_prepared(plan, record_stats=False)
-    reference = fp32_image
+    oracle = render_reference(
+        get_scene(scene_name), plan.camera, num_samples=num_samples
+    )
+    fp32_image = renderer.render_prepared(plan)
 
     gpu_report = engine.frame_report(BASELINE_DEVICE, "instant-ngp", config=config)
 
@@ -118,17 +105,14 @@ def run(
     ]
     for label, precision, outlier_aware in settings:
         image = renderer.render_prepared(
-            plan,
-            precision=precision,
-            outlier_aware=outlier_aware,
-            record_stats=False,
+            plan, precision=precision, outlier_aware=outlier_aware
         )
         points.append(
             PSNRPoint(
                 label=label,
                 precision=precision,
                 outlier_aware=outlier_aware,
-                psnr_db=psnr(reference, image),
+                psnr_db=psnr(fp32_image, image),
                 energy_efficiency_gain=energy_gain(precision),
             )
         )

@@ -1,23 +1,21 @@
-"""Functional NeRF renderers.
+"""Functional Instant-NGP renderer.
 
-Two renderers exercise the full pipeline of paper Fig. 2:
-
-* :class:`VanillaNeRFRenderer` -- positional encoding + an 8x256 MLP with
-  density and colour heads, matching the original NeRF architecture;
-* :class:`InstantNGPRenderer` -- multi-resolution hash encoding + a tiny MLP,
-  matching Instant-NGP.  Its hash tables can be *fitted* directly to a
-  procedural scene (no training loop needed), which gives a deterministic
-  FP32 reference image for the quantization study of paper Fig. 20(a).
-
-Both renderers can record the sparsity of the matrices entering the MLP at
-each stage, which backs the Fig. 13(a) experiment.
+:class:`InstantNGPRenderer` renders with a multi-resolution hash encoding and
+a tiny MLP, matching Instant-NGP.  Its hash tables are *fitted* directly to a
+procedural scene (no training loop needed), which gives a deterministic FP32
+reference image for the quantization study of paper Fig. 20(a).
+:meth:`InstantNGPRenderer.stage_sparsity` measures the sparsity of the
+matrices entering the MLP at each stage of a prepared render, which backs
+the Fig. 13(a) experiment.  The renderer holds no per-render state, so one
+fitted instance (see :meth:`repro.sim.sweep.SweepEngine.probe`) serves every
+study and thread.
 """
 
 from __future__ import annotations
 
 import base64
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -25,7 +23,6 @@ import numpy as np
 from repro.core.device import canonical_digest
 from repro.nerf.hashgrid import HashGrid, HashGridConfig
 from repro.nerf.mlp import MLP
-from repro.nerf.positional import positional_encoding
 from repro.nerf.rays import Camera, generate_rays, sample_along_rays
 from repro.nerf.scenes import SyntheticScene
 from repro.nerf.volume import composite_rays
@@ -37,18 +34,25 @@ from repro.sparse.tensor import sparsity_ratio
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.perf.store import GridAssetKey, ResultStore
 
+#: The hash grid every probe render uses (Fig. 13(a), Fig. 20(a) and the
+#: serving ladder's PSNR probe): 6 levels of 4 features, 2^13-entry tables,
+#: resolutions 8 to 64.
+PROBE_GRID = HashGridConfig(
+    num_levels=6,
+    features_per_level=4,
+    log2_table_size=13,
+    base_resolution=8,
+    max_resolution=64,
+)
+
 
 def render_reference(
-    scene: SyntheticScene,
-    camera: Camera,
-    num_samples: int = 64,
-    rng: np.random.Generator | None = None,
+    scene: SyntheticScene, camera: Camera, num_samples: int = 64
 ) -> np.ndarray:
     """Oracle render of a synthetic scene (queries the scene fields directly)."""
-    rng = rng or np.random.default_rng(0)
     origins, directions = generate_rays(camera)
     points, t_values = sample_along_rays(
-        origins, directions, num_samples, stratified=False, rng=rng
+        origins, directions, num_samples, stratified=False
     )
     densities, colors, _ = scene.fields(points)
     image = composite_rays(colors, densities, t_values)
@@ -65,10 +69,16 @@ class RenderPlan:
     """The precision-independent half of an Instant-NGP render.
 
     Produced by :meth:`InstantNGPRenderer.prepare_render`: rays, depth
-    samples, the occupancy mask and the FP32 feature matrix.  A plan is
-    immutable and reusable -- :meth:`InstantNGPRenderer.render_prepared`
-    consumes it once per quantization setting without re-running ray
-    generation, occupancy or the hash-grid encode.
+    samples, the occupancy mask and the FP32 hash-grid encoding of the
+    occupied samples.  A plan is immutable and reusable --
+    :meth:`InstantNGPRenderer.render_prepared` consumes it once per
+    quantization setting without re-running ray generation, occupancy or
+    the hash-grid encode.  A plan can live as long as the process (the
+    sweep engine's probe tier), so it is kept small.  It stores only the
+    ``encoded`` rows of occupied samples (most samples are empty space)
+    and rebuilds the zero-filled :attr:`features` matrix when it is read;
+    ``t_values`` is a read-only broadcast of the one depth row every ray
+    shares.
     """
 
     camera: Camera
@@ -76,79 +86,14 @@ class RenderPlan:
     num_rays: int
     samples: int
     occupied: np.ndarray
-    features: np.ndarray
+    encoded: np.ndarray
 
-
-@dataclass
-class RenderStats:
-    """Per-stage statistics recorded during a render."""
-
-    stage_sparsity: dict[str, float] = field(default_factory=dict)
-    num_rays: int = 0
-    num_samples: int = 0
-    skipped_samples: int = 0
-
-
-class VanillaNeRFRenderer:
-    """Positional encoding + 8x256 MLP renderer (vanilla NeRF)."""
-
-    def __init__(
-        self,
-        num_frequencies_xyz: int = 10,
-        num_frequencies_dir: int = 4,
-        hidden_width: int = 256,
-        num_hidden_layers: int = 8,
-        rng: np.random.Generator | None = None,
-    ) -> None:
-        rng = rng or np.random.default_rng(0)
-        self.num_frequencies_xyz = num_frequencies_xyz
-        self.num_frequencies_dir = num_frequencies_dir
-        xyz_dim = 3 * 2 * num_frequencies_xyz
-        dir_dim = 3 * 2 * num_frequencies_dir
-        trunk_widths = [xyz_dim] + [hidden_width] * num_hidden_layers
-        self.trunk = MLP.build(trunk_widths, final_activation="relu", rng=rng)
-        self.density_head = MLP.build([hidden_width, 1], final_activation="none", rng=rng)
-        self.color_head = MLP.build(
-            [hidden_width + dir_dim, hidden_width // 2, 3],
-            final_activation="sigmoid",
-            rng=rng,
-        )
-        self.stats = RenderStats()
-
-    def query(self, points: np.ndarray, directions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Return (densities, colors) for flattened points and per-point dirs."""
-        encoded_xyz = positional_encoding(points, self.num_frequencies_xyz)
-        encoded_dir = positional_encoding(directions, self.num_frequencies_dir)
-        hidden = self.trunk.forward(encoded_xyz)
-        densities = self.density_head.forward(hidden)[..., 0]
-        colors = self.color_head.forward(
-            np.concatenate([hidden, encoded_dir], axis=-1)
-        )
-        return densities, colors
-
-    def render(
-        self,
-        camera: Camera,
-        num_samples: int = 32,
-        rng: np.random.Generator | None = None,
-    ) -> np.ndarray:
-        """Render an image with the current (untrained) network weights."""
-        rng = rng or np.random.default_rng(0)
-        origins, directions = generate_rays(camera)
-        points, t_values = sample_along_rays(
-            origins, directions, num_samples, stratified=False, rng=rng
-        )
-        num_rays, samples = points.shape[:2]
-        flat_points = points.reshape(-1, 3)
-        flat_dirs = np.repeat(directions, samples, axis=0)
-        densities, colors = self.query(flat_points, flat_dirs)
-        self.stats = RenderStats(num_rays=num_rays, num_samples=flat_points.shape[0])
-        image = composite_rays(
-            colors.reshape(num_rays, samples, 3),
-            densities.reshape(num_rays, samples),
-            t_values,
-        )
-        return image.reshape(camera.height, camera.width, 3)
+    @property
+    def features(self) -> np.ndarray:
+        """The FP32 feature matrix: encoded rows at occupied samples, zeros elsewhere."""
+        features = np.zeros((self.occupied.shape[0], self.encoded.shape[1]))
+        features[self.occupied] = self.encoded
+        return features
 
 
 class InstantNGPRenderer:
@@ -162,16 +107,10 @@ class InstantNGPRenderer:
     hardware workload includes it.
     """
 
-    def __init__(
-        self,
-        config: HashGridConfig | None = None,
-        rng: np.random.Generator | None = None,
-    ) -> None:
-        rng = rng or np.random.default_rng(0)
-        self.config = config or HashGridConfig(
-            num_levels=8, features_per_level=4, log2_table_size=15,
-            base_resolution=16, max_resolution=128,
-        )
+    def __init__(self, config: HashGridConfig = PROBE_GRID) -> None:
+        # One seeded stream initialises the grid, then the MLP weights.
+        rng = np.random.default_rng(0)
+        self.config = config
         self.grid = HashGrid(self.config, rng=rng)
         self.mlp = MLP.build(
             [self.config.output_dim, 64, 64, 16], final_activation="relu", rng=rng
@@ -181,7 +120,6 @@ class InstantNGPRenderer:
         # Fig. 13(a).
         self.mlp.layers[0].bias += 1.5
         self.scene: SyntheticScene | None = None
-        self.stats = RenderStats()
 
     # -- fitting -------------------------------------------------------------
 
@@ -273,12 +211,7 @@ class InstantNGPRenderer:
         low, high = (self.scene.bounds if self.scene else (-1.0, 1.0))
         return (points - low) / (high - low)
 
-    def prepare_render(
-        self,
-        camera: Camera,
-        num_samples: int = 48,
-        rng: np.random.Generator | None = None,
-    ) -> "RenderPlan":
+    def prepare_render(self, camera: Camera, num_samples: int = 48) -> "RenderPlan":
         """Run the precision-independent half of :meth:`render` once.
 
         Ray generation, depth sampling, occupancy (empty-space skipping)
@@ -289,13 +222,11 @@ class InstantNGPRenderer:
         """
         if self.scene is None:
             raise RuntimeError("call fit_to_scene() before render()")
-        rng = rng or np.random.default_rng(0)
         origins, directions = generate_rays(camera)
         # Sample only the depth range covered by the scene bounds so the
         # measured occupancy along rays matches the scene statistics.
         points, t_values = sample_along_rays(
-            origins, directions, num_samples, stratified=False, rng=rng,
-            near=3.0, far=5.0,
+            origins, directions, num_samples, stratified=False, near=3.0, far=5.0
         )
         num_rays, samples = points.shape[:2]
         flat_points = points.reshape(-1, 3)
@@ -304,17 +235,20 @@ class InstantNGPRenderer:
         # contribute all-zero feature rows (this drives the input sparsity
         # measured in Fig. 13(a)).
         occupied = self.scene.occupancy(flat_points)
-        unit_points = np.clip(self._world_to_unit(flat_points), 0.0, 1.0)
-        features = np.zeros((flat_points.shape[0], self.config.output_dim))
-        if np.any(occupied):
-            features[occupied] = self.grid.encode(unit_points[occupied])
+        unit_points = np.clip(self._world_to_unit(flat_points[occupied]), 0.0, 1.0)
+        encoded = (
+            self.grid.encode(unit_points)
+            if np.any(occupied)
+            else np.zeros((0, self.config.output_dim))
+        )
         return RenderPlan(
             camera=camera,
-            t_values=t_values,
+            # Every ray samples the same mid-bin depths: keep one row.
+            t_values=np.broadcast_to(t_values[0].copy(), t_values.shape),
             num_rays=num_rays,
             samples=samples,
             occupied=occupied,
-            features=features,
+            encoded=encoded,
         )
 
     def render_prepared(
@@ -322,39 +256,19 @@ class InstantNGPRenderer:
         plan: "RenderPlan",
         precision: Precision | None = None,
         outlier_aware: bool = False,
-        record_stats: bool = True,
     ) -> np.ndarray:
         """Finish a prepared render under the given quantization setting.
 
-        The plan's FP32 feature matrix is never mutated (quantization
-        produces a fresh array), so one plan serves any number of
-        precision settings with bit-identical results to full renders.
+        The plan is never mutated (quantization produces a fresh array), so
+        one plan serves any number of precision settings with bit-identical
+        results to full renders.
         """
-        occupied = plan.occupied
         features = plan.features
         if precision is not None:
             features = self._quantize_features(features, precision, outlier_aware)
 
         density, color = self._decode(features)
-        density = np.where(occupied, density, 0.0)
-
-        if record_stats:
-            any_occupied = bool(np.any(occupied))
-            hidden1 = self.mlp.layers[0].forward(features[occupied]) if any_occupied else np.zeros((0, 64))
-            # Resume the stack from layer 1: layer 0's activation is
-            # already in hand.
-            hidden_out = self.mlp.forward(hidden1, start=1) if any_occupied else np.zeros((0, 16))
-            self.stats = RenderStats(
-                num_rays=plan.num_rays,
-                num_samples=features.shape[0],
-                skipped_samples=int(np.sum(~occupied)),
-                stage_sparsity={
-                    "input_ray_marching": sparsity_ratio(features),
-                    "output_relu1": sparsity_ratio(hidden1),
-                    "output": sparsity_ratio(hidden_out),
-                },
-            )
-
+        density = np.where(plan.occupied, density, 0.0)
         image = composite_rays(
             color.reshape(plan.num_rays, plan.samples, 3),
             density.reshape(plan.num_rays, plan.samples),
@@ -362,14 +276,29 @@ class InstantNGPRenderer:
         )
         return image.reshape(plan.camera.height, plan.camera.width, 3)
 
+    def stage_sparsity(self, plan: "RenderPlan") -> dict[str, float]:
+        """Sparsity of the matrices entering and leaving the MLP (Fig. 13(a)).
+
+        ``input_ray_marching`` is the FP32 feature matrix after empty-space
+        skipping, ``output_relu1`` the first layer's activations and
+        ``output`` the network's output, both over the occupied samples.
+        """
+        hidden1 = self.mlp.layers[0].forward(plan.encoded)
+        # Resume the stack from layer 1: layer 0's activation is already in
+        # hand.
+        hidden_out = self.mlp.forward(hidden1, start=1)
+        return {
+            "input_ray_marching": sparsity_ratio(plan.features),
+            "output_relu1": sparsity_ratio(hidden1),
+            "output": sparsity_ratio(hidden_out),
+        }
+
     def render(
         self,
         camera: Camera,
         num_samples: int = 48,
         precision: Precision | None = None,
         outlier_aware: bool = False,
-        record_stats: bool = True,
-        rng: np.random.Generator | None = None,
     ) -> np.ndarray:
         """Render the fitted scene, optionally with quantized tables.
 
@@ -379,12 +308,9 @@ class InstantNGPRenderer:
         point the Fig. 20(a) study sweeps.  ``render`` is exactly
         :meth:`prepare_render` followed by :meth:`render_prepared`.
         """
-        plan = self.prepare_render(camera, num_samples=num_samples, rng=rng)
+        plan = self.prepare_render(camera, num_samples=num_samples)
         return self.render_prepared(
-            plan,
-            precision=precision,
-            outlier_aware=outlier_aware,
-            record_stats=record_stats,
+            plan, precision=precision, outlier_aware=outlier_aware
         )
 
     @staticmethod

@@ -60,14 +60,14 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, ClassVar, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, ClassVar, Iterator, Mapping
 
 from repro.core.device import canonical_digest
 from repro.nerf.workload import OpCategory
 from repro.sparse.formats import Precision
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.device import Device, FrameReport
+    from repro.core.device import FrameReport
     from repro.experiments.api import Experiment
     from repro.nerf.workload import Workload
 
@@ -208,26 +208,17 @@ class GridAssetKey(ContentKey):
     kind = "asset"
 
 
-@functools.cache
-def _factory_fingerprint(factory: Callable[[], "Device"]) -> str:
-    """Fingerprint of the device ``factory`` builds (built once per factory)."""
-    return factory().fingerprint()
-
-
 def devices_digest() -> str:
     """One digest over the fingerprint of every registered device.
 
-    Each factory is built once per process and memoised on the factory
-    object, so ``register_device`` under a used name (a new factory) is
-    seen while every other lookup stays cheap.
+    Fingerprints are memoised per registry factory
+    (:func:`repro.core.device.device_fingerprint`), so ``register_device``
+    under a used name is seen while every other lookup stays cheap.
     """
-    from repro.core.device import DEVICE_REGISTRY
+    from repro.core.device import DEVICE_REGISTRY, device_fingerprint
 
     return canonical_digest(
-        {
-            name: _factory_fingerprint(factory)
-            for name, factory in sorted(DEVICE_REGISTRY.items())
-        }
+        {name: device_fingerprint(name) for name in sorted(DEVICE_REGISTRY)}
     )
 
 

@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.core.device import DEVICE_REGISTRY, canonical_digest, get_device
+from repro.core.device import DEVICE_REGISTRY, canonical_digest, device_fingerprint
 from repro.serve.request import (
     PoissonStream,
     Request,
@@ -311,7 +311,7 @@ def space_digest(space: PlanSpace, cost_model: dict | None = None) -> str:
     return canonical_digest(
         (
             space.devices,
-            tuple(get_device(device).fingerprint() for device in space.devices),
+            tuple(device_fingerprint(device) for device in space.devices),
             space.worker_counts,
             space.schedulers,
             space.controls,

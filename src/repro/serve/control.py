@@ -531,45 +531,22 @@ def price_ladder(
     simulations the figures and the fleet simulator use), so pricing a
     ladder warms exactly the reports the shedding simulator will ask for.
     Quality comes from a small probe render (fig. 20(a)'s machinery): the
-    scenario's scene is fitted once -- through the store's asset tier when
-    available -- rendered at full quality in FP32, then re-rendered per
-    step with the step's resolution / sample / precision knobs applied and
-    compared by PSNR.  Pruning steps are priced for cost but treated as
-    visually lossless by the probe (the renderer has no pruning knob);
-    model such steps' qualities explicitly if that matters.
+    engine's probe tier (:meth:`~repro.sim.sweep.SweepEngine.probe`) fits
+    the scenario's scene and prepares each probe view once per engine --
+    through the store's asset tier when available.  The probe is rendered
+    at full quality in FP32, then re-rendered per step with the step's
+    resolution / sample / precision knobs applied and compared by PSNR.
+    Pruning steps are priced for cost but treated as visually lossless by
+    the probe (the renderer has no pruning knob); model such steps'
+    qualities explicitly if that matters.
     """
-    from repro.nerf.hashgrid import HashGridConfig
-    from repro.nerf.rays import Camera
-    from repro.nerf.renderer import InstantNGPRenderer, RenderPlan
-    from repro.nerf.scenes import get_scene
     from repro.quant.metrics import psnr
     from repro.sim.sweep import get_default_engine
 
     engine = engine or get_default_engine()
     base_report = _scenario_report(engine, device, scenario)
-    renderer = InstantNGPRenderer(
-        HashGridConfig(
-            num_levels=6,
-            features_per_level=4,
-            log2_table_size=13,
-            base_resolution=8,
-            max_resolution=64,
-        )
-    )
-    renderer.fit_to_scene(get_scene(scenario.scene), store=engine.store)
-    # One prepared probe per (size, samples): steps that shrink to the same
-    # probe, or keep the full-quality one, share its plan.
-    plans: dict[tuple[int, int], RenderPlan] = {}
-
-    def probe(size: int, samples: int) -> RenderPlan:
-        if (size, samples) not in plans:
-            camera = Camera(width=size, height=size, focal=size * 1.2)
-            plans[size, samples] = renderer.prepare_render(camera, num_samples=samples)
-        return plans[size, samples]
-
-    reference = renderer.render_prepared(
-        probe(probe_size, probe_samples), record_stats=False
-    )
+    renderer, plan = engine.probe(scenario.scene, probe_size, probe_samples)
+    reference = renderer.render_prepared(plan)
 
     rows = []
     for step in steps:
@@ -577,9 +554,8 @@ def price_ladder(
         report = _scenario_report(engine, device, degraded)
         size = max(1, round(probe_size * step.resolution_scale))
         samples = max(1, round(probe_samples * step.sample_scale))
-        image = renderer.render_prepared(
-            probe(size, samples), precision=step.precision, record_stats=False
-        )
+        _, plan = engine.probe(scenario.scene, size, samples)
+        image = renderer.render_prepared(plan, precision=step.precision)
         if size != probe_size:
             image = _nearest_resize(image, probe_size)
         psnr_db = psnr(reference, image)

@@ -3,23 +3,31 @@
 Every frame-simulating experiment in the evaluation is some cartesian sweep:
 devices x NeRF models x precision modes x pruning ratios x batch sizes (and
 sometimes scenes).  The :class:`SweepEngine` runs such sweeps through the
-unified :class:`repro.core.device.Device` protocol with two layers of
+unified :class:`repro.core.device.Device` protocol with three layers of
 memoisation:
 
 * **workload cache** -- ``(model name, FrameConfig)`` -> built
   :class:`~repro.nerf.workload.Workload`, so sweeping ten devices over the
   same model builds its operation list once;
-* **report cache** -- ``(device, workload fingerprint, effective precision,
-  effective pruning)`` -> :class:`~repro.core.accelerator.FrameReport`.  The
-  *effective* knobs come from the device's capability flags, so asking
-  NeuRex for five pruning ratios performs one simulation and returns five
-  rows -- the flat bars of Fig. 19 for free.
+* **report cache** -- ``(device fingerprint, workload fingerprint, effective
+  precision, effective pruning)`` ->
+  :class:`~repro.core.accelerator.FrameReport`.  The *effective* knobs come
+  from the device's capability flags, so asking NeuRex for five pruning
+  ratios performs one simulation and returns five rows -- the flat bars of
+  Fig. 19 for free;
+* **probe tier** -- scene -> fitted
+  :class:`~repro.nerf.renderer.InstantNGPRenderer` and ``(scene, size,
+  samples)`` -> prepared :class:`~repro.nerf.renderer.RenderPlan`, the
+  functional renders Fig. 13(a), Fig. 20(a) and the serving ladder's PSNR
+  probe share (:meth:`SweepEngine.probe`).
 
-Unique cache keys are simulated exactly once.  Experiments share one
-process-wide engine via :func:`get_default_engine`, so e.g. Fig. 1 and
-Fig. 3 reuse each other's GPU frame reports.
+Unique cache keys are simulated exactly once.  Devices are cached per
+registry factory and reports per device fingerprint, so re-registering a
+name (``register_device(..., overwrite=True)``) takes effect at once.
+Experiments share one process-wide engine via :func:`get_default_engine`,
+so e.g. Fig. 1 and Fig. 3 reuse each other's GPU frame reports.
 
-A third, *persistent* tier can be attached (:meth:`SweepEngine.attach_store`
+A *persistent* tier can be attached (:meth:`SweepEngine.attach_store`
 / the ``store`` constructor argument): in-memory report-cache misses then
 consult a content-addressed on-disk :class:`repro.perf.store.ResultStore`
 before simulating, and freshly simulated reports are written back.  The
@@ -47,8 +55,8 @@ from repro.perf.store import (
 from repro.sparse.formats import Precision
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.device import FrameReport
-    from repro.core.device import Device
+    from repro.core.device import Device, DeviceFactory, FrameReport
+    from repro.nerf.renderer import InstantNGPRenderer, RenderPlan
     from repro.nerf.workload import Workload
 
 WorkloadKey = tuple[str, FrameConfig]
@@ -182,11 +190,12 @@ class SweepEngine:
         #: Optional persistent tier consulted on in-memory misses.
         self.store = store
         self.stats = SweepCacheStats()
-        self._devices: dict[str, "Device"] = {}
+        self._devices: dict["DeviceFactory", "Device"] = {}
         self._workloads: dict[WorkloadKey, "Workload"] = {}
         self._reports: dict[ReportKey, "FrameReport"] = {}
-        self._device_fingerprints: dict[str, str] = {}
         self._workload_digests: dict[Hashable, str] = {}
+        self._renderers: dict[str, "InstantNGPRenderer"] = {}
+        self._plans: dict[tuple[str, int, int], "RenderPlan"] = {}
         # Guards the caches when experiments run on a thread pool (the CLI's
         # --jobs); simulations stay serialized, cache reads stay consistent.
         self._lock = threading.RLock()
@@ -199,14 +208,14 @@ class SweepEngine:
     # -- cached building blocks ----------------------------------------------
 
     def device(self, name: str) -> "Device":
-        """The engine's shared instance of a registered device."""
-        from repro.core.device import get_device
+        """The engine's shared instance of the device registered under ``name``."""
+        from repro.core.device import device_factory
 
-        key = name.lower()
+        factory = device_factory(name)
         with self._lock:
-            if key not in self._devices:
-                self._devices[key] = get_device(key)
-            return self._devices[key]
+            if factory not in self._devices:
+                self._devices[factory] = factory()
+            return self._devices[factory]
 
     def workload(self, model: str, config: FrameConfig | None = None) -> "Workload":
         """Build (or reuse) the one-frame workload of ``model`` under ``config``."""
@@ -228,9 +237,11 @@ class SweepEngine:
         pruning_ratio: float,
     ) -> ReportKey:
         """Cache key of one simulation: device + workload + effective knobs."""
+        from repro.core.device import device_fingerprint
+
         device = self.device(device_name)
         return (
-            device_name.lower(),
+            device_fingerprint(device_name),
             workload_fingerprint(workload),
             device.effective_precision(precision),
             device.effective_pruning(pruning_ratio),
@@ -281,19 +292,42 @@ class SweepEngine:
 
     def _content_key(self, key: ReportKey, workload: "Workload") -> "StoreKey":
         """Build the content address of one report-cache key (lock held)."""
-        device_name, workload_fp, precision, pruning = key
-        if device_name not in self._device_fingerprints:
-            self._device_fingerprints[device_name] = self.device(
-                device_name
-            ).fingerprint()
+        device_fp, workload_fp, precision, pruning = key
         if workload_fp not in self._workload_digests:
             self._workload_digests[workload_fp] = workload_digest(workload)
         return StoreKey(
-            device_fingerprint=self._device_fingerprints[device_name],
+            device_fingerprint=device_fp,
             workload_digest=self._workload_digests[workload_fp],
             precision=precision.name if precision is not None else None,
             pruning_ratio=pruning,
         )
+
+    def probe(
+        self, scene: str, size: int, samples: int
+    ) -> tuple["InstantNGPRenderer", "RenderPlan"]:
+        """The scene's fitted renderer and its prepared ``size``-square view.
+
+        Each scene is fitted once per engine (through the attached store's
+        asset tier) and each ``(scene, size, samples)`` view prepared once;
+        the renderer holds no per-render state, so callers on any thread
+        finish renders off the shared plan.
+        """
+        from repro.nerf.rays import Camera
+        from repro.nerf.renderer import InstantNGPRenderer
+        from repro.nerf.scenes import get_scene
+
+        fields = get_scene(scene)
+        with self._lock:
+            renderer = self._renderers.get(fields.name)
+            if renderer is None:
+                renderer = InstantNGPRenderer()
+                renderer.fit_to_scene(fields, store=self.store)
+                self._renderers[fields.name] = renderer
+            key = (fields.name, size, samples)
+            if key not in self._plans:
+                camera = Camera(width=size, height=size, focal=size * 1.2)
+                self._plans[key] = renderer.prepare_render(camera, num_samples=samples)
+            return renderer, self._plans[key]
 
     # -- sweep execution ------------------------------------------------------
 
@@ -341,10 +375,12 @@ class SweepEngine:
         return rows
 
     def clear(self) -> None:
-        """Drop every cached workload and report (devices are kept)."""
+        """Drop every cached workload, report and probe (devices are kept)."""
         with self._lock:
             self._workloads.clear()
             self._reports.clear()
+            self._renderers.clear()
+            self._plans.clear()
             self.stats = SweepCacheStats()
 
 

@@ -45,6 +45,9 @@ ALLOWED: dict[str, str] = {
     "repro.core.mac_unit.BitScalableMACUnit.multiply_accumulate": (
         "functional MAC unit: tests check the bit-scalable reduction against numpy"
     ),
+    "repro.nerf.positional.positional_encoding": (
+        "exact oracle: tests check approx_positional_encoding (Eqs. 5-6) against it"
+    ),
     "repro.nerf.scenes.SyntheticScene.reference_color": (
         "parity oracle: tests check the fused scene field against it bit for bit"
     ),

@@ -211,7 +211,12 @@ class TestDerivedSchema:
 
 
 class TestParallelExecution:
-    def test_run_all_jobs2_matches_serial(self, results):
+    def test_run_all_jobs2_matches_serial(self, results, monkeypatch):
+        from repro.sim import sweep
+
+        # A fresh default engine: the threads fill the probe and report
+        # tiers cold and concurrently instead of hitting the warmed ones.
+        monkeypatch.setattr(sweep, "_DEFAULT_ENGINE", sweep.SweepEngine())
         experiments = list(EXPERIMENTS.values())
         parallel = run_many(experiments, jobs=2)
         assert [r.experiment_id for r in parallel] == list(EXPERIMENTS)

@@ -81,6 +81,6 @@ class TestRenderingQualityPipeline:
         )
         renderer.fit_to_scene(scene)
         reference = render_reference(scene, camera, num_samples=16)
-        fp32 = renderer.render(camera, num_samples=16, record_stats=False)
-        int4 = renderer.render(camera, num_samples=16, precision=Precision.INT4, record_stats=False)
+        fp32 = renderer.render(camera, num_samples=16)
+        int4 = renderer.render(camera, num_samples=16, precision=Precision.INT4)
         assert psnr(reference, fp32) >= psnr(reference, int4) - 1e-6

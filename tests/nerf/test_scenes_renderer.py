@@ -1,11 +1,11 @@
-"""Tests for the synthetic scenes and the functional renderers."""
+"""Tests for the synthetic scenes and the functional renderer."""
 
 import numpy as np
 import pytest
 
 from repro.nerf.hashgrid import HashGridConfig
 from repro.nerf.rays import Camera
-from repro.nerf.renderer import InstantNGPRenderer, VanillaNeRFRenderer, render_reference
+from repro.nerf.renderer import PROBE_GRID, InstantNGPRenderer, render_reference
 from repro.nerf.scenes import SCENE_LIBRARY, SyntheticScene, get_scene
 from repro.quant.metrics import psnr
 from repro.sparse.formats import Precision
@@ -66,20 +66,6 @@ class TestReferenceRender:
         assert image.std() > 0.01
 
 
-class TestVanillaRenderer:
-    def test_render_shape(self):
-        renderer = VanillaNeRFRenderer(hidden_width=32, num_hidden_layers=2)
-        image = renderer.render(SMALL_CAMERA, num_samples=8)
-        assert image.shape == (24, 24, 3)
-        assert renderer.stats.num_samples == 24 * 24 * 8
-
-    def test_query_shapes(self, rng):
-        renderer = VanillaNeRFRenderer(hidden_width=32, num_hidden_layers=2)
-        densities, colors = renderer.query(rng.random((10, 3)), rng.random((10, 3)))
-        assert densities.shape == (10,)
-        assert colors.shape == (10, 3)
-
-
 class TestInstantNGPRenderer:
     def _fitted(self, scene_name="lego"):
         renderer = InstantNGPRenderer(SMALL_GRID)
@@ -96,69 +82,61 @@ class TestInstantNGPRenderer:
         reference = render_reference(get_scene("lego"), SMALL_CAMERA, num_samples=24)
         assert psnr(reference, image) > 12.0
 
-    def test_stage_sparsity_recorded(self):
+    def test_default_grid_is_the_probe_grid(self):
+        assert InstantNGPRenderer().config == PROBE_GRID
+
+    def test_stage_sparsity_of_a_plan(self):
         renderer = self._fitted()
-        renderer.render(SMALL_CAMERA, num_samples=16)
-        stages = renderer.stats.stage_sparsity
+        stages = renderer.stage_sparsity(renderer.prepare_render(SMALL_CAMERA, num_samples=16))
         assert set(stages) == {"input_ray_marching", "output_relu1", "output"}
         assert stages["input_ray_marching"] > 0.5
         assert stages["output_relu1"] < 0.2
 
     def test_sparser_scene_has_sparser_input(self):
-        lego = self._fitted("lego")
-        mic = self._fitted("mic")
-        lego.render(SMALL_CAMERA, num_samples=16)
-        mic.render(SMALL_CAMERA, num_samples=16)
-        assert (
-            mic.stats.stage_sparsity["input_ray_marching"]
-            > lego.stats.stage_sparsity["input_ray_marching"]
+        lego, mic = (
+            renderer.stage_sparsity(renderer.prepare_render(SMALL_CAMERA, num_samples=16))
+            for renderer in (self._fitted("lego"), self._fitted("mic"))
         )
+        assert mic["input_ray_marching"] > lego["input_ray_marching"]
 
     def test_int16_quantization_nearly_lossless(self):
         renderer = self._fitted()
-        fp32 = renderer.render(SMALL_CAMERA, num_samples=16, record_stats=False)
-        int16 = renderer.render(
-            SMALL_CAMERA, num_samples=16, precision=Precision.INT16, record_stats=False
-        )
+        fp32 = renderer.render(SMALL_CAMERA, num_samples=16)
+        int16 = renderer.render(SMALL_CAMERA, num_samples=16, precision=Precision.INT16)
         assert psnr(fp32, int16) > 40.0
 
     def test_lower_precision_degrades_quality(self):
         renderer = self._fitted()
-        fp32 = renderer.render(SMALL_CAMERA, num_samples=16, record_stats=False)
-        int8 = renderer.render(SMALL_CAMERA, num_samples=16, precision=Precision.INT8, record_stats=False)
-        int4 = renderer.render(SMALL_CAMERA, num_samples=16, precision=Precision.INT4, record_stats=False)
+        fp32 = renderer.render(SMALL_CAMERA, num_samples=16)
+        int8 = renderer.render(SMALL_CAMERA, num_samples=16, precision=Precision.INT8)
+        int4 = renderer.render(SMALL_CAMERA, num_samples=16, precision=Precision.INT4)
         assert psnr(fp32, int8) >= psnr(fp32, int4)
 
     def test_prepared_render_matches_direct_render(self):
         renderer = self._fitted()
-        direct = renderer.render(SMALL_CAMERA, num_samples=16, record_stats=False)
+        direct = renderer.render(SMALL_CAMERA, num_samples=16)
         plan = renderer.prepare_render(SMALL_CAMERA, num_samples=16)
-        np.testing.assert_array_equal(
-            renderer.render_prepared(plan, record_stats=False), direct
-        )
+        np.testing.assert_array_equal(renderer.render_prepared(plan), direct)
         # A plan is reusable: per-precision renders off one plan equal the
         # per-precision direct renders.
-        direct_int8 = renderer.render(
-            SMALL_CAMERA, num_samples=16, precision=Precision.INT8, record_stats=False
-        )
+        direct_int8 = renderer.render(SMALL_CAMERA, num_samples=16, precision=Precision.INT8)
         np.testing.assert_array_equal(
-            renderer.render_prepared(
-                plan, precision=Precision.INT8, record_stats=False
-            ),
+            renderer.render_prepared(plan, precision=Precision.INT8),
             direct_int8,
         )
 
     def test_plan_features_not_mutated_by_quantized_render(self):
         renderer = self._fitted()
         plan = renderer.prepare_render(SMALL_CAMERA, num_samples=16)
-        before = plan.features.copy()
-        renderer.render_prepared(plan, precision=Precision.INT4, record_stats=False)
-        np.testing.assert_array_equal(plan.features, before)
+        before = plan.encoded.copy()
+        renderer.render_prepared(plan, precision=Precision.INT4)
+        np.testing.assert_array_equal(plan.encoded, before)
 
-    def test_stats_pass_runs_single_mlp_forward(self, monkeypatch):
+    def test_stage_sparsity_runs_single_mlp_forward(self, monkeypatch):
         # The stage-sparsity probe reuses the first layer's activations for
         # the rest of the forward pass instead of re-running the whole MLP.
         renderer = self._fitted()
+        plan = renderer.prepare_render(SMALL_CAMERA, num_samples=16)
         first_layer = renderer.mlp.layers[0]
         calls = {"n": 0}
         original = type(first_layer).forward
@@ -169,7 +147,7 @@ class TestInstantNGPRenderer:
             return original(self, x)
 
         monkeypatch.setattr(type(first_layer), "forward", counting)
-        renderer.render(SMALL_CAMERA, num_samples=16, record_stats=True)
+        renderer.stage_sparsity(plan)
         assert calls["n"] == 1
 
 

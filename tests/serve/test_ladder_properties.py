@@ -93,22 +93,44 @@ class TestSingleRungLadder:
         assert ladder.quality_of(1) == row.quality
 
     def test_price_ladder_prepares_each_probe_once(self, monkeypatch):
+        from repro.experiments.registry import EXPERIMENTS
         from repro.nerf.renderer import InstantNGPRenderer
+        from repro.sim import sweep
 
-        prepared = []
+        fitted, prepared = [], []
+        fit = InstantNGPRenderer.fit_to_scene
         prepare = InstantNGPRenderer.prepare_render
 
-        def counting(self, camera, num_samples, *args, **kwargs):
-            prepared.append((camera.width, num_samples))
+        def counting_fit(self, scene, *args, **kwargs):
+            fitted.append(scene.name)
+            return fit(self, scene, *args, **kwargs)
+
+        def counting_prepare(self, camera, num_samples, *args, **kwargs):
+            prepared.append((self.scene.name, camera.width, num_samples))
             return prepare(self, camera, num_samples, *args, **kwargs)
 
-        monkeypatch.setattr(InstantNGPRenderer, "prepare_render", counting)
-        price_ladder(
-            SCENARIO, "flexnerfer", engine=SweepEngine(), probe_size=16, probe_samples=8
-        )
+        monkeypatch.setattr(InstantNGPRenderer, "fit_to_scene", counting_fit)
+        monkeypatch.setattr(InstantNGPRenderer, "prepare_render", counting_prepare)
+        engine = SweepEngine()
+        price_ladder(SCENARIO, "flexnerfer", engine=engine, probe_size=16, probe_samples=8)
         # The full-quality probe, then int8 (same size), int8+half-samples,
         # and the two half-res steps sharing one (8, 8) probe.
-        assert prepared == [(16, 8), (16, 4), (8, 8)]
+        scene = SCENARIO.scene
+        assert prepared == [(scene, 16, 8), (scene, 16, 4), (scene, 8, 8)]
+        # A second ladder on the same engine fits and prepares nothing.
+        price_ladder(SCENARIO, "neurex", engine=engine, probe_size=16, probe_samples=8)
+        assert fitted == [scene]
+        assert len(prepared) == 3
+
+        # Every probe user of a run shares one fresh engine: each scene is
+        # fitted once and each (scene, size, samples) view prepared once.
+        fitted.clear()
+        prepared.clear()
+        monkeypatch.setattr(sweep, "_DEFAULT_ENGINE", SweepEngine())
+        for exp_id in ("fig13", "fig20a", "serve-overload-sla", "serve-quality-shed"):
+            EXPERIMENTS[exp_id].run()
+        assert sorted(fitted) == ["lego", "mic"]
+        assert len(prepared) == len(set(prepared)) == 5
 
 
 class TestSpeedupValidation:

@@ -140,6 +140,86 @@ class TestReportCache:
         assert report is again
         assert engine.stats.render_calls == 1
 
+    def test_reregistered_device_is_not_served_stale(self, engine, monkeypatch):
+        """Re-registering a used name replaces the engine's device and reports."""
+        from repro.core.accelerator import FlexNeRFer
+        from repro.core.config import FlexNeRFerConfig
+        from repro.core.device import DEVICE_REGISTRY, get_device, register_device
+
+        # Restores the built-in factory after the test re-registers the name.
+        monkeypatch.setitem(DEVICE_REGISTRY, "flexnerfer", DEVICE_REGISTRY["flexnerfer"])
+        before = engine.frame_report("flexnerfer", "nerf", config=SMALL_CONFIG)
+        register_device(
+            "flexnerfer",
+            lambda: FlexNeRFer(FlexNeRFerConfig(frequency_hz=400e6)),
+            overwrite=True,
+        )
+        after = engine.frame_report("flexnerfer", "nerf", config=SMALL_CONFIG)
+        expected = get_device("flexnerfer").render_frame(
+            engine.workload("nerf", SMALL_CONFIG)
+        )
+        assert after.latency_s == expected.latency_s
+        assert after.latency_s > before.latency_s
+        assert engine.device("flexnerfer").config.frequency_hz == 400e6
+
+
+class TestProbeTier:
+    def test_each_scene_fitted_and_each_view_prepared_once(self, engine):
+        renderer, plan = engine.probe("lego", 12, 6)
+        again, same_plan = engine.probe("lego", 12, 6)
+        assert again is renderer and same_plan is plan
+        other_renderer, other_plan = engine.probe("lego", 8, 6)
+        assert other_renderer is renderer and other_plan is not plan
+        assert engine.probe("mic", 12, 6)[0] is not renderer
+        upper_renderer, upper_plan = engine.probe("LEGO", 12, 6)
+        assert upper_renderer is renderer and upper_plan is plan
+        engine.clear()
+        assert engine.probe("lego", 12, 6)[0] is not renderer
+
+    def test_concurrent_probes_share_one_fit_and_plan(self, engine, monkeypatch):
+        """Threads switching every microsecond still fit and prepare once."""
+        import sys
+        import threading
+
+        from repro.nerf.renderer import InstantNGPRenderer
+
+        fitted = []
+        fit = InstantNGPRenderer.fit_to_scene
+
+        def counting_fit(self, scene, *args, **kwargs):
+            fitted.append(scene.name)
+            return fit(self, scene, *args, **kwargs)
+
+        monkeypatch.setattr(InstantNGPRenderer, "fit_to_scene", counting_fit)
+        start = threading.Barrier(8)
+        seen = [None] * 8
+
+        def probe(index):
+            start.wait()
+            seen[index] = engine.probe("lego", 12, 6)
+
+        threads = [threading.Thread(target=probe, args=(i,)) for i in range(8)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert fitted == ["lego"]
+        assert all(pair[0] is seen[0][0] and pair[1] is seen[0][1] for pair in seen)
+
+    def test_plan_keeps_only_occupied_rows(self, engine):
+        renderer, plan = engine.probe("mic", 12, 6)
+        assert plan.encoded.shape == (int(plan.occupied.sum()), renderer.config.output_dim)
+        features = plan.features
+        assert features.shape == (12 * 12 * 6, renderer.config.output_dim)
+        assert not features[~plan.occupied].any()
+        assert (features[plan.occupied] == plan.encoded).all()
+
 
 class TestReducers:
     def test_geomean(self):
