@@ -64,7 +64,7 @@ class ImpureRunRule(ModuleRule):
     """Flag filesystem / environment access inside experiment ``run`` bodies.
 
     Cached experiment results are keyed purely on parameters, device
-    fingerprints and workload digests; a ``run()`` that also reads files or
+    fingerprints and the package's source digest; a ``run()`` that also reads files or
     ``os.environ`` has inputs the key never sees, so the store happily
     replays results computed under *different* external state.  All
     persistence belongs to the :class:`repro.perf.store.ResultStore` /

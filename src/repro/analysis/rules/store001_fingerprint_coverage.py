@@ -1,4 +1,4 @@
-"""STORE001: device state invisible to the store's cache key."""
+"""STORE001: device state invisible to the cache keys built on its fingerprint."""
 
 from __future__ import annotations
 
@@ -106,13 +106,15 @@ def _collect_class(module: SourceModule, node: ast.ClassDef) -> _ClassInfo:
 class FingerprintCoverageRule(Rule):
     """Cross-check each ``Device`` class's state against its fingerprint.
 
-    The persistent result store keys frame simulations on
+    The sweep engine's in-memory report cache, the store's result key
+    (through :func:`repro.perf.store.devices_digest`) and its plan key
+    (through the plan space digest) all hash
     :meth:`repro.core.device.Device.fingerprint`, which hashes what
     ``_fingerprint_state()`` emits.  Any behavioural attribute a device class's
     ``__init__`` (or dataclass body) sets but its ``_fingerprint_state``
-    never references is invisible to the cache key: two differently
-    configured instances collide on one store entry and warm runs replay
-    *stale* results.  The rule resolves ``_fingerprint_state`` up the
+    never references is invisible to those keys: two differently
+    configured instances collide on one cache entry and replay *stale*
+    results.  The rule resolves ``_fingerprint_state`` up the
     class hierarchy (by name, within the linted tree), so classes relying
     on an inherited fingerprint are checked against it.
     """
@@ -120,10 +122,11 @@ class FingerprintCoverageRule(Rule):
     id = "STORE001"
     title = "device attribute missing from _fingerprint_state"
     rationale = (
-        "The store keys simulations on Device.fingerprint(); constructor "
-        "state that _fingerprint_state() does not emit cannot invalidate "
-        "cache entries, so differently configured devices silently share "
-        "-- and replay stale -- stored results."
+        "The engine's report cache and the store's result and plan keys "
+        "hash Device.fingerprint(); constructor state that "
+        "_fingerprint_state() does not emit cannot invalidate them, so "
+        "differently configured devices silently share -- and replay "
+        "stale -- reports and results."
     )
 
     def _device_classes(

@@ -233,10 +233,11 @@ class Device:
 
         Two device instances with the same fingerprint are promised to
         produce bit-identical :class:`FrameReport` objects for identical
-        workloads, which is what lets the persistent result store
-        (:mod:`repro.perf.store`) key simulations on it.  Any constructor
-        parameter that alters latency / energy must feed
-        :meth:`_fingerprint_state` so edits invalidate stored entries.
+        workloads, which is what lets the sweep engine's report cache and
+        the persistent store's result and plan keys
+        (:mod:`repro.perf.store`) rely on it.  Any constructor parameter
+        that alters latency / energy must feed :meth:`_fingerprint_state`
+        so edits invalidate cached reports and stored entries.
         """
         return canonical_digest(
             {

@@ -501,9 +501,8 @@ def _cmd_bench(_operands: list[str], options: Options, _params: Params) -> int:
     sweep = document["sweep"]
     print(f"wrote {path}")
     print(
-        f"sweep: cold {sweep['cold_s']:.2f}s -> warm-store "
-        f"{sweep['warm_store_s']:.2f}s ({sweep['warm_store_speedup']:.1f}x, "
-        f"{sweep['warm_store_render_calls']} renders)"
+        f"sweep: cold {sweep['cold_s']:.2f}s ({sweep['render_calls']} renders) "
+        f"-> warm-memory {sweep['warm_memory_s']:.2f}s"
     )
     serving = document["serving"]
     print(

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.validate import require_count
+
 #: Large primes used by the Instant-NGP spatial hash.
 _HASH_PRIMES = np.array([1, 2654435761, 805459861], dtype=np.uint64)
 
@@ -32,8 +34,11 @@ class HashGridConfig:
     max_resolution: int = 512
 
     def __post_init__(self) -> None:
-        if self.num_levels < 1:
-            raise ValueError("need at least one level")
+        require_count("num_levels", self.num_levels, 1)
+        require_count("features_per_level", self.features_per_level, 1)
+        require_count("log2_table_size", self.log2_table_size, 0)
+        require_count("base_resolution", self.base_resolution, 1)
+        require_count("max_resolution", self.max_resolution, 1)
         if self.max_resolution < self.base_resolution:
             raise ValueError("max resolution must be >= base resolution")
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.validate import require_count
+
 
 def positional_encoding(
     values: np.ndarray, num_frequencies: int, include_input: bool = False
@@ -21,8 +23,7 @@ def positional_encoding(
     ``(..., D * 2 * num_frequencies [+ D])`` with the layout
     ``[sin(2^0 pi v), cos(2^0 pi v), ..., cos(2^(N-1) pi v)]`` per input dim.
     """
-    if num_frequencies < 1:
-        raise ValueError("need at least one frequency band")
+    require_count("num_frequencies", num_frequencies, 1)
     values = np.asarray(values, dtype=np.float64)
     frequencies = 2.0 ** np.arange(num_frequencies) * np.pi
     scaled = values[..., None] * frequencies  # (..., D, N)
@@ -62,8 +63,7 @@ def approx_positional_encoding(
     the half-pi approximation with a shifted operand -- exactly what the PEE's
     arithmetic bit-shifters produce.
     """
-    if num_frequencies < 1:
-        raise ValueError("need at least one frequency band")
+    require_count("num_frequencies", num_frequencies, 1)
     values = np.asarray(values, dtype=np.float64)
     shifted = values[..., None] * (2.0 ** (np.arange(num_frequencies) + 1))
     encoded = np.concatenate(

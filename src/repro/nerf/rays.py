@@ -70,8 +70,7 @@ def sample_along_rays(
     With ``stratified=True`` each sample is jittered within its bin, which is
     the scheme the vanilla NeRF uses during both training and rendering.
     """
-    if num_samples < 1:
-        raise ValueError("need at least one sample per ray")
+    require_count("num_samples", num_samples, 1)
     if far <= near:
         raise ValueError("far plane must lie beyond the near plane")
     origins = np.asarray(origins, dtype=np.float64)

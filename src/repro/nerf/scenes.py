@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.device import canonical_digest
+from repro.validate import require_count
 
 #: Upper bound on ``chunk_rows * num_primitives`` for the chunked distance
 #: kernel: caps the per-chunk (rows, P) GEMM output at ~16 MB of float64 so
@@ -46,8 +47,7 @@ class SyntheticScene:
     def __post_init__(self) -> None:
         if not 0.0 < self.target_occupancy < 1.0:
             raise ValueError("target occupancy must be in (0, 1)")
-        if self.num_primitives < 1:
-            raise ValueError("scene needs at least one primitive")
+        require_count("num_primitives", self.num_primitives, 1)
         rng = np.random.default_rng(self.seed)
         low, high = self.bounds
         extent = high - low

@@ -4,9 +4,9 @@ Every invocation produces one schema-versioned JSON document
 (``BENCH_<rev>.json``) with four measured sections:
 
 * ``sweep`` -- one reference device x model x precision x pruning sweep
-  timed three ways: **cold** (fresh engine, empty store, simulate + write
-  back), **warm_memory** (same engine re-run, in-memory cache only) and
-  **warm_store** (fresh engine reading a populated store, zero renders);
+  timed two ways: **cold** (fresh engine, every unique point simulated)
+  and **warm_memory** (same engine re-run, every point a report-cache
+  hit);
 * ``experiments`` -- per-experiment wall time, in registry order on the
   shared engine, exactly like ``repro run all``;
 * ``serving`` -- :class:`~repro.serve.fleet.FleetSimulator` throughput on
@@ -105,44 +105,25 @@ def _reference_spec(quick: bool):
     )
 
 
-def bench_sweep(quick: bool, store_root: Path) -> dict[str, Any]:
-    """Time the reference sweep cold, memory-warm and store-warm."""
-    from repro.perf.store import ResultStore
+def bench_sweep(quick: bool) -> dict[str, Any]:
+    """Time the reference sweep cold and memory-warm on one engine."""
     from repro.sim.sweep import SweepEngine
 
     spec = _reference_spec(quick)
-    store = ResultStore(store_root)
-
-    cold_engine = SweepEngine(store=store)
+    engine = SweepEngine()
     start = time.perf_counter()
-    cold_rows = cold_engine.run(spec)
+    rows = engine.run(spec)
     cold_s = time.perf_counter() - start
-    render_calls = cold_engine.stats.render_calls
+    render_calls = engine.stats.render_calls
 
     start = time.perf_counter()
-    cold_engine.run(spec)
+    engine.run(spec)
     warm_memory_s = time.perf_counter() - start
-
-    warm_engine = SweepEngine(store=store)
-    start = time.perf_counter()
-    warm_rows = warm_engine.run(spec)
-    warm_store_s = time.perf_counter() - start
-
-    identical = all(
-        a.report.latency_s == b.report.latency_s
-        and a.report.energy_j == b.report.energy_j
-        for a, b in zip(cold_rows, warm_rows)
-    )
     return {
-        "sweep_points": len(cold_rows),
+        "sweep_points": len(rows),
         "render_calls": render_calls,
-        "warm_store_render_calls": warm_engine.stats.render_calls,
-        "store_hits": warm_engine.stats.store_hits,
         "cold_s": cold_s,
         "warm_memory_s": warm_memory_s,
-        "warm_store_s": warm_store_s,
-        "warm_store_speedup": cold_s / warm_store_s if warm_store_s > 0 else 0.0,
-        "warm_bit_exact": identical,
     }
 
 
@@ -325,20 +306,10 @@ def _bench_fleet_dispatch(quick: bool) -> dict[str, float]:
 # -- the document --------------------------------------------------------------
 
 
-def run_bench(quick: bool = False, store_root: Path | None = None) -> dict[str, Any]:
-    """Run every section and assemble one BENCH document.
-
-    ``store_root`` overrides where the cold/warm comparison keeps its
-    throwaway store (a sibling of the measured tree by default is *not*
-    used -- the comparison always runs against its own directory so a
-    pre-warmed user store cannot fake a cold time).
-    """
-    import tempfile
-
+def run_bench(quick: bool = False) -> dict[str, Any]:
+    """Run every section and assemble one BENCH document."""
     from repro import __version__
 
-    with tempfile.TemporaryDirectory(prefix="repro-bench-store-") as tmp:
-        sweep = bench_sweep(quick, store_root or Path(tmp))
     return {
         "schema": BENCH_SCHEMA,
         "schema_version": BENCH_SCHEMA_VERSION,
@@ -348,7 +319,7 @@ def run_bench(quick: bool = False, store_root: Path | None = None) -> dict[str, 
         "quick": quick,
         "python": platform.python_version(),
         "platform": platform.platform(),
-        "sweep": sweep,
+        "sweep": bench_sweep(quick),
         "experiments": bench_experiments(quick),
         "serving": bench_serving(quick),
         "hot_path": bench_hot_path(quick),
@@ -371,21 +342,10 @@ _ROOT_FIELDS: tuple[tuple[str, type | tuple[type, ...]], ...] = (
     ("hot_path", dict),
 )
 
-#: Required numeric keys per measured section.
+#: Required numeric keys per measured section.  Older points may carry
+#: more sweep keys (the retired store-warm timing); they still validate.
 _SECTION_FIELDS = {
-    "sweep": (
-        "sweep_points",
-        "render_calls",
-        "warm_store_render_calls",
-        "store_hits",
-        "cold_s",
-        "warm_memory_s",
-        "warm_store_s",
-        "warm_store_speedup",
-        # bool is an int subclass, so the numeric check accepts it while
-        # still failing loudly when the bit-exactness flag goes missing.
-        "warm_bit_exact",
-    ),
+    "sweep": ("sweep_points", "render_calls", "cold_s", "warm_memory_s"),
     "serving": (
         "num_requests",
         "simulated_duration_s",
@@ -451,8 +411,6 @@ def validate_bench(document: Any) -> list[str]:
 _COMPARE_METRICS: tuple[tuple[str, bool], ...] = (
     ("sweep.cold_s", False),
     ("sweep.warm_memory_s", False),
-    ("sweep.warm_store_s", False),
-    ("sweep.warm_store_speedup", True),
     ("serving.requests_per_wall_s", True),
     ("serving.time_compression", True),
     # All hot_path sections are optional: compare_bench silently skips
@@ -599,7 +557,6 @@ def render_compare(comparison: dict[str, Any]) -> str:
 #: of the per-experiment wall-time list.
 _TREND_COLUMNS: tuple[tuple[str, str, bool], ...] = (
     ("sweep cold s", "sweep.cold_s", False),
-    ("warm store s", "sweep.warm_store_s", False),
     ("fig13 s", "experiment:fig13", False),
     ("fig20a s", "experiment:fig20a", False),
     ("serving req/s", "serving.requests_per_wall_s", True),

@@ -1,51 +1,39 @@
-"""Content-addressed on-disk store of simulation results and assets.
+"""Content-addressed on-disk store of experiment results, plan points and assets.
 
-The :class:`~repro.sim.sweep.SweepEngine`'s in-memory report cache dies
-with the interpreter; this module gives it a persistent backing tier.  A
-:class:`StoreKey` identifies one frame simulation by *content*, not by time
-or code path:
+The store keeps three entry kinds, each a cache of work that costs far
+more than reading a JSON file back:
 
-* the **device fingerprint** (:meth:`repro.core.device.Device.fingerprint`)
-  hashes every model parameter the device's estimates depend on, so editing
-  an array geometry, a power figure or a batching marginal invalidates
-  exactly that device's entries;
-* the **workload digest** hashes the exact operation list of a frame
-  (shapes, sparsities, precisions, counts), so model or resolution edits
-  invalidate exactly the affected workloads;
-* the **effective knobs** (precision / pruning after capability-flag
-  collapse) mirror the in-memory cache key, so a store entry is shared by
-  every requested sweep point that lands on the same simulation;
-* the **code digest** (:func:`code_digest`) hashes the source of the
-  ``repro`` package and partitions the store by it, so any edit to the code
-  that produced an entry -- a simulation model, an experiment's logic, a
-  validation guard, the serialization itself -- turns every entry of every
-  kind into a miss.
+* whole **experiment results** (:class:`ExperimentResultKey`, keyed on the
+  experiment's parameter fingerprint and the registered devices'
+  fingerprints), so a warm ``repro run all`` is byte-identical to the cold
+  run without re-running any experiment;
+* evaluated **capacity-plan points** (:class:`PlanPointKey`);
+* fitted hash-grid **assets** (:class:`GridAssetKey`).
 
-The code digest cannot see a device registered at runtime
-(:func:`repro.core.device.register_device`): its code lives in the
+Single frame simulations are not stored: a
+:class:`~repro.sim.sweep.SweepEngine` memoises their reports in memory,
+and simulating a frame costs less than a store round trip.
+
+The **code digest** (:func:`code_digest`) hashes the source of the
+``repro`` package and partitions the store by it, so any edit to the code
+that produced an entry -- a simulation model, an experiment's logic, a
+validation guard, the serialization itself -- turns every entry of every
+kind into a miss.  The code digest cannot see a device registered at
+runtime (:func:`repro.core.device.register_device`): its code lives in the
 caller's script.  So every key that names devices also hashes their
 fingerprints.
-
-Three more entry kinds share the directory and the machinery: whole
-**experiment results** (:class:`ExperimentResultKey`, keyed on the
-experiment's parameter fingerprint and the registered devices'
-fingerprints, so a warm ``repro run all`` is byte-identical to the cold
-run without re-running any experiment),
-evaluated **capacity-plan points** (:class:`PlanPointKey`) and fitted
-hash-grid **assets** (:class:`GridAssetKey`).
 
 Every kind follows one key protocol (:class:`ContentKey`): a ``kind`` plus
 dataclass fields, hashed in declaration order into the digest that names
 the file.  Every kind is read and written by the one
 :meth:`ResultStore.get` / :meth:`ResultStore.put` pair, as one document
 shape ``{code_digest, created_s, key, payload}`` whose payload is a JSON
-mapping the caller encodes and decodes (frame reports via
-:func:`report_to_dict` / :func:`report_from_dict`).  Entries are single
-JSON files written atomically (temp file + ``os.replace``), so concurrent
-``--jobs`` writers never corrupt the store: the worst case under a write
-race is one simulation performed twice, with bit-identical content winning
-either way.  Corrupt or truncated files are treated as misses and cleaned
-up lazily.
+mapping the caller encodes and decodes.  Entries are single JSON files
+written atomically (temp file + ``os.replace``), so concurrent ``--jobs``
+writers never corrupt the store: the worst case under a write race is one
+computation performed twice, with bit-identical content winning either
+way.  Corrupt or truncated files are treated as misses and cleaned up
+lazily.
 """
 
 from __future__ import annotations
@@ -63,13 +51,9 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, ClassVar, Iterator, Mapping
 
 from repro.core.device import canonical_digest
-from repro.nerf.workload import OpCategory
-from repro.sparse.formats import Precision
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.device import FrameReport
     from repro.experiments.api import Experiment
-    from repro.nerf.workload import Workload
 
 #: Environment variable overriding the default store location.
 STORE_DIR_ENV = "REPRO_STORE_DIR"
@@ -100,19 +84,6 @@ def code_digest() -> str:
     return _source_digest(Path(__file__).resolve().parents[1])
 
 
-def workload_digest(workload: "Workload") -> str:
-    """Content hash of a workload's exact operation list and frame shape."""
-    return canonical_digest(
-        {
-            "model_name": workload.model_name,
-            "image_width": workload.image_width,
-            "image_height": workload.image_height,
-            "batch_size": workload.batch_size,
-            "ops": tuple(workload.ops),
-        }
-    )
-
-
 class ContentKey:
     """The one key protocol every store entry kind follows.
 
@@ -129,25 +100,6 @@ class ContentKey:
     def digest(self) -> str:
         """The key's SHA-1 content address (the stored file's basename)."""
         return canonical_digest(dataclasses.astuple(self))
-
-
-@dataclass(frozen=True)
-class StoreKey(ContentKey):
-    """Content address of one frame simulation (the frame tier).
-
-    ``precision`` is the *effective* precision's name (None when the device
-    computes at its implicit native mode), ``pruning_ratio`` the *effective*
-    ratio -- i.e. the knobs after capability-flag collapse, mirroring the
-    sweep engine's in-memory cache key.  The payload is
-    :func:`report_to_dict` of the simulated report.
-    """
-
-    device_fingerprint: str
-    workload_digest: str
-    precision: str | None
-    pruning_ratio: float
-
-    kind = "frame"
 
 
 @dataclass(frozen=True)
@@ -239,79 +191,6 @@ def experiment_result_key(
         experiment_id=exp.id,
         params_fingerprint=config_fingerprint(exp.id, params_json),
         devices_digest=devices_digest(),
-    )
-
-
-# -- FrameReport (de)serialization --------------------------------------------
-
-
-def report_to_dict(report: "FrameReport") -> dict[str, Any]:
-    """JSON-safe representation of a report, bit-exact under round-trip.
-
-    Python's ``json`` emits floats via ``repr``, which round-trips IEEE-754
-    doubles exactly, so a stored report reloads with identical latency /
-    energy / per-op numbers (pinned by ``tests/perf/test_store.py``).
-    """
-    return {
-        "device": report.device,
-        "model_name": report.model_name,
-        "latency_s": report.latency_s,
-        "energy_j": report.energy_j,
-        "precision": report.precision.name if report.precision else None,
-        "extra": dict(report.extra),
-        "trace": {
-            "device": report.trace.device,
-            "model_name": report.trace.model_name,
-            "records": [
-                {
-                    "name": r.name,
-                    "category": r.category.name,
-                    "time_s": r.time_s,
-                    "energy_j": r.energy_j,
-                    "compute_time_s": r.compute_time_s,
-                    "dram_time_s": r.dram_time_s,
-                    "format_conversion_time_s": r.format_conversion_time_s,
-                    "dram_bytes": r.dram_bytes,
-                    "utilization": r.utilization,
-                }
-                for r in report.trace.records
-            ],
-        },
-    }
-
-
-def report_from_dict(data: dict[str, Any]) -> "FrameReport":
-    """Rebuild a :class:`FrameReport` from :func:`report_to_dict` output."""
-    from repro.core.device import FrameReport
-    from repro.sim.trace import ExecutionTrace, OpRecord
-
-    trace_data = data["trace"]
-    trace = ExecutionTrace(
-        device=trace_data["device"],
-        model_name=trace_data["model_name"],
-        records=[
-            OpRecord(
-                name=r["name"],
-                category=OpCategory[r["category"]],
-                time_s=r["time_s"],
-                energy_j=r["energy_j"],
-                compute_time_s=r["compute_time_s"],
-                dram_time_s=r["dram_time_s"],
-                format_conversion_time_s=r["format_conversion_time_s"],
-                dram_bytes=r["dram_bytes"],
-                utilization=r["utilization"],
-            )
-            for r in trace_data["records"]
-        ],
-    )
-    return FrameReport(
-        device=data["device"],
-        model_name=data["model_name"],
-        latency_s=data["latency_s"],
-        energy_j=data["energy_j"],
-        trace=trace,
-        precision=Precision[data["precision"]] if data["precision"] else None,
-        extra=dict(data["extra"]),
     )
 
 
@@ -414,7 +293,7 @@ class ResultStore:
         """Atomically persist ``payload`` under ``key``; returns the entry path.
 
         Readers never see partial files.  An unwritable store (read-only CI
-        cache, bogus ``$REPRO_STORE_DIR``) degrades to cold simulation
+        cache, bogus ``$REPRO_STORE_DIR``) degrades to cold computation
         instead of crashing the run: the first failure prints one warning
         to stderr, subsequent ones are silent, and the entry simply is not
         persisted.

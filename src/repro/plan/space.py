@@ -25,7 +25,7 @@ from repro.serve.request import (
     ScenarioMix,
 )
 from repro.sparse.formats import Precision
-from repro.validate import require_positive
+from repro.validate import require_count, require_positive
 
 #: Scheduler policies a plan space may reference, in the registry order the
 #: ``repro run`` serving experiments use.  Names resolve to constructors in
@@ -102,10 +102,11 @@ class TrafficSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        """Validate rate, duration and SLA budget."""
+        """Validate rate, duration, SLA budget and seed."""
         require_positive("traffic rate_rps", self.rate_rps)
         require_positive("traffic duration_s", self.duration_s)
         require_positive("traffic sla_ms", self.sla_ms)
+        require_count("seed", self.seed, 0)
 
     @property
     def sla_s(self) -> float:
@@ -218,8 +219,12 @@ class PlanSpace:
             raise ValueError(f"duplicate devices in plan space: {self.devices}")
         if not self.worker_counts:
             raise ValueError("a plan space needs at least one worker count")
-        if any(count < 1 for count in self.worker_counts):
-            raise ValueError(f"worker counts must be >= 1: {self.worker_counts}")
+        for count in self.worker_counts:
+            require_count("worker counts", count, 1)
+        if len(set(self.worker_counts)) != len(self.worker_counts):
+            raise ValueError(
+                f"duplicate worker counts in plan space: {self.worker_counts}"
+            )
         if not self.schedulers:
             raise ValueError("a plan space needs at least one scheduler")
         for scheduler in self.schedulers:
@@ -386,12 +391,12 @@ def space_from_dict(data: dict, name: str = "custom") -> PlanSpace:
             rate_rps=float(traffic_data["rate_rps"]),
             duration_s=float(traffic_data["duration_s"]),
             sla_ms=float(traffic_data["sla_ms"]),
-            seed=int(traffic_data.get("seed", 0)),
+            seed=traffic_data.get("seed", 0),
         )
         return PlanSpace(
             name=str(data.get("name", name)),
             devices=tuple(str(d) for d in data.get("devices", ())),
-            worker_counts=tuple(int(c) for c in data.get("worker_counts", ())),
+            worker_counts=tuple(data.get("worker_counts", ())),
             traffic=traffic,
             schedulers=tuple(str(s) for s in data.get("schedulers", ("fifo",))),
             controls=tuple(str(c) for c in data.get("controls", ("none",))),

@@ -9,10 +9,9 @@ level, device) into a per-run service table, so a stream of thousands of
 requests over a handful of scenarios performs a handful of engine lookups
 and frame simulations -- and those simulations are *bit-exact* the ones the
 paper's figures use, so serving results and figure results never drift
-apart.  When the engine carries a persistent result store
-(:mod:`repro.perf.store`; the CLI attaches one by default), those frame
-simulations are read from disk too, so a warm serving study performs no
-cycle-level simulation at all.
+apart.  A warm serving experiment performs no simulation at all: the CLI
+replays its whole result from the store's result tier
+(:mod:`repro.perf.store`).
 
 A :class:`~repro.serve.control.ControlConfig` attaches an overload control
 plane: admission policies reject requests at ingress, a shedding policy

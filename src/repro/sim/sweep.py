@@ -27,13 +27,15 @@ name (``register_device(..., overwrite=True)``) takes effect at once.
 Experiments share one process-wide engine via :func:`get_default_engine`,
 so e.g. Fig. 1 and Fig. 3 reuse each other's GPU frame reports.
 
-A *persistent* tier can be attached (:meth:`SweepEngine.attach_store`
-/ the ``store`` constructor argument): in-memory report-cache misses then
-consult a content-addressed on-disk :class:`repro.perf.store.ResultStore`
-before simulating, and freshly simulated reports are written back.  The
-``repro`` CLI attaches the default store unless ``--no-store`` is passed,
-which is what makes warm ``repro run all`` invocations skip cycle-level
-simulation across interpreter restarts; see ``docs/performance.md``.
+Frame reports stay in memory: a frame simulation costs less than a
+store round trip, and warm ``repro run`` invocations replay whole
+experiments from the store's result tier instead.  The engine itself
+uses an attached :class:`repro.perf.store.ResultStore`
+(:meth:`SweepEngine.attach_store` / the ``store`` constructor argument)
+only in the probe tier's fit, which reads and writes fitted grids
+through the store's asset tier; the CLI's result tier and the planner's
+plan tier find the process's store there too.  See
+``docs/performance.md``.
 """
 
 from __future__ import annotations
@@ -45,19 +47,13 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Sequence
 
 from repro.nerf.models import FrameConfig, get_model
-from repro.perf.store import (
-    ResultStore,
-    StoreKey,
-    report_from_dict,
-    report_to_dict,
-    workload_digest,
-)
 from repro.sparse.formats import Precision
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.device import Device, DeviceFactory, FrameReport
     from repro.nerf.renderer import InstantNGPRenderer, RenderPlan
     from repro.nerf.workload import Workload
+    from repro.perf.store import ResultStore
 
 WorkloadKey = tuple[str, FrameConfig]
 ReportKey = tuple[str, Hashable, Precision | None, float]
@@ -146,54 +142,29 @@ class SweepResult:
 
 @dataclass
 class SweepCacheStats:
-    """Counters exposing how much work the engine's caches saved.
-
-    ``report_hits`` / ``report_misses`` track the in-memory report cache;
-    ``store_hits`` / ``store_misses`` track the optional persistent tier
-    consulted on in-memory misses (both stay zero without an attached
-    store).
-    """
+    """Counters exposing how much work the engine's caches saved."""
 
     workload_hits: int = 0
     workload_misses: int = 0
     report_hits: int = 0
     report_misses: int = 0
-    store_hits: int = 0
-    store_misses: int = 0
 
     @property
     def render_calls(self) -> int:
-        """Physical ``render_frame`` invocations performed so far.
-
-        An in-memory miss satisfied from the persistent store loads a
-        serialized report instead of simulating, so store hits subtract
-        from the miss count.
-        """
-        return self.report_misses - self.store_hits
-
-
-def _load_report(store: ResultStore, key: StoreKey) -> "FrameReport | None":
-    """The report stored under ``key``, or None; an undecodable payload is a miss."""
-    payload = store.get(key)
-    if payload is None:
-        return None
-    try:
-        return report_from_dict(payload)
-    except (KeyError, TypeError, ValueError):
-        return None
+        """Physical ``render_frame`` invocations performed so far."""
+        return self.report_misses
 
 
 class SweepEngine:
     """Runs :class:`SweepSpec` sweeps with memoisation."""
 
     def __init__(self, store: "ResultStore | None" = None) -> None:
-        #: Optional persistent tier consulted on in-memory misses.
+        #: Optional persistent store the probe tier fits grids through.
         self.store = store
         self.stats = SweepCacheStats()
         self._devices: dict["DeviceFactory", "Device"] = {}
         self._workloads: dict[WorkloadKey, "Workload"] = {}
         self._reports: dict[ReportKey, "FrameReport"] = {}
-        self._workload_digests: dict[Hashable, str] = {}
         self._renderers: dict[str, "InstantNGPRenderer"] = {}
         self._plans: dict[tuple[str, int, int], "RenderPlan"] = {}
         # Guards the caches when experiments run on a thread pool (the CLI's
@@ -269,16 +240,6 @@ class SweepEngine:
                 self.stats.report_hits += 1
                 return cached
             self.stats.report_misses += 1
-            store_key = (
-                self._content_key(key, workload) if self.store is not None else None
-            )
-            if store_key is not None:
-                stored = _load_report(self.store, store_key)
-                if stored is not None:
-                    self.stats.store_hits += 1
-                    self._reports[key] = stored
-                    return stored
-                self.stats.store_misses += 1
             device = self.device(device_name)
             report = device.render_frame(
                 workload,
@@ -286,21 +247,7 @@ class SweepEngine:
                 pruning_ratio=device.effective_pruning(pruning_ratio),
             )
             self._reports[key] = report
-            if store_key is not None:
-                self.store.put(store_key, report_to_dict(report))
             return report
-
-    def _content_key(self, key: ReportKey, workload: "Workload") -> "StoreKey":
-        """Build the content address of one report-cache key (lock held)."""
-        device_fp, workload_fp, precision, pruning = key
-        if workload_fp not in self._workload_digests:
-            self._workload_digests[workload_fp] = workload_digest(workload)
-        return StoreKey(
-            device_fingerprint=device_fp,
-            workload_digest=self._workload_digests[workload_fp],
-            precision=precision.name if precision is not None else None,
-            pruning_ratio=pruning,
-        )
 
     def probe(
         self, scene: str, size: int, samples: int

@@ -9,12 +9,12 @@ deliberate model change re-records the affected digest.
 
 import hashlib
 import json
+from typing import Any
 
 import pytest
 
-from repro.core.device import DEVICE_REGISTRY, get_device
+from repro.core.device import DEVICE_REGISTRY, FrameReport, get_device
 from repro.nerf.models import MODEL_REGISTRY, FrameConfig, get_model
-from repro.perf.store import report_to_dict
 from repro.sparse.formats import Precision
 
 CONFIG = FrameConfig(image_width=64, image_height=64, batch_size=1024)
@@ -82,6 +82,41 @@ KNOB_PINS = {
         "13fe40bdbe553c00425dd0dca38c25e1"
     ),
 }
+
+
+def report_to_dict(report: "FrameReport") -> dict[str, Any]:
+    """JSON-safe representation of a report, the recipe behind every pin.
+
+    Python's ``json`` emits floats via ``repr``, which round-trips IEEE-754
+    doubles exactly, so the digests see every bit of latency / energy /
+    per-op numbers.
+    """
+    return {
+        "device": report.device,
+        "model_name": report.model_name,
+        "latency_s": report.latency_s,
+        "energy_j": report.energy_j,
+        "precision": report.precision.name if report.precision else None,
+        "extra": dict(report.extra),
+        "trace": {
+            "device": report.trace.device,
+            "model_name": report.trace.model_name,
+            "records": [
+                {
+                    "name": r.name,
+                    "category": r.category.name,
+                    "time_s": r.time_s,
+                    "energy_j": r.energy_j,
+                    "compute_time_s": r.compute_time_s,
+                    "dram_time_s": r.dram_time_s,
+                    "format_conversion_time_s": r.format_conversion_time_s,
+                    "dram_bytes": r.dram_bytes,
+                    "utilization": r.utilization,
+                }
+                for r in report.trace.records
+            ],
+        },
+    }
 
 
 @pytest.fixture(scope="module")

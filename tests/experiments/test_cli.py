@@ -193,20 +193,28 @@ class TestRun:
         assert tables(parallel_out) == tables(serial_out)
 
 
+def _entry_kinds(store_root):
+    """Entry kinds (``result``, ``plan``, ``asset``) present in a store."""
+    from repro.perf.store import code_digest
+
+    partition = store_root / code_digest()[:16]
+    return {path.parent.parent.name for path in partition.rglob("*.json")}
+
+
 class TestStoreFlags:
     def test_run_attaches_the_default_store(self, capsys, monkeypatch, tmp_path):
         from repro.sim.sweep import get_default_engine
 
         monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))
-        # Earlier tests may have warmed the in-memory report cache; drop it
-        # so this run demonstrably persists its simulations.
         get_default_engine().clear()
         code, _, _ = run_cli(capsys, "run", "fig01")
         assert code == 0
         engine = get_default_engine()
         assert engine.store is not None
         assert engine.store.root == tmp_path
-        assert engine.store.stats().entries > 0  # frame sims were persisted
+        # The result was persisted; its frame simulations stay in memory.
+        assert engine.store.stats().entries == 1
+        assert _entry_kinds(tmp_path) == {"result"}
 
     def test_no_store_detaches(self, capsys):
         from repro.sim.sweep import get_default_engine
@@ -254,6 +262,9 @@ class TestStoreFlags:
             capsys, "run", exp_id, "--format", "json", "--out", str(cold_dir)
         )
         assert code == 0, err
+        # The store keeps results, plan points and fitted grids only.
+        assert "result" in _entry_kinds(tmp_path / "store")
+        assert _entry_kinds(tmp_path / "store") <= {"asset", "plan", "result"}
 
         def recompute(self, **params):
             raise AssertionError(f"warm replay re-ran {self.id}")

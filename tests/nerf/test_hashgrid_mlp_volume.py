@@ -67,6 +67,23 @@ class TestHashGrid:
         with pytest.raises(ValueError):
             HashGridConfig(base_resolution=64, max_resolution=16)
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "num_levels",
+            "features_per_level",
+            "log2_table_size",
+            "base_resolution",
+            "max_resolution",
+        ],
+    )
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), -float("inf"), 2.5, True]
+    )
+    def test_config_fields_must_be_integer_counts(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be >= .* and an integer"):
+            HashGridConfig(**{field: value})
+
 
 class TestMLP:
     def test_forward_shapes(self, rng):

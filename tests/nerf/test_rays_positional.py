@@ -70,6 +70,11 @@ class TestCameraAndRays:
         with pytest.raises(ValueError):
             sample_along_rays(np.zeros((2, 3)), np.zeros((2, 3)), 4, near=5, far=2, rng=rng)
 
+    @pytest.mark.parametrize("value", [NAN, INF, -INF, 2.5, True])
+    def test_num_samples_must_be_an_integer_count(self, rng, value):
+        with pytest.raises(ValueError, match="num_samples must be >= 1 and an integer"):
+            sample_along_rays(np.zeros((2, 3)), np.zeros((2, 3)), value, rng=rng)
+
 
 class TestPositionalEncoding:
     def test_output_dim(self):
@@ -97,6 +102,14 @@ class TestPositionalEncoding:
     def test_rejects_zero_frequencies(self):
         with pytest.raises(ValueError):
             positional_encoding(np.zeros((1, 3)), 0)
+
+    @pytest.mark.parametrize(
+        "encode", [positional_encoding, approx_positional_encoding]
+    )
+    @pytest.mark.parametrize("value", [NAN, INF, -INF, 2.5, True])
+    def test_num_frequencies_must_be_an_integer_count(self, encode, value):
+        with pytest.raises(ValueError, match="num_frequencies must be >= 1 and an integer"):
+            encode(np.zeros((1, 3)), value)
 
 
 class TestHardwareApproximation:

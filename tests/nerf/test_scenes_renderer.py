@@ -53,6 +53,15 @@ class TestScenes:
         with pytest.raises(ValueError):
             SyntheticScene(name="bad", complexity=1.0, target_occupancy=0.5, num_primitives=0)
 
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), -float("inf"), 2.5, True]
+    )
+    def test_num_primitives_must_be_an_integer_count(self, value):
+        with pytest.raises(ValueError, match="num_primitives must be >= 1 and an integer"):
+            SyntheticScene(
+                name="bad", complexity=1.0, target_occupancy=0.5, num_primitives=value
+            )
+
 
 class TestReferenceRender:
     def test_reference_image_shape_and_range(self):

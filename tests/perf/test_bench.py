@@ -1,9 +1,8 @@
 """The bench harness emits valid, self-consistent BENCH documents.
 
 Timing magnitudes are machine-dependent and not asserted; what is pinned
-is structure (schema validation), the skip-simulation promise of the warm
-store path, bit-exactness, and the CLI surface (write / validate / error
-paths).
+is structure (schema validation), the committed trajectory points'
+validity, and the CLI surface (write / validate / error paths).
 """
 
 import json
@@ -42,13 +41,11 @@ class TestRunBench:
         assert quick_document["quick"] is True
         assert quick_document["revision"] == repo_revision()
 
-    def test_warm_store_skips_simulation(self, quick_document):
+    def test_sweep_section_times_cold_and_warm_memory(self, quick_document):
         sweep = quick_document["sweep"]
-        assert sweep["render_calls"] > 0
-        assert sweep["warm_store_render_calls"] == 0
-        assert sweep["store_hits"] == sweep["render_calls"]
-        assert sweep["warm_bit_exact"] is True
-        assert sweep["cold_s"] > 0 and sweep["warm_store_s"] > 0
+        assert 0 < sweep["render_calls"] <= sweep["sweep_points"]
+        assert sweep["cold_s"] > 0 and sweep["warm_memory_s"] > 0
+        assert set(sweep) == {"sweep_points", "render_calls", "cold_s", "warm_memory_s"}
 
     def test_quick_experiment_section(self, quick_document):
         ids = [row["id"] for row in quick_document["experiments"]]
@@ -122,12 +119,22 @@ class TestValidateBench:
         broken["sweep"] = {k: v for k, v in broken["sweep"].items() if k != "cold_s"}
         assert any("cold_s" in p for p in validate_bench(broken))
 
-    def test_reports_missing_bit_exact_flag(self, quick_document):
+    def test_reports_missing_render_calls(self, quick_document):
         broken = dict(quick_document)
         broken["sweep"] = {
-            k: v for k, v in broken["sweep"].items() if k != "warm_bit_exact"
+            k: v for k, v in broken["sweep"].items() if k != "render_calls"
         }
-        assert any("warm_bit_exact" in p for p in validate_bench(broken))
+        assert any("render_calls" in p for p in validate_bench(broken))
+
+    def test_committed_points_with_retired_store_keys_validate(self):
+        from repro.perf.bench import default_bench_dir
+
+        paths = sorted(default_bench_dir().glob("BENCH_*.json"))
+        assert paths
+        for path in paths:
+            document = json.loads(path.read_text())
+            assert "warm_store_s" in document["sweep"]
+            assert validate_bench(document) == [], path.name
 
     def test_reports_bad_hot_path(self, quick_document):
         broken = dict(quick_document)
@@ -239,6 +246,9 @@ class TestCompareBench:
             quick_document,
             revision="other",
             sweep__cold_s=quick_document["sweep"]["cold_s"] * 2,
+            serving__requests_per_wall_s=(
+                quick_document["serving"]["requests_per_wall_s"] * 2
+            ),
         )
         comparison = compare_bench(quick_document, slower)
         assert comparison["baseline_revision"] == quick_document["revision"]
@@ -247,8 +257,8 @@ class TestCompareBench:
         cold = by_metric["sweep.cold_s"]
         assert cold["regression"] is True
         assert cold["delta_pct"] == pytest.approx(100.0)
-        # A *higher* speedup is an improvement, not a regression.
-        assert by_metric["sweep.warm_store_speedup"]["regression"] is False
+        # A *higher* throughput is an improvement, not a regression.
+        assert by_metric["serving.requests_per_wall_s"]["regression"] is False
         ids = {row["id"] for row in comparison["experiments"]}
         assert ids == {row["id"] for row in quick_document["experiments"]}
         assert comparison["unmatched_experiments"] == []
@@ -412,6 +422,18 @@ class TestTrend:
         assert cli.main(["bench", "--trend", "--dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "BENCH trend" in out and "abc1234" in out
+
+    def test_cli_trend_renders_the_committed_points(self, capsys):
+        from repro.perf.bench import default_bench_dir
+
+        revisions = [
+            path.stem.removeprefix("BENCH_")
+            for path in default_bench_dir().glob("BENCH_*.json")
+        ]
+        assert cli.main(["bench", "--trend"]) == 0
+        out = capsys.readouterr().out
+        assert f"{len(revisions)} point(s)" in out
+        assert all(revision in out for revision in revisions)
 
     def test_cli_trend_empty_dir_exits_1(self, tmp_path, capsys):
         assert cli.main(["bench", "--trend", "--dir", str(tmp_path)]) == 1

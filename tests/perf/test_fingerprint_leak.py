@@ -2,13 +2,16 @@
 
 The rule's claim is behavioural, not stylistic: a device class whose
 ``__init__`` sets a knob that ``_fingerprint_state()`` never emits will
-(a) trip STORE001 and (b) *actually* replay a stale result from the
-persistent store, because both configurations collide on one cache key.
+(a) trip STORE001 and (b) *actually* replay a stale report from the sweep
+engine's report tier, which is keyed on the device fingerprint, because
+both configurations collide on one cache key.
 This module pins both halves against the same fixture source: the file is
 written to disk once, linted by ``repro.analysis`` AND imported as a live
 module, so the rule and the store demo are guaranteed to judge identical
 code.  A corrected device class in the same file shows the fix clearing both
-the rule and the stale hit.
+the rule and the stale hit.  Each demo registers its device, runs one
+frame, then re-registers the name with ``overwrite=True`` at twice the
+gain on the same engine.
 """
 
 import importlib.util
@@ -16,14 +19,9 @@ import importlib.util
 import pytest
 
 from repro.analysis import run_lint
+from repro.core.device import DEVICE_REGISTRY, get_device, register_device
 from repro.nerf.models import FrameConfig, get_model
-from repro.perf.store import (
-    ResultStore,
-    StoreKey,
-    report_from_dict,
-    report_to_dict,
-    workload_digest,
-)
+from repro.sim.sweep import SweepEngine
 
 FIXTURE_SOURCE = '''\
 """A deliberately cache-unsafe device class (STORE001 demo fixture)."""
@@ -74,13 +72,18 @@ WORKLOAD = get_model("instant-ngp").build_workload(
 )
 
 
-def _key(device):
-    return StoreKey(
-        device_fingerprint=device.fingerprint(),
-        workload_digest=workload_digest(WORKLOAD),
-        precision="INT16",
-        pruning_ratio=0.0,
-    )
+@pytest.fixture()
+def registered():
+    """Registers devices by name; removes every name it added afterwards."""
+    names = []
+
+    def register(name, factory, overwrite=False):
+        register_device(name, factory, overwrite=overwrite)
+        names.append(name)
+
+    yield register
+    for name in names:
+        DEVICE_REGISTRY.pop(name, None)
 
 
 @pytest.fixture()
@@ -108,30 +111,28 @@ class TestStore001EndToEnd:
         # inherited fingerprint, covering both behavioural attributes.
         assert "FixedDevice" not in finding.message
 
-    def test_leak_causes_a_demonstrably_stale_warm_hit(self, fixture, tmp_path):
+    def test_leak_causes_a_demonstrably_stale_warm_hit(self, fixture, registered):
         _, m = fixture
-        store = ResultStore(tmp_path / "store")
-        honest = m.LeakyDevice(gain=1.0)
-        doubled = m.LeakyDevice(gain=2.0)
+        engine = SweepEngine()
+        registered("leaky", lambda: m.LeakyDevice(gain=1.0))
+        cold = engine.frame_report("leaky", workload=WORKLOAD)
+        registered("leaky", lambda: m.LeakyDevice(gain=2.0), overwrite=True)
         # The leak: two behaviourally different devices share one key.
-        assert honest.fingerprint() == doubled.fingerprint()
+        assert engine.device("leaky").gain == 2.0
 
-        cold = honest.render_frame(WORKLOAD)
-        store.put(_key(honest), report_to_dict(cold))
-
-        payload = store.get(_key(doubled))
-        assert payload is not None  # warm path replays the gain=1.0 result
-        stale = report_from_dict(payload)
-        assert stale.latency_s == cold.latency_s
-        fresh = doubled.render_frame(WORKLOAD)
+        stale = engine.frame_report("leaky", workload=WORKLOAD)
+        assert stale is cold  # the report tier replays the gain=1.0 report
+        assert engine.stats.render_calls == 1
+        fresh = get_device("leaky").render_frame(WORKLOAD)
         assert fresh.latency_s == pytest.approx(2.0 * cold.latency_s)
         assert stale.latency_s != fresh.latency_s  # i.e. the hit is WRONG
 
-    def test_fingerprinting_the_knob_partitions_the_store(self, fixture, tmp_path):
+    def test_fingerprinting_the_knob_partitions_the_report_tier(self, fixture, registered):
         _, m = fixture
-        store = ResultStore(tmp_path / "store")
-        one = m.FixedDevice(gain=1.0)
-        two = m.FixedDevice(gain=2.0)
-        assert one.fingerprint() != two.fingerprint()
-        store.put(_key(one), report_to_dict(one.render_frame(WORKLOAD)))
-        assert store.get(_key(two)) is None  # miss -> honest cold re-run
+        engine = SweepEngine()
+        registered("fixed", lambda: m.FixedDevice(gain=1.0))
+        one = engine.frame_report("fixed", workload=WORKLOAD)
+        registered("fixed", lambda: m.FixedDevice(gain=2.0), overwrite=True)
+        two = engine.frame_report("fixed", workload=WORKLOAD)
+        assert engine.stats.render_calls == 2  # miss -> honest cold re-run
+        assert two.latency_s == pytest.approx(2.0 * one.latency_s)

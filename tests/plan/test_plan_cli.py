@@ -52,6 +52,29 @@ class TestErrorPaths:
         code, _, err = run_cli(capsys, "plan", str(path), "--no-store")
         self.assert_one_liner(code, err, "unknown device 'warpdrive'")
 
+    @pytest.mark.parametrize(
+        "overrides,fragment",
+        [
+            ({"worker_counts": [1, 1.9]}, "worker counts must be >= 1"),
+            ({"worker_counts": [1, 1]}, "duplicate worker counts"),
+            ({"worker_counts": [True]}, "worker counts must be >= 1"),
+            (
+                {"traffic": {"rate_rps": 20.0, "duration_s": 1.0, "sla_ms": 100.0, "seed": 0.7}},
+                "seed must be >= 0",
+            ),
+        ],
+        ids=["fractional-count", "repeated-count", "bool-count", "fractional-seed"],
+    )
+    def test_counts_are_not_truncated(self, capsys, monkeypatch, tmp_path, overrides, fragment):
+        def evaluate_space(*args, **kwargs):
+            raise AssertionError("the space was evaluated")
+
+        monkeypatch.setattr("repro.plan.evaluate_space", evaluate_space)
+        path = write_spec(tmp_path, devices=["flexnerfer"], **overrides)
+        code, out, err = run_cli(capsys, "plan", str(path), "--no-store")
+        self.assert_one_liner(code, err, fragment)
+        assert out == ""
+
     def test_infeasible_constraint(self, capsys):
         code, _, err = run_cli(
             capsys, "plan", "tiny", "--no-store", "--sla-ms", "0.001"

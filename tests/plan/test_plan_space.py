@@ -47,6 +47,10 @@ class TestValidation:
             ({"devices": ()}, "at least one device"),
             ({"worker_counts": ()}, "at least one worker count"),
             ({"worker_counts": (0,)}, "worker counts must be >= 1"),
+            ({"worker_counts": (1.9,)}, "worker counts must be >= 1"),
+            ({"worker_counts": (float("nan"),)}, "worker counts must be >= 1"),
+            ({"worker_counts": (True,)}, "worker counts must be >= 1"),
+            ({"worker_counts": (2, 1, 2)}, "duplicate worker counts"),
             ({"schedulers": ()}, "at least one scheduler"),
             ({"schedulers": ("lifo",)}, "unknown scheduler 'lifo'"),
             ({"controls": ()}, "at least one control variant"),
@@ -69,6 +73,13 @@ class TestValidation:
             TrafficSpec(mix=TINY_MIX, rate_rps=0.0, duration_s=1.0, sla_ms=100.0)
         with pytest.raises(ValueError, match="sla_ms must be positive"):
             TrafficSpec(mix=TINY_MIX, rate_rps=1.0, duration_s=1.0, sla_ms=0.0)
+
+    @pytest.mark.parametrize("seed", [float("nan"), 0.7, -1, True, "3"])
+    def test_seed_must_be_a_count(self, seed):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            TrafficSpec(
+                mix=TINY_MIX, rate_rps=1.0, duration_s=1.0, sla_ms=100.0, seed=seed
+            )
 
 
 class TestEnumeration:

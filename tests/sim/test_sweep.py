@@ -176,6 +176,11 @@ class TestProbeTier:
         engine.clear()
         assert engine.probe("lego", 12, 6)[0] is not renderer
 
+    def test_bad_sample_counts_raise_one_line_errors(self, engine):
+        for samples in (float("nan"), 2.5, True):
+            with pytest.raises(ValueError, match="num_samples must be >= 1"):
+                engine.probe("lego", 8, samples)
+
     def test_concurrent_probes_share_one_fit_and_plan(self, engine, monkeypatch):
         """Threads switching every microsecond still fit and prepare once."""
         import sys
