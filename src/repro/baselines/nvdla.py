@@ -49,8 +49,8 @@ class NVDLAModel(UtilizationDevice):
 
     def conv_utilization(self, input_channels: int, output_channels: int) -> float:
         """Utilisation for a convolution layer with the given channel counts."""
-        if input_channels < 1 or output_channels < 1:
-            raise ValueError("channel counts must be positive")
+        require_count("input_channels", input_channels, 1)
+        require_count("output_channels", output_channels, 1)
         in_fill = min(input_channels, self.atomic_input_channels) / self.atomic_input_channels
         out_fill = (
             min(output_channels, self.atomic_output_kernels) / self.atomic_output_kernels
@@ -69,8 +69,8 @@ class NVDLAModel(UtilizationDevice):
         the dense scheduler, so sparsity does not change the utilisation
         (it only wastes the work already scheduled).
         """
-        if min(m, n, k) < 1:
-            raise ValueError("GEMM dimensions must be positive")
+        for name, dimension in (("m", m), ("n", n), ("k", k)):
+            require_count(name, dimension, 1)
         if not 0.0 < density <= 1.0:
             raise ValueError("density must be in (0, 1]")
         in_fill = min(k, self.atomic_input_channels) / self.atomic_input_channels

@@ -44,8 +44,8 @@ class TPUModel(UtilizationDevice):
         self, m: int, n: int, k: int, density: float = 1.0
     ) -> float:
         """Utilisation of a (possibly sparse) GEMM of shape (M, N, K)."""
-        if min(m, n, k) < 1:
-            raise ValueError("GEMM dimensions must be positive")
+        for name, dimension in (("m", m), ("n", n), ("k", k)):
+            require_count(name, dimension, 1)
         if not 0.0 < density <= 1.0:
             raise ValueError("density must be in (0, 1]")
         k_fill = min(k, self.rows) / self.rows

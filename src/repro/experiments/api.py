@@ -233,7 +233,9 @@ class Column:
     ``spec`` is the format spec applied to each cell (``"<14"``,
     ``">14.1f"``, ``">14,"`` or ``""`` for free-form last columns); the
     header is padded with the spec's alignment + width.  Cells come from
-    ``value(item)`` when given, otherwise ``getattr(item, key or header)``.
+    ``value(item)`` when given, otherwise from the row's ``key or header``
+    entry (a mapping row) or attribute (any other row).  A ``None`` cell
+    renders as ``-``.
     """
 
     header: str
@@ -242,11 +244,16 @@ class Column:
     value: Callable[[Any], Any] | None = None
     header_spec: str | None = None
 
-    def cell(self, item: Any) -> Any:
-        """The raw cell value this column extracts from one row object."""
+    def cell(self, item: Any) -> str:
+        """The formatted cell of one row object (``-`` for a missing value)."""
         if self.value is not None:
-            return self.value(item)
-        return getattr(item, self.key or self.header)
+            value = self.value(item)
+        else:
+            name = self.key or self.header
+            value = item[name] if isinstance(item, Mapping) else getattr(item, name)
+        if value is None:
+            return format("-", self.header_pad)
+        return format(value, self.spec)
 
     @property
     def header_pad(self) -> str:
@@ -265,7 +272,7 @@ def render_grid(
     if header:
         lines.append(" ".join(format(c.header, c.header_pad) for c in columns))
     for item in items:
-        lines.append(" ".join(format(c.cell(item), c.spec) for c in columns))
+        lines.append(" ".join(c.cell(item) for c in columns))
     return "\n".join(lines)
 
 

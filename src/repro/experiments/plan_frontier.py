@@ -12,8 +12,9 @@ tier), so the pair costs one space evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
 
+from repro.experiments._serving import METRICS, Metric, metric_columns, metric_row
 from repro.experiments.api import Column, experiment
 from repro.plan.evaluate import EvaluatedPoint, evaluate_space
 from repro.plan.pareto import cheapest_feasible, pareto_frontier
@@ -39,18 +40,19 @@ def _evaluated_points(
     return evaluate_space(space, engine=engine).points
 
 
-@dataclass(frozen=True)
-class FrontierPoint:
-    """One Pareto-optimal fleet candidate of the plan space."""
-
-    fleet: str
-    workers: int
-    scheduler: str
-    control: str
-    cost_per_mreq: float
-    p99_latency_ms: float
-    energy_per_request_mj: float
-    slo_attainment: float
+#: What each Pareto-optimal candidate reports, read off its
+#: :class:`~repro.plan.evaluate.EvaluatedPoint`; the plan tables print
+#: latency and energy to two decimals.
+FRONTIER_METRICS = (
+    Metric("fleet", "fleet", "<24", lambda p: p.point.label),
+    Metric("workers", "n", ">2", lambda p: len(p.point.fleet)),
+    Metric("scheduler", "scheduler", "<15", lambda p: p.point.scheduler),
+    Metric("control", "control", "<12", lambda p: p.point.control),
+    METRICS["cost_per_mreq"],
+    replace(METRICS["p99_latency_ms"], spec=">9.2f"),
+    replace(METRICS["energy_per_request_mj"], spec=">11.2f"),
+    METRICS["slo_attainment"],
+)
 
 
 @experiment(
@@ -58,50 +60,35 @@ class FrontierPoint:
     title="Fleet plan space: Pareto frontier (cost vs p99 vs energy)",
     tags=("planning",),
     params={"spec": SPEC_HELP},
-    columns=(
-        Column("fleet", "<24"),
-        Column("n", ">2", key="workers"),
-        Column("scheduler", "<15"),
-        Column("control", "<12"),
-        Column("$/Mreq", ">10.4f", key="cost_per_mreq"),
-        Column("p99 [ms]", ">9.2f", key="p99_latency_ms"),
-        Column("E/req [mJ]", ">11.2f", key="energy_per_request_mj"),
-        Column("SLO %", ">6.1f", value=lambda p: p.slo_attainment * 100),
-    ),
+    columns=metric_columns(FRONTIER_METRICS),
 )
 def run(
     spec: str = "tiny",
     engine: SweepEngine | None = None,
-) -> list[FrontierPoint]:
+) -> list[dict]:
     """Evaluate the plan space and tabulate its Pareto frontier."""
     engine = engine or get_default_engine()
     frontier = pareto_frontier(_evaluated_points(spec, engine))
-    return [
-        FrontierPoint(
-            fleet=point.point.label,
-            workers=len(point.point.fleet),
-            scheduler=point.point.scheduler,
-            control=point.point.control,
-            cost_per_mreq=point.cost_per_request * 1e6,
-            p99_latency_ms=point.p99_latency_s * 1e3,
-            energy_per_request_mj=point.energy_per_request_j * 1e3,
-            slo_attainment=point.slo_attainment,
-        )
-        for point in frontier
-    ]
+    return [metric_row({}, point, FRONTIER_METRICS) for point in frontier]
 
 
-@dataclass(frozen=True)
-class CapacityPoint:
-    """The cheapest feasible fleet at one SLA target (or none)."""
+#: What the cheapest feasible fleet at each SLA target reports.
+CAPACITY_METRICS = tuple(
+    metric
+    for metric in FRONTIER_METRICS
+    if metric.key not in ("workers", "energy_per_request_mj")
+)
 
-    sla_ms: float
-    fleet: str
-    scheduler: str
-    control: str
-    cost_per_mreq: float
-    p99_latency_ms: float
-    slo_attainment: float
+#: The row of an SLA target no evaluated fleet meets: its cost and p99 do
+#: not exist, so they are None (JSON ``null``, shown as ``-``).
+INFEASIBLE = {
+    "fleet": "(infeasible)",
+    "scheduler": "-",
+    "control": "-",
+    "cost_per_mreq": None,
+    "p99_latency_ms": None,
+    "slo_attainment": 0.0,
+}
 
 
 @experiment(
@@ -115,12 +102,7 @@ class CapacityPoint:
     },
     columns=(
         Column("SLA [ms]", ">8.1f", key="sla_ms"),
-        Column("fleet", "<24"),
-        Column("scheduler", "<15"),
-        Column("control", "<12"),
-        Column("$/Mreq", ">10.4f", key="cost_per_mreq"),
-        Column("p99 [ms]", ">9.2f", key="p99_latency_ms"),
-        Column("SLO %", ">6.1f", value=lambda p: p.slo_attainment * 100),
+        *metric_columns(CAPACITY_METRICS),
     ),
 )
 def run_capacity(
@@ -128,7 +110,7 @@ def run_capacity(
     sla_ladder_ms: tuple[float, ...] = DEFAULT_SLA_LADDER_MS,
     min_attainment: float = DEFAULT_MIN_ATTAINMENT,
     engine: SweepEngine | None = None,
-) -> list[CapacityPoint]:
+) -> list[dict]:
     """Solve the cheapest-feasible-fleet question at each SLA target."""
     if not 0.0 <= min_attainment <= 1.0:
         raise ValueError(f"min_attainment must be in [0, 1], got {min_attainment}")
@@ -141,28 +123,9 @@ def run_capacity(
         solution = cheapest_feasible(
             points, max_p99_s=sla_ms / 1000.0, min_attainment=min_attainment
         )
+        label = {"sla_ms": sla_ms}
         if solution is None:
-            rows.append(
-                CapacityPoint(
-                    sla_ms=sla_ms,
-                    fleet="(infeasible)",
-                    scheduler="-",
-                    control="-",
-                    cost_per_mreq=float("nan"),
-                    p99_latency_ms=float("nan"),
-                    slo_attainment=0.0,
-                )
-            )
-            continue
-        rows.append(
-            CapacityPoint(
-                sla_ms=sla_ms,
-                fleet=solution.point.label,
-                scheduler=solution.point.scheduler,
-                control=solution.point.control,
-                cost_per_mreq=solution.cost_per_request * 1e6,
-                p99_latency_ms=solution.p99_latency_s * 1e3,
-                slo_attainment=solution.slo_attainment,
-            )
-        )
+            rows.append({**label, **INFEASIBLE})
+        else:
+            rows.append(metric_row(label, solution, CAPACITY_METRICS))
     return rows

@@ -11,34 +11,23 @@ policy actually consumed -- the cost the SLA was bought at.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from repro.experiments._serving import metric_columns, metrics, serve_rows
 from repro.experiments.api import Column, experiment
 from repro.plan.space import REFERENCE_MIX
 from repro.serve.control import (
-    AutoscalePolicy,
     ControlConfig,
     LatencyTargetAutoscaler,
     QueueDepthAutoscaler,
 )
-from repro.serve.fleet import FleetSimulator
 from repro.serve.request import DiurnalStream
 from repro.serve.scheduler import FIFOScheduler
-from repro.sim.sweep import SweepEngine, get_default_engine
+from repro.sim.sweep import SweepEngine
 
-
-@dataclass(frozen=True)
-class AutoscalePoint:
-    """One provisioning policy's outcome on the diurnal wave."""
-
-    policy: str
-    num_requests: int
-    sla_attainment: float
-    p50_latency_ms: float
-    p95_latency_ms: float
-    peak_workers: int
-    mean_workers: float
-    goodput_rps: float
+#: What each provisioning policy reports on the diurnal wave.
+ROW_METRICS = metrics(
+    "num_requests", "sla_attainment", "p50_latency_ms", "p95_latency_ms",
+    "peak_workers", "mean_workers", "goodput_rps",
+)
 
 
 @experiment(
@@ -57,16 +46,7 @@ class AutoscalePoint:
         "target_p95_ms": "latency-target policy's p95 goal",
         "seed": "request stream seed",
     },
-    columns=(
-        Column("policy", "<15", key="policy"),
-        Column("reqs", ">6", key="num_requests"),
-        Column("SLA %", ">6.1f", value=lambda p: p.sla_attainment * 100),
-        Column("p50 [ms]", ">9.1f", key="p50_latency_ms"),
-        Column("p95 [ms]", ">9.1f", key="p95_latency_ms"),
-        Column("peak W", ">7", key="peak_workers"),
-        Column("mean W", ">7.2f", key="mean_workers"),
-        Column("goodput", ">8.1f", key="goodput_rps"),
-    ),
+    columns=(Column("policy", "<15"), *metric_columns(ROW_METRICS)),
 )
 def run(
     device: str = "flexnerfer",
@@ -80,9 +60,8 @@ def run(
     target_p95_ms: float = 200.0,
     seed: int = 0,
     engine: SweepEngine | None = None,
-) -> list[AutoscalePoint]:
+) -> list[dict]:
     """Serve one diurnal stream under each provisioning policy."""
-    engine = engine or get_default_engine()
     stream = DiurnalStream(
         base_rps=base_rps,
         peak_rps=peak_rps,
@@ -91,13 +70,10 @@ def run(
         mix=REFERENCE_MIX,
         sla_s=sla_ms / 1e3,
     )
-    requests = stream.generate(seed=seed)
-    autoscalers: tuple[tuple[str, AutoscalePolicy], ...] = (
+    autoscalers = (
         (
             "queue-depth",
-            QueueDepthAutoscaler(
-                scale_out_depth=4, min_workers=1, max_workers=pool
-            ),
+            QueueDepthAutoscaler(scale_out_depth=4, min_workers=1, max_workers=pool),
         ),
         (
             "latency-target",
@@ -106,35 +82,19 @@ def run(
             ),
         ),
     )
-    points: list[AutoscalePoint] = []
-    for size in (1, pool):
-        simulator = FleetSimulator(
-            (device,) * size, scheduler=FIFOScheduler(), engine=engine
-        )
-        points.append(_point(f"static-{size}", simulator.run(requests)))
-    for name, policy in autoscalers:
-        control = ControlConfig(
-            autoscaler=policy, provision_delay_s=provision_delay_ms / 1e3
-        )
-        simulator = FleetSimulator(
+    delay_s = provision_delay_ms / 1e3
+    static = [
+        ({"policy": f"static-{size}"}, (device,) * size, FIFOScheduler(), None)
+        for size in (1, pool)
+    ]
+    scaled = [
+        (
+            {"policy": name},
             (device,) * pool,
-            scheduler=FIFOScheduler(),
-            engine=engine,
-            control=control,
+            FIFOScheduler(),
+            ControlConfig(autoscaler=policy, provision_delay_s=delay_s),
         )
-        points.append(_point(name, simulator.run(requests)))
-    return points
-
-
-def _point(policy: str, report) -> AutoscalePoint:
-    """Collapse one :class:`~repro.serve.report.ServingReport` into a row."""
-    return AutoscalePoint(
-        policy=policy,
-        num_requests=report.num_requests,
-        sla_attainment=report.sla_attainment,
-        p50_latency_ms=report.p50_latency_s * 1e3,
-        p95_latency_ms=report.p95_latency_s * 1e3,
-        peak_workers=report.peak_active_workers,
-        mean_workers=report.mean_active_workers,
-        goodput_rps=report.goodput_rps,
-    )
+        for name, policy in autoscalers
+    ]
+    requests = stream.generate(seed=seed)
+    return serve_rows(requests, [*static, *scaled], ROW_METRICS, engine)

@@ -12,31 +12,21 @@ the baseline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from repro.experiments._serving import metric_columns, metrics, serve_rows
 from repro.experiments.api import Column, experiment
 from repro.plan.space import REFERENCE_MIX
-from repro.serve.fleet import FleetSimulator
 from repro.serve.request import PoissonStream
-from repro.serve.scheduler import BatchDeadlineScheduler, FIFOScheduler, Scheduler
-from repro.sim.sweep import SweepEngine, get_default_engine
+from repro.serve.scheduler import BatchDeadlineScheduler, FIFOScheduler
+from repro.sim.sweep import SweepEngine
 
 #: Batch-size bounds swept by default (on top of the plain FIFO baseline).
 DEFAULT_MAX_BATCHES = (1, 2, 4, 8, 16)
 
-
-@dataclass(frozen=True)
-class PolicyPoint:
-    """One scheduling policy's serving summary at the reference load."""
-
-    policy: str
-    mean_batch: float
-    p50_latency_ms: float
-    p95_latency_ms: float
-    p99_latency_ms: float
-    goodput_rps: float
-    sla_attainment: float
-    energy_per_request_mj: float
+#: What each scheduling policy reports at the reference load.
+ROW_METRICS = metrics(
+    "mean_batch", "p50_latency_ms", "p95_latency_ms", "p99_latency_ms", "goodput_rps",
+    "sla_attainment", "energy_per_request_mj",
+)
 
 
 @experiment(
@@ -52,16 +42,7 @@ class PolicyPoint:
         "sla_ms": "per-request latency SLA",
         "seed": "request stream seed",
     },
-    columns=(
-        Column("policy", "<12"),
-        Column("batch", ">6.2f", key="mean_batch"),
-        Column("p50 [ms]", ">9.1f", key="p50_latency_ms"),
-        Column("p95 [ms]", ">9.1f", key="p95_latency_ms"),
-        Column("p99 [ms]", ">9.1f", key="p99_latency_ms"),
-        Column("goodput", ">8.1f", key="goodput_rps"),
-        Column("SLA %", ">6.1f", value=lambda p: p.sla_attainment * 100),
-        Column("E/req [mJ]", ">11.1f", key="energy_per_request_mj"),
-    ),
+    columns=(Column("policy", "<12"), *metric_columns(ROW_METRICS)),
 )
 def run(
     device: str = "flexnerfer",
@@ -72,40 +53,23 @@ def run(
     sla_ms: float = 1000.0,
     seed: int = 0,
     engine: SweepEngine | None = None,
-) -> list[PolicyPoint]:
+) -> list[dict]:
     """Replay one overloaded stream under each policy and summarize."""
-    engine = engine or get_default_engine()
     stream = PoissonStream(
         rate_rps=rate_rps,
         duration_s=duration_s,
         mix=REFERENCE_MIX,
         sla_s=sla_ms / 1e3,
     )
-    requests = stream.generate(seed=seed)
-
-    policies: list[tuple[str, Scheduler]] = [("fifo", FIFOScheduler())]
-    policies += [
+    fifo = ({"policy": "fifo"}, (device,), FIFOScheduler(), None)
+    batching = [
         (
-            f"batch-{bound}",
+            {"policy": f"batch-{bound}"},
+            (device,),
             BatchDeadlineScheduler(max_batch=bound, max_wait_s=max_wait_ms / 1e3),
+            None,
         )
         for bound in max_batches
     ]
-
-    points: list[PolicyPoint] = []
-    for label, scheduler in policies:
-        simulator = FleetSimulator((device,), scheduler=scheduler, engine=engine)
-        report = simulator.run(requests)
-        points.append(
-            PolicyPoint(
-                policy=label,
-                mean_batch=report.mean_batch_size,
-                p50_latency_ms=report.p50_latency_s * 1e3,
-                p95_latency_ms=report.p95_latency_s * 1e3,
-                p99_latency_ms=report.p99_latency_s * 1e3,
-                goodput_rps=report.goodput_rps,
-                sla_attainment=report.sla_attainment,
-                energy_per_request_mj=report.energy_per_request_j * 1e3,
-            )
-        )
-    return points
+    requests = stream.generate(seed=seed)
+    return serve_rows(requests, [fifo, *batching], ROW_METRICS, engine)

@@ -15,9 +15,12 @@ pins the serving simulation alone).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.experiments._serving import MODELED_LADDER
+from repro.experiments._serving import (
+    MODELED_LADDER,
+    metric_columns,
+    metrics,
+    serve_rows,
+)
 from repro.experiments.api import Column, experiment
 from repro.plan.space import REFERENCE_MIX
 from repro.serve.control import (
@@ -25,30 +28,19 @@ from repro.serve.control import (
     QueueCapAdmission,
     QueueDepthShedder,
 )
-from repro.serve.fleet import FleetSimulator
 from repro.serve.scheduler import FIFOScheduler
 from repro.serve.traffic import FlashCrowdStream
-from repro.sim.sweep import SweepEngine, get_default_engine
+from repro.sim.sweep import SweepEngine
 
 #: Crowd rates swept by default: ~1.6x and ~3.2x the single FlexNeRFer's
 #: ~25 rps capacity on the reference mix, against a 12 rps baseline.
 DEFAULT_BURST_RATES = (40.0, 80.0)
 
-
-@dataclass(frozen=True)
-class FlashCrowdPoint:
-    """One (crowd rate, control mode) cell of the flash-crowd study."""
-
-    burst_rps: float
-    mode: str
-    num_requests: int
-    completed: int
-    rejected: int
-    shed: int
-    slo_attainment: float
-    p95_latency_ms: float
-    mean_quality: float
-    goodput_rps: float
+#: What each (crowd rate, control mode) cell reports.
+ROW_METRICS = metrics(
+    "num_requests", "completed", "rejected", "shed", "slo_attainment", "p95_latency_ms",
+    "mean_quality", "goodput_rps",
+)
 
 
 @experiment(
@@ -69,15 +61,8 @@ class FlashCrowdPoint:
     },
     columns=(
         Column("burst", ">6.0f", key="burst_rps"),
-        Column("mode", "<10", key="mode"),
-        Column("reqs", ">6", key="num_requests"),
-        Column("done", ">6", key="completed"),
-        Column("rej", ">5", key="rejected"),
-        Column("shed", ">5", key="shed"),
-        Column("SLO %", ">6.1f", value=lambda p: p.slo_attainment * 100),
-        Column("p95 [ms]", ">9.1f", key="p95_latency_ms"),
-        Column("quality", ">8.3f", key="mean_quality"),
-        Column("goodput", ">8.1f", key="goodput_rps"),
+        Column("mode", "<10"),
+        *metric_columns(ROW_METRICS),
     ),
 )
 def run(
@@ -92,27 +77,20 @@ def run(
     depth_per_step: int = 4,
     seed: int = 0,
     engine: SweepEngine | None = None,
-) -> list[FlashCrowdPoint]:
+) -> list[dict]:
     """Serve each crowd intensity once per control mode and compare."""
-    engine = engine or get_default_engine()
-    modes: tuple[tuple[str, ControlConfig | None], ...] = (
+    # The scheduler and policies are immutable (admission state lives in
+    # per-run sessions), so every run shares them.
+    fifo = FIFOScheduler()
+    cap = QueueCapAdmission(max_queue)
+    shedder = QueueDepthShedder(MODELED_LADDER, depth_per_step=depth_per_step)
+    modes = (
         ("none", None),
-        ("queue-cap", ControlConfig(admission=QueueCapAdmission(max_queue))),
-        (
-            "shed",
-            ControlConfig(
-                shedder=QueueDepthShedder(MODELED_LADDER, depth_per_step=depth_per_step)
-            ),
-        ),
-        (
-            "cap+shed",
-            ControlConfig(
-                admission=QueueCapAdmission(max_queue),
-                shedder=QueueDepthShedder(MODELED_LADDER, depth_per_step=depth_per_step),
-            ),
-        ),
+        ("queue-cap", ControlConfig(admission=cap)),
+        ("shed", ControlConfig(shedder=shedder)),
+        ("cap+shed", ControlConfig(admission=cap, shedder=shedder)),
     )
-    points: list[FlashCrowdPoint] = []
+    rows: list[dict] = []
     for burst_rps in burst_rates:
         stream = FlashCrowdStream(
             base_rps=base_rps,
@@ -123,27 +101,9 @@ def run(
             burst_s=burst_s,
             sla_s=sla_ms / 1e3,
         )
-        requests = stream.generate(seed=seed)
-        for mode, control in modes:
-            simulator = FleetSimulator(
-                (device,),
-                scheduler=FIFOScheduler(),
-                engine=engine,
-                control=control,
-            )
-            report = simulator.run(requests)
-            points.append(
-                FlashCrowdPoint(
-                    burst_rps=burst_rps,
-                    mode=mode,
-                    num_requests=report.num_requests,
-                    completed=report.completed_requests,
-                    rejected=report.rejected_requests,
-                    shed=report.shed_requests,
-                    slo_attainment=report.slo_attainment,
-                    p95_latency_ms=report.p95_latency_s * 1e3,
-                    mean_quality=report.mean_quality,
-                    goodput_rps=report.goodput_rps,
-                )
-            )
-    return points
+        variants = [
+            ({"burst_rps": burst_rps, "mode": mode}, (device,), fifo, control)
+            for mode, control in modes
+        ]
+        rows += serve_rows(stream.generate(seed=seed), variants, ROW_METRICS, engine)
+    return rows

@@ -11,15 +11,12 @@ FlexNeRFer where they are disproportionately cheap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.experiments._serving import parse_fleet
+from repro.experiments._serving import metric_columns, metrics, parse_fleet, serve_rows
 from repro.experiments.api import Column, experiment
 from repro.plan.space import REFERENCE_MIX
-from repro.serve.fleet import FleetSimulator
 from repro.serve.request import DiurnalStream
 from repro.serve.scheduler import SparsityAwareScheduler
-from repro.sim.sweep import SweepEngine, get_default_engine
+from repro.sim.sweep import SweepEngine
 
 #: Fleet compositions compared by default (``+`` separates fleet members).
 DEFAULT_FLEETS = (
@@ -28,19 +25,11 @@ DEFAULT_FLEETS = (
     "neurex+neurex",
 )
 
-
-@dataclass(frozen=True)
-class FleetPoint:
-    """One fleet composition's serving summary under the diurnal stream."""
-
-    fleet: str
-    num_requests: int
-    p50_latency_ms: float
-    p95_latency_ms: float
-    goodput_rps: float
-    sla_attainment: float
-    energy_per_request_mj: float
-    utilization: float
+#: What each fleet composition reports (the table omits the request count).
+ROW_METRICS = metrics(
+    "num_requests", "p50_latency_ms", "p95_latency_ms", "goodput_rps", "sla_attainment",
+    "energy_per_request_mj", "utilization",
+)
 
 
 @experiment(
@@ -56,15 +45,7 @@ class FleetPoint:
         "sla_ms": "per-request latency SLA",
         "seed": "request stream seed",
     },
-    columns=(
-        Column("fleet", "<24"),
-        Column("p50 [ms]", ">9.1f", key="p50_latency_ms"),
-        Column("p95 [ms]", ">9.1f", key="p95_latency_ms"),
-        Column("goodput", ">8.1f", key="goodput_rps"),
-        Column("SLA %", ">6.1f", value=lambda p: p.sla_attainment * 100),
-        Column("E/req [mJ]", ">11.1f", key="energy_per_request_mj"),
-        Column("util %", ">7.1f", value=lambda p: p.utilization * 100),
-    ),
+    columns=(Column("fleet", "<24"), *metric_columns(ROW_METRICS[1:])),
 )
 def run(
     fleets: tuple[str, ...] = DEFAULT_FLEETS,
@@ -75,9 +56,8 @@ def run(
     sla_ms: float = 300.0,
     seed: int = 0,
     engine: SweepEngine | None = None,
-) -> list[FleetPoint]:
+) -> list[dict]:
     """Replay one diurnal stream against each fleet and summarize."""
-    engine = engine or get_default_engine()
     stream = DiurnalStream(
         base_rps=base_rps,
         peak_rps=peak_rps,
@@ -86,24 +66,8 @@ def run(
         mix=REFERENCE_MIX,
         sla_s=sla_ms / 1e3,
     )
-    points: list[FleetPoint] = []
-    for fleet_spec in fleets:
-        simulator = FleetSimulator(
-            parse_fleet(fleet_spec),
-            scheduler=SparsityAwareScheduler(),
-            engine=engine,
-        )
-        report = simulator.run(stream.generate(seed=seed))
-        points.append(
-            FleetPoint(
-                fleet=fleet_spec,
-                num_requests=report.num_requests,
-                p50_latency_ms=report.p50_latency_s * 1e3,
-                p95_latency_ms=report.p95_latency_s * 1e3,
-                goodput_rps=report.goodput_rps,
-                sla_attainment=report.sla_attainment,
-                energy_per_request_mj=report.energy_per_request_j * 1e3,
-                utilization=report.mean_utilization,
-            )
-        )
-    return points
+    variants = [
+        ({"fleet": spec}, parse_fleet(spec), SparsityAwareScheduler(), None)
+        for spec in fleets
+    ]
+    return serve_rows(stream.generate(seed=seed), variants, ROW_METRICS, engine)

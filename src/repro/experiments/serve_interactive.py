@@ -16,16 +16,20 @@ whose users saw every frame on time
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.experiments._serving import MODELED_LADDER
+from repro.experiments._serving import (
+    MODELED_LADDER,
+    Metric,
+    metric_columns,
+    metrics,
+    serve_rows,
+)
 from repro.experiments.api import Column, experiment
 from repro.serve.control import ControlConfig, QueueDepthShedder
-from repro.serve.fleet import FleetSimulator
+from repro.serve.report import ServingReport
 from repro.serve.request import Scenario, ScenarioMix
 from repro.serve.scheduler import FIFOScheduler
 from repro.serve.traffic import SessionStream
-from repro.sim.sweep import SweepEngine, get_default_engine
+from repro.sim.sweep import SweepEngine
 
 #: The interactive viewport: small enough that one FlexNeRFer sustains
 #: ~8 concurrent 20 fps sessions at full quality.
@@ -38,19 +42,21 @@ INTERACTIVE_MIX = ScenarioMix(
 DEFAULT_SESSIONS = (4, 8, 16)
 
 
-@dataclass(frozen=True)
-class InteractivePoint:
-    """One (session count, mode) cell of the interactive study."""
+def _sessions_ok(report: ServingReport) -> int:
+    """Sessions whose user saw every frame on time."""
+    return sum(1 for session in report.by_session() if session.fully_met)
 
-    sessions: int
-    mode: str
-    frames: int
-    completed: int
-    missed: int
-    slo_attainment: float
-    p95_latency_ms: float
-    mean_quality: float
-    sessions_ok: int
+
+#: What each (session count, mode) cell reports; every request is a frame.
+ROW_METRICS = (
+    Metric("frames", "frames", ">6", "num_requests"),
+    *metrics("completed"),
+    Metric(
+        "missed", "missed", ">6", lambda r: r.num_requests - r.met_deadline_requests
+    ),
+    *metrics("slo_attainment", "p95_latency_ms", "mean_quality"),
+    Metric("sessions_ok", "sess-ok", ">7", _sessions_ok),
+)
 
 
 @experiment(
@@ -68,15 +74,9 @@ class InteractivePoint:
         "seed": "session stream seed",
     },
     columns=(
-        Column("sessions", ">8", key="sessions"),
-        Column("mode", "<12", key="mode"),
-        Column("frames", ">6", key="frames"),
-        Column("done", ">6", key="completed"),
-        Column("missed", ">6", key="missed"),
-        Column("SLO %", ">6.1f", value=lambda p: p.slo_attainment * 100),
-        Column("p95 [ms]", ">9.1f", key="p95_latency_ms"),
-        Column("quality", ">8.3f", key="mean_quality"),
-        Column("sess-ok", ">7", key="sessions_ok"),
+        Column("sessions", ">8"),
+        Column("mode", "<12"),
+        *metric_columns(ROW_METRICS),
     ),
 )
 def run(
@@ -89,21 +89,17 @@ def run(
     depth_per_step: int = 2,
     seed: int = 0,
     engine: SweepEngine | None = None,
-) -> list[InteractivePoint]:
+) -> list[dict]:
     """Serve each session concurrency uncontrolled, shed, and pinned."""
-    engine = engine or get_default_engine()
     shed = ControlConfig(
         shedder=QueueDepthShedder(MODELED_LADDER, depth_per_step=depth_per_step)
     )
-    modes: tuple[tuple[str, ControlConfig | None, bool], ...] = (
-        ("none", None, True),
-        ("shed", shed, True),
-        ("shed+pinned", shed, False),
-    )
-    points: list[InteractivePoint] = []
+    # Both degradable modes replay one stream; only the pinned one differs.
+    modes = (("none", None, True), ("shed", shed, True), ("shed+pinned", shed, False))
+    rows: list[dict] = []
     for num_sessions in sessions:
-        for mode, control, degradable in modes:
-            stream = SessionStream(
+        streams = {
+            degradable: SessionStream(
                 INTERACTIVE_MIX,
                 num_sessions=num_sessions,
                 frames_per_session=frames,
@@ -111,27 +107,11 @@ def run(
                 start_spread_s=spread_s,
                 jitter_s=jitter_ms / 1e3,
                 degradable=degradable,
-            )
-            requests = stream.generate(seed=seed)
-            simulator = FleetSimulator(
-                (device,),
-                scheduler=FIFOScheduler(),
-                engine=engine,
-                control=control,
-            )
-            report = simulator.run(requests)
-            sessions_ok = sum(1 for s in report.by_session() if s.fully_met)
-            points.append(
-                InteractivePoint(
-                    sessions=num_sessions,
-                    mode=mode,
-                    frames=report.num_requests,
-                    completed=report.completed_requests,
-                    missed=report.num_requests - report.met_deadline_requests,
-                    slo_attainment=report.slo_attainment,
-                    p95_latency_ms=report.p95_latency_s * 1e3,
-                    mean_quality=report.mean_quality,
-                    sessions_ok=sessions_ok,
-                )
-            )
-    return points
+            ).generate(seed=seed)
+            for degradable in (True, False)
+        }
+        for mode, control, degradable in modes:
+            labels = {"sessions": num_sessions, "mode": mode}
+            variant = (labels, (device,), FIFOScheduler(), control)
+            rows += serve_rows(streams[degradable], [variant], ROW_METRICS, engine)
+    return rows

@@ -15,20 +15,36 @@ attainment breakdown this PR adds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.experiments._serving import parse_fleet
+from dataclasses import replace
+from repro.experiments._serving import (
+    METRICS,
+    Metric,
+    metric_columns,
+    metric_row,
+    metrics,
+    parse_fleet,
+    serve_reports,
+)
 from repro.experiments.api import Column, experiment
 from repro.plan.space import REFERENCE_MIX
-from repro.serve.fleet import FleetSimulator
 from repro.serve.request import ScenarioMix
 from repro.serve.scheduler import FIFOScheduler
 from repro.serve.traffic import MultiTenantStream, TenantSpec
-from repro.sim.sweep import SweepEngine, get_default_engine
+from repro.sim.sweep import SweepEngine
 
 #: Candidate fleets compared by default: one FlexNeRFer (undersized for
 #: the ~24 rps merged load) vs. a FlexNeRFer + NeuRex pair.
 DEFAULT_FLEETS = ("flexnerfer", "flexnerfer+neurex")
+
+#: What each (fleet, tenant) row reports, read off the tenant's
+#: :class:`~repro.serve.report.TenantStats` (which names its counts
+#: ``completed`` / ``rejected`` where a whole report says ``*_requests``).
+ROW_METRICS = (
+    Metric("offered", "offered", ">7", "offered"),
+    replace(METRICS["completed"], read="completed"),
+    replace(METRICS["rejected"], read="rejected"),
+    *metrics("slo_attainment", "p95_latency_ms", "mean_latency_ms"),
+)
 
 
 def tenant_roster(scale: float) -> tuple[TenantSpec, ...]:
@@ -43,20 +59,6 @@ def tenant_roster(scale: float) -> tuple[TenantSpec, ...]:
     )
 
 
-@dataclass(frozen=True)
-class TenantPoint:
-    """One (fleet, tenant) row of the multi-tenant study."""
-
-    fleet: str
-    tenant: str
-    offered: int
-    completed: int
-    rejected: int
-    slo_attainment: float
-    p95_latency_ms: float
-    mean_latency_ms: float
-
-
 @experiment(
     "serve-multi-tenant",
     title="Per-tenant SLO attainment on shared candidate fleets",
@@ -68,14 +70,9 @@ class TenantPoint:
         "seed": "request stream seed",
     },
     columns=(
-        Column("fleet", "<18", key="fleet"),
-        Column("tenant", "<12", key="tenant"),
-        Column("offered", ">7", key="offered"),
-        Column("done", ">6", key="completed"),
-        Column("rej", ">5", key="rejected"),
-        Column("SLO %", ">6.1f", value=lambda p: p.slo_attainment * 100),
-        Column("p95 [ms]", ">9.1f", key="p95_latency_ms"),
-        Column("mean [ms]", ">10.1f", key="mean_latency_ms"),
+        Column("fleet", "<18"),
+        Column("tenant", "<12"),
+        *metric_columns(ROW_METRICS),
     ),
 )
 def run(
@@ -84,32 +81,17 @@ def run(
     scale: float = 1.0,
     seed: int = 0,
     engine: SweepEngine | None = None,
-) -> list[TenantPoint]:
+) -> list[dict]:
     """Serve the merged tenant stream on each fleet; one row per tenant."""
-    engine = engine or get_default_engine()
     tenants = tenant_roster(scale)
     stream = MultiTenantStream(tenants, duration_s=duration_s)
     requests = stream.generate(seed=seed)
     declared = tuple(t.name for t in tenants)
-    points: list[TenantPoint] = []
-    for fleet_spec in fleets:
-        simulator = FleetSimulator(
-            parse_fleet(fleet_spec),
-            scheduler=FIFOScheduler(),
-            engine=engine,
-        )
-        report = simulator.run(requests)
-        for stats in report.by_tenant(declared):
-            points.append(
-                TenantPoint(
-                    fleet=fleet_spec,
-                    tenant=stats.tenant,
-                    offered=stats.offered,
-                    completed=stats.completed,
-                    rejected=stats.rejected,
-                    slo_attainment=stats.slo_attainment,
-                    p95_latency_ms=stats.p95_latency_s * 1e3,
-                    mean_latency_ms=stats.mean_latency_s * 1e3,
-                )
-            )
-    return points
+    variants = [
+        ({"fleet": spec}, parse_fleet(spec), FIFOScheduler(), None) for spec in fleets
+    ]
+    return [
+        metric_row({**labels, "tenant": stats.tenant}, stats, ROW_METRICS)
+        for labels, report in serve_reports(requests, variants, engine)
+        for stats in report.by_tenant(declared)
+    ]

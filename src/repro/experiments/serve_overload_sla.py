@@ -15,8 +15,7 @@ attainment without rejecting anyone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from repro.experiments._serving import metric_columns, metrics, serve_rows
 from repro.experiments.api import Column, experiment
 from repro.plan.space import REFERENCE_MIX
 from repro.serve.control import (
@@ -26,7 +25,6 @@ from repro.serve.control import (
     TokenBucketAdmission,
     price_ladder,
 )
-from repro.serve.fleet import FleetSimulator
 from repro.serve.request import PoissonStream
 from repro.serve.scheduler import FIFOScheduler
 from repro.sim.sweep import SweepEngine, get_default_engine
@@ -35,22 +33,11 @@ from repro.sim.sweep import SweepEngine, get_default_engine
 #: FlexNeRFer's ~25 rps capacity on the reference mix.
 DEFAULT_RATES = (20.0, 50.0, 75.0)
 
-
-@dataclass(frozen=True)
-class OverloadPoint:
-    """One (offered load, control mode) cell of the overload study."""
-
-    rate_rps: float
-    mode: str
-    num_requests: int
-    completed: int
-    rejected: int
-    shed: int
-    slo_attainment: float
-    sla_attainment: float
-    p95_latency_ms: float
-    mean_quality: float
-    goodput_rps: float
+#: What each (offered load, control mode) cell reports.
+ROW_METRICS = metrics(
+    "num_requests", "completed", "rejected", "shed", "slo_attainment", "sla_attainment",
+    "p95_latency_ms", "mean_quality", "goodput_rps",
+)
 
 
 @experiment(
@@ -70,16 +57,8 @@ class OverloadPoint:
     },
     columns=(
         Column("rate", ">6.0f", key="rate_rps"),
-        Column("mode", "<13", key="mode"),
-        Column("reqs", ">6", key="num_requests"),
-        Column("done", ">6", key="completed"),
-        Column("rej", ">5", key="rejected"),
-        Column("shed", ">5", key="shed"),
-        Column("SLO %", ">6.1f", value=lambda p: p.slo_attainment * 100),
-        Column("SLA %", ">6.1f", value=lambda p: p.sla_attainment * 100),
-        Column("p95 [ms]", ">9.1f", key="p95_latency_ms"),
-        Column("quality", ">8.3f", key="mean_quality"),
-        Column("goodput", ">8.1f", key="goodput_rps"),
+        Column("mode", "<13"),
+        *metric_columns(ROW_METRICS),
     ),
 )
 def run(
@@ -93,36 +72,26 @@ def run(
     depth_per_step: int = 4,
     seed: int = 0,
     engine: SweepEngine | None = None,
-) -> list[OverloadPoint]:
+) -> list[dict]:
     """Serve each offered load once per control mode and compare attainment."""
     engine = engine or get_default_engine()
     # Price the ladder once on the mix's dominant scenario; its measured
     # PSNR-derived qualities are what the shed modes deliver.
     ladder = price_ladder(REFERENCE_MIX.scenarios[0], device, engine=engine).ladder()
-    modes: tuple[tuple[str, ControlConfig | None], ...] = (
+    # The scheduler and policies are immutable (admission state lives in
+    # per-run sessions), so every run shares them.
+    fifo = FIFOScheduler()
+    cap = QueueCapAdmission(max_queue)
+    bucket = TokenBucketAdmission(rate_rps=admit_rps, burst=admit_burst)
+    shedder = QueueDepthShedder(ladder, depth_per_step=depth_per_step)
+    modes = (
         ("none", None),
-        ("queue-cap", ControlConfig(admission=QueueCapAdmission(max_queue))),
-        (
-            "token-bucket",
-            ControlConfig(
-                admission=TokenBucketAdmission(rate_rps=admit_rps, burst=admit_burst)
-            ),
-        ),
-        (
-            "shed",
-            ControlConfig(
-                shedder=QueueDepthShedder(ladder, depth_per_step=depth_per_step)
-            ),
-        ),
-        (
-            "cap+shed",
-            ControlConfig(
-                admission=QueueCapAdmission(max_queue),
-                shedder=QueueDepthShedder(ladder, depth_per_step=depth_per_step),
-            ),
-        ),
+        ("queue-cap", ControlConfig(admission=cap)),
+        ("token-bucket", ControlConfig(admission=bucket)),
+        ("shed", ControlConfig(shedder=shedder)),
+        ("cap+shed", ControlConfig(admission=cap, shedder=shedder)),
     )
-    points: list[OverloadPoint] = []
+    rows: list[dict] = []
     for rate in rates:
         stream = PoissonStream(
             rate_rps=rate,
@@ -130,28 +99,9 @@ def run(
             mix=REFERENCE_MIX,
             sla_s=sla_ms / 1e3,
         )
-        requests = stream.generate(seed=seed)
-        for mode, control in modes:
-            simulator = FleetSimulator(
-                (device,),
-                scheduler=FIFOScheduler(),
-                engine=engine,
-                control=control,
-            )
-            report = simulator.run(requests)
-            points.append(
-                OverloadPoint(
-                    rate_rps=rate,
-                    mode=mode,
-                    num_requests=report.num_requests,
-                    completed=report.completed_requests,
-                    rejected=report.rejected_requests,
-                    shed=report.shed_requests,
-                    slo_attainment=report.slo_attainment,
-                    sla_attainment=report.sla_attainment,
-                    p95_latency_ms=report.p95_latency_s * 1e3,
-                    mean_quality=report.mean_quality,
-                    goodput_rps=report.goodput_rps,
-                )
-            )
-    return points
+        variants = [
+            ({"rate_rps": rate, "mode": mode}, (device,), fifo, control)
+            for mode, control in modes
+        ]
+        rows += serve_rows(stream.generate(seed=seed), variants, ROW_METRICS, engine)
+    return rows

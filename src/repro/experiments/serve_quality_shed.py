@@ -13,12 +13,10 @@ latency / PSNR pricing -- is documented in ``docs/serving-control.md``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from repro.experiments._serving import metric_columns, metrics, serve_rows
 from repro.experiments.api import Column, experiment
 from repro.plan.space import REFERENCE_MIX
 from repro.serve.control import ControlConfig, QueueDepthShedder, price_ladder
-from repro.serve.fleet import FleetSimulator
 from repro.serve.request import PoissonStream
 from repro.serve.scheduler import FIFOScheduler
 from repro.sim.sweep import SweepEngine, get_default_engine
@@ -27,20 +25,11 @@ from repro.sim.sweep import SweepEngine, get_default_engine
 #: larger is timider.  The uncontrolled baseline rides along as row one.
 DEFAULT_DEPTHS = (16, 8, 4, 2)
 
-
-@dataclass(frozen=True)
-class ShedPoint:
-    """One shedding-aggressiveness setting at the fixed overload."""
-
-    config: str
-    completed: int
-    shed_fraction: float
-    slo_attainment: float
-    sla_attainment: float
-    p95_latency_ms: float
-    mean_quality: float
-    p05_quality: float
-    goodput_rps: float
+#: What each shedding-aggressiveness setting reports at the fixed overload.
+ROW_METRICS = metrics(
+    "completed", "shed_fraction", "slo_attainment", "sla_attainment", "p95_latency_ms",
+    "mean_quality", "p05_quality", "goodput_rps",
+)
 
 
 @experiment(
@@ -55,17 +44,7 @@ class ShedPoint:
         "depths": "depth_per_step values to sweep (smaller sheds harder)",
         "seed": "request stream seed",
     },
-    columns=(
-        Column("config", "<10", key="config"),
-        Column("done", ">6", key="completed"),
-        Column("shed %", ">7.1f", value=lambda p: p.shed_fraction * 100),
-        Column("SLO %", ">6.1f", value=lambda p: p.slo_attainment * 100),
-        Column("SLA %", ">6.1f", value=lambda p: p.sla_attainment * 100),
-        Column("p95 [ms]", ">9.1f", key="p95_latency_ms"),
-        Column("quality", ">8.3f", key="mean_quality"),
-        Column("q p05", ">7.3f", key="p05_quality"),
-        Column("goodput", ">8.1f", key="goodput_rps"),
-    ),
+    columns=(Column("config", "<10"), *metric_columns(ROW_METRICS)),
 )
 def run(
     device: str = "flexnerfer",
@@ -75,7 +54,7 @@ def run(
     depths: tuple[int, ...] = DEFAULT_DEPTHS,
     seed: int = 0,
     engine: SweepEngine | None = None,
-) -> list[ShedPoint]:
+) -> list[dict]:
     """Sweep shedding aggressiveness against one overloaded stream."""
     engine = engine or get_default_engine()
     ladder = price_ladder(REFERENCE_MIX.scenarios[0], device, engine=engine).ladder()
@@ -85,36 +64,16 @@ def run(
         mix=REFERENCE_MIX,
         sla_s=sla_ms / 1e3,
     )
-    requests = stream.generate(seed=seed)
-    settings: list[tuple[str, ControlConfig | None]] = [("none", None)]
-    settings.extend(
+    baseline = ({"config": "none"}, (device,), FIFOScheduler(), None)
+    shedding = [
         (
-            f"shed/{depth}",
+            {"config": f"shed/{depth}"},
+            (device,),
+            FIFOScheduler(),
             ControlConfig(shedder=QueueDepthShedder(ladder, depth_per_step=depth)),
         )
         for depth in depths
+    ]
+    return serve_rows(
+        stream.generate(seed=seed), [baseline, *shedding], ROW_METRICS, engine
     )
-    points: list[ShedPoint] = []
-    for config, control in settings:
-        simulator = FleetSimulator(
-            (device,), scheduler=FIFOScheduler(), engine=engine, control=control
-        )
-        report = simulator.run(requests)
-        points.append(
-            ShedPoint(
-                config=config,
-                completed=report.completed_requests,
-                shed_fraction=(
-                    report.shed_requests / report.completed_requests
-                    if report.completed_requests
-                    else 0.0
-                ),
-                slo_attainment=report.slo_attainment,
-                sla_attainment=report.sla_attainment,
-                p95_latency_ms=report.p95_latency_s * 1e3,
-                mean_quality=report.mean_quality,
-                p05_quality=report.p05_quality,
-                goodput_rps=report.goodput_rps,
-            )
-        )
-    return points

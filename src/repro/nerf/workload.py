@@ -12,11 +12,10 @@ simulator consume it.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field, replace
 
 from repro.sparse.formats import Precision
-from repro.validate import require_count
+from repro.validate import require_count, require_nonnegative
 
 
 class OpCategory(enum.Enum):
@@ -120,6 +119,8 @@ class EncodingOp:
         require_count(
             f"{self.name}.table_lookups_per_point", self.table_lookups_per_point, 0
         )
+        for name in ("table_bytes", "table_passes"):
+            require_nonnegative(f"{self.name}.{name}", getattr(self, name))
 
     @property
     def flops(self) -> float:
@@ -176,11 +177,7 @@ class MiscOp:
 
     def __post_init__(self) -> None:
         for name in ("flops", "memory_bytes"):
-            value = getattr(self, name)
-            if not 0.0 <= value < math.inf:
-                raise ValueError(
-                    f"{self.name}.{name} must be finite and >= 0, got {value!r}"
-                )
+            require_nonnegative(f"{self.name}.{name}", getattr(self, name))
         require_count(f"{self.name}.count", self.count, 1)
 
     @property

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 from repro.noc.dataflow import DataflowMode, classify_assignment
 from repro.noc.switch import Switch2x2, Switch3x3
+from repro.validate import require_count
 
 
 @dataclass
@@ -42,12 +43,8 @@ class HMNoC:
     has_feedback = False
 
     def __init__(self, num_leaves: int, fanout: int = 2) -> None:
-        if num_leaves < 1:
-            raise ValueError("network needs at least one leaf")
-        if fanout < 2:
-            raise ValueError("fanout must be at least 2")
-        self.num_leaves = num_leaves
-        self.fanout = fanout
+        self.num_leaves = require_count("num_leaves", num_leaves, 1)
+        self.fanout = require_count("fanout", fanout, 2)
         self.levels = max(1, math.ceil(math.log(num_leaves, fanout)))
         self.switches = self._build_switches()
         self._resident: dict[int, Hashable] = {}

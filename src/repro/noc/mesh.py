@@ -11,6 +11,8 @@ from __future__ import annotations
 from collections.abc import Hashable, Sequence
 from dataclasses import dataclass
 
+from repro.validate import require_count
+
 
 @dataclass
 class MeshDelivery:
@@ -25,9 +27,7 @@ class Mesh1D:
     """A single-row 1D mesh of ``num_nodes`` MAC endpoints."""
 
     def __init__(self, num_nodes: int) -> None:
-        if num_nodes < 1:
-            raise ValueError("mesh needs at least one node")
-        self.num_nodes = num_nodes
+        self.num_nodes = require_count("num_nodes", num_nodes, 1)
 
     def route(self, assignment: Sequence[Hashable]) -> MeshDelivery:
         """Deliver ``assignment[i]`` to node ``i`` by store-and-forward hops."""

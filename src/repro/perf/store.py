@@ -42,7 +42,6 @@ import dataclasses
 import functools
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -51,6 +50,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, ClassVar, Iterator, Mapping
 
 from repro.core.device import canonical_digest
+from repro.validate import require_nonnegative
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.api import Experiment
@@ -381,10 +381,10 @@ class ResultStore:
         silently drop the bound).  Entries of other code digests are always
         evicted.  Returns the number of files removed.
         """
-        if max_entries is not None and not 0 <= max_entries < math.inf:
-            raise ValueError(f"max_entries must be finite and >= 0, got {max_entries}")
-        if max_age_s is not None and not 0 <= max_age_s < math.inf:
-            raise ValueError(f"max_age_s must be finite and >= 0, got {max_age_s}")
+        if max_entries is not None:
+            require_nonnegative("max_entries", max_entries)
+        if max_age_s is not None:
+            require_nonnegative("max_age_s", max_age_s)
         removed = 0
         for path in self._entry_files(current_only=False):
             if not self._is_current(path):

@@ -43,7 +43,7 @@ import numpy as np
 
 from repro.serve.request import Scenario
 from repro.sparse.formats import Precision
-from repro.validate import require_count, require_positive
+from repro.validate import require_count, require_nonnegative, require_positive
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.device import FrameReport
@@ -619,11 +619,7 @@ class ControlConfig:
     def __post_init__(self) -> None:
         """Validate the tick cadence and provisioning model."""
         require_positive("tick_s", self.tick_s)
-        delay = self.provision_delay_s
-        if not (math.isfinite(delay) and delay >= 0.0):
-            raise ValueError(
-                f"provision_delay_s must be finite and >= 0, got {delay!r}"
-            )
+        require_nonnegative("provision_delay_s", self.provision_delay_s)
         if self.initial_workers is not None:
             require_count("initial_workers", self.initial_workers, 1)
 

@@ -63,12 +63,11 @@ from __future__ import annotations
 import abc
 import heapq
 import itertools
-import math
 from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, ClassVar, Iterator
 
-from repro.validate import require_count
+from repro.validate import require_count, require_nonnegative
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.device import Device
@@ -291,11 +290,8 @@ class BatchDeadlineScheduler(Scheduler):
         """Validate batching bounds."""
         require_count("max_batch", self.max_batch, 1)
         # An infinite hold would schedule a wake-up at t = inf, which the
-        # event loop rejects; NaN fails the comparison too.
-        if not (math.isfinite(self.max_wait_s) and self.max_wait_s >= 0.0):
-            raise ValueError(
-                f"max_wait_s must be finite and >= 0, got {self.max_wait_s!r}"
-            )
+        # event loop rejects.
+        require_nonnegative("max_wait_s", self.max_wait_s)
 
     def assign(self, now, queue, idle, estimate, draining):
         """Dispatch ready scenario groups; hold (with a wake-up) the rest.

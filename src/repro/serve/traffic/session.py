@@ -19,7 +19,6 @@ Certified by ``tests/serve/stream_conformance.py`` like every stream.
 
 from __future__ import annotations
 
-import math
 import random
 from typing import Iterator
 
@@ -29,7 +28,7 @@ from repro.serve.request import (
     Scenario,
     ScenarioMix,
 )
-from repro.validate import require_count, require_positive
+from repro.validate import require_count, require_nonnegative, require_positive
 
 #: Orbit camera elevation (degrees) and radius shared by all session poses.
 ORBIT_ELEVATION_DEG = 30.0
@@ -61,10 +60,7 @@ class SessionStream(RequestStream):
         require_count("num_sessions", num_sessions, 1)
         require_count("frames_per_session", frames_per_session, 1)
         require_positive("fps", fps)
-        if not 0.0 <= start_spread_s < math.inf:
-            raise ValueError(
-                f"start_spread_s must be finite and >= 0, got {start_spread_s}"
-            )
+        require_nonnegative("start_spread_s", start_spread_s)
         period = 1.0 / fps
         if not 0.0 <= jitter_s < period:
             raise ValueError(

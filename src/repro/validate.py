@@ -1,4 +1,4 @@
-"""The two input guards for numeric knobs: positive reals and counts.
+"""The input guards for numeric knobs: positive reals, non-negative reals, counts.
 
 A plain ``value <= 0`` or ``value < 1`` test lets NaN through (every
 comparison with NaN is false), and a count test lets infinity, 2.5 and
@@ -21,6 +21,17 @@ def require_positive(name: str, value: float) -> float:
     """
     if not (math.isfinite(value) and value > 0.0):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return value
+
+
+def require_nonnegative(name: str, value: float) -> float:
+    """Return ``value`` if it is a finite number no smaller than zero.
+
+    A NaN table size makes an op's DRAM traffic NaN, and an infinite one
+    never finishes streaming.
+    """
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
     return value
 
 

@@ -154,6 +154,29 @@ class TestRun:
         assert code == 0
         assert out.splitlines()[1].startswith("scenario")
 
+    def test_infeasible_capacity_target_is_strict_json(self, capsys):
+        # A 1 ms target has no feasible fleet; its cost and p99 used to be
+        # NaN, which the JSON output wrote as bare (invalid) NaN tokens.
+        argv = ("run", "plan-capacity", "--sla-ladder-ms", "1,50", "--no-store")
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        infeasible, feasible = json.loads(out, parse_constant=reject)[0]["rows"]
+        assert infeasible["fleet"] == "(infeasible)"
+        assert infeasible["cost_per_mreq"] is None
+        assert infeasible["p99_latency_ms"] is None
+        assert feasible["cost_per_mreq"] > 0.0
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[2] == "1.0,(infeasible),-,-,,,0.0"
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        cells = out.splitlines()[2].split()
+        assert cells == ["1.0", "(infeasible)", "-", "-", "-", "-", "0.0"]
+
     def test_tag_selector_runs_group(self, capsys):
         code, out, _ = run_cli(capsys, "run", "tag:formats", "--format", "json")
         assert code == 0

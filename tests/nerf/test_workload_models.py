@@ -100,6 +100,10 @@ BAD_OP_FIELDS = [
     (EncodingOp, "table_lookups_per_point", NAN, "e.table_lookups_per_point must be >= 0"),
     (MiscOp, "flops", -INF, "x.flops must be finite and >= 0"),
     (MiscOp, "memory_bytes", INF, "x.memory_bytes must be finite and >= 0"),
+    (EncodingOp, "table_bytes", NAN, "e.table_bytes must be finite and >= 0"),
+    (EncodingOp, "table_bytes", -1.0, "e.table_bytes must be finite and >= 0"),
+    (EncodingOp, "table_passes", NAN, "e.table_passes must be finite and >= 0"),
+    (EncodingOp, "table_passes", INF, "e.table_passes must be finite and >= 0"),
 ]
 
 

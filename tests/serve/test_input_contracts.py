@@ -66,7 +66,7 @@ from repro.serve.traffic import (
     TenantSpec,
 )
 from repro.sim.sweep import SweepEngine
-from repro.validate import require_count, require_positive
+from repro.validate import require_count, require_nonnegative, require_positive
 from tests._timeouts import fails_within
 
 MIX = ScenarioMix(
@@ -243,6 +243,19 @@ class TestRequirePositive:
         assert str(error.value) == (
             f"rate_rps must be positive and finite, got {value!r}"
         )
+
+
+class TestRequireNonnegative:
+    def test_returns_valid_values(self):
+        assert require_nonnegative("x", 0.0) == 0.0
+        assert require_nonnegative("x", 0) == 0
+        assert require_nonnegative("x", 2.5) == 2.5
+
+    @pytest.mark.parametrize("value", (NAN, INF, -INF, -1.0, -1), ids=repr)
+    def test_names_the_input_and_value(self, value):
+        with pytest.raises(ValueError) as error:
+            require_nonnegative("max_age_s", value)
+        assert str(error.value) == f"max_age_s must be finite and >= 0, got {value!r}"
 
 
 def run_autoscaled_with(min_workers):

@@ -89,12 +89,12 @@ class TestDeterminism:
         comparing two independent executions, including fresh engines.
         """
         result = run_experiment("serve-latency-sla", rates=(10.0, 20.0, 30.0))
-        rows = result.raw
-        assert [p.rate_rps for p in rows] == [10.0, 20.0, 30.0]
+        rows = result.rows
+        assert [p["rate_rps"] for p in rows] == [10.0, 20.0, 30.0]
         for lo, hi in zip(rows, rows[1:]):
-            assert hi.p95_latency_ms >= lo.p95_latency_ms
+            assert hi["p95_latency_ms"] >= lo["p95_latency_ms"]
         # Saturation: past the knee goodput collapses below the offered rate.
-        assert rows[-1].goodput_rps < rows[-1].rate_rps * 0.5
+        assert rows[-1]["goodput_rps"] < rows[-1]["rate_rps"] * 0.5
         again = run_experiment("serve-latency-sla", rates=(10.0, 20.0, 30.0))
         assert result.rows == again.rows
 
@@ -109,21 +109,21 @@ class TestOverloadControl:
 
     def test_each_mechanism_strictly_improves_slo_at_2x_overload(self):
         result = run_experiment("serve-overload-sla", rates=(50.0,))
-        by_mode = {point.mode: point for point in result.raw}
-        baseline = by_mode["none"].slo_attainment
+        by_mode = {point["mode"]: point for point in result.rows}
+        baseline = by_mode["none"]["slo_attainment"]
         for mode in ("queue-cap", "token-bucket", "shed", "cap+shed"):
-            assert by_mode[mode].slo_attainment > baseline, mode
+            assert by_mode[mode]["slo_attainment"] > baseline, mode
         # Shedding keeps everyone: it buys attainment with quality, not
         # rejections, so quality drops below the baseline's 1.0 instead.
-        assert by_mode["shed"].rejected == 0
-        assert by_mode["shed"].shed > 0
-        assert by_mode["shed"].mean_quality < by_mode["none"].mean_quality
+        assert by_mode["shed"]["rejected"] == 0
+        assert by_mode["shed"]["shed"] > 0
+        assert by_mode["shed"]["mean_quality"] < by_mode["none"]["mean_quality"]
         # Admission keeps full quality and turns the excess away instead.
-        assert by_mode["queue-cap"].rejected > 0
-        assert by_mode["queue-cap"].mean_quality == 1.0
+        assert by_mode["queue-cap"]["rejected"] > 0
+        assert by_mode["queue-cap"]["mean_quality"] == 1.0
         # Offered requests are conserved in every mode.
-        for point in result.raw:
-            assert point.completed + point.rejected == point.num_requests
+        for point in result.rows:
+            assert point["completed"] + point["rejected"] == point["num_requests"]
 
 
 class TestScenarioLibrary:
@@ -135,38 +135,38 @@ class TestScenarioLibrary:
 
     def test_flash_crowd_control_rescues_burst_slo(self):
         result = run_experiment("serve-flash-crowd")
-        by_cell = {(p.burst_rps, p.mode): p for p in result.raw}
-        for burst in {p.burst_rps for p in result.raw}:
+        by_cell = {(p["burst_rps"], p["mode"]): p for p in result.rows}
+        for burst in {p["burst_rps"] for p in result.rows}:
             none = by_cell[(burst, "none")]
             shed = by_cell[(burst, "shed")]
-            assert shed.slo_attainment > none.slo_attainment, burst
-            assert shed.mean_quality < 1.0  # attainment was bought with quality
+            assert shed["slo_attainment"] > none["slo_attainment"], burst
+            assert shed["mean_quality"] < 1.0  # attainment was bought with quality
 
     def test_multi_tenant_breaks_per_tenant_not_fleet_wide(self):
         result = run_experiment("serve-multi-tenant")
-        by_cell = {(p.fleet, p.tenant): p for p in result.raw}
+        by_cell = {(p["fleet"], p["tenant"]): p for p in result.rows}
         small, big = "flexnerfer", "flexnerfer+neurex"
         # The undersized fleet fails the tight-SLA tenant specifically...
-        assert by_cell[(small, "interactive")].slo_attainment < 0.5
+        assert by_cell[(small, "interactive")]["slo_attainment"] < 0.5
         # ...while the relaxed-SLA batch tenant still looks healthy.
-        assert by_cell[(small, "batch")].slo_attainment > 0.8
+        assert by_cell[(small, "batch")]["slo_attainment"] > 0.8
         # Adding the second device repairs every tenant's attainment.
-        assert by_cell[(big, "interactive")].slo_attainment > 0.8
+        assert by_cell[(big, "interactive")]["slo_attainment"] > 0.8
         for tenant in ("batch", "free"):
-            assert by_cell[(big, tenant)].slo_attainment > 0.95, tenant
+            assert by_cell[(big, tenant)]["slo_attainment"] > 0.95, tenant
 
     def test_interactive_shedding_needs_the_degradable_flag(self):
         result = run_experiment("serve-interactive", sessions=(8,))
-        by_mode = {p.mode: p for p in result.raw}
+        by_mode = {p["mode"]: p for p in result.rows}
         # Shedding rescues overloaded sessions...
-        assert by_mode["shed"].slo_attainment > by_mode["none"].slo_attainment
-        assert by_mode["shed"].sessions_ok > by_mode["none"].sessions_ok
+        assert by_mode["shed"]["slo_attainment"] > by_mode["none"]["slo_attainment"]
+        assert by_mode["shed"]["sessions_ok"] > by_mode["none"]["sessions_ok"]
         # ...but only because the frames are degradable: pinning them
         # disarms the ladder and the collapse matches the uncontrolled run.
-        assert by_mode["shed+pinned"].slo_attainment == pytest.approx(
-            by_mode["none"].slo_attainment
+        assert by_mode["shed+pinned"]["slo_attainment"] == pytest.approx(
+            by_mode["none"]["slo_attainment"]
         )
-        assert by_mode["shed+pinned"].mean_quality == 1.0
+        assert by_mode["shed+pinned"]["mean_quality"] == 1.0
 
 
 class TestCLI:
