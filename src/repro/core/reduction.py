@@ -16,11 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.mac_unit import (
-    SHIFTERS_OPTIMIZED,
-    SHIFTERS_UNOPTIMIZED,
-    BitScalableMACUnit,
-)
+from repro.core.mac_unit import SHIFTERS_OPTIMIZED, SHIFTERS_UNOPTIMIZED
 from repro.hw.components import DEFAULT_LIBRARY, ComponentLibrary
 from repro.sparse.formats import Precision
 

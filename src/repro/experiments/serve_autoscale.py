@@ -85,7 +85,7 @@ def run(
     delay_s = provision_delay_ms / 1e3
     static = [
         ({"policy": f"static-{size}"}, (device,) * size, FIFOScheduler(), None)
-        for size in (1, pool)
+        for size in sorted({1, pool})
     ]
     scaled = [
         (

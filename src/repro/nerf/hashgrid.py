@@ -13,7 +13,7 @@ touches at fine levels) are derived from this implementation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

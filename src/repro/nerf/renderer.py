@@ -9,6 +9,18 @@ matrices entering the MLP at each stage of a prepared render, which backs
 the Fig. 13(a) experiment.  The renderer holds no per-render state, so one
 fitted instance (see :meth:`repro.sim.sweep.SweepEngine.probe`) serves every
 study and thread.
+
+Like FlexNeRFer's datapath, the renderer does no work on empty samples: a
+:class:`RenderPlan` keeps only the occupied rows of the feature matrix, and
+:meth:`InstantNGPRenderer.render_prepared` quantizes and decodes those rows
+alone.  Empty samples have zero density and colour, which is what decoding
+their all-zero rows would give.  At FP32 and under plain quantization the
+image is therefore the dense render's bit for bit.  The outlier-aware path
+sums its mean and std over the occupied values only, so its threshold can
+differ from the dense one by an ulp, and the image differs only where a
+feature value lies within that ulp of the threshold;
+``tests/nerf/test_occupied_render.py`` finds no such value on the probe
+plans it renders.
 """
 
 from __future__ import annotations
@@ -49,12 +61,19 @@ PROBE_GRID = HashGridConfig(
 def render_reference(
     scene: SyntheticScene, camera: Camera, num_samples: int = 64
 ) -> np.ndarray:
-    """Oracle render of a synthetic scene (queries the scene fields directly)."""
+    """Oracle render of a synthetic scene (queries the scene fields directly).
+
+    Colour is looked up only where the density is positive: an empty sample
+    has weight exactly 0, so its colour never reaches the image.
+    """
     origins, directions = generate_rays(camera)
     points, t_values = sample_along_rays(
         origins, directions, num_samples, stratified=False
     )
-    densities, colors, _ = scene.fields(points)
+    densities = scene.density(points)
+    occupied = densities > 0.0
+    colors = np.zeros(points.shape)
+    colors[occupied] = scene.color(points[occupied])
     image = composite_rays(colors, densities, t_values)
     return image.reshape(camera.height, camera.width, 3)
 
@@ -74,9 +93,10 @@ class RenderPlan:
     :meth:`InstantNGPRenderer.render_prepared` consumes it once per
     quantization setting without re-running ray generation, occupancy or
     the hash-grid encode.  A plan can live as long as the process (the
-    sweep engine's probe tier), so it is kept small.  It stores only the
-    ``encoded`` rows of occupied samples (most samples are empty space)
-    and rebuilds the zero-filled :attr:`features` matrix when it is read;
+    sweep engine's probe tier), so it is kept small.  The feature matrix
+    is held sparse: ``occupied`` masks the ``num_rays * samples`` samples,
+    and ``encoded`` holds the feature rows of the occupied ones in sample
+    order.  Every other row of the matrix is zero and is never built.
     ``t_values`` is a read-only broadcast of the one depth row every ray
     shares.
     """
@@ -87,13 +107,6 @@ class RenderPlan:
     samples: int
     occupied: np.ndarray
     encoded: np.ndarray
-
-    @property
-    def features(self) -> np.ndarray:
-        """The FP32 feature matrix: encoded rows at occupied samples, zeros elsewhere."""
-        features = np.zeros((self.occupied.shape[0], self.encoded.shape[1]))
-        features[self.occupied] = self.encoded
-        return features
 
 
 class InstantNGPRenderer:
@@ -202,7 +215,9 @@ class InstantNGPRenderer:
 
     def _decode(self, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Decode per-point features into (density, color)."""
-        per_level = features.reshape(features.shape[0], self.config.num_levels, -1)
+        per_level = features.reshape(
+            features.shape[0], self.config.num_levels, self.config.features_per_level
+        )
         density = 30.0 * np.mean(per_level[:, :, 0], axis=-1)
         color = np.clip(np.mean(per_level[:, :, 1:4], axis=1), 0.0, 1.0)
         return density, color
@@ -259,16 +274,30 @@ class InstantNGPRenderer:
     ) -> np.ndarray:
         """Finish a prepared render under the given quantization setting.
 
-        The plan is never mutated (quantization produces a fresh array), so
-        one plan serves any number of precision settings with bit-identical
-        results to full renders.
+        Only the occupied rows are quantized and decoded; empty samples
+        keep zero density and colour.  Plain quantization takes its scale
+        from the max-abs value, which the zero rows do not change, so it
+        gives the zero-filled matrix's values exactly.  The outlier-aware
+        path counts the zero rows into its mean and std
+        (``omitted_zeros``), but sums in another order than over the
+        zero-filled matrix, so its threshold can move by an ulp (see the
+        module docstring).  The plan is never mutated, so one plan serves
+        any number of precision settings.
         """
-        features = plan.features
+        features = plan.encoded
         if precision is not None:
-            features = self._quantize_features(features, precision, outlier_aware)
+            if outlier_aware:
+                omitted = (plan.occupied.size - features.shape[0]) * features.shape[1]
+                quantized = outlier_quantize(features, precision, omitted_zeros=omitted)
+            else:
+                quantized = quantize(features, precision)
+            features = quantized.dequantize()
 
-        density, color = self._decode(features)
-        density = np.where(plan.occupied, density, 0.0)
+        occupied_density, occupied_color = self._decode(features)
+        density = np.zeros(plan.occupied.shape)
+        density[plan.occupied] = occupied_density
+        color = np.zeros(plan.occupied.shape + (3,))
+        color[plan.occupied] = occupied_color
         image = composite_rays(
             color.reshape(plan.num_rays, plan.samples, 3),
             density.reshape(plan.num_rays, plan.samples),
@@ -287,8 +316,11 @@ class InstantNGPRenderer:
         # Resume the stack from layer 1: layer 0's activation is already in
         # hand.
         hidden_out = self.mlp.forward(hidden1, start=1)
+        # The feature matrix's nonzeros are all in ``encoded``; its empty
+        # rows are zero.
+        size = plan.occupied.size * plan.encoded.shape[1]
         return {
-            "input_ray_marching": sparsity_ratio(plan.features),
+            "input_ray_marching": 1.0 - np.count_nonzero(plan.encoded) / size,
             "output_relu1": sparsity_ratio(hidden1),
             "output": sparsity_ratio(hidden_out),
         }
@@ -312,11 +344,3 @@ class InstantNGPRenderer:
         return self.render_prepared(
             plan, precision=precision, outlier_aware=outlier_aware
         )
-
-    @staticmethod
-    def _quantize_features(
-        features: np.ndarray, precision: Precision, outlier_aware: bool
-    ) -> np.ndarray:
-        if outlier_aware:
-            return outlier_quantize(features, precision).dequantize()
-        return quantize(features, precision).dequantize()

@@ -28,6 +28,10 @@ from repro.validate import require_count
 #: The lattice scan caps its (rows, len(axis), P) blocks by the same budget.
 _CHUNK_BUDGET = 1 << 21
 
+#: Cells along the longest side of the coarse occupancy grid that
+#: :meth:`SyntheticScene.density` uses to skip points no sphere can reach.
+_GRID_CELLS = 64
+
 
 @dataclass
 class SyntheticScene:
@@ -162,12 +166,48 @@ class SyntheticScene:
             np.maximum(box, np.clip((radius - dists) / (0.1 * radius), 0.0, 1.0), out=box)
         return 30.0 * inside.reshape(-1), self._colors[nearest.reshape(-1)]
 
+    def _candidate_rows(self, flat: np.ndarray) -> np.ndarray:
+        """Indices of the rows of ``flat`` that may lie inside a sphere.
+
+        A coarse grid spans the spheres' bounding boxes with two empty
+        cells of margin, and each sphere marks the cells its box covers,
+        padded by one cell on each side.  The padding covers any rounding
+        in the cell lookup and in the scan's distances, so a row left out
+        is more than a cell from every sphere and its density is exactly 0.
+        Points outside the grid clamp onto its unmarked edge.  A batch
+        with a non-finite coordinate is scanned whole.
+        """
+        if not np.isfinite(flat).all():
+            return np.arange(flat.shape[0])
+        low_corners = self._centers - self._radii[:, None]
+        high_corners = self._centers + self._radii[:, None]
+        cell = float(np.max(high_corners.max(axis=0) - low_corners.min(axis=0))) / _GRID_CELLS
+        origin = low_corners.min(axis=0) - 2 * cell
+        # Every coordinate below is positive, so truncation is floor.  No
+        # sphere marks cell 0 or the last cell, where outside points clamp.
+        starts = np.maximum(((low_corners - origin) / cell).astype(np.intp) - 1, 1)
+        stops = ((high_corners - origin) / cell).astype(np.intp) + 2
+        grid = np.zeros(tuple(stops.max(axis=0) + 2), dtype=bool)
+        for (x0, y0, z0), (x1, y1, z1) in zip(starts, stops):
+            grid[x0:x1, y0:y1, z0:z1] = True
+        cells = flat - origin
+        cells /= cell
+        np.clip(cells, 0, np.array(grid.shape) - 1, out=cells)
+        ids = np.ravel_multi_index(cells.astype(np.intp).T, grid.shape)
+        return np.flatnonzero(grid.reshape(-1)[ids])
+
     def density(self, points: np.ndarray) -> np.ndarray:
-        """Volume density at ``points`` of shape (..., 3)."""
+        """Volume density at ``points`` of shape (..., 3).
+
+        Only the rows a sphere may reach (:meth:`_candidate_rows`) go
+        through the distance scan; every other row is exactly 0.
+        """
         points = np.asarray(points, dtype=np.float64)
         lead = points.shape[:-1]
         flat = np.ascontiguousarray(points.reshape(-1, 3))
-        density, _ = self._scan_fields(flat, want_nearest=False)
+        density = np.zeros(flat.shape[0])
+        rows = self._candidate_rows(flat)
+        density[rows], _ = self._scan_fields(flat[rows], want_nearest=False)
         return density.reshape(lead)
 
     def color(self, points: np.ndarray) -> np.ndarray:

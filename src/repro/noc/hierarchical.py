@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Hashable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.noc.dataflow import DataflowMode, classify_assignment
 from repro.noc.switch import Switch2x2, Switch3x3

@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.quant.quantize import QuantizedTensor, quantize
 from repro.sparse.formats import Precision
+from repro.validate import require_count
 
 #: Sigma thresholds used in the paper for each low-precision mode.
 DEFAULT_SIGMA_THRESHOLD = {
@@ -51,14 +52,22 @@ def outlier_quantize(
     tensor: np.ndarray,
     precision: Precision,
     sigma_threshold: float | None = None,
+    omitted_zeros: int = 0,
 ) -> OutlierQuantizedTensor:
     """Quantize ``tensor`` to ``precision`` keeping outliers at INT16.
 
     Elements whose magnitude exceeds ``sigma_threshold`` standard deviations
     are stored separately at INT16; the remaining body is quantized with a
     scale fitted to the non-outlier range, which is what recovers accuracy.
+
+    ``omitted_zeros`` counts zeros of a larger matrix that ``tensor`` leaves
+    out (the empty rows of a sparse feature matrix).  They enter the mean
+    and standard deviation, and so the threshold, but a zero is never an
+    outlier and never sets a scale, so they are not quantized.  With the
+    default 0 the statistics equal ``np.mean`` and ``np.std`` of ``tensor``.
     """
     tensor = np.asarray(tensor, dtype=np.float64)
+    omitted_zeros = require_count("omitted_zeros", omitted_zeros, 0)
     if sigma_threshold is None:
         sigma_threshold = DEFAULT_SIGMA_THRESHOLD[precision]
     flat = tensor.reshape(-1)
@@ -71,8 +80,12 @@ def outlier_quantize(
             outlier_indices=np.empty(0, dtype=np.int64),
             shape=tensor.shape,
         )
-    std = float(np.std(flat))
-    mean = float(np.mean(flat))
+    # numpy's mean and std, written out so the omitted zeros can join them:
+    # each adds 0 to the sum and mean**2 to the squared deviations.
+    count = flat.size + omitted_zeros
+    mean = float(np.sum(flat)) / count
+    deviations = float(np.sum((flat - mean) ** 2)) + omitted_zeros * mean * mean
+    std = float(np.sqrt(deviations / count))
     threshold = abs(mean) + sigma_threshold * std if std > 0 else np.inf
     outlier_mask = np.abs(flat) > threshold
     outlier_indices = np.nonzero(outlier_mask)[0]

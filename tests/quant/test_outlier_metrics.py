@@ -44,6 +44,21 @@ class TestOutlierQuantize:
         result = outlier_quantize(np.ones(100), Precision.INT8)
         assert result.outlier_indices.size == 0
 
+    @pytest.mark.parametrize("precision", [Precision.INT4, Precision.INT8, Precision.INT16])
+    def test_omitted_zeros_count_like_present_ones(self, rng, precision):
+        rows = _heavy_tailed(rng, size=1200).reshape(50, 24)
+        dense = np.zeros((400, 24))
+        dense[::8] = rows
+        result = outlier_quantize(rows, precision, omitted_zeros=350 * 24)
+        np.testing.assert_array_equal(
+            result.dequantize(), outlier_quantize(dense, precision).dequantize()[::8]
+        )
+
+    @pytest.mark.parametrize("count", [-1, 2.5, float("nan"), True])
+    def test_omitted_zeros_must_be_a_count(self, count):
+        with pytest.raises(ValueError, match="omitted_zeros"):
+            outlier_quantize(np.ones(4), Precision.INT8, omitted_zeros=count)
+
 
 class TestMetrics:
     def test_identical_images_infinite_psnr(self):

@@ -126,6 +126,13 @@ class TestOverloadControl:
             assert point["completed"] + point["rejected"] == point["num_requests"]
 
 
+class TestAutoscalePools:
+    def test_each_static_pool_size_is_served_once(self):
+        result = run_experiment("serve-autoscale", pool=1, duration_s=8.0)
+        policies = [row["policy"] for row in result.rows]
+        assert policies == ["static-1", "queue-depth", "latency-target"]
+
+
 class TestScenarioLibrary:
     """Acceptance bar for the scenario-library experiments (this PR).
 

@@ -219,11 +219,10 @@ class TestProbeTier:
 
     def test_plan_keeps_only_occupied_rows(self, engine):
         renderer, plan = engine.probe("mic", 12, 6)
+        assert plan.occupied.shape == (12 * 12 * 6,)
+        assert 0 < plan.occupied.sum() < plan.occupied.size
         assert plan.encoded.shape == (int(plan.occupied.sum()), renderer.config.output_dim)
-        features = plan.features
-        assert features.shape == (12 * 12 * 6, renderer.config.output_dim)
-        assert not features[~plan.occupied].any()
-        assert (features[plan.occupied] == plan.encoded).all()
+        assert plan.encoded.any(axis=1).all()
 
 
 class TestReducers:
